@@ -21,7 +21,7 @@ from . import __version__
 from .brownian import BrownianDriver, auxiliary_rng
 from .config import ScenarioConfig
 from .convex import get_convex, non_convex_control
-from .engine import BatchResult, escape_margin, run_chunks, simulate_paths
+from .engine import DEFAULT_CHUNK_SIZE, BatchResult, escape_margin, run_chunks, simulate_paths
 from .errors import ConfigError, StochflowError
 from .estimators import (
     collect_psi_samples,
@@ -56,7 +56,6 @@ __all__ = [
     "write_report",
     "report_payload",
     "golden_payload",
-    "DEFAULT_CHECK_CHUNK",
     "MAX_DISCARD_FRACTION",
 ]
 
@@ -64,8 +63,6 @@ __all__ = [
 # thrown away (escaped the padded domain): the surviving sample is biased.  Runs are
 # allowed a sliver of discards and fail beyond it.
 MAX_DISCARD_FRACTION = 1e-3
-
-DEFAULT_CHECK_CHUNK = 4096
 
 _Z_LIMIT = 4.0
 
@@ -188,7 +185,7 @@ class RunContext:
     seed: int
     realizations_override: int | None = None
     threads: int = 1
-    chunk_size: int = DEFAULT_CHECK_CHUNK
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     discards: int = 0
     _weight_cache: dict = field(default_factory=dict)
 

@@ -11,11 +11,15 @@ coordinate chart.  Alongside the positions the engine advances
 - the exponential growth weight ``log_I`` (left-endpoint time quadrature of the
   zeroth-order coefficient along the path).
 
-The batch kernel works on arrays of shape (R, L, n) — R realizations, L labels — and
-evaluates all coefficient expressions through one shared memo per step, so subtrees shared
-between sigma, the drift, and their derivatives are computed once for the whole batch.
-Exactly-zero coefficients (constant-folded by the expression layer) are skipped, which
-makes trivial cases (identity sigma, zero drift) nearly free.
+The batch kernel works on arrays of shape (R, L, n) — R realizations, L labels.  Each
+``simulate_paths`` call compiles the whole step once: every coefficient expression,
+with subtrees shared between sigma, the drift and their derivatives numbered once,
+and the state updates that consume them, into a straight-line program of ufunc calls
+that write into preallocated buffers (see ``fields.ProgramCompiler``).  The state is
+then advanced in place, with the floating-point operations of the plain update
+formulas in their order.  Exactly-zero coefficients (constant-folded by the expression
+layer) are skipped when the program is built, which makes trivial cases (identity
+sigma, zero drift) nearly free.
 
 Realizations whose chart leaves the padded integration box, or develops non-finite
 state, are flagged and their rows frozen to the box center so the remaining batch can
@@ -33,7 +37,9 @@ import numpy as np
 from .brownian import BrownianDriver
 from .coefficients import CoefficientSet
 from .errors import DimensionMismatch, NonFiniteState, PathEscapedDomain
-from .fields import eval_batch
+from .fields import COLUMN, Program, ProgramCompiler
+# Unused here; kept importable because the benchmark's span tracer patches engine.eval_batch.
+from .fields import eval_batch  # noqa: F401
 from .grids import Box, mesh_points
 
 __all__ = [
@@ -111,124 +117,144 @@ class PathState:
 # ---------------------------------------------------------------------------
 
 
-def _is_zero(val) -> bool:
-    """True for a constant-folded exact zero (skippable term)."""
-    return isinstance(val, float) and val == 0.0
+def _compile_step(cs: CoefficientSet, dt: float) -> tuple[Program, bool]:
+    """One Euler–Maruyama step of the full state as a straight-line program.
 
-
-def _add_term(acc, term):
-    return term if acc is None else acc + term
-
-
-def _times_col(val, arr):
-    """Multiply a coefficient value (scalar or (R,L)-array) into (R,L,n) rows."""
-    if isinstance(val, float):
-        return val * arr
-    return val[..., None] * arr
-
-
-def _advance(cs: CoefficientSet, X, J, D, logL, logI, t, dt, dW):
-    """One Euler–Maruyama step of the full state, left-endpoint evaluation.
-
-    X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L); dW: (R, n).
-    Returns new arrays; inputs are not modified.  All coefficient values are taken at
-    the pre-step position and time (simultaneous update).
+    Left-endpoint evaluation: every coefficient is read at the pre-step position and
+    time.  The state is updated in place, so each write is emitted after every read
+    of the value it overwrites; the positions, which every coefficient reads, are
+    written last.  The floating-point operations and their order are those of the
+    plain update formulas, term by term; a term is skipped only when its coefficient
+    is a constant exact zero, decided here once.  Returns the program and whether J
+    needs a second buffer: for n > 1, row j of the new J reads the old rows k.
     """
     n = cs.n
-    sqrt2nu = float(np.sqrt(2.0 * cs.nu))
-    comps = tuple(X[..., k] for k in range(n))
-    memo: dict = {}
+    b = ProgramCompiler(n)
+    f = b.field
+    dW = [b.input(("dW", p), COLUMN) for p in range(n)]
+    J = [[b.input(("J", j, i)) for i in range(n)] for j in range(n)]
+    J_new = [[b.input(("J_new", j, i)) for i in range(n)] for j in range(n)]
+    D, logL, logI = b.input("D"), b.input("logL"), b.input("logI")
+    X = b.coords
+    DT = b.const(dt)
+    ONE = b.const(1.0)
+    SQRT2NU = b.const(float(np.sqrt(2.0 * cs.nu)))
 
-    def ev(expr):
-        return eval_batch(expr, comps, t, memo)
+    def noise(coef: int, p: int) -> int:
+        return b.mul(b.mul(SQRT2NU, coef), dW[p])
 
-    sig = [[ev(cs.sigma[j][p]) for p in range(n)] for j in range(n)]
-    v = [ev(cs.v[j]) for j in range(n)]
-    dv = [[ev(cs.dv[k][j]) for j in range(n)] for k in range(n)]
-    dsig = [[[ev(cs.dsigma[k][j][p]) for p in range(n)] for j in range(n)] for k in range(n)]
-    div_v = ev(cs.div_v)
-    e_val = ev(cs.E)
-    div_sig = [ev(cs.div_sigma[p]) for p in range(n)]
-    p_val = ev(cs.P)
+    def add_term(acc, term: int) -> int:
+        return term if acc is None else b.add(acc, term)
 
-    # Broadcastable per-realization noise columns, shape (R, 1).
-    dWb = [dW[:, p][:, None] for p in range(n)]
-
-    # --- position update ---------------------------------------------------
-    X_new = np.empty_like(X)
-    for j in range(n):
-        acc = X[..., j]
-        if not _is_zero(v[j]):
-            acc = acc + v[j] * dt
-        for p in range(n):
-            s = sig[j][p]
-            if not _is_zero(s):
-                acc = acc + (sqrt2nu * s) * dWb[p]
-        X_new[..., j] = acc
-
-    # --- tangent matrix update: J' = J + M·J with M[j][k] built per entry ---
+    # --- tangent matrix: J' = J + M·J, M[j][k] = d_k v_j dt + sqrt(2 nu) d_k sigma_jp dW_p
     M = [[None] * n for _ in range(n)]
-    any_m = False
     for j in range(n):
         for k in range(n):
-            acc = None
-            g = dv[k][j]
-            if not _is_zero(g):
-                acc = _add_term(acc, g * dt)
+            g = f(cs.dv[k][j])
+            if not b.is_zero(g):
+                M[j][k] = b.mul(g, DT)
             for p in range(n):
-                gs = dsig[k][j][p]
-                if not _is_zero(gs):
-                    acc = _add_term(acc, (sqrt2nu * gs) * dWb[p])
-            M[j][k] = acc
-            any_m = any_m or acc is not None
-    if any_m:
-        J_new = J.copy()
-        for j in range(n):
-            for k in range(n):
-                if M[j][k] is not None:
-                    J_new[..., j, :] += _times_col(
-                        M[j][k] if isinstance(M[j][k], float) else np.asarray(M[j][k]),
-                        J[..., k, :],
-                    )
-    else:
-        J_new = J
+                gs = f(cs.dsigma[k][j][p])
+                if not b.is_zero(gs):
+                    M[j][k] = add_term(M[j][k], noise(gs, p))
+    double = n > 1 and any(m is not None for row in M for m in row)
+    target = J_new if double else J
+    for j in range(n):
+        for i in range(n):
+            terms = [b.mul(M[j][k], J[k][i]) for k in range(n) if M[j][k] is not None]
+            if double and not terms:
+                b.write(target[j][i], "copy", J[j][i])
+            acc = J[j][i]
+            for term in terms:
+                b.write(target[j][i], "add", acc, term)
+                acc = target[j][i]
 
-    # --- determinant trackers -----------------------------------------------
+    # --- determinant trackers -------------------------------------------------
     drift = None  # div v + 2*nu*E
-    if not _is_zero(div_v):
-        drift = _add_term(drift, div_v)
-    if not _is_zero(e_val):
-        drift = _add_term(drift, 2.0 * cs.nu * e_val)
-    noise = None  # sqrt(2 nu) * sum_p (div sigma_p) dW_p
+    div_v, e_val = f(cs.div_v), f(cs.E)
+    if not b.is_zero(div_v):
+        drift = div_v
+    if not b.is_zero(e_val):
+        drift = add_term(drift, b.mul(b.const(2.0 * cs.nu), e_val))
+    noise_sum = None  # sqrt(2 nu) * sum_p (div sigma_p) dW_p
     sumsq = None  # sum_p (div sigma_p)^2
     for p in range(n):
-        ds = div_sig[p]
-        if not _is_zero(ds):
-            noise = _add_term(noise, (sqrt2nu * ds) * dWb[p])
-            sumsq = _add_term(sumsq, ds * ds)
-
-    if drift is not None or noise is not None:
-        factor = 1.0
+        ds = f(cs.div_sigma[p])
+        if not b.is_zero(ds):
+            noise_sum = add_term(noise_sum, noise(ds, p))
+            sumsq = add_term(sumsq, b.mul(ds, ds))
+    if drift is not None or noise_sum is not None:
+        factor = ONE
         if drift is not None:
-            factor = factor + drift * dt
-        if noise is not None:
-            factor = factor + noise
-        D_new = D * factor
-    else:
-        D_new = D
-
+            factor = b.add(factor, b.mul(drift, DT))
+        if noise_sum is not None:
+            factor = b.add(factor, noise_sum)
+        b.write(D, "mul", D, factor)
     lam_inc = None
     if drift is not None:
-        lam_inc = _add_term(lam_inc, drift * dt)
+        lam_inc = b.mul(drift, DT)
     if sumsq is not None:
-        lam_inc = _add_term(lam_inc, (-cs.nu * dt) * sumsq)
-    if noise is not None:
-        lam_inc = _add_term(lam_inc, noise)
-    logL_new = logL + lam_inc if lam_inc is not None else logL
+        lam_inc = add_term(lam_inc, b.mul(b.const(-cs.nu * dt), sumsq))
+    if noise_sum is not None:
+        lam_inc = add_term(lam_inc, noise_sum)
+    if lam_inc is not None:
+        b.write(logL, "add", logL, lam_inc)
+    p_val = f(cs.P)
+    if not b.is_zero(p_val):
+        b.write(logI, "add", logI, b.mul(p_val, DT))
 
-    logI_new = logI + p_val * dt if not _is_zero(p_val) else logI
+    # --- positions: every term first, since a coefficient may be a coordinate itself
+    x_terms = []
+    for j in range(n):
+        v = f(cs.v[j])
+        if not b.is_zero(v):
+            x_terms.append((j, b.mul(v, DT)))
+        for p in range(n):
+            s = f(cs.sigma[j][p])
+            if not b.is_zero(s):
+                x_terms.append((j, noise(s, p)))
+    for j, term in x_terms:
+        b.write(X[j], "add", X[j], term)
+    return b.build(), double
 
-    return X_new, J_new, D_new, logL_new, logI_new
+
+class _Stepper:
+    """Advances one batch of state arrays in place, one Euler–Maruyama step at a time.
+
+    X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L).  The step program is
+    compiled per stepper and its buffers belong to it alone, so concurrent
+    simulations share nothing.  ``J`` names the current tangent buffer, which
+    alternates when the update needs two.
+    """
+
+    def __init__(self, cs: CoefficientSet, dt: float, X, J, D, logL, logI):
+        program, double = _compile_step(cs, dt)
+        n = cs.n
+        shape = D.shape
+        self._dW = np.empty((n, shape[0], 1))
+        self._J = [J, np.empty_like(J)] if double else [J]
+        self._runs = []
+        for parity in range(len(self._J)):
+            old, new = self._J[parity], self._J[-1 - parity]
+            inputs = {("x", k): X[..., k] for k in range(n)}
+            inputs.update({("dW", p): self._dW[p] for p in range(n)})
+            for j in range(n):
+                for i in range(n):
+                    inputs[("J", j, i)] = old[..., j, i]
+                    inputs[("J_new", j, i)] = new[..., j, i]
+            inputs.update(D=D, logL=logL, logI=logI)
+            self._runs.append(program.bind(inputs, shape))
+        self._parity = 0
+
+    @property
+    def J(self) -> np.ndarray:
+        return self._J[self._parity]
+
+    def step(self, t: float, dW: np.ndarray) -> None:
+        """Advance by one step from time ``t`` with increments ``dW`` of shape (R, n)."""
+        np.copyto(self._dW[..., 0], dW.T)
+        self._runs[self._parity].run(t)
+        self._parity = (self._parity + 1) % len(self._J)
 
 
 def _det_stack(J: np.ndarray) -> np.ndarray:
@@ -267,22 +293,24 @@ def step_path(
     if s.a.shape != (cs.n,):
         raise DimensionMismatch(f"state dimension {s.a.shape[0]} != coefficient dimension {cs.n}")
 
-    X = s.X.reshape(1, 1, cs.n)
-    J = s.J.reshape(1, 1, cs.n, cs.n)
+    # The stepper works in place, so it gets copies, never views of the caller's state.
+    X = s.X.reshape(1, 1, cs.n).copy()
+    J = s.J.reshape(1, 1, cs.n, cs.n).copy()
     D = np.array([[s.D_sde]])
     logL = np.array([[s.log_lambda]])
     logI = np.array([[s.log_I]])
-    X2, J2, D2, logL2, logI2 = _advance(cs, X, J, D, logL, logI, s.t, dt, dW.reshape(1, cs.n))
+    stepper = _Stepper(cs, dt, X, J, D, logL, logI)
+    stepper.step(s.t, dW.reshape(1, cs.n))
 
-    x_new = np.asarray(X2, dtype=float).reshape(cs.n)
+    x_new = X.reshape(cs.n)
     state = PathState(
         a=s.a,
         t=s.t + dt,
         X=x_new,
-        J=np.asarray(J2, dtype=float).reshape(cs.n, cs.n).copy(),
-        D_sde=float(np.asarray(D2).reshape(())),
-        log_lambda=float(np.asarray(logL2).reshape(())),
-        log_I=float(np.asarray(logI2).reshape(())),
+        J=stepper.J.reshape(cs.n, cs.n),
+        D_sde=float(D[0, 0]),
+        log_lambda=float(logL[0, 0]),
+        log_I=float(logI[0, 0]),
     )
     if not (
         np.all(np.isfinite(state.X))
@@ -486,20 +514,23 @@ def simulate_paths(
             alive[bad_fin] = False
             freeze(~alive)
 
+    stepper = _Stepper(cs, dt, X, J, D, logL, logI)
     if 0 in slot_of:
         snapshot(slot_of[0])
 
     for k in range(num_steps):
-        t = k * dt
-        X, J, D, logL, logI = _advance(cs, X, J, D, logL, logI, t, dt, inc[:, k, :])
-        fin = np.isfinite(X).all(axis=(1, 2))
+        stepper.step(k * dt, inc[:, k, :])
+        J = stepper.J
+        # A row inside the (finite) padded box is finite, so only rows that left
+        # it need the finiteness test that tells a blow-up from an escape.
         inside = ((X >= plo) & (X <= phi)).all(axis=(1, 2))  # False wherever X is NaN
-        newly_nonfin = alive & ~fin
-        newly_esc = alive & fin & ~inside
-        if newly_nonfin.any() or newly_esc.any():
-            nonfinite[newly_nonfin] = True
-            escaped[newly_esc] = True
-            alive &= fin & inside
+        left = alive & ~inside
+        if left.any():
+            rows = np.flatnonzero(left)
+            fin = np.isfinite(X[rows]).all(axis=(1, 2))
+            nonfinite[rows[~fin]] = True
+            escaped[rows[fin]] = True
+            alive &= inside
         dead = ~alive
         if dead.any():
             freeze(dead)

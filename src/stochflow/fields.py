@@ -13,17 +13,23 @@ Variables are ``x1`` .. ``x3`` (up to the declared dimension) and ``t``; functio
 symbolic derivatives stay inside the language.
 
 Trees are immutable and hash-consed: constructing the same shape twice returns the same
-object, which makes structural equality an identity check and lets evaluation memoize
-shared subtrees across many fields evaluated at the same points (the Monte Carlo engine
-leans on this).  Constant subtrees are folded at construction; no other rewriting is done,
-except that additive/multiplicative identities with a literal 0/1 operand are dropped
-(``u*1 -> u``, ``u+0 -> u``) so derivative output stays readable.
+object, which makes structural equality an identity check and lets evaluation share
+subtrees across many fields evaluated at the same points.  Constant subtrees are folded
+at construction; no other rewriting is done, except that additive/multiplicative
+identities with a literal 0/1 operand are dropped (``u*1 -> u``, ``u+0 -> u``) so
+derivative output stays readable.
 
 Evaluation is numpy-aware: variable slots may hold floats or same-shaped arrays.
+:func:`eval_batch` walks a tree once per call.  For repeated evaluation, as in every
+step of the Monte Carlo engine, :class:`ProgramCompiler` compiles many fields at once
+into a straight-line program: shared subtrees are numbered once (``a*b`` and ``b*a``
+included), constants and time-only subtrees become scalars, and every array operation
+writes into a reused buffer, with the same bits as :func:`eval_batch`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from dataclasses import dataclass
@@ -44,6 +50,11 @@ __all__ = [
     "differentiate",
     "evaluate",
     "eval_batch",
+    "ProgramCompiler",
+    "Program",
+    "BoundProgram",
+    "FIELD",
+    "COLUMN",
     "constant_field",
     "FUNCTIONS",
     "MAX_DIMENSION",
@@ -80,6 +91,7 @@ def _intern(key, build):
 
 class Node:
     __slots__ = ()
+    param = None  # the exponent of a power, the function name of a call
 
     # identity-based equality/hash: interning guarantees structurally equal
     # trees are the same object.
@@ -88,6 +100,7 @@ class Node:
 class Const(Node):
     __slots__ = ("value",)
     tag = "const"
+    children = ()
 
     def __init__(self, value: float):
         self.value = value
@@ -96,6 +109,7 @@ class Const(Node):
 class Var(Node):
     __slots__ = ("index", "name")
     tag = "var"
+    children = ()
 
     def __init__(self, index: int, name: str):
         self.index = index  # 0-based coordinate index; -1 means time
@@ -109,6 +123,10 @@ class Neg(Node):
     def __init__(self, child: Node):
         self.child = child
 
+    @property
+    def children(self) -> tuple:
+        return (self.child,)
+
 
 class _Bin(Node):
     __slots__ = ("left", "right")
@@ -116,6 +134,10 @@ class _Bin(Node):
     def __init__(self, left: Node, right: Node):
         self.left = left
         self.right = right
+
+    @property
+    def children(self) -> tuple:
+        return (self.left, self.right)
 
 
 class Add(_Bin):
@@ -146,15 +168,30 @@ class Pow(Node):
         self.base = base
         self.exponent = exponent
 
+    @property
+    def children(self) -> tuple:
+        return (self.base,)
+
+    @property
+    def param(self) -> int:
+        return self.exponent
+
 
 class Call(Node):
-    __slots__ = ("fn", "child", "func")
+    __slots__ = ("fn", "child")
     tag = "call"
 
     def __init__(self, fn: str, child: Node):
         self.fn = fn
         self.child = child
-        self.func = FUNCTIONS[fn]
+
+    @property
+    def children(self) -> tuple:
+        return (self.child,)
+
+    @property
+    def param(self) -> str:
+        return self.fn
 
 
 def const(value: float) -> Const:
@@ -256,6 +293,48 @@ def call(fn: str, child: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _check_divisor(den) -> None:
+    if np.any(den == 0):
+        raise DomainError("division by zero")
+
+
+def _check_power_base(base) -> None:
+    if np.any(base == 0):
+        raise DomainError("zero raised to a negative power")
+
+
+def _check_log_argument(arg) -> None:
+    if np.any(arg <= 0):
+        raise DomainError("log of a non-positive value")
+
+
+def _apply(tag: str, param, *args):
+    """One operation on evaluated operands, with the language's domain checks.
+
+    Every evaluator applies operations through here (or, for arrays, through the
+    ufunc that the same Python operator dispatches to), so all agree bit for bit.
+    """
+    if tag == "neg":
+        return -args[0]
+    if tag == "add":
+        return args[0] + args[1]
+    if tag == "sub":
+        return args[0] - args[1]
+    if tag == "mul":
+        return args[0] * args[1]
+    if tag == "div":
+        _check_divisor(args[1])
+        return args[0] / args[1]
+    if tag == "pow":
+        if param < 0:
+            _check_power_base(args[0])
+        return args[0] ** param
+    # call
+    if param == "log":
+        _check_log_argument(args[0])
+    return FUNCTIONS[param](args[0])
+
+
 def _eval(node: Node, comps: tuple, tval, memo: dict):
     found = memo.get(id(node), _eval)  # sentinel: _eval itself
     if found is not _eval:
@@ -265,30 +344,8 @@ def _eval(node: Node, comps: tuple, tval, memo: dict):
         out = node.value
     elif tag == "var":
         out = tval if node.index < 0 else comps[node.index]
-    elif tag == "neg":
-        out = -_eval(node.child, comps, tval, memo)
-    elif tag == "add":
-        out = _eval(node.left, comps, tval, memo) + _eval(node.right, comps, tval, memo)
-    elif tag == "sub":
-        out = _eval(node.left, comps, tval, memo) - _eval(node.right, comps, tval, memo)
-    elif tag == "mul":
-        out = _eval(node.left, comps, tval, memo) * _eval(node.right, comps, tval, memo)
-    elif tag == "div":
-        num = _eval(node.left, comps, tval, memo)
-        den = _eval(node.right, comps, tval, memo)
-        if np.any(den == 0):
-            raise DomainError("division by zero")
-        out = num / den
-    elif tag == "pow":
-        base = _eval(node.base, comps, tval, memo)
-        if node.exponent < 0 and np.any(base == 0):
-            raise DomainError("zero raised to a negative power")
-        out = base ** node.exponent
-    else:  # call
-        arg = _eval(node.child, comps, tval, memo)
-        if node.fn == "log" and np.any(arg <= 0):
-            raise DomainError("log of a non-positive value")
-        out = node.func(arg)
+    else:
+        out = _apply(tag, node.param, *[_eval(c, comps, tval, memo) for c in node.children])
     memo[id(node)] = out
     return out
 
@@ -734,3 +791,279 @@ def eval_batch(fe: FieldExpr, comps: tuple, t: float, memo: dict | None = None):
     if len(comps) != fe.dim:
         raise ValueError(f"expected {fe.dim} coordinate arrays, got {len(comps)}")
     return _eval(fe.root, comps, t, {} if memo is None else memo)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation: straight-line ufunc programs
+# ---------------------------------------------------------------------------
+
+# Shape classes of array slots, for a batch of R realizations and L labels.
+FIELD = 2  # (R, L)
+COLUMN = 1  # (R, 1): one value per realization
+
+_UFUNCS = {
+    "neg": np.negative,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
+}
+# ndarray ** e dispatches to these ufuncs for e = 2 and e = -1, and to np.power otherwise.
+_POWER_UFUNCS = {2: np.square, -1: np.reciprocal}
+_COMMUTATIVE = ("add", "mul")
+
+
+def _copy(src, out) -> None:
+    np.copyto(out, src)
+
+
+class ProgramCompiler:
+    """Compiles field DAGs and arithmetic on them into one straight-line program.
+
+    A slot (an int) names one value: a constant, a per-step scalar (it depends on
+    ``t`` only), an array of shape class FIELD or COLUMN, or a named input array bound
+    later.  Constants are folded while building.  Values are numbered by operation
+    and operands, with the operands of ``+`` and ``*`` in a canonical order, so
+    ``a*b`` and ``b*a`` share one slot (IEEE ``+`` and ``*`` commute bit for bit);
+    the interned trees themselves are left as they are.  Every array operation
+    writes into a buffer through ``out=``; :meth:`build` assigns the buffers by
+    last use.  The domain checks of :func:`_apply` run as ops of their own.
+    """
+
+    def __init__(self, dim: int):
+        self._kind: list = []  # per slot: "const" | "scalar" | "array" | "input"
+        self._shape: list = []  # per slot: FIELD, COLUMN, or 0 for constants and scalars
+        self._value: dict = {}  # constant slot -> value
+        self._name: dict = {}  # input slot -> name
+        self._keys: dict = {}  # value number -> slot
+        self._nodes: dict = {}  # id(node) -> slot
+        self._scalar_ops: list = []  # (slot, fn, argument slots)
+        self._ops: list = []  # (fn, argument slots, out slot or None for a check)
+        self.time = self._new("scalar", 0)
+        self.coords = tuple(self.input(("x", k)) for k in range(dim))
+
+    def _new(self, kind: str, shape: int) -> int:
+        self._kind.append(kind)
+        self._shape.append(shape)
+        return len(self._kind) - 1
+
+    # -- values --------------------------------------------------------------
+
+    def const(self, value) -> int:
+        key = ("const", type(value), float(value).hex())
+        slot = self._keys.get(key)
+        if slot is None:
+            slot = self._keys[key] = self._new("const", 0)
+            self._value[slot] = value
+        return slot
+
+    def input(self, name, shape: int = FIELD) -> int:
+        """An array bound by name in :meth:`Program.bind`; it may be written in place."""
+        slot = self._new("input", shape)
+        self._name[slot] = name
+        return slot
+
+    def is_zero(self, slot: int) -> bool:
+        """True for a constant exact zero, the only value the engine may skip."""
+        return self._kind[slot] == "const" and self._value[slot] == 0.0
+
+    def field(self, fe: FieldExpr) -> int:
+        """The slot holding ``fe`` evaluated at the coordinate inputs and time."""
+        return self._node(fe.root)
+
+    def _node(self, node: Node) -> int:
+        slot = self._nodes.get(id(node))
+        if slot is None:
+            if node.tag == "const":
+                slot = self.const(node.value)
+            elif node.tag == "var":
+                slot = self.time if node.index < 0 else self.coords[node.index]
+            else:
+                slot = self.op(node.tag, *[self._node(c) for c in node.children], param=node.param)
+            self._nodes[id(node)] = slot
+        return slot
+
+    def op(self, tag: str, *args: int, param=None) -> int:
+        """The slot of ``tag(*args)``, for the operations of the expression language."""
+        key = (tag, param, tuple(sorted(args)) if tag in _COMMUTATIVE else args)
+        slot = self._keys.get(key)
+        if slot is None:
+            slot = self._keys[key] = self._compute(tag, param, args)
+        return slot
+
+    def add(self, a: int, b: int) -> int:
+        return self.op("add", a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        return self.op("mul", a, b)
+
+    def _compute(self, tag: str, param, args: tuple) -> int:
+        shape = max(self._shape[a] for a in args)
+        if shape:
+            slot = self._new("array", shape)
+            self._array_op(tag, param, args, slot)
+        elif all(self._kind[a] == "const" for a in args):
+            slot = self.const(_apply(tag, param, *[self._value[a] for a in args]))
+        else:
+            slot = self._new("scalar", 0)
+            self._scalar_ops.append((slot, functools.partial(_apply, tag, param), args))
+        return slot
+
+    # -- in-place writes -----------------------------------------------------
+
+    def write(self, target: int, tag: str, *args: int) -> None:
+        """``target = tag(*args)`` into the input ``target``; ``"copy"`` copies one slot.
+
+        A write is not value-numbered: emit it after every read of the old value.
+        """
+        if self._kind[target] != "input":
+            raise ValueError("only an input slot can be written")
+        self._array_op(tag, None, args, target)
+
+    def _array_op(self, tag: str, param, args: tuple, out: int) -> None:
+        if tag == "div":
+            self._check(_check_divisor, args[1])
+        elif tag == "pow" and param < 0:
+            self._check(_check_power_base, args[0])
+        elif tag == "call" and param == "log":
+            self._check(_check_log_argument, args[0])
+        if tag == "copy":
+            fn = _copy
+        elif tag == "call":
+            fn = FUNCTIONS[param]
+        elif tag == "pow":
+            fn = _POWER_UFUNCS.get(param)
+            if fn is None:
+                fn, args = np.power, (args[0], self.const(param))
+        else:
+            fn = _UFUNCS[tag]
+        self._ops.append((fn, tuple(args), out))
+
+    def _check(self, check, slot: int) -> None:
+        if self._kind[slot] == "const":
+            check(self._value[slot])  # raises now, before any step
+        else:
+            self._ops.append((check, (slot,), None))
+
+    # -- buffers ---------------------------------------------------------------
+
+    def build(self, outputs: Sequence[int] = ()) -> "Program":
+        """Freeze the program; ``outputs`` stay readable after :meth:`BoundProgram.run`.
+
+        A buffer returns to its pool after the last op that reads it, and an op's
+        output never shares a buffer with its own operands.
+        """
+        end = len(self._ops)
+        last = {}
+        for i, (_, args, _) in enumerate(self._ops):
+            for a in args:
+                last[a] = i
+        for s in outputs:
+            last[s] = end
+        free: dict = {FIELD: [], COLUMN: []}
+        counts = {FIELD: 0, COLUMN: 0}
+        buffers: dict = {}  # array slot -> (shape class, buffer index)
+        for i, (_, args, out) in enumerate(self._ops):
+            if out is not None and self._kind[out] == "array":
+                shape = self._shape[out]
+                if free[shape]:
+                    index = free[shape].pop()
+                else:
+                    index = counts[shape]
+                    counts[shape] += 1
+                buffers[out] = (shape, index)
+                if out not in last:
+                    free[shape].append(index)
+            for a in set(args):
+                if last[a] == i and a in buffers:
+                    free[buffers[a][0]].append(buffers[a][1])
+        read = {a for _, args, _ in self._ops for a in args}
+        return Program(
+            kinds=tuple(self._kind),
+            values=dict(self._value),
+            names=dict(self._name),
+            time=self.time,
+            scalar_ops=tuple(self._scalar_ops),
+            ops=tuple(self._ops),
+            buffers=buffers,
+            counts=counts,
+            feeds=tuple(s for s in sorted(read) if self._kind[s] == "scalar"),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A built step program: scalar ops, then array ops into pooled buffers.
+
+    It holds no arrays, so one program may be bound to several sets of inputs.
+    """
+
+    kinds: tuple
+    values: dict
+    names: dict
+    time: int
+    scalar_ops: tuple
+    ops: tuple
+    buffers: dict
+    counts: dict  # shape class -> number of buffers
+    feeds: tuple  # scalar slots that array ops read, through 0-d arrays
+
+    def bind(self, inputs: dict, shape: tuple) -> "BoundProgram":
+        """Allocate the buffers for (R, L) = ``shape`` and resolve every operand.
+
+        ``inputs`` maps input names to arrays of their shape class; only the inputs
+        that some op reads or writes must be present.
+        """
+        R, L = shape
+        pools = {
+            FIELD: [np.empty((R, L)) for _ in range(self.counts[FIELD])],
+            COLUMN: [np.empty((R, 1)) for _ in range(self.counts[COLUMN])],
+        }
+        feeds = {s: np.zeros(()) for s in self.feeds}
+
+        def ref(slot: int):
+            kind = self.kinds[slot]
+            if kind == "const":
+                return self.values[slot]
+            if kind == "input":
+                return inputs[self.names[slot]]
+            if kind == "array":
+                shape_class, index = self.buffers[slot]
+                return pools[shape_class][index]
+            return feeds[slot]
+
+        calls = []
+        for fn, args, out in self.ops:
+            operands = [ref(a) for a in args]
+            if out is not None:
+                operands.append(ref(out))
+            calls.append(functools.partial(fn, *operands))
+        return BoundProgram(self, calls, feeds, ref)
+
+
+class BoundProgram:
+    """A program bound to its inputs and to buffers that only it uses."""
+
+    def __init__(self, program: Program, calls: list, feeds: dict, ref: Callable):
+        self._program = program
+        self._calls = calls
+        self._feeds = tuple(feeds.items())
+        self._ref = ref
+        self._scalars = dict(program.values)
+
+    def run(self, t: float) -> None:
+        """Evaluate every op at time ``t``; domain violations raise DomainError."""
+        scalars = self._scalars
+        scalars[self._program.time] = t
+        for slot, fn, args in self._program.scalar_ops:
+            scalars[slot] = fn(*[scalars[a] for a in args])
+        for slot, zero_d in self._feeds:
+            zero_d[()] = scalars[slot]
+        for call in self._calls:
+            call()
+
+    def value(self, slot: int):
+        """The current value of ``slot``: a float, a numpy scalar, or an array."""
+        if self._program.kinds[slot] == "scalar":
+            return self._scalars[slot]
+        return self._ref(slot)

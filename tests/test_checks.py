@@ -44,15 +44,20 @@ def test_golden_payload_strips_timing_and_threads(tmp_path, additive_cfg):
     assert "elapsed_seconds" in full and "threads" in full
 
 
-def test_fresh_run_matches_bundled_golden(tmp_path, additive_cfg):
+# diag_sigma_2d is left out: a run takes about a minute at the golden budget.
+@pytest.mark.parametrize(
+    "name", ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d"]
+)
+def test_fresh_run_matches_bundled_golden(tmp_path, name):
     # the stored golden was produced at the default seed with a 200-realization
     # budget; an identical run must reproduce it byte for byte
     import stochflow.scenarios
 
     from importlib import resources
 
-    report = run_scenario(additive_cfg, str(tmp_path), realizations=200, threads=2)
-    golden_file = resources.files(stochflow.scenarios) / "golden" / "additive_linear_1d.json"
+    cfg = load_config(str(bundled_scenario_path(name)))
+    report = run_scenario(cfg, str(tmp_path), realizations=200, threads=2)
+    golden_file = resources.files(stochflow.scenarios) / "golden" / f"{name}.json"
     stored = json.loads(golden_file.read_text())
     assert golden_payload(report) == stored
 

@@ -119,6 +119,18 @@ def test_initial_state_invariants():
     assert s.n == 2
 
 
+def test_step_path_leaves_the_input_state_unchanged(cs_sine_1d, cs_full_2d):
+    for cs, a, dW in ((cs_sine_1d, [0.4], [0.03]), (cs_full_2d, [0.4, -0.3], [0.03, -0.02])):
+        state = PathState.initial(a)
+        state.J[0, -1] += 0.25  # a tangent the step changes in every entry
+        before = {k: np.copy(v) for k, v in vars(state).items()}
+        stepped = step_path(cs, state, np.array(dW), 1e-3)
+        for k, v in vars(state).items():
+            assert np.array_equal(v, before[k]), k
+        assert not np.array_equal(stepped.X, state.X)
+        assert not np.array_equal(stepped.J, state.J)
+
+
 def test_step_path_validation(cs_sine_1d):
     s = PathState.initial([0.0])
     with pytest.raises(ValueError):
@@ -365,22 +377,35 @@ def test_run_chunks_order_and_thread_invariance():
     assert run_chunks([], worker) == []
 
 
-def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d):
-    cs = cs_sine_1d.with_box(Box((-3.0,), (3.0,)))
-    driver = BrownianDriver(seed=37, dt=1e-3, n=1)
-    labels = (np.linspace(-1, 1, 5),)
+def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_full_2d):
+    # Every array and flag of the result, in 1D and in 2D (double-buffered J), for
+    # chunk 24 against chunk 5 and 1 thread against 4: the per-call step buffers
+    # must not leak between chunks or threads.
+    per_realization = ("alive", "escaped", "nonfinite", "degenerate")
+    per_snapshot = ("X", "J", "D_sde", "log_lambda", "log_I", "D_direct")
+    cases = [
+        (cs_sine_1d.with_box(Box((-3.0,), (3.0,))), (np.linspace(-1, 1, 5),)),
+        (cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0))),
+         (np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))),
+    ]
+    for cs, labels in cases:
+        brownian = BrownianDriver(seed=37, dt=1e-3, n=cs.n)
 
-    def worker(idx):
-        return simulate_paths(cs, labels, 50, [50], driver, idx)
+        def worker(idx):
+            return simulate_paths(cs, labels, 50, [25, 50], brownian, idx)
 
-    def terminal(chunks):
-        return np.concatenate([c.X[0] for c in chunks], axis=0)
+        def gathered(chunks):
+            out = {k: np.concatenate([getattr(c, k) for c in chunks], axis=0) for k in per_realization}
+            out.update(
+                {k: np.concatenate([getattr(c, k) for c in chunks], axis=1) for k in per_snapshot}
+            )
+            return {k: (v.shape, v.tobytes()) for k, v in out.items()}
 
-    base = terminal(run_chunks(range(24), worker, chunk_size=24, threads=1))
-    small = terminal(run_chunks(range(24), worker, chunk_size=5, threads=1))
-    threaded = terminal(run_chunks(range(24), worker, chunk_size=5, threads=4))
-    assert np.array_equal(base, small)
-    assert np.array_equal(base, threaded)
+        base = gathered(run_chunks(range(24), worker, chunk_size=24, threads=1))
+        small = gathered(run_chunks(range(24), worker, chunk_size=5, threads=1))
+        threaded = gathered(run_chunks(range(24), worker, chunk_size=5, threads=4))
+        assert base == small
+        assert base == threaded
 
 
 def test_escape_margin_formula():
