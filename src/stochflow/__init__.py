@@ -15,13 +15,8 @@ from .coefficients import CoefficientSet, assemble
 from .convex import ConvexH, get_convex, non_convex_control
 from .engine import (
     BatchResult,
-    Ensemble,
-    PathState,
-    martingale_M,
     run_chunks,
-    simulate_ensemble,
     simulate_paths,
-    step_path,
 )
 from .errors import (
     BlowUp,
@@ -30,11 +25,7 @@ from .errors import (
     DomainError,
     ExprError,
     InsufficientRealizations,
-    NoConvergence,
-    NonFiniteState,
     NonPositiveDensity,
-    OutOfChart,
-    PathEscapedDomain,
     PositivityViolation,
     SignalTooNoisy,
     StabilityViolation,
@@ -45,12 +36,8 @@ from .grids import Box, grid_axes, mesh_points, multilinear_interp, trapezoid_we
 from .inverse import (
     FlowChart,
     chart_from_batch,
-    chart_from_ensemble,
-    feynman_kac_psi,
     feynman_kac_psi_batch,
-    invert,
     invert_batch,
-    passive_scalar,
     passive_scalar_batch,
     roundtrip_error,
 )
@@ -69,10 +56,8 @@ from .estimators import (
     McField,
     PsiSamples,
     collect_psi_samples,
-    conserved_quantity,
     entropy_decay_check,
     entropy_martingale,
-    estimate_fields,
     jensen_check,
 )
 from .config import (

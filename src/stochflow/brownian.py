@@ -10,7 +10,7 @@ fields of a single realization consistent with one underlying Wiener path.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class BrownianDriver:
             raise ValueError("dt must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    def for_realization(self, realization_index: int) -> "BrownianDriver":
-        return replace(self, realization_index=int(realization_index))
 
     def _generator(self, realization_index: int) -> np.random.Generator:
         key = np.array(

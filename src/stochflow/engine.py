@@ -29,27 +29,22 @@ continue without domain errors; consumers must drop flagged realizations.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .brownian import BrownianDriver
 from .coefficients import CoefficientSet
-from .errors import DimensionMismatch, NonFiniteState, PathEscapedDomain
+from .errors import DimensionMismatch
 from .fields import COLUMN, Program, ProgramCompiler
 # Unused here; kept importable because the benchmark's span tracer patches engine.eval_batch.
 from .fields import eval_batch  # noqa: F401
 from .grids import Box, mesh_points
 
 __all__ = [
-    "PathState",
     "BatchResult",
-    "Ensemble",
-    "step_path",
     "simulate_paths",
-    "simulate_ensemble",
-    "martingale_M",
     "run_chunks",
     "escape_margin",
     "DEFAULT_CHUNK_SIZE",
@@ -65,51 +60,6 @@ ESCAPE_MARGIN_SIGMAS = 6.0
 def escape_margin(nu: float, horizon: float) -> float:
     """Padding width around the label box for escape detection."""
     return ESCAPE_MARGIN_SIGMAS * float(np.sqrt(max(2.0 * nu * horizon, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Per-path state (single label, single realization)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class PathState:
-    """State of one label along one realization.
-
-    ``D_sde`` and ``log_lambda`` track the tangent determinant through its own update
-    rule; ``D_direct`` is the determinant of the stored tangent matrix.  At t=0 all
-    three equal 1 (log_lambda = 0) and X equals the label.
-    """
-
-    a: np.ndarray  # label, shape (n,)
-    t: float
-    X: np.ndarray  # position, shape (n,)
-    J: np.ndarray  # tangent matrix, shape (n, n)
-    D_sde: float
-    log_lambda: float
-    log_I: float
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def D_direct(self) -> float:
-        return float(np.linalg.det(self.J)) if self.n > 1 else float(self.J[0, 0])
-
-    @classmethod
-    def initial(cls, a, t: float = 0.0) -> "PathState":
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        n = a.shape[0]
-        return cls(
-            a=a.copy(),
-            t=float(t),
-            X=a.copy(),
-            J=np.eye(n),
-            D_sde=1.0,
-            log_lambda=0.0,
-            log_I=0.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -265,66 +215,6 @@ def _det_stack(J: np.ndarray) -> np.ndarray:
     if n == 2:
         return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     return np.linalg.det(J)
-
-
-# ---------------------------------------------------------------------------
-# Single-path step (thin wrapper over the batch kernel)
-# ---------------------------------------------------------------------------
-
-
-def step_path(
-    cs: CoefficientSet,
-    s: PathState,
-    dW: np.ndarray,
-    dt: float,
-    box: Box | None = None,
-) -> PathState:
-    """Advance one path state by one step.
-
-    ``box``, when given, is the (already padded) integration domain: a new position
-    outside it raises PathEscapedDomain.  Non-finite updated state raises
-    NonFiniteState.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))
-    if dW.shape != (cs.n,):
-        raise DimensionMismatch(f"increment has shape {dW.shape}, expected ({cs.n},)")
-    if s.a.shape != (cs.n,):
-        raise DimensionMismatch(f"state dimension {s.a.shape[0]} != coefficient dimension {cs.n}")
-
-    # The stepper works in place, so it gets copies, never views of the caller's state.
-    X = s.X.reshape(1, 1, cs.n).copy()
-    J = s.J.reshape(1, 1, cs.n, cs.n).copy()
-    D = np.array([[s.D_sde]])
-    logL = np.array([[s.log_lambda]])
-    logI = np.array([[s.log_I]])
-    stepper = _Stepper(cs, dt, X, J, D, logL, logI)
-    stepper.step(s.t, dW.reshape(1, cs.n))
-
-    x_new = X.reshape(cs.n)
-    state = PathState(
-        a=s.a,
-        t=s.t + dt,
-        X=x_new,
-        J=stepper.J.reshape(cs.n, cs.n),
-        D_sde=float(D[0, 0]),
-        log_lambda=float(logL[0, 0]),
-        log_I=float(logI[0, 0]),
-    )
-    if not (
-        np.all(np.isfinite(state.X))
-        and np.all(np.isfinite(state.J))
-        and np.isfinite(state.D_sde)
-        and np.isfinite(state.log_lambda)
-        and np.isfinite(state.log_I)
-    ):
-        raise NonFiniteState(f"non-finite path state at t={state.t:.6g}")
-    if box is not None and not box.contains(x_new):
-        raise PathEscapedDomain(
-            f"path left the integration box at t={state.t:.6g}: position {x_new.tolist()}"
-        )
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -561,177 +451,6 @@ def simulate_paths(
         box=box,
         padded_box=padded,
     )
-
-
-# ---------------------------------------------------------------------------
-# Single-realization ensemble (full label grid under one Brownian path)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class Ensemble:
-    """One realization transporting a rectangular label grid.
-
-    Snapshots are stored at every point of ``time_grid``.  ``state(i, k)`` materializes
-    the path state of label i at time-grid index k.
-    """
-
-    label_axes: tuple
-    labels: np.ndarray  # (L, n)
-    time_grid: np.ndarray  # (K+1,)
-    driver: BrownianDriver
-    realization_index: int
-    result: BatchResult = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.labels.shape[1])
-
-    @property
-    def num_labels(self) -> int:
-        return int(self.labels.shape[0])
-
-    @property
-    def alive(self) -> bool:
-        return bool(self.result.alive[0])
-
-    # Stored arrays with the singleton realization axis removed: (S, L, ...).
-    @property
-    def X(self) -> np.ndarray:
-        return self.result.X[:, 0]
-
-    @property
-    def J(self) -> np.ndarray:
-        return self.result.J[:, 0]
-
-    @property
-    def D_sde(self) -> np.ndarray:
-        return self.result.D_sde[:, 0]
-
-    @property
-    def log_lambda(self) -> np.ndarray:
-        return self.result.log_lambda[:, 0]
-
-    @property
-    def log_I(self) -> np.ndarray:
-        return self.result.log_I[:, 0]
-
-    @property
-    def D_direct(self) -> np.ndarray:
-        return self.result.D_direct[:, 0]
-
-    def time_index(self, t: float) -> int:
-        hits = np.nonzero(np.abs(self.time_grid - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t!r} is not on the stored time grid")
-        return int(hits[0])
-
-    def label_index(self, a) -> int:
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if a.shape != (self.n,):
-            raise DimensionMismatch(f"label has shape {a.shape}, expected ({self.n},)")
-        dist = np.max(np.abs(self.labels - a), axis=1)
-        i = int(np.argmin(dist))
-        if dist[i] > 1e-9 * (1.0 + float(np.max(np.abs(a)))):
-            raise ValueError(f"label {a.tolist()} is not a grid label")
-        return i
-
-    def state(self, label_index: int, time_index: int) -> PathState:
-        i, s = int(label_index), int(time_index)
-        return PathState(
-            a=self.labels[i].copy(),
-            t=float(self.time_grid[s]),
-            X=self.X[s, i].copy(),
-            J=self.J[s, i].copy(),
-            D_sde=float(self.D_sde[s, i]),
-            log_lambda=float(self.log_lambda[s, i]),
-            log_I=float(self.log_I[s, i]),
-        )
-
-
-def simulate_ensemble(
-    cs: CoefficientSet,
-    labels,
-    time_grid,
-    driver: BrownianDriver,
-    box: Box | None = None,
-    realization_index: int | None = None,
-    raise_on_escape: bool = True,
-) -> Ensemble:
-    """Advance a full label grid through one Brownian realization.
-
-    ``time_grid`` must be uniform starting at 0 with spacing equal to ``driver.dt``;
-    snapshots are stored at every grid time.  With ``raise_on_escape`` (default), a
-    chart that leaves the padded box or turns non-finite raises with the offending
-    labels identified; otherwise the ensemble is returned flagged not-alive.
-    """
-    tg = np.asarray(time_grid, dtype=float).reshape(-1)
-    if tg.size < 2:
-        raise ValueError("time_grid needs at least two times (0 and the horizon)")
-    if abs(tg[0]) > 1e-12:
-        raise ValueError("time_grid must start at 0")
-    steps = np.diff(tg)
-    if np.any(steps <= 0):
-        raise ValueError("time_grid must be strictly increasing")
-    dt = float(driver.dt)
-    if np.any(np.abs(steps - dt) > 1e-9 * max(1.0, dt)):
-        raise ValueError("time_grid spacing must equal driver.dt (uniform grid)")
-    K = tg.size - 1
-
-    r = driver.realization_index if realization_index is None else int(realization_index)
-    result = simulate_paths(
-        cs,
-        labels,
-        num_steps=K,
-        store_indices=range(K + 1),
-        driver=driver,
-        realization_indices=[r],
-        box=box,
-    )
-    ens = Ensemble(
-        label_axes=result.label_axes,
-        labels=result.labels,
-        time_grid=tg.copy(),
-        driver=driver.for_realization(r),
-        realization_index=r,
-        result=result,
-    )
-    if raise_on_escape and not ens.alive:
-        reason = "non-finite state" if result.nonfinite[0] else "left the padded box"
-        # The snapshots pinpoint when the chart died: first stored time where some
-        # label sits outside the padded box or is non-finite.
-        detail = ""
-        for s in range(result.times.size):
-            snap = result.X[s, 0]
-            okfin = np.isfinite(snap).all(axis=1)
-            okbox = (
-                (snap >= np.asarray(result.padded_box.lo)) & (snap <= np.asarray(result.padded_box.hi))
-            ).all(axis=1)
-            bad = ~(okfin & okbox)
-            if bad.any():
-                idx = int(np.nonzero(bad)[0][0])
-                detail = (
-                    f"; first flagged at stored t={result.times[s]:.6g},"
-                    f" label index {idx} = {result.labels[idx].tolist()}"
-                )
-                break
-        msg = f"realization {r}: chart {reason}{detail}"
-        if result.nonfinite[0]:
-            raise NonFiniteState(msg)
-        raise PathEscapedDomain(msg)
-    return ens
-
-
-def martingale_M(ens: Ensemble, phi, a, t: float) -> float:
-    """Martingale sample at (label a, time t): phi(X, t) * D_direct * exp(log_I).
-
-    ``phi`` is any callable of (point, time) — a parsed field expression works as-is.
-    """
-    s = ens.time_index(t)
-    i = ens.label_index(a)
-    x = ens.X[s, i]
-    val = float(phi(x, float(ens.time_grid[s])))
-    return val * float(ens.D_direct[s, i]) * float(np.exp(ens.log_I[s, i]))
 
 
 # ---------------------------------------------------------------------------

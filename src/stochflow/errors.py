@@ -44,22 +44,6 @@ class DimensionMismatch(StochflowError):
     pass
 
 
-class PathEscapedDomain(StochflowError):
-    """A simulated path left the padded bounding box."""
-
-
-class NonFiniteState(StochflowError):
-    """A path state stopped being finite (overflow / NaN)."""
-
-
-class OutOfChart(StochflowError):
-    """Query point is outside the image of the flow chart."""
-
-
-class NoConvergence(StochflowError):
-    """Newton inversion failed to converge within the iteration budget."""
-
-
 class StabilityViolation(StochflowError):
     """Explicit time step violates the diffusive stability bound."""
 

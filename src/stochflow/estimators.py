@@ -10,9 +10,11 @@ Provided here:
     per realization / output time / query point, the weighted transported data pair
     (psi_f, psi_rho) together with the inversion status — the raw material for every
     statistical check below.
-  * ``estimate_fields`` / ``fields_from_samples``: per-point sample means and errors.
-  * ``conserved_quantity`` (+ batch form): label-space quadrature of the tracked
-    integral of motion M * rho0 * h0.
+  * ``fields_from_samples``: per-point sample means and errors.
+  * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
+    realization and label.
+  * ``conserved_quantity_batch``: per-realization label-space quadrature of the
+    tracked integral of motion M * rho0 * h0.
   * ``entropy_martingale`` (+ series form): spatial quadrature of
     psi_rho * H(psi_f / psi_rho) * phi, whose mean is constant in time.
   * ``jensen_check``: the finite-sample convexity inequality, exact up to roundoff.
@@ -30,7 +32,7 @@ import numpy as np
 from .brownian import BrownianDriver, auxiliary_rng
 from .coefficients import CoefficientSet
 from .convex import ConvexH
-from .engine import DEFAULT_CHUNK_SIZE, BatchResult, Ensemble, run_chunks, simulate_paths
+from .engine import DEFAULT_CHUNK_SIZE, BatchResult, run_chunks, simulate_paths
 from .errors import (
     DimensionMismatch,
     InsufficientRealizations,
@@ -55,10 +57,8 @@ __all__ = [
     "field_phi",
     "validate_compact_support",
     "collect_psi_samples",
-    "estimate_fields",
     "fields_from_samples",
     "martingale_values",
-    "conserved_quantity",
     "conserved_quantity_batch",
     "entropy_martingale",
     "entropy_martingale_series",
@@ -386,44 +386,6 @@ def fields_from_samples(samples: PsiSamples, t: float) -> tuple[McField, McField
     return f_hat, rho_hat
 
 
-def estimate_fields(
-    charts: Sequence[FlowChart],
-    f0: FieldExpr,
-    rho0: FieldExpr,
-    query_points,
-    t: float | None = None,
-) -> tuple[McField, McField]:
-    """Monte Carlo estimates of the forward solutions with data f0 and rho0.
-
-    ``charts`` hold one stored flow snapshot per realization at a common time.
-    Points where any realization could not be inverted are masked and counted.
-    """
-    if len(charts) < MIN_REALIZATIONS:
-        raise InsufficientRealizations(
-            f"{len(charts)} realizations given; at least {MIN_REALIZATIONS} required"
-        )
-    t0 = charts[0].t if t is None else float(t)
-    for c in charts:
-        if abs(c.t - t0) > 1e-9 * max(1.0, abs(t0)):
-            raise ValueError("charts must all be stored at the same time")
-    pts = np.asarray(query_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    rho_at_pts = _eval_at_points(rho0, pts)
-    if np.any(rho_at_pts <= 0):
-        raise NonPositiveDensity("rho0 must be strictly positive on the query region")
-    r = len(charts)
-    q = pts.shape[0]
-    vf = np.empty((r, q))
-    vr = np.empty((r, q))
-    st = np.empty((r, q), dtype=np.uint8)
-    for i, chart in enumerate(charts):
-        vf[i], vr[i], st[i] = _psi_pair_on_chart(chart, f0, rho0, pts)
-    f_hat = _mc_field_from_arrays(pts, t0, vf, st)
-    rho_hat = _mc_field_from_arrays(pts, t0, vr, st)
-    return f_hat, rho_hat
-
-
 # ---------------------------------------------------------------------------
 # Conserved quantity (label-space quadrature of the martingale weight)
 # ---------------------------------------------------------------------------
@@ -450,40 +412,6 @@ def _check_phi_reach(phi, x_support: np.ndarray) -> None:
             )
 
 
-def conserved_quantity(
-    ens: Ensemble,
-    phi,
-    rho0: FieldExpr,
-    h0: FieldExpr,
-    t: float,
-    validate_support: bool = True,
-) -> float:
-    """Label-grid quadrature of phi(X,t) * D_direct * exp(log-weight) * rho0 * h0.
-
-    This is the integral of motion tracked per realization; its expectation over
-    realizations is constant in time.
-    """
-    axes = ens.label_axes
-    if validate_support:
-        # The quadrature only needs the *integrand density* rho0*h0 to vanish near the
-        # label-box edge; rho0 itself may be a strictly positive plateau.
-        validate_compact_support(h0, axes, "h0")
-        validate_compact_support(rho0 * h0, axes, "rho0*h0")
-    if not ens.alive:
-        raise SupportEscape("realization left the padded domain; sample is unusable")
-    w = trapezoid_weights(axes)
-    labels = ens.labels
-    dens = _eval_at_points(rho0, labels) * _eval_at_points(h0, labels)
-    s = ens.time_index(t)
-    x_t = ens.X[s]  # (L, n)
-    support = _support_mask(dens)
-    if support.any():
-        _check_phi_reach(phi, x_t[support])
-    phi_vals = _phi_values(phi, x_t, float(ens.time_grid[s]))
-    m = phi_vals * ens.D_direct[s] * np.exp(ens.log_I[s])
-    return float(np.sum(w * dens * m))
-
-
 def conserved_quantity_batch(
     result: BatchResult,
     phi,
@@ -495,6 +423,8 @@ def conserved_quantity_batch(
     """Per-realization conserved-quantity samples from a batch run (alive rows only)."""
     axes = result.label_axes
     if validate_support:
+        # The quadrature only needs the *integrand density* rho0*h0 to vanish near the
+        # label-box edge; rho0 itself may be a strictly positive plateau.
         validate_compact_support(h0, axes, "h0")
         validate_compact_support(rho0 * h0, axes, "rho0*h0")
     alive = result.alive

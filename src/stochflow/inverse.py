@@ -11,9 +11,13 @@ degenerate and excluded.  Inversion is geometric:
 - dimensions 2-3: damped Newton on the interpolant, seeded from the label whose stored
   image is nearest to the query, iterates projected into the label box.
 
-On the recovered label the module evaluates transported initial data (a scalar that is
-constant along paths) and the exponentially weighted variant, interpolating the stored
-log-weight (in log space, for positivity) at the recovered label.
+Charts come from a batch run (``chart_from_batch``: one realization slot at one stored
+time).  Every query function takes many points and never raises for a single one: a
+point that cannot be inverted comes back as NaN with a status code, OUT_OF_CHART or
+NO_CONVERGENCE.  On the recovered labels the module evaluates transported initial data
+(``passive_scalar_batch``, a scalar that is constant along paths) and the exponentially
+weighted variant (``feynman_kac_psi_batch``), interpolating the stored log-weight (in
+log space, for positivity) at the recovered label.
 """
 
 from __future__ import annotations
@@ -21,24 +25,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Union
 
 import numpy as np
 
-from .engine import BatchResult, Ensemble
-from .errors import DimensionMismatch, NoConvergence, OutOfChart
+from .engine import BatchResult
+from .errors import DimensionMismatch
 from .fields import FieldExpr, eval_batch
 from .grids import Box, multilinear_interp, multilinear_interp_with_grad
 
 __all__ = [
     "FlowChart",
-    "chart_from_ensemble",
     "chart_from_batch",
-    "invert",
     "invert_batch",
-    "passive_scalar",
     "passive_scalar_batch",
-    "feynman_kac_psi",
     "feynman_kac_psi_batch",
     "roundtrip_error",
     "STATUS_OK",
@@ -174,20 +173,6 @@ def _build_chart(label_axes, X, J, log_I, t: float) -> FlowChart:
         image_hi=flatX.max(axis=0),
         max_deformation=max_def,
         under_resolved=under,
-    )
-
-
-def chart_from_ensemble(ens: Ensemble, t: float) -> FlowChart:
-    """Chart of the ensemble's realization at a stored time."""
-    s = ens.time_index(t)
-    shape = tuple(ax.size for ax in ens.label_axes)
-    n = ens.n
-    return _build_chart(
-        ens.label_axes,
-        ens.X[s].reshape(shape + (n,)),
-        ens.J[s].reshape(shape + (n, n)),
-        ens.log_I[s].reshape(shape),
-        float(ens.time_grid[s]),
     )
 
 
@@ -338,7 +323,7 @@ def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
             pending[accept] = False
             trial_step[pend_idx[~better]] *= 0.5
         # Queries that could not reduce the residual at all take the smallest step
-        # anyway; repeated full-stall iterations end as NoConvergence below.
+        # anyway; repeated full-stall iterations end as NO_CONVERGENCE below.
         still = np.nonzero(pending)[0]
         if still.size:
             cand = np.clip(ai[still] + trial_step[still], lo, hi)
@@ -386,26 +371,6 @@ def invert_batch(chart: FlowChart, points) -> tuple[np.ndarray, np.ndarray]:
     if chart.n == 1:
         return _invert_batch_1d(chart, pts[:, 0])
     return _invert_batch_nd(chart, pts)
-
-
-def invert(chart: FlowChart, x) -> np.ndarray:
-    """Recover the label of one query position; raises on failure."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (chart.n,):
-        raise DimensionMismatch(f"query point has shape {x.shape}, expected ({chart.n},)")
-    labels, status = invert_batch(chart, x[None, :])
-    st = int(status[0])
-    if st == STATUS_OUT_OF_CHART:
-        raise OutOfChart(
-            f"position {x.tolist()} at t={chart.t:.6g} is outside the chart image "
-            f"(image bounds {chart.image_lo.tolist()} .. {chart.image_hi.tolist()})"
-        )
-    if st == STATUS_NO_CONVERGENCE:
-        raise NoConvergence(
-            f"label recovery did not converge for position {x.tolist()} at "
-            f"t={chart.t:.6g}; the label grid under-resolves the flow"
-        )
-    return labels[0]
 
 
 def roundtrip_error(chart: FlowChart, interior_only: bool = True) -> dict:
@@ -457,12 +422,6 @@ def passive_scalar_batch(chart: FlowChart, f0: FieldExpr, points):
     return vals, status
 
 
-def passive_scalar(chart: FlowChart, f0: FieldExpr, x) -> float:
-    """Transported initial data at one position; raises on inversion failure."""
-    a = invert(chart, x)
-    return float(_eval_initial(f0, a[None, :])[0])
-
-
 def feynman_kac_psi_batch(chart: FlowChart, f0: FieldExpr, points):
     """Exponentially weighted transported data at many positions.
 
@@ -478,12 +437,3 @@ def feynman_kac_psi_batch(chart: FlowChart, f0: FieldExpr, points):
         vals[ok] = base * np.exp(logw)
     return vals, status
 
-
-def feynman_kac_psi(chart: FlowChart, f0: FieldExpr, x) -> float:
-    """Exponentially weighted transported data at one position; raises on failure."""
-    a = invert(chart, x)
-    base = float(_eval_initial(f0, a[None, :])[0])
-    logw = float(
-        multilinear_interp(chart.label_axes, chart.log_I, a[None, :], out_of_range="clamp")[0]
-    )
-    return base * float(np.exp(logw))

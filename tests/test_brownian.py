@@ -26,9 +26,8 @@ def test_realizations_are_distinct_streams():
     r0 = d.increments(100, realization_index=0)
     r1 = d.increments(100, realization_index=1)
     assert not np.allclose(r0, r1)
-    # for_realization fixes the default index without touching the original.
-    d7 = d.for_realization(7)
-    assert d7.realization_index == 7 and d.realization_index == 0
+    # The constructor's realization index is the default stream.
+    d7 = BrownianDriver(seed=5, dt=0.01, n=1, realization_index=7)
     assert np.array_equal(d7.increments(10), d.increments(10, realization_index=7))
 
 

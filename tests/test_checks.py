@@ -6,6 +6,9 @@ import pytest
 import yaml
 
 from stochflow.checks import (
+    RunContext,
+    _det_label_axes,
+    _tracker_gaps,
     convergence_study,
     golden_payload,
     report_payload,
@@ -60,6 +63,18 @@ def test_fresh_run_matches_bundled_golden(tmp_path, name):
     golden_file = resources.files(stochflow.scenarios) / "golden" / f"{name}.json"
     stored = json.loads(golden_file.read_text())
     assert golden_payload(report) == stored
+
+
+def test_tracker_gaps_do_not_depend_on_chunk_size(additive_cfg):
+    # 100 realizations in one chunk of 4096 or in chunks of 37, 37 and 26: the
+    # gaps are reduced once over all chunks, so every float agrees bit for bit.
+    labels = _det_label_axes(additive_cfg)
+    gaps = [
+        _tracker_gaps(RunContext(additive_cfg, 5, chunk_size=size), labels, 0.5, 0.002, 100)
+        for size in (4096, 37)
+    ]
+    assert gaps[0]["samples"] == 100 * labels[0].size
+    assert gaps[0] == gaps[1]
 
 
 def test_failing_check_is_captured_not_raised(tmp_path):

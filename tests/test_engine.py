@@ -1,8 +1,9 @@
-"""Path stepping, batched simulation, tracker recurrences, and determinism.
+"""Batched stepping, tracker recurrences, and determinism.
 
 The single-step tests re-implement the Euler update by hand from pointwise
-coefficient samples and require the engine to match it; the statistical tests
-use the exactly known law of the constant-coefficient flow.
+coefficient samples and require every stored step of a one-realization run to
+match it; the statistical tests use the exactly known law of the
+constant-coefficient flow.
 """
 
 import numpy as np
@@ -13,45 +14,62 @@ from stochflow.brownian import BrownianDriver
 from stochflow.coefficients import sample
 from stochflow.engine import (
     BatchResult,
-    Ensemble,
-    PathState,
     escape_margin,
-    martingale_M,
     run_chunks,
-    simulate_ensemble,
     simulate_paths,
-    step_path,
 )
-from stochflow.errors import (
-    DimensionMismatch,
-    NonFiniteState,
-    PathEscapedDomain,
-)
-from stochflow.estimators import constant_phi, exponential_phi
+from stochflow.errors import DimensionMismatch
+from stochflow.estimators import constant_phi, exponential_phi, martingale_values
 from stochflow.grids import Box
 
 
-def hand_step(cs, state: PathState, dW: np.ndarray, dt: float) -> PathState:
+def hand_step(cs, state: dict, dW: np.ndarray, dt: float) -> dict:
     """Reference Euler update assembled from pointwise coefficient samples."""
     n = cs.n
-    smp = sample(cs, state.X, state.t)
+    smp = sample(cs, state["X"], state["t"])
     s2n = np.sqrt(2.0 * cs.nu)
-    x_new = state.X + smp.v * dt + s2n * (smp.sigma @ dW)
+    x_new = state["X"] + smp.v * dt + s2n * (smp.sigma @ dW)
     # M[j, k] = d_k v_j dt + sqrt(2 nu) sum_p d_k sigma_jp dW_p ; J' = (I + M) J.
     M = np.empty((n, n))
     for j in range(n):
         for k in range(n):
             M[j, k] = smp.dv[k, j] * dt + s2n * np.dot(smp.dsigma[k, j, :], dW)
-    j_new = state.J + M @ state.J
+    j_new = state["J"] + M @ state["J"]
     drift = smp.div_v + 2.0 * cs.nu * smp.E
     noise = s2n * np.dot(smp.div_sigma, dW)
-    d_new = state.D_sde * (1.0 + drift * dt + noise)
-    lam_new = state.log_lambda + drift * dt - cs.nu * np.dot(smp.div_sigma, smp.div_sigma) * dt + noise
-    logi_new = state.log_I + smp.P * dt
-    return PathState(
-        a=state.a, t=state.t + dt, X=x_new, J=j_new,
+    d_new = state["D_sde"] * (1.0 + drift * dt + noise)
+    lam_new = (
+        state["log_lambda"] + drift * dt
+        - cs.nu * np.dot(smp.div_sigma, smp.div_sigma) * dt + noise
+    )
+    logi_new = state["log_I"] + smp.P * dt
+    return dict(
+        t=state["t"] + dt, X=x_new, J=j_new,
         D_sde=d_new, log_lambda=lam_new, log_I=logi_new,
     )
+
+
+def _stored_state(result: BatchResult, slot: int) -> dict:
+    """State of the first realization and first label at one stored time."""
+    return dict(
+        t=float(result.times[slot]),
+        X=result.X[slot, 0, 0],
+        J=result.J[slot, 0, 0],
+        D_sde=float(result.D_sde[slot, 0, 0]),
+        log_lambda=float(result.log_lambda[slot, 0, 0]),
+        log_I=float(result.log_I[slot, 0, 0]),
+    )
+
+
+def _every_step(cs, a, dt: float, num_steps: int, seed: int, r: int = 2):
+    """One realization from label ``a`` storing every step, and its increments."""
+    driver = BrownianDriver(seed=seed, dt=dt, n=cs.n)
+    box = Box((-3.0,) * cs.n, (3.0,) * cs.n)
+    result = simulate_paths(
+        cs, tuple(np.array([x]) for x in a), num_steps, range(num_steps + 1),
+        driver, [r], box=box,
+    )
+    return result, driver.increments_block([r], num_steps)[0]
 
 
 @pytest.fixture
@@ -78,77 +96,59 @@ def cs_full_2d():
 # ---------------------------------------------------------------------------
 
 
-def test_step_path_matches_hand_rolled_euler_1d(cs_sine_1d):
-    state = PathState.initial([0.4])
-    rng = np.random.default_rng(1)
+def test_simulate_paths_matches_hand_rolled_euler_1d(cs_sine_1d):
     dt = 1e-3
-    for _ in range(5):
-        dW = rng.normal(0.0, np.sqrt(dt), size=1)
-        ref = hand_step(cs_sine_1d, state, dW, dt)
-        state = step_path(cs_sine_1d, state, dW, dt)
-        assert state.t == pytest.approx(ref.t, rel=1e-15)
-        assert state.X == pytest.approx(ref.X, rel=1e-13)
-        assert state.J == pytest.approx(ref.J, rel=1e-13)
-        assert state.D_sde == pytest.approx(ref.D_sde, rel=1e-13)
-        assert state.log_lambda == pytest.approx(ref.log_lambda, rel=1e-13, abs=1e-15)
-        assert state.log_I == pytest.approx(ref.log_I, rel=1e-13, abs=1e-16)
+    result, dW = _every_step(cs_sine_1d, [0.4], dt, 5, seed=1)
+    assert result.alive.all()
+    for k in range(5):
+        ref = hand_step(cs_sine_1d, _stored_state(result, k), dW[k], dt)
+        state = _stored_state(result, k + 1)
+        assert state["t"] == pytest.approx(ref["t"], rel=1e-15)
+        assert state["X"] == pytest.approx(ref["X"], rel=1e-13)
+        assert state["J"] == pytest.approx(ref["J"], rel=1e-13)
+        assert state["D_sde"] == pytest.approx(ref["D_sde"], rel=1e-13)
+        assert state["log_lambda"] == pytest.approx(ref["log_lambda"], rel=1e-13, abs=1e-15)
+        assert state["log_I"] == pytest.approx(ref["log_I"], rel=1e-13, abs=1e-16)
 
 
-def test_step_path_matches_hand_rolled_euler_2d(cs_full_2d):
-    state = PathState.initial([0.4, -0.3])
-    rng = np.random.default_rng(2)
+def test_simulate_paths_matches_hand_rolled_euler_2d(cs_full_2d):
     dt = 2e-3
-    for _ in range(5):
-        dW = rng.normal(0.0, np.sqrt(dt), size=2)
-        ref = hand_step(cs_full_2d, state, dW, dt)
-        state = step_path(cs_full_2d, state, dW, dt)
-        assert np.allclose(state.X, ref.X, rtol=1e-13)
-        assert np.allclose(state.J, ref.J, rtol=1e-13)
-        assert state.D_sde == pytest.approx(ref.D_sde, rel=1e-13)
-        assert state.log_lambda == pytest.approx(ref.log_lambda, rel=1e-12, abs=1e-14)
-        assert state.log_I == pytest.approx(ref.log_I, rel=1e-13, abs=1e-16)
+    result, dW = _every_step(cs_full_2d, [0.4, -0.3], dt, 5, seed=2)
+    assert result.alive.all()
+    for k in range(5):
+        ref = hand_step(cs_full_2d, _stored_state(result, k), dW[k], dt)
+        state = _stored_state(result, k + 1)
+        assert np.allclose(state["X"], ref["X"], rtol=1e-13)
+        assert np.allclose(state["J"], ref["J"], rtol=1e-13)
+        assert state["D_sde"] == pytest.approx(ref["D_sde"], rel=1e-13)
+        assert state["log_lambda"] == pytest.approx(ref["log_lambda"], rel=1e-12, abs=1e-14)
+        assert state["log_I"] == pytest.approx(ref["log_I"], rel=1e-13, abs=1e-16)
 
 
-def test_initial_state_invariants():
-    s = PathState.initial([1.5, -2.0])
-    assert s.t == 0.0
-    assert np.array_equal(s.X, s.a)
-    assert np.array_equal(s.J, np.eye(2))
-    assert s.D_sde == 1.0 and s.log_lambda == 0.0 and s.log_I == 0.0
-    assert s.D_direct == 1.0
-    assert s.n == 2
+def test_initial_state_invariants(cs_full_2d):
+    result, _ = _every_step(cs_full_2d, [1.5, -2.0], 1e-3, 1, seed=3)
+    s = _stored_state(result, 0)
+    assert s["t"] == 0.0
+    assert np.array_equal(s["X"], [1.5, -2.0])
+    assert np.array_equal(s["J"], np.eye(2))
+    assert s["D_sde"] == 1.0 and s["log_lambda"] == 0.0 and s["log_I"] == 0.0
+    assert result.D_direct[0, 0, 0] == 1.0
+    assert result.n == 2
 
 
-def test_step_path_leaves_the_input_state_unchanged(cs_sine_1d, cs_full_2d):
-    for cs, a, dW in ((cs_sine_1d, [0.4], [0.03]), (cs_full_2d, [0.4, -0.3], [0.03, -0.02])):
-        state = PathState.initial(a)
-        state.J[0, -1] += 0.25  # a tangent the step changes in every entry
-        before = {k: np.copy(v) for k, v in vars(state).items()}
-        stepped = step_path(cs, state, np.array(dW), 1e-3)
-        for k, v in vars(state).items():
-            assert np.array_equal(v, before[k]), k
-        assert not np.array_equal(stepped.X, state.X)
-        assert not np.array_equal(stepped.J, state.J)
-
-
-def test_step_path_validation(cs_sine_1d):
-    s = PathState.initial([0.0])
-    with pytest.raises(ValueError):
-        step_path(cs_sine_1d, s, np.zeros(1), 0.0)
-    with pytest.raises(DimensionMismatch):
-        step_path(cs_sine_1d, s, np.zeros(2), 1e-3)
-    with pytest.raises(DimensionMismatch):
-        step_path(cs_sine_1d, PathState.initial([0.0, 0.0]), np.zeros(1), 1e-3)
-
-
-def test_step_path_escape_and_nonfinite():
-    cs = make_coeffs("1", U=["0"], nu=0.1, n=1)
-    s = PathState.initial([0.0])
-    with pytest.raises(PathEscapedDomain):
-        step_path(cs, s, np.array([100.0]), 1e-3, box=Box((-1.0,), (1.0,)))
+def test_nonfinite_realizations_are_flagged_not_raised():
+    # A drift of 1e308 * x overflows in one coarse step: the rows are flagged
+    # non-finite (not escaped) and frozen to the box center with neutral state.
     cs_blow = make_coeffs("1", U=["1e308 * x1"], nu=0.1, n=1)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-        step_path(cs_blow, PathState.initial([1.0]), np.zeros(1), 2.0)
+    driver = BrownianDriver(seed=41, dt=2.0, n=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = simulate_paths(
+            cs_blow, (np.array([1.0]),), num_steps=1, store_indices=[0, 1],
+            driver=driver, realization_indices=range(3), box=Box((-2.0,), (2.0,)),
+        )
+    assert np.all(result.nonfinite & ~result.escaped & ~result.alive)
+    assert np.all(result.X[-1, :, :, 0] == 0.0)
+    assert np.all(result.D_direct[-1] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,24 @@ def test_simulate_paths_validation(cs_sine_1d):
         )
 
 
+def test_simulate_paths_step_input_validation(cs_sine_1d):
+    # The per-step inputs: a positive step size, increments and labels of the
+    # flow's dimension.
+    box = Box((-1.0,), (1.0,))
+    with pytest.raises(ValueError):
+        BrownianDriver(seed=1, dt=0.0, n=1)
+    with pytest.raises(DimensionMismatch):
+        simulate_paths(
+            cs_sine_1d, (np.array([0.0]),), 10, [10],
+            BrownianDriver(seed=1, dt=1e-3, n=2), [0], box=box,
+        )  # increments of the wrong dimension
+    with pytest.raises(DimensionMismatch):
+        simulate_paths(
+            cs_sine_1d, (np.array([0.0]), np.array([0.0])), 10, [10],
+            BrownianDriver(seed=1, dt=1e-3, n=1), [0], box=box,
+        )  # labels of the wrong dimension
+
+
 def test_escaped_realizations_are_flagged_not_raised():
     # An outward exponential drift carries every path far beyond the padded box
     # (the diffusive escape margin cannot keep up with e^{3t} growth).
@@ -284,29 +302,21 @@ def test_degenerate_determinant_flagging():
 
 
 # ---------------------------------------------------------------------------
-# Single-realization ensemble
+# Single-realization ensemble (one Brownian path over a label grid)
 # ---------------------------------------------------------------------------
 
 
 def test_ensemble_accessors_and_state(cs_sine_1d):
     cs = cs_sine_1d.with_box(Box((-3.0,), (3.0,)))
     driver = BrownianDriver(seed=7, dt=1e-3, n=1)
-    tg = np.linspace(0.0, 0.05, 51)
-    ens = simulate_ensemble(cs, (np.linspace(-1, 1, 7),), tg, driver)
-    assert isinstance(ens, Ensemble)
-    assert ens.alive and ens.n == 1 and ens.num_labels == 7
-    assert ens.X.shape == (51, 7, 1)
-    assert ens.time_index(0.05) == 50
-    i = ens.label_index([1.0])
-    assert i == 6
-    st = ens.state(i, 50)
-    assert st.t == pytest.approx(0.05)
-    assert np.allclose(st.X, ens.X[50, i])
-    assert st.D_sde == ens.D_sde[50, i]
+    result = simulate_paths(cs, (np.linspace(-1, 1, 7),), 50, range(51), driver, [0])
+    assert result.alive.all() and result.n == 1 and result.num_labels == 7
+    assert result.num_realizations == 1
+    assert result.X.shape == (51, 1, 7, 1)
+    assert result.time_slot(0.05) == 50
+    assert np.array_equal(result.labels[6], [1.0])
     with pytest.raises(ValueError):
-        ens.label_index([0.123])
-    with pytest.raises(ValueError):
-        ens.time_index(0.0203)
+        result.time_slot(0.0203)
 
 
 def test_ensemble_time_grid_validation(cs_sine_1d):
@@ -314,23 +324,13 @@ def test_ensemble_time_grid_validation(cs_sine_1d):
     driver = BrownianDriver(seed=7, dt=1e-3, n=1)
     labels = (np.linspace(-1, 1, 3),)
     with pytest.raises(ValueError):
-        simulate_ensemble(cs, labels, [0.0], driver)
+        simulate_paths(cs, labels, 0, [0], driver, [0])  # no step at all
     with pytest.raises(ValueError):
-        simulate_ensemble(cs, labels, [0.1, 0.2], driver)  # does not start at 0
+        simulate_paths(cs, labels, 2, [], driver, [0])  # nothing to store
     with pytest.raises(ValueError):
-        simulate_ensemble(cs, labels, [0.0, 0.002], driver)  # spacing != driver.dt
-
-
-def test_ensemble_escape_raises_with_context():
-    cs = make_coeffs("1", U=["3*x1"], nu=0.05, n=1, box=Box((-0.05,), (0.05,)))
-    driver = BrownianDriver(seed=11, dt=0.01, n=1)
-    tg = np.linspace(0.0, 5.0, 501)
-    with pytest.raises(PathEscapedDomain):
-        simulate_ensemble(cs, (np.array([0.04]),), tg, driver)
-    ens = simulate_ensemble(
-        cs, (np.array([0.04]),), tg, driver, raise_on_escape=False
-    )
-    assert not ens.alive
+        simulate_paths(cs, labels, 2, [-1, 2], driver, [0])  # before time 0
+    with pytest.raises(ValueError):
+        simulate_paths(cs, labels, 2, [0, 2], driver, [])  # no realization
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +341,10 @@ def test_ensemble_escape_raises_with_context():
 def test_martingale_sample_is_exactly_one_for_constant_flow():
     cs = make_coeffs("1", nu=0.1, n=1, box=Box((-6.0,), (6.0,)))
     driver = BrownianDriver(seed=13, dt=1e-3, n=1)
-    tg = np.linspace(0.0, 0.1, 101)
-    ens = simulate_ensemble(cs, (np.linspace(-1, 1, 5),), tg, driver)
-    val = martingale_M(ens, constant_phi(1.0), [0.0], 0.1)
-    assert val == 1.0  # D_direct = 1 and log_I = 0 exactly
+    result = simulate_paths(cs, (np.linspace(-1, 1, 5),), 100, [100], driver, [0])
+    vals = martingale_values(result, constant_phi(1.0), 0.1)
+    assert vals.shape == (1, 5)
+    assert np.all(vals == 1.0)  # D_direct = 1 and log_I = 0 exactly
 
 
 def test_martingale_sample_with_constant_potential_is_exact():
@@ -353,11 +353,10 @@ def test_martingale_sample_with_constant_potential_is_exact():
     c, T = 0.2, 0.1
     cs = make_coeffs("1", V=str(c), nu=0.1, n=1, box=Box((-6.0,), (6.0,)))
     driver = BrownianDriver(seed=19, dt=1e-3, n=1)
-    tg = np.linspace(0.0, T, 101)
-    ens = simulate_ensemble(cs, (np.array([0.5]),), tg, driver)
+    result = simulate_paths(cs, (np.array([0.5]),), 100, [30, 70, 100], driver, [0])
     phi = exponential_phi(c, T)
     for t in (0.03, 0.07, T):
-        val = martingale_M(ens, phi, [0.5], t)
+        val = martingale_values(result, phi, t)[0, 0]
         assert val == pytest.approx(np.exp(c * T), rel=1e-12)
 
 

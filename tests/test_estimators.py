@@ -18,13 +18,11 @@ from stochflow.estimators import (
     McField,
     PsiSamples,
     collect_psi_samples,
-    conserved_quantity,
     conserved_quantity_batch,
     constant_phi,
     entropy_decay_check,
     entropy_martingale,
     entropy_martingale_series,
-    estimate_fields,
     exponential_phi,
     field_phi,
     fields_from_samples,
@@ -35,7 +33,7 @@ from stochflow.estimators import (
 )
 from stochflow.fields import parse_field
 from stochflow.grids import Box, trapezoid_weights
-from stochflow.inverse import chart_from_batch
+from stochflow.inverse import STATUS_OK, chart_from_batch, feynman_kac_psi_batch
 from stochflow.oracle import OracleSeries, solve_forward, grid_field_from_expr
 
 from conftest import make_coeffs
@@ -171,12 +169,10 @@ def test_conserved_quantity_single_realization_matches_batch():
     h0 = parse_field("exp(-2*x1*x1)", 1)
     batch = conserved_quantity_batch(result, constant_phi(1.0), rho0, h0, 0.1)
     driver = BrownianDriver(seed=505, dt=0.01, n=1)
-    from stochflow.engine import simulate_ensemble
-
-    ens = simulate_ensemble(cs, labels, np.linspace(0.0, 0.1, 11), driver, box=BOX,
-                            realization_index=3)
-    single = conserved_quantity(ens, constant_phi(1.0), rho0, h0, 0.1)
-    assert single == batch[3]
+    alone = simulate_paths(cs, labels, 10, [10], driver, [3], box=BOX)
+    single = conserved_quantity_batch(alone, constant_phi(1.0), rho0, h0, 0.1)
+    assert single.shape == (1,)
+    assert single[0] == batch[3]
 
 
 def test_conserved_quantity_support_guards():
@@ -291,38 +287,27 @@ def test_fields_from_samples_requires_min_realizations():
         fields_from_samples(samples, 0.1)
 
 
-def test_estimate_fields_matches_collect_pipeline():
-    # same seed, same realizations: the chart-based estimator and the sample
-    # collector must produce bitwise-identical means.
+def test_psi_batch_means_match_fields_from_samples():
+    # same seed, same realizations: weighted transported data evaluated chart by
+    # chart and the sample collector must produce bitwise-identical means.
     samples = _collect()
     cs = make_coeffs("1", nu=0.05, n=1)
     labels = (np.linspace(-4.0, 4.0, 41),)
     driver = BrownianDriver(seed=909, dt=0.01, n=1)
     result = simulate_paths(cs, labels, 10, [0, 5, 10], driver, range(120), box=BOX)
-    charts = [chart_from_batch(result, 0.1, r) for r in range(120)]
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*exp(-0.5*x1*x1)", 1)
-    f_hat, rho_hat = estimate_fields(charts, f0, rho0, QUERY)
+    psi_f = np.empty((120, QUERY.size))
+    psi_rho = np.empty((120, QUERY.size))
+    for r in range(120):
+        chart = chart_from_batch(result, 0.1, r)
+        psi_f[r], status_f = feynman_kac_psi_batch(chart, f0, QUERY)
+        psi_rho[r], status_rho = feynman_kac_psi_batch(chart, rho0, QUERY)
+        assert np.all(status_f == STATUS_OK) and np.all(status_rho == STATUS_OK)
     f_ref, rho_ref = fields_from_samples(samples, 0.1)
-    assert np.array_equal(f_hat.mean, f_ref.mean)
-    assert np.array_equal(rho_hat.mean, rho_ref.mean)
-    assert np.array_equal(f_hat.variance, f_ref.variance)
-
-
-def test_estimate_fields_validation():
-    cs = make_coeffs("1", nu=0.05, n=1)
-    labels = (np.linspace(-4.0, 4.0, 41),)
-    driver = BrownianDriver(seed=909, dt=0.01, n=1)
-    result = simulate_paths(cs, labels, 10, [0, 10], driver, range(MIN_REALIZATIONS), box=BOX)
-    charts = [chart_from_batch(result, 0.1, r) for r in range(MIN_REALIZATIONS)]
-    f0 = parse_field("exp(-x1*x1)", 1)
-    with pytest.raises(InsufficientRealizations):
-        estimate_fields(charts[:50], f0, parse_field("1", 1), QUERY)
-    with pytest.raises(NonPositiveDensity):
-        estimate_fields(charts, f0, parse_field("x1", 1), QUERY)  # rho0 <= 0 at queries
-    mixed = [chart_from_batch(result, 0.0, 0)] + charts[1:]
-    with pytest.raises(ValueError, match="same time"):
-        estimate_fields(mixed, f0, parse_field("1", 1), QUERY)
+    assert np.array_equal(psi_f.mean(axis=0), f_ref.mean)
+    assert np.array_equal(psi_rho.mean(axis=0), rho_ref.mean)
+    assert np.array_equal(psi_f.var(axis=0, ddof=1), f_ref.variance)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import make_coeffs
 from stochflow.brownian import BrownianDriver
-from stochflow.engine import simulate_ensemble, simulate_paths
-from stochflow.errors import DimensionMismatch, OutOfChart
+from stochflow.engine import simulate_paths
+from stochflow.errors import DimensionMismatch
 from stochflow.fields import parse_field
 from stochflow.grids import Box
 from stochflow.inverse import (
@@ -18,28 +18,24 @@ from stochflow.inverse import (
     STATUS_OK,
     STATUS_OUT_OF_CHART,
     chart_from_batch,
-    chart_from_ensemble,
-    feynman_kac_psi,
     feynman_kac_psi_batch,
-    invert,
     invert_batch,
-    passive_scalar,
     passive_scalar_batch,
     roundtrip_error,
 )
 
 
-def _ensemble(cs, labels, T, dt, seed=3, n=1):
-    driver = BrownianDriver(seed=seed, dt=dt, n=n)
+def _run(cs, labels, T, dt, seed=3):
+    """Realization 0 over a label grid, stored at time 0 and at the horizon T."""
+    driver = BrownianDriver(seed=seed, dt=dt, n=cs.n)
     steps = int(round(T / dt))
-    tg = np.linspace(0.0, T, steps + 1)
-    return simulate_ensemble(cs, labels, tg, driver)
+    return simulate_paths(cs, labels, steps, [0, steps], driver, realization_indices=[0])
 
 
 @pytest.fixture
-def heat_ens():
+def heat_run():
     cs = make_coeffs("1", nu=0.1, n=1, box=Box((-6.0,), (6.0,)))
-    return _ensemble(cs, (np.linspace(-3.0, 3.0, 25),), T=0.1, dt=1e-3)
+    return _run(cs, (np.linspace(-3.0, 3.0, 25),), T=0.1, dt=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +43,10 @@ def heat_ens():
 # ---------------------------------------------------------------------------
 
 
-def test_identity_chart_at_time_zero(heat_ens):
-    chart = chart_from_ensemble(heat_ens, 0.0)
+def test_identity_chart_at_time_zero(heat_run):
+    chart = chart_from_batch(heat_run, 0.0, 0)
     assert chart.t == 0.0
-    assert np.allclose(chart.X[:, 0], heat_ens.labels[:, 0])
+    assert np.allclose(chart.X[:, 0], heat_run.labels[:, 0])
     labels, status = invert_batch(chart, np.array([[-1.3], [0.0], [2.1]]))
     assert np.all(status == STATUS_OK)
     assert np.allclose(labels[:, 0], [-1.3, 0.0, 2.1], atol=1e-12)
@@ -59,11 +55,11 @@ def test_identity_chart_at_time_zero(heat_ens):
     assert rt["resolved_fraction"] == 1.0
 
 
-def test_translation_chart_recovers_shifted_labels(heat_ens):
+def test_translation_chart_recovers_shifted_labels(heat_run):
     # The constant-coefficient flow is a rigid translation: X(a) = a + shift,
     # so the chart inverse is exactly x - shift.
-    chart = chart_from_ensemble(heat_ens, 0.1)
-    shift = chart.X[:, 0] - heat_ens.labels[:, 0]
+    chart = chart_from_batch(heat_run, 0.1, 0)
+    shift = chart.X[:, 0] - heat_run.labels[:, 0]
     assert np.ptp(shift) <= 1e-12  # identical across labels
     s = float(shift[0])
     queries = np.array([[-1.0 + s], [0.5 + s], [2.0 + s]])
@@ -74,25 +70,15 @@ def test_translation_chart_recovers_shifted_labels(heat_ens):
     assert rt["max_abs_error"] <= 1e-10
 
 
-def test_invert_single_point_and_out_of_chart(heat_ens):
-    chart = chart_from_ensemble(heat_ens, 0.1)
+def test_invert_single_point_and_out_of_chart(heat_run):
+    chart = chart_from_batch(heat_run, 0.1, 0)
     mid = 0.5 * (chart.image_lo + chart.image_hi)
-    a = invert(chart, mid)
-    assert a.shape == (1,)
-    with pytest.raises(OutOfChart):
-        invert(chart, chart.image_hi + 1.0)
+    labels, status = invert_batch(chart, mid[None, :])
+    assert labels.shape == (1, 1) and status[0] == STATUS_OK
+    assert np.isfinite(labels[0]).all()
     labels, status = invert_batch(chart, (chart.image_hi + 1.0)[None, :])
     assert status[0] == STATUS_OUT_OF_CHART
     assert np.isnan(labels[0]).all()
-
-
-def test_chart_from_batch_matches_ensemble(heat_ens):
-    via_ens = chart_from_ensemble(heat_ens, 0.1)
-    via_batch = chart_from_batch(heat_ens.result, 0.1, 0)
-    assert np.array_equal(via_ens.X, via_batch.X)
-    assert np.array_equal(via_ens.J, via_batch.J)
-    assert np.array_equal(via_ens.log_I, via_batch.log_I)
-    assert via_ens.t == via_batch.t
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +86,7 @@ def test_chart_from_batch_matches_ensemble(heat_ens):
 # ---------------------------------------------------------------------------
 
 
-def _stretch_ensemble(rate=0.3, T=0.5, dt=1e-3, c=None):
+def _stretch_run(rate=0.3, T=0.5, dt=1e-3, c=None):
     # sigma = 0 removes the noise entirely: X_k = a (1 + rate dt)^k exactly.
     import warnings
 
@@ -108,16 +94,16 @@ def _stretch_ensemble(rate=0.3, T=0.5, dt=1e-3, c=None):
     cs = make_coeffs("0", U=[f"{rate}*x1"], V=v, nu=0.1, n=1, box=Box((-4.0,), (4.0,)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate-diffusion warning is expected
-        return _ensemble(cs, (np.linspace(-2.0, 2.0, 21),), T=T, dt=dt)
+        return _run(cs, (np.linspace(-2.0, 2.0, 21),), T=T, dt=dt)
 
 
 def test_linear_stretch_chart_inverts_exactly():
     rate, T, dt = 0.3, 0.5, 1e-3
-    ens = _stretch_ensemble(rate, T, dt)
+    result = _stretch_run(rate, T, dt)
     k = int(round(T / dt))
     growth = (1.0 + rate * dt) ** k
-    chart = chart_from_ensemble(ens, T)
-    assert np.allclose(chart.X[:, 0], ens.labels[:, 0] * growth, rtol=1e-13)
+    chart = chart_from_batch(result, T, 0)
+    assert np.allclose(chart.X[:, 0], result.labels[:, 0] * growth, rtol=1e-13)
     # The map is linear, so multilinear interpolation and Newton are exact.
     x_q = np.array([[-1.1], [0.3], [1.7]])
     labels, status = invert_batch(chart, x_q)
@@ -129,37 +115,34 @@ def test_linear_stretch_chart_inverts_exactly():
 
 def test_passive_scalar_composes_initial_data_with_inverse():
     rate, T, dt = 0.3, 0.5, 1e-3
-    ens = _stretch_ensemble(rate, T, dt)
+    result = _stretch_run(rate, T, dt)
     growth = (1.0 + rate * dt) ** int(round(T / dt))
-    chart = chart_from_ensemble(ens, T)
+    chart = chart_from_batch(result, T, 0)
     f0 = parse_field("exp(-x1*x1)", 1)
-    x = 0.8
-    val = passive_scalar(chart, f0, [x])
-    assert val == pytest.approx(np.exp(-((x / growth) ** 2)), rel=1e-8)
-    vals, status = passive_scalar_batch(chart, f0, np.array([[0.8], [-0.4]]))
+    x = np.array([0.8, -0.4])
+    vals, status = passive_scalar_batch(chart, f0, x[:, None])
     assert np.all(status == STATUS_OK)
-    assert vals[0] == pytest.approx(val, rel=1e-12)
+    assert np.allclose(vals, np.exp(-((x / growth) ** 2)), rtol=1e-8, atol=0.0)
 
 
 def test_feynman_kac_weight_uses_exponential_factor():
     # With V = c and U = rate*x1: P = c - rate, so log_I(a, T) = (c - rate) T for
     # every label, and psi(x) = f0(A(x)) exp((c - rate) T).
     rate, T, dt, c = 0.3, 0.5, 1e-3, 0.45
-    ens = _stretch_ensemble(rate, T, dt, c=c)
-    chart = chart_from_ensemble(ens, T)
+    result = _stretch_run(rate, T, dt, c=c)
+    chart = chart_from_batch(result, T, 0)
     f0 = parse_field("exp(-x1*x1)", 1)
-    x = np.array([0.8])
-    plain = passive_scalar(chart, f0, x)
-    weighted = feynman_kac_psi(chart, f0, x)
-    assert weighted == pytest.approx(plain * np.exp((c - rate) * T), rel=1e-10)
-    vals, status = feynman_kac_psi_batch(chart, f0, x[None, :])
-    assert status[0] == STATUS_OK and vals[0] == pytest.approx(weighted, rel=1e-12)
+    x = np.array([[0.8]])
+    plain, plain_status = passive_scalar_batch(chart, f0, x)
+    weighted, status = feynman_kac_psi_batch(chart, f0, x)
+    assert plain_status[0] == STATUS_OK and status[0] == STATUS_OK
+    assert weighted[0] == pytest.approx(plain[0] * np.exp((c - rate) * T), rel=1e-10)
 
 
-def test_feynman_kac_equals_passive_scalar_without_potential(heat_ens):
-    chart = chart_from_ensemble(heat_ens, 0.1)
+def test_feynman_kac_equals_passive_scalar_without_potential(heat_run):
+    chart = chart_from_batch(heat_run, 0.1, 0)
     f0 = parse_field("exp(-x1*x1/0.5)", 1)
-    pts = np.linspace(-0.5, 0.5, 5)[:, None] + chart.X[12, 0] - heat_ens.labels[12, 0]
+    pts = np.linspace(-0.5, 0.5, 5)[:, None] + chart.X[12, 0] - heat_run.labels[12, 0]
     a_vals, a_st = passive_scalar_batch(chart, f0, pts)
     b_vals, b_st = feynman_kac_psi_batch(chart, f0, pts)
     assert np.array_equal(a_st, b_st)
@@ -186,15 +169,11 @@ def test_2d_linear_flow_inverts_to_machine_precision():
     dt, T = 1e-3, 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        driver = BrownianDriver(seed=5, dt=dt, n=2)
-        tg = np.linspace(0.0, T, int(round(T / dt)) + 1)
-        ens = simulate_ensemble(
-            cs, (np.linspace(-2, 2, 17), np.linspace(-2, 2, 17)), tg, driver
-        )
+        result = _run(cs, (np.linspace(-2, 2, 17), np.linspace(-2, 2, 17)), T, dt, seed=5)
     k = int(round(T / dt))
     W = np.array([[0.0, -0.5], [0.5, 0.0]])
     G = np.linalg.matrix_power(np.eye(2) + dt * W, k)  # exact discrete propagator
-    chart = chart_from_ensemble(ens, T)
+    chart = chart_from_batch(result, T, 0)
     x_q = np.array([[0.7, -0.3], [-1.1, 0.4], [0.0, 0.9]])
     labels, status = invert_batch(chart, x_q)
     assert np.all(status == STATUS_OK)
@@ -225,12 +204,8 @@ def test_under_resolved_chart_is_flagged_and_rejects():
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        driver = BrownianDriver(seed=7, dt=dt, n=2)
-        tg = np.linspace(0.0, T, int(round(T / dt)) + 1)
-        ens = simulate_ensemble(
-            cs, (np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), tg, driver
-        )
-        chart = chart_from_ensemble(ens, T)
+        result = _run(cs, (np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), T, dt, seed=7)
+        chart = chart_from_batch(result, T, 0)
     assert chart.under_resolved
     assert chart.max_deformation > 50.0
     assert any("under-resolved" in str(w.message) for w in caught)
@@ -242,8 +217,8 @@ def test_under_resolved_chart_is_flagged_and_rejects():
     assert np.allclose(G @ labels[0], [10.0, 0.0], atol=1e-6)
 
 
-def test_invert_batch_shape_validation(heat_ens):
-    chart = chart_from_ensemble(heat_ens, 0.1)
+def test_invert_batch_shape_validation(heat_run):
+    chart = chart_from_batch(heat_run, 0.1, 0)
     with pytest.raises(DimensionMismatch):
         invert_batch(chart, np.zeros((4, 2)))
     # 1D charts accept a flat vector of query positions.
@@ -251,8 +226,8 @@ def test_invert_batch_shape_validation(heat_ens):
     assert labels.shape == (3, 1) and status.shape == (3,)
 
 
-def test_roundtrip_includes_boundary_when_asked(heat_ens):
-    chart = chart_from_ensemble(heat_ens, 0.1)
+def test_roundtrip_includes_boundary_when_asked(heat_run):
+    chart = chart_from_batch(heat_run, 0.1, 0)
     interior = roundtrip_error(chart, interior_only=True)
     full = roundtrip_error(chart, interior_only=False)
     assert full["num_queries"] == 25
@@ -268,10 +243,9 @@ def test_orientation_reversed_chart_rejects_all_queries():
     cs = make_coeffs("0", U=["-2*x1"], nu=0.1, n=1, box=Box((-4.0,), (4.0,)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        driver = BrownianDriver(seed=3, dt=1.0, n=1)
-        ens = simulate_ensemble(cs, (np.linspace(-2, 2, 9),), [0.0, 1.0], driver)
-    chart = chart_from_ensemble(ens, 1.0)
-    assert np.allclose(chart.X[:, 0], -ens.labels[:, 0])
+        result = _run(cs, (np.linspace(-2, 2, 9),), T=1.0, dt=1.0)
+    chart = chart_from_batch(result, 1.0, 0)
+    assert np.allclose(chart.X[:, 0], -result.labels[:, 0])
     assert chart.degenerate_cells.all()
     labels, status = invert_batch(chart, np.array([[0.0], [1.0], [-0.5]]))
     assert np.all(status != STATUS_OK)
