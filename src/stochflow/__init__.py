@@ -28,7 +28,6 @@ from .errors import (
     NonPositiveDensity,
     PositivityViolation,
     SignalTooNoisy,
-    StabilityViolation,
     SupportEscape,
 )
 from .fields import FieldExpr, differentiate, eval_batch, evaluate, parse_field
@@ -57,7 +56,6 @@ from .estimators import (
     PsiSamples,
     collect_psi_samples,
     entropy_decay_check,
-    entropy_martingale,
     jensen_check,
 )
 from .config import (

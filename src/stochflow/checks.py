@@ -262,7 +262,6 @@ def _alive_subset(result: BatchResult) -> tuple[BatchResult, int]:
         result,
         realization_indices=result.realization_indices[keep],
         X=result.X[:, keep],
-        J=result.J[:, keep],
         D_sde=result.D_sde[:, keep],
         log_lambda=result.log_lambda[:, keep],
         log_I=result.log_I[:, keep],
@@ -383,6 +382,14 @@ def _tracker_gaps(ctx: RunContext, labels, horizon: float, dt: float, realizatio
     }
 
 
+def _tracker_levels(ctx: RunContext, labels, horizon: float, dts, realizations: int) -> list:
+    """``_tracker_gaps`` at each step size; the horizon must be a multiple of every one."""
+    for dt in dts:
+        if abs(round(horizon / dt) * dt - horizon) > 1e-9:
+            raise ConfigError(f"horizon {horizon} is not a multiple of dt {dt}")
+    return [_tracker_gaps(ctx, labels, horizon, dt, realizations) for dt in dts]
+
+
 def _fit_order(dts, gaps) -> float:
     """Slope of log2(gap) against log2(dt) — the observed convergence order."""
     x = np.log2(np.asarray(dts, dtype=float))
@@ -438,14 +445,8 @@ def check_determinant_consistency(ctx: RunContext, params: dict) -> CheckResult:
     realizations = ctx.realizations_for("determinant_consistency", params)
     labels = _det_label_axes(cfg)
 
-    levels = []
-    dead = 0
-    for dt in dt_levels:
-        if abs(round(horizon / dt) * dt - horizon) > 1e-9:
-            raise ConfigError(f"determinant_consistency: horizon {horizon} not a multiple of dt {dt}")
-        stats = _tracker_gaps(ctx, labels, horizon, dt, realizations)
-        dead += stats["num_discarded"]
-        levels.append(stats)
+    levels = _tracker_levels(ctx, labels, horizon, dt_levels, realizations)
+    dead = sum(lv["num_discarded"] for lv in levels)
     ctx.note_discards(dead)
 
     gate_dl = _gate_pair(dt_levels, [lv["rms_direct_vs_exp_lambda"] for lv in levels])
@@ -842,7 +843,7 @@ def check_jensen(ctx: RunContext, params: dict) -> CheckResult:
     cfg = ctx.cfg
     num_sets = int(params.get("num_sets", 1000))
     num_samples = int(params.get("num_samples", 64))
-    rng = auxiliary_rng(cfg.seed, "jensen")
+    rng = auxiliary_rng(ctx.seed, "jensen")
     names = ["r2", "abs_smooth", "rlogr"]
     if cfg.H_name not in names:
         names.append(cfg.H_name)
@@ -1060,16 +1061,9 @@ def convergence_study(
     )
     labels = _det_label_axes(cfg)
     dts = [cfg.dt / (2 ** l) for l in range(levels)]
-    gaps_dl = []
-    gaps_ds = []
-    dead = 0
-    for dt in dts:
-        if abs(round(horizon / dt) * dt - horizon) > 1e-9:
-            raise ConfigError(f"horizon {horizon} is not a multiple of dt {dt}")
-        stats = _tracker_gaps(ctx, labels, horizon, dt, budget)
-        gaps_dl.append(stats["rms_direct_vs_exp_lambda"])
-        gaps_ds.append(stats["rms_direct_vs_sde"])
-        dead += stats["num_discarded"]
+    stats = _tracker_levels(ctx, labels, horizon, dts, budget)
+    gaps_dl = [lv["rms_direct_vs_exp_lambda"] for lv in stats]
+    gaps_ds = [lv["rms_direct_vs_sde"] for lv in stats]
     order = _fit_order(dts, gaps_dl) if max(gaps_dl) >= _COINCIDENT_RMS else float("nan")
     return {
         "scenario": cfg.name,
@@ -1081,5 +1075,5 @@ def convergence_study(
         "gap_direct_vs_exp_lambda": gaps_dl,
         "gap_direct_vs_sde": gaps_ds,
         "fitted_order": order,
-        "num_discarded": dead,
+        "num_discarded": sum(lv["num_discarded"] for lv in stats),
     }

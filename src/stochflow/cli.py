@@ -18,7 +18,7 @@ import os
 import sys
 from importlib import resources
 
-from .checks import convergence_study, golden_payload, run_scenario
+from .checks import _jsonable, convergence_study, golden_payload, run_scenario
 from .config import bundled_scenario_path, bundled_scenarios, load_config
 from .errors import ConfigError, StochflowError
 
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
                 with open(os.path.join(args.out, "study.json"), "w", encoding="utf-8") as fh:
-                    json.dump(study, fh, indent=2, sort_keys=True)
+                    json.dump(_jsonable(study), fh, indent=2, sort_keys=True)
                     fh.write("\n")
                 with open(os.path.join(args.out, "convergence.csv"), "w", encoding="utf-8") as fh:
                     fh.write("t,value,se\n")

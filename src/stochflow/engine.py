@@ -4,10 +4,11 @@ One realization = one Brownian path driving a whole grid of labels (shared noise
 label consumes the same increment vector each step, so the realization transports a full
 coordinate chart.  Alongside the positions the engine advances
 
-- the tangent matrix ``J`` (sensitivity of position to label),
+- the tangent matrix ``J`` (sensitivity of position to label), kept only as live state:
+  a snapshot stores its determinant ``D_direct``, not the matrix,
 - two redundant determinant trackers: ``D_sde`` (multiplicative factor per step) and
-  ``log_lambda`` (log-space exponent, positivity-preserving by construction), next to the
-  direct determinant ``det(J)`` — their mutual agreement is a discretization diagnostic,
+  ``log_lambda`` (log-space exponent, positivity-preserving by construction), next to
+  ``D_direct`` — their mutual agreement is a discretization diagnostic,
 - the exponential growth weight ``log_I`` (left-endpoint time quadrature of the
   zeroth-order coefficient along the path).
 
@@ -242,7 +243,6 @@ class BatchResult:
     num_steps: int
     realization_indices: np.ndarray  # (R,)
     X: np.ndarray  # (S, R, L, n)
-    J: np.ndarray  # (S, R, L, n, n)
     D_sde: np.ndarray  # (S, R, L)
     log_lambda: np.ndarray  # (S, R, L)
     log_I: np.ndarray  # (S, R, L)
@@ -367,7 +367,6 @@ def simulate_paths(
     degenerate = np.zeros(R, dtype=bool)
 
     Xs = np.empty((S, R, L, n))
-    Js = np.empty((S, R, L, n, n))
     Ds = np.empty((S, R, L))
     logLs = np.empty((S, R, L))
     logIs = np.empty((S, R, L))
@@ -382,7 +381,6 @@ def simulate_paths(
 
     def snapshot(slot: int) -> None:
         Xs[slot] = X
-        Js[slot] = J
         Ds[slot] = D
         logLs[slot] = logL
         logIs[slot] = logI
@@ -439,7 +437,6 @@ def simulate_paths(
         num_steps=num_steps,
         realization_indices=r_idx,
         X=Xs,
-        J=Js,
         D_sde=Ds,
         log_lambda=logLs,
         log_I=logIs,

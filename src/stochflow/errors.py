@@ -44,10 +44,6 @@ class DimensionMismatch(StochflowError):
     pass
 
 
-class StabilityViolation(StochflowError):
-    """Explicit time step violates the diffusive stability bound."""
-
-
 class BlowUp(StochflowError):
     """Grid solution became non-finite."""
 

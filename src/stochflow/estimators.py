@@ -15,11 +15,13 @@ Provided here:
     realization and label.
   * ``conserved_quantity_batch``: per-realization label-space quadrature of the
     tracked integral of motion M * rho0 * h0.
-  * ``entropy_martingale`` (+ series form): spatial quadrature of
-    psi_rho * H(psi_f / psi_rho) * phi, whose mean is constant in time.
+  * ``entropy_martingale_series``: per (realization, time), the spatial quadrature of
+    psi_rho * H(psi_f / psi_rho) * phi over the recorded points, whose mean is
+    constant in time; an integrand that reaches the grid edge is rejected.
   * ``jensen_check``: the finite-sample convexity inequality, exact up to roundoff.
   * ``entropy_decay_check``: bootstrap-banded monotonicity verdict for the entropy
-    time series of the estimated fields.
+    time series of the estimated fields (the grid-solver counterpart is
+    ``oracle.entropy_series``).
 """
 
 from __future__ import annotations
@@ -43,14 +45,16 @@ from .errors import (
 from .fields import FieldExpr, eval_batch
 from .grids import Box, mesh_points, multilinear_interp, trapezoid_weights
 from .inverse import STATUS_OK, FlowChart, invert_batch
-from .oracle import EntropyReport, OracleSeries, entropy_series
+from .oracle import EntropyReport
+# Unused here; kept importable because the benchmark's span tracer patches
+# estimators.entropy_series.
+from .oracle import entropy_series  # noqa: F401
 
 __all__ = [
     "McField",
     "PsiSamples",
     "JensenResult",
     "MIN_REALIZATIONS",
-    "DEFAULT_SCALAR_REALIZATIONS",
     "DEFAULT_FIELD_REALIZATIONS",
     "constant_phi",
     "exponential_phi",
@@ -60,7 +64,6 @@ __all__ = [
     "fields_from_samples",
     "martingale_values",
     "conserved_quantity_batch",
-    "entropy_martingale",
     "entropy_martingale_series",
     "jensen_check",
     "entropy_decay_check",
@@ -68,10 +71,15 @@ __all__ = [
 ]
 
 MIN_REALIZATIONS = 100
-DEFAULT_SCALAR_REALIZATIONS = 20_000
 DEFAULT_FIELD_REALIZATIONS = 2_000
 SUPPORT_MARGIN_CELLS = 4
 _SUPPORT_REL_TOL = 1e-10
+# An entropy-martingale integrand above this fraction of its peak within two cells of
+# the quadrature-grid edge means mass has left the grid.
+_ENTROPY_EDGE_TOL = 1e-8
+# Bootstrap draws over realizations, and the confidence level of the entropy bands.
+_BOOTSTRAP_RESAMPLES = 200
+_BAND_LEVEL = 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +128,8 @@ def field_phi(expr: FieldExpr) -> Callable:
 
 
 def _phi_values(phi, pts: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate a weight callable at (Q, n) points, tolerating scalar-only callables."""
-    q = pts.shape[0]
-    try:
-        out = np.asarray(phi(pts, t), dtype=float)
-        if out.ndim == 0:
-            return np.full(q, float(out))
-        if out.shape == (q,):
-            return out
-    except Exception:
-        pass
-    return np.array([float(phi(pts[i], t)) for i in range(q)])
+    """Evaluate a weight callable at (Q, n) points; a scalar result is broadcast."""
+    return np.broadcast_to(np.asarray(phi(pts, t), dtype=float), (pts.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +473,8 @@ def z_score(samples: np.ndarray, reference: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _entropy_integrand(psi_f, psi_rho, status, phi_vals, weights, H: ConvexH):
+def _entropy_integrand(psi_f, psi_rho, status, phi_vals, H: ConvexH) -> np.ndarray:
+    """psi_rho * H(psi_f / psi_rho) * phi at resolved points, zero elsewhere."""
     ok = status == STATUS_OK
     if np.any(psi_rho[ok] <= 0):
         raise NonPositiveDensity("transported density weight must stay positive")
@@ -482,74 +482,41 @@ def _entropy_integrand(psi_f, psi_rho, status, phi_vals, weights, H: ConvexH):
     ratio[ok] = psi_f[ok] / psi_rho[ok]
     vals = np.zeros_like(psi_f)
     vals[ok] = psi_rho[ok] * np.asarray(H(ratio[ok]), dtype=float) * phi_vals[ok]
-    return float(np.sum(weights[ok] * vals[ok]))
-
-
-def entropy_martingale(
-    chart: FlowChart,
-    phi,
-    rho0: FieldExpr,
-    f0: FieldExpr,
-    H: ConvexH,
-    query_axes=None,
-    edge_tol: float | None = 1e-8,
-) -> float:
-    """One realization's entropy functional: quadrature of psi_rho * H(ratio) * phi.
-
-    The convex argument is f0/rho0 at the recovered label — the exponential weight
-    cancels in the ratio, so the transported ratio is a passive scalar.  Unresolved
-    points contribute zero (valid when the data are compactly supported); if the
-    integrand within two cells of the quadrature-grid edge exceeds ``edge_tol``
-    relative to its peak the sample is rejected (pass None to skip the guard, e.g.
-    for algebraic-identity checks with non-localized integrands).
-    """
-    axes = query_axes if query_axes is not None else getattr(phi, "axes", None)
-    if axes is None:
-        axes = chart.label_axes
-    axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-    pts = mesh_points(axes)
-    w = trapezoid_weights(axes)
-    vf, vr, st = _psi_pair_on_chart(chart, f0, rho0, pts)
-    phi_vals = _phi_values(phi, pts, chart.t)
-    val = _entropy_integrand(vf, vr, st, phi_vals, w, H)
-
-    if edge_tol is not None:
-        ok = st == STATUS_OK
-        contrib = np.zeros(pts.shape[0])
-        ratio = np.where(vr[ok] > 0, vf[ok] / np.where(vr[ok] > 0, vr[ok], 1.0), 0.0)
-        contrib[ok] = np.abs(vr[ok] * np.asarray(H(ratio), dtype=float) * phi_vals[ok])
-        shape = tuple(ax.size for ax in axes)
-        ring = _boundary_ring_mask(shape, 2).reshape(-1)
-        peak = float(contrib.max()) if contrib.size else 0.0
-        if peak > 0 and float(contrib[ring].max()) > edge_tol * peak:
-            raise SupportEscape(
-                "entropy integrand is non-negligible within 2 cells of the quadrature "
-                "grid boundary — enlarge the grid or shorten the horizon"
-            )
-    return val
+    return vals
 
 
 def entropy_martingale_series(samples: PsiSamples, phi, H: ConvexH) -> np.ndarray:
     """Entropy-functional samples for every (realization, time): shape (R, S).
 
-    Quadrature runs over the recorded query points, which must form the flattened
-    mesh of a tensor grid in C order (as produced by ``mesh_points``).
+    Each sample is the quadrature of psi_rho * H(psi_f / psi_rho) * phi over the
+    recorded query points, which must form the flattened mesh of a tensor grid in C
+    order (as produced by ``mesh_points``).  The convex argument is f0/rho0 at the
+    recovered label — the exponential weight cancels in the ratio, so the transported
+    ratio is a passive scalar.  Unresolved points contribute zero (valid when the data
+    are compactly supported); a sample whose integrand within two cells of the grid
+    edge exceeds 1e-8 of its peak raises ``SupportEscape``.
     """
     axes = _axes_from_points(samples.points)
     w = trapezoid_weights(axes)
+    ring = _boundary_ring_mask(tuple(ax.size for ax in axes), 2).reshape(-1)
     r_count, s_count, _ = samples.psi_f.shape
     out = np.empty((r_count, s_count))
     for s in range(s_count):
         phi_vals = _phi_values(phi, samples.points, float(samples.times[s]))
         for r in range(r_count):
-            out[r, s] = _entropy_integrand(
-                samples.psi_f[r, s],
-                samples.psi_rho[r, s],
-                samples.status[r, s],
-                phi_vals,
-                w,
-                H,
+            status = samples.status[r, s]
+            vals = _entropy_integrand(
+                samples.psi_f[r, s], samples.psi_rho[r, s], status, phi_vals, H
             )
+            contrib = np.abs(vals)
+            peak = float(contrib.max())
+            if peak > 0 and float(contrib[ring].max()) > _ENTROPY_EDGE_TOL * peak:
+                raise SupportEscape(
+                    "entropy integrand is non-negligible within 2 cells of the quadrature "
+                    "grid boundary — enlarge the grid or shorten the horizon"
+                )
+            ok = status == STATUS_OK
+            out[r, s] = float(np.sum(w[ok] * vals[ok]))
     return out
 
 
@@ -613,41 +580,21 @@ def _quadrature_entropy(mean_f, mean_rho, phi_vals, weights, usable, H: ConvexH)
 
 
 def entropy_decay_check(
-    f,
-    rho=None,
-    phi=None,
-    H: ConvexH | None = None,
+    samples: PsiSamples,
+    phi,
+    H: ConvexH,
     times=None,
-    resamples: int = 200,
-    band_level: float = 0.95,
     seed: int = 0,
-    slack_constant: float = 1.0,
 ) -> EntropyReport:
     """Monotonicity verdict for the entropy series of the estimated fields.
 
-    Two input forms:
-      * deterministic: ``f`` and ``rho`` are OracleSeries (``phi`` too) — delegates to
-        the oracle entropy functional with the discretization slack.
-      * Monte Carlo: ``f`` is a PsiSamples container (``rho`` ignored) — the series is
-        built from per-point sample means, and each increment gets a bootstrap
-        confidence band (``resamples`` draws over realizations); the verdict fails
-        only where an increment is significantly positive at the ``band_level``.
+    The series is built from per-point sample means, and each increment gets a
+    bootstrap confidence band (200 draws over realizations); the verdict fails only
+    where an increment's 95% band lies above zero.
 
     Raises SignalTooNoisy when the estimated density does not dominate its own
     standard error (mean <= 4*SE) at quadrature points that matter.
     """
-    if isinstance(f, OracleSeries):
-        if not isinstance(rho, OracleSeries) or not isinstance(phi, OracleSeries):
-            raise TypeError("deterministic form needs OracleSeries for f, rho, and phi")
-        if H is None:
-            raise ValueError("H is required")
-        return entropy_series(f, rho, phi, H, slack_constant=slack_constant)
-
-    if not isinstance(f, PsiSamples):
-        raise TypeError("f must be an OracleSeries or a PsiSamples container")
-    samples = f
-    if H is None or phi is None:
-        raise ValueError("H and phi are required")
     r_count = samples.num_realizations
     if r_count < MIN_REALIZATIONS:
         raise InsufficientRealizations(
@@ -703,8 +650,8 @@ def entropy_decay_check(
     increments = np.diff(values)
 
     rng = auxiliary_rng(seed, "entropy-decay-bootstrap")
-    boot_vals = np.empty((resamples, s_count))
-    for b in range(resamples):
+    boot_vals = np.empty((_BOOTSTRAP_RESAMPLES, s_count))
+    for b in range(_BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, r_count, size=r_count)
         bf = safe_f[pick].mean(axis=0)
         brho = safe_rho[pick].mean(axis=0)
@@ -715,7 +662,7 @@ def entropy_decay_check(
             for s in range(s_count)
         ]
     boot_inc = np.diff(boot_vals, axis=1)  # (B, S-1)
-    alpha = 1.0 - band_level
+    alpha = 1.0 - _BAND_LEVEL
     lo_inc = np.percentile(boot_inc, 100 * (alpha / 2), axis=0)
     lower = np.percentile(boot_vals, 100 * (alpha / 2), axis=0)
     upper = np.percentile(boot_vals, 100 * (1 - alpha / 2), axis=0)
@@ -741,6 +688,6 @@ def entropy_decay_check(
         z_scores=z,
         description=(
             f"Monte Carlo entropy series with H={H.name}; verdict fails only on "
-            f"increments whose bootstrap {band_level:.0%} band lies above zero"
+            f"increments whose bootstrap {_BAND_LEVEL:.0%} band lies above zero"
         ),
     )

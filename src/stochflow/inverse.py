@@ -12,12 +12,15 @@ degenerate and excluded.  Inversion is geometric:
   image is nearest to the query, iterates projected into the label box.
 
 Charts come from a batch run (``chart_from_batch``: one realization slot at one stored
-time).  Every query function takes many points and never raises for a single one: a
-point that cannot be inverted comes back as NaN with a status code, OUT_OF_CHART or
-NO_CONVERGENCE.  On the recovered labels the module evaluates transported initial data
-(``passive_scalar_batch``, a scalar that is constant along paths) and the exponentially
-weighted variant (``feynman_kac_psi_batch``), interpolating the stored log-weight (in
-log space, for positivity) at the recovered label.
+time).  A chart holds the stored positions and log-weights over the label grid, and
+the degenerate cells and largest deformation ratio, both read off the interpolant's
+corner Jacobians.  Every query function takes many points and never raises for a
+single one: a point that cannot be inverted comes back as NaN with a status code,
+OUT_OF_CHART or NO_CONVERGENCE.  On the recovered labels the module evaluates
+transported initial data (``passive_scalar_batch``, a scalar that is constant along
+paths) and the exponentially weighted variant (``feynman_kac_psi_batch``),
+interpolating the stored log-weight (in log space, for positivity) at the recovered
+label.
 """
 
 from __future__ import annotations
@@ -66,17 +69,17 @@ _NEWTON_MAX_HALVINGS = 8
 class FlowChart:
     """Frozen snapshot of one realization's label-to-position map at one time.
 
-    ``X`` has shape ``label_shape + (n,)``, ``J`` shape ``label_shape + (n, n)``,
-    ``log_I`` shape ``label_shape``.  ``degenerate_cells`` marks grid cells whose
-    interpolant Jacobian determinant is <= the threshold at some cell corner; queries
-    resolving into them are rejected.  Immutable after construction; all queries are
-    pure and reentrant.
+    ``X`` has shape ``label_shape + (n,)`` and ``log_I`` shape ``label_shape``.
+    ``degenerate_cells`` marks grid cells whose interpolant Jacobian determinant is <=
+    the threshold at some cell corner; queries resolving into them are rejected.
+    ``max_deformation`` is the largest singular-value ratio of those corner Jacobians;
+    above ``MAX_DEFORMATION_RATIO`` the chart is flagged ``under_resolved`` (advisory).
+    Immutable after construction; all queries are pure and reentrant.
     """
 
     t: float
     label_axes: tuple
     X: np.ndarray
-    J: np.ndarray
     log_I: np.ndarray
     box: Box
     degenerate_cells: np.ndarray
@@ -94,11 +97,11 @@ class FlowChart:
         return tuple(ax.size for ax in self.label_axes)
 
 
-def _cell_corner_dets(label_axes, X) -> np.ndarray:
-    """Interpolant Jacobian determinant at every parameter corner of every cell.
+def _cell_corner_jacobians(label_axes, X) -> np.ndarray:
+    """Interpolant Jacobian at every parameter corner of every cell.
 
-    Returns an array of shape ``cell_shape + (2**n,)`` where ``cell_shape`` is the grid
-    shape minus one per axis.  The Jacobian column along axis k at a corner is the
+    Returns an array of shape ``cell_shape + (2**n, n, n)`` where ``cell_shape`` is the
+    grid shape minus one per axis.  The Jacobian column along axis k at a corner is the
     scaled edge difference of the cell along that axis, at the corner's transverse
     position.
     """
@@ -120,9 +123,8 @@ def _cell_corner_dets(label_axes, X) -> np.ndarray:
         h_shape[k] = h.size
         edges.append(diff / h.reshape(h_shape + [1]))
 
-    dets = np.empty(cell_shape + (1 << n,))
+    jacs = np.empty(cell_shape + (1 << n, n, n))
     for c, offsets in enumerate(product((0, 1), repeat=n)):
-        cols = []
         for k in range(n):
             sl = []
             for j in range(n):
@@ -131,28 +133,40 @@ def _cell_corner_dets(label_axes, X) -> np.ndarray:
                     sl.append(slice(0, size_j))
                 else:
                     sl.append(slice(offsets[j], offsets[j] + size_j))
-            cols.append(edges[k][tuple(sl)])
-        jac = np.stack(cols, axis=-1)  # cell_shape + (n, n): columns are edge vectors
-        if n == 1:
-            dets[..., c] = jac[..., 0, 0]
-        elif n == 2:
-            dets[..., c] = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        else:
-            dets[..., c] = np.linalg.det(jac)
-    return dets
+            jacs[..., c, :, k] = edges[k][tuple(sl)]  # columns are edge vectors
+    return jacs
 
 
-def _build_chart(label_axes, X, J, log_I, t: float) -> FlowChart:
+def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Determinants of a stack of Jacobians, and the largest singular-value ratio.
+
+    The ratio of a 1x1 Jacobian is 1 unless it vanishes; 2x2 ratios come from the
+    closed-form singular values, with s_max^2 = (S + sqrt(S^2 - 4 det^2)) / 2 for the
+    squared Frobenius norm S and s_min = |det| / s_max.
+    """
+    n = jacs.shape[-1]
+    if n == 1:
+        dets = jacs[..., 0, 0]
+        ratios = np.where(dets != 0.0, 1.0, np.inf)
+    elif n == 2:
+        dets = jacs[..., 0, 0] * jacs[..., 1, 1] - jacs[..., 0, 1] * jacs[..., 1, 0]
+        frob = np.sum(jacs * jacs, axis=(-2, -1))
+        smax_sq = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0 * dets * dets, 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(dets != 0.0, smax_sq / np.abs(dets), np.inf)
+    else:
+        dets = np.linalg.det(jacs)
+        sv = np.linalg.svd(jacs, compute_uv=False)
+        with np.errstate(divide="ignore"):
+            ratios = np.where(sv[..., -1] > 0, sv[..., 0] / sv[..., -1], np.inf)
+    return dets, float(np.max(ratios)) if ratios.size else 1.0
+
+
+def _build_chart(label_axes, X, log_I, t: float) -> FlowChart:
     n = len(label_axes)
     box = Box(tuple(float(ax[0]) for ax in label_axes), tuple(float(ax[-1]) for ax in label_axes))
-    dets = _cell_corner_dets(label_axes, X)
+    dets, max_def = _det_and_deformation(_cell_corner_jacobians(label_axes, X))
     degenerate = np.min(dets, axis=-1) <= DEGENERATE_DET_THRESHOLD
-
-    sv = np.linalg.svd(J.reshape(-1, n, n), compute_uv=False)
-    smin = sv[:, -1]
-    with np.errstate(divide="ignore"):
-        ratios = np.where(smin > 0, sv[:, 0] / np.where(smin > 0, smin, 1.0), np.inf)
-    max_def = float(np.max(ratios)) if ratios.size else 1.0
     under = bool(max_def > MAX_DEFORMATION_RATIO)
     if under:
         warnings.warn(
@@ -165,7 +179,6 @@ def _build_chart(label_axes, X, J, log_I, t: float) -> FlowChart:
         t=float(t),
         label_axes=tuple(label_axes),
         X=X,
-        J=J,
         log_I=log_I,
         box=box,
         degenerate_cells=degenerate,
@@ -185,7 +198,6 @@ def chart_from_batch(result: BatchResult, t: float, realization_slot: int) -> Fl
     return _build_chart(
         result.label_axes,
         result.X[s, r].reshape(shape + (n,)),
-        result.J[s, r].reshape(shape + (n, n)),
         result.log_I[s, r].reshape(shape),
         float(result.times[s]),
     )

@@ -17,9 +17,8 @@ sum(f) * cell_volume is conserved exactly when V = 0 (telescoping), and the disc
 adjoint is literally the matrix transpose: backward stepping with L^T makes the duality
 sum(phi * f) constant to solver roundoff.
 
-Time stepping: explicit Euler (with a diffusion stability bound checked up front) or a
-theta-scheme (theta = 1/2 by default, unconditionally stable), via a cached sparse LU
-factorization.  The entropy functional of a solution triple is evaluated with the
+Time stepping: the Crank–Nicolson theta-scheme (theta = 1/2, unconditionally stable),
+via one sparse LU factorization per solve.  The entropy functional of a solution triple is evaluated with the
 plain node sum times the cell volume, matching the conservative stencil's invariant.
 """
 
@@ -36,7 +35,7 @@ from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientSet
 from .convex import ConvexH
-from .errors import BlowUp, DimensionMismatch, PositivityViolation, StabilityViolation
+from .errors import BlowUp, DimensionMismatch, PositivityViolation
 from .fields import FieldExpr, eval_batch
 from .grids import Box, multilinear_interp
 
@@ -47,7 +46,6 @@ __all__ = [
     "PhiSeries",
     "grid_field_from_expr",
     "assemble_generator",
-    "explicit_stability_limit",
     "solve_forward",
     "solve_adjoint",
     "entropy_series",
@@ -261,28 +259,13 @@ def assemble_generator(cs: CoefficientSet, axes, t: float = 0.0) -> sp.csr_matri
     return L.tocsr()
 
 
-def explicit_stability_limit(cs: CoefficientSet, axes, t: float = 0.0) -> float:
-    """Largest stable explicit step: min(dx)^2 / (2 * nu * n * max ||a||)."""
-    axes = _check_uniform_axes(axes)
-    n = cs.n
-    if cs.nu == 0.0:
-        return float("inf")
-    if n == 1:
-        max_norm = float(np.max(np.abs(_eval_on_mesh(cs.a[0][0], axes, t))))
-    else:
-        p = _eval_on_mesh(cs.a[0][0], axes, t)
-        q = _eval_on_mesh(cs.a[0][1], axes, t)
-        s = _eval_on_mesh(cs.a[1][1], axes, t)
-        max_norm = float(np.max(0.5 * (p + s) + np.sqrt(0.25 * (p - s) ** 2 + q**2)))
-    if max_norm == 0.0:
-        return float("inf")
-    h_min = min(float(ax[1] - ax[0]) for ax in axes)
-    return h_min * h_min / (2.0 * cs.nu * n * max_norm)
-
-
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
+
+# Crank–Nicolson weight.  Both halves of a step scale by _THETA * dt, which equals
+# (1 - _THETA) * dt exactly for 1/2.
+_THETA = 0.5
 
 
 @dataclass(eq=False)
@@ -332,15 +315,12 @@ def solve_forward(
     T: float,
     dt: float,
     output_times: Sequence[float] | None = None,
-    method: str = "theta",
-    theta: float = 0.5,
     require_positive: bool = False,
 ) -> OracleSeries:
-    """March the forward equation from f0 to time T.
+    """March the forward equation from f0 to time T with Crank–Nicolson steps.
 
-    ``method``: "explicit" (stability bound enforced) or "theta" (implicit weight
-    ``theta``, default Crank–Nicolson).  ``require_positive`` aborts (rather than
-    clips) if the solution loses positivity — used for density solves.
+    ``require_positive`` aborts (rather than clips) if the solution loses
+    positivity — used for density solves.
     """
     if f0.n != cs.n:
         raise DimensionMismatch("initial field dimension != coefficient dimension")
@@ -349,22 +329,8 @@ def solve_forward(
     f = f0.values.reshape(-1).copy()
     shape = f0.shape
 
-    if method == "explicit":
-        limit = explicit_stability_limit(cs, f0.axes)
-        if dt > limit * (1.0 + 1e-12):
-            raise StabilityViolation(
-                f"explicit step dt={dt:g} exceeds the stability limit {limit:g}"
-            )
-        step = lambda vec: vec + dt * (L @ vec)
-    elif method == "theta":
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("theta must be in [0, 1]")
-        n_tot = f.size
-        lhs = (sp.identity(n_tot, format="csc") - (theta * dt) * L).tocsc()
-        lu = splu(lhs)
-        step = lambda vec: lu.solve(vec + ((1.0 - theta) * dt) * (L @ vec))
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'explicit' or 'theta'")
+    half_dt = _THETA * dt
+    lu = splu((sp.identity(f.size, format="csc") - half_dt * L).tocsc())
 
     slot_of = {i: s for s, i in enumerate(slots)}
     fields: list[GridField | None] = [None] * len(slots)
@@ -382,7 +348,7 @@ def solve_forward(
     if 0 in slot_of:
         fields[slot_of[0]] = GridField(f0.axes, f.reshape(shape).copy(), 0.0)
     for k in range(1, K + 1):
-        f = step(f)
+        f = lu.solve(f + half_dt * (L @ f))
         t_now = k * dt
         check(f, t_now)
         if k in slot_of:
@@ -396,27 +362,23 @@ def solve_adjoint(
     T: float,
     dt: float,
     output_times: Sequence[float] | None = None,
-    theta: float = 0.5,
 ) -> OracleSeries:
     """March the adjoint equation backward from terminal data at time T.
 
-    Stepping uses the exact transpose of the forward theta-step, so the discrete
-    duality sum(phi_k * f_k) is constant to solver roundoff for any paired forward
-    solve with the same theta and dt.  Negative values (undershoot) are clipped to
+    Stepping uses the exact transpose of the forward Crank–Nicolson step, so the
+    discrete duality sum(phi_k * f_k) is constant to solver roundoff for any paired
+    forward solve with the same dt.  Negative values (undershoot) are clipped to
     zero; a warning is emitted if the undershoot exceeds 1e-12.
     """
     if phi_T.n != cs.n:
         raise DimensionMismatch("terminal field dimension != coefficient dimension")
     if np.min(phi_T.values) < 0:
         raise ValueError("terminal data for the adjoint solve must be non-negative")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must be in [0, 1]")
     K, slots = _steps_and_slots(T, dt, output_times)
     L = assemble_generator(cs, phi_T.axes)
     lt = L.T.tocsr()
-    n_tot = phi_T.values.size
-    lhs = (sp.identity(n_tot, format="csc") - (theta * dt) * lt).tocsc()
-    lu = splu(lhs)
+    half_dt = _THETA * dt
+    lu = splu((sp.identity(phi_T.values.size, format="csc") - half_dt * lt).tocsc())
 
     shape = phi_T.shape
     phi = phi_T.values.reshape(-1).copy()
@@ -428,7 +390,7 @@ def solve_adjoint(
         fields[slot_of[K]] = GridField(phi_T.axes, phi.reshape(shape).copy(), K * dt)
     for k in range(K - 1, -1, -1):
         y = lu.solve(phi)
-        phi = y + ((1.0 - theta) * dt) * (lt @ y)
+        phi = y + half_dt * (lt @ y)
         if not np.all(np.isfinite(phi)):
             raise BlowUp(f"adjoint solve produced non-finite values at t={k * dt:.6g}")
         mn = float(np.min(phi))

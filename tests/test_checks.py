@@ -6,8 +6,10 @@ import pytest
 import yaml
 
 from stochflow.checks import (
+    _RUNNERS,
     RunContext,
     _det_label_axes,
+    _jsonable,
     _tracker_gaps,
     convergence_study,
     golden_payload,
@@ -75,6 +77,42 @@ def test_tracker_gaps_do_not_depend_on_chunk_size(additive_cfg):
     ]
     assert gaps[0]["samples"] == 100 * labels[0].size
     assert gaps[0] == gaps[1]
+
+
+@pytest.mark.parametrize("name", ["additive_linear_1d", "heat_identity"])
+def test_every_check_result_does_not_depend_on_chunk_size(name):
+    # 100 realizations in one chunk or in chunks of 37, 37 and 26: every metric and
+    # every series point agrees bit for bit.
+    cfg = load_config(str(bundled_scenario_path(name)))
+    for check in cfg.checks:
+        runs = []
+        for size in (4096, 37):
+            ctx = RunContext(cfg, cfg.seed, realizations_override=100, chunk_size=size)
+            result = _RUNNERS[check](ctx, cfg.params_for(check))
+            runs.append((_jsonable(result.metrics), result.series))
+        assert runs[0] == runs[1], check
+
+
+def test_jensen_draws_follow_the_run_seed(additive_cfg):
+    def margin(seed):
+        ctx = RunContext(additive_cfg, seed)
+        return _RUNNERS["jensen"](ctx, {"num_sets": 50}).metrics["worst_margin"]
+
+    assert margin(1) == margin(1)
+    assert margin(1) != margin(2)
+
+
+def test_dt_levels_must_divide_the_horizon(additive_cfg):
+    from stochflow.errors import ConfigError
+
+    ctx = RunContext(additive_cfg, 5)
+    with pytest.raises(ConfigError, match="not a multiple"):
+        _RUNNERS["determinant_consistency"](ctx, {"dt_levels": [0.002, 0.001], "horizon": 0.003})
+    # cfg.dt = 0.002 halves to 0.001 and 0.0005; 0.0035 is a multiple of 0.0005 only
+    raw = yaml.safe_load(open(str(bundled_scenario_path("additive_linear_1d"))))
+    raw["check_params"]["determinant_consistency"]["horizon"] = 0.0035
+    with pytest.raises(ConfigError, match="not a multiple"):
+        convergence_study(loads_config(yaml.safe_dump(raw)), levels=3)
 
 
 def test_failing_check_is_captured_not_raised(tmp_path):

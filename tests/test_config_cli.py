@@ -249,3 +249,19 @@ def test_cli_converge_runs_and_writes_study(tmp_path, capsys):
     assert (out / "convergence.csv").read_text().startswith("t,value,se\n")
     assert main(["converge", "additive_linear_1d", "--levels", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_converge_study_is_strict_json(tmp_path, capsys):
+    # heat_identity's tracker gaps coincide to roundoff, so no order is fitted; the
+    # NaN must not reach study.json as a bare NaN token, which strict JSON rejects.
+    out = tmp_path / "study"
+    code = main(["converge", "heat_identity", "--levels", "2",
+                 "--realizations", "16", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    study = json.loads((out / "study.json").read_text(), parse_constant=reject)
+    assert study["fitted_order"] == "nan"

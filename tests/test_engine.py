@@ -49,16 +49,28 @@ def hand_step(cs, state: dict, dW: np.ndarray, dt: float) -> dict:
     )
 
 
-def _stored_state(result: BatchResult, slot: int) -> dict:
-    """State of the first realization and first label at one stored time."""
+def _stored_state(result: BatchResult, slot: int, J: np.ndarray) -> dict:
+    """State of the first realization and first label at one stored time.
+
+    The result holds only det(J), so the tangent matrix comes from the caller: the
+    hand-rolled recurrence carried along the stored path.
+    """
     return dict(
         t=float(result.times[slot]),
         X=result.X[slot, 0, 0],
-        J=result.J[slot, 0, 0],
+        J=J,
         D_sde=float(result.D_sde[slot, 0, 0]),
         log_lambda=float(result.log_lambda[slot, 0, 0]),
         log_I=float(result.log_I[slot, 0, 0]),
     )
+
+
+def _hand_tangents(cs, result: BatchResult, dW: np.ndarray, dt: float) -> list:
+    """Hand-rolled J at every stored step of a run that stores every step."""
+    Js = [np.eye(cs.n)]
+    for k in range(result.num_steps):
+        Js.append(hand_step(cs, _stored_state(result, k, Js[k]), dW[k], dt)["J"])
+    return Js
 
 
 def _every_step(cs, a, dt: float, num_steps: int, seed: int, r: int = 2):
@@ -100,12 +112,13 @@ def test_simulate_paths_matches_hand_rolled_euler_1d(cs_sine_1d):
     dt = 1e-3
     result, dW = _every_step(cs_sine_1d, [0.4], dt, 5, seed=1)
     assert result.alive.all()
+    Js = _hand_tangents(cs_sine_1d, result, dW, dt)
     for k in range(5):
-        ref = hand_step(cs_sine_1d, _stored_state(result, k), dW[k], dt)
-        state = _stored_state(result, k + 1)
+        ref = hand_step(cs_sine_1d, _stored_state(result, k, Js[k]), dW[k], dt)
+        state = _stored_state(result, k + 1, Js[k + 1])
         assert state["t"] == pytest.approx(ref["t"], rel=1e-15)
         assert state["X"] == pytest.approx(ref["X"], rel=1e-13)
-        assert state["J"] == pytest.approx(ref["J"], rel=1e-13)
+        assert result.D_direct[k + 1, 0, 0] == pytest.approx(ref["J"][0, 0], rel=1e-13)
         assert state["D_sde"] == pytest.approx(ref["D_sde"], rel=1e-13)
         assert state["log_lambda"] == pytest.approx(ref["log_lambda"], rel=1e-13, abs=1e-15)
         assert state["log_I"] == pytest.approx(ref["log_I"], rel=1e-13, abs=1e-16)
@@ -115,11 +128,12 @@ def test_simulate_paths_matches_hand_rolled_euler_2d(cs_full_2d):
     dt = 2e-3
     result, dW = _every_step(cs_full_2d, [0.4, -0.3], dt, 5, seed=2)
     assert result.alive.all()
+    Js = _hand_tangents(cs_full_2d, result, dW, dt)
     for k in range(5):
-        ref = hand_step(cs_full_2d, _stored_state(result, k), dW[k], dt)
-        state = _stored_state(result, k + 1)
+        ref = hand_step(cs_full_2d, _stored_state(result, k, Js[k]), dW[k], dt)
+        state = _stored_state(result, k + 1, Js[k + 1])
         assert np.allclose(state["X"], ref["X"], rtol=1e-13)
-        assert np.allclose(state["J"], ref["J"], rtol=1e-13)
+        assert result.D_direct[k + 1, 0, 0] == pytest.approx(np.linalg.det(ref["J"]), rel=1e-13)
         assert state["D_sde"] == pytest.approx(ref["D_sde"], rel=1e-13)
         assert state["log_lambda"] == pytest.approx(ref["log_lambda"], rel=1e-12, abs=1e-14)
         assert state["log_I"] == pytest.approx(ref["log_I"], rel=1e-13, abs=1e-16)
@@ -127,10 +141,9 @@ def test_simulate_paths_matches_hand_rolled_euler_2d(cs_full_2d):
 
 def test_initial_state_invariants(cs_full_2d):
     result, _ = _every_step(cs_full_2d, [1.5, -2.0], 1e-3, 1, seed=3)
-    s = _stored_state(result, 0)
+    s = _stored_state(result, 0, np.eye(2))
     assert s["t"] == 0.0
     assert np.array_equal(s["X"], [1.5, -2.0])
-    assert np.array_equal(s["J"], np.eye(2))
     assert s["D_sde"] == 1.0 and s["log_lambda"] == 0.0 and s["log_I"] == 0.0
     assert result.D_direct[0, 0, 0] == 1.0
     assert result.n == 2
@@ -171,9 +184,8 @@ def heat_batch():
 def test_constant_flow_is_a_rigid_translation(heat_batch):
     cs, driver, labels, result = heat_batch
     assert result.alive.all()
-    # J, all determinant trackers, and the exponential weight stay at their
+    # det J, all determinant trackers, and the exponential weight stay at their
     # initial values exactly: no drift, no sigma gradients, no potential.
-    assert np.all(result.J == 1.0)
     assert np.all(result.D_direct == 1.0)
     assert np.all(result.D_sde == 1.0)
     assert np.all(result.log_lambda == 0.0)
@@ -222,15 +234,12 @@ def test_terminal_law_matches_gaussian_statistics():
 
 
 def test_direct_determinant_equals_numpy_det(cs_full_2d):
-    cs = cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0)))
-    driver = BrownianDriver(seed=23, dt=1e-3, n=2)
-    result = simulate_paths(
-        cs, (np.linspace(-1, 1, 3), np.linspace(-1, 1, 3)),
-        num_steps=50, store_indices=[25, 50], driver=driver,
-        realization_indices=range(6),
-    )
-    det_np = np.linalg.det(result.J)
-    assert np.allclose(result.D_direct, det_np, rtol=1e-12, atol=1e-14)
+    # D_direct at each of 50 steps is det of the tangent that the hand-rolled
+    # recurrence carries along the stored path.
+    dt = 1e-3
+    result, dW = _every_step(cs_full_2d, [0.5, -0.5], dt, 50, seed=23)
+    det_np = np.linalg.det(np.stack(_hand_tangents(cs_full_2d, result, dW, dt)))
+    assert np.allclose(result.D_direct[:, 0, 0], det_np, rtol=1e-12, atol=1e-14)
 
 
 def test_simulate_paths_validation(cs_sine_1d):
@@ -381,7 +390,7 @@ def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_
     # chunk 24 against chunk 5 and 1 thread against 4: the per-call step buffers
     # must not leak between chunks or threads.
     per_realization = ("alive", "escaped", "nonfinite", "degenerate")
-    per_snapshot = ("X", "J", "D_sde", "log_lambda", "log_I", "D_direct")
+    per_snapshot = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
     cases = [
         (cs_sine_1d.with_box(Box((-3.0,), (3.0,))), (np.linspace(-1, 1, 5),)),
         (cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0))),

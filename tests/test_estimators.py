@@ -21,7 +21,6 @@ from stochflow.estimators import (
     conserved_quantity_batch,
     constant_phi,
     entropy_decay_check,
-    entropy_martingale,
     entropy_martingale_series,
     exponential_phi,
     field_phi,
@@ -32,9 +31,8 @@ from stochflow.estimators import (
     z_score,
 )
 from stochflow.fields import parse_field
-from stochflow.grids import Box, trapezoid_weights
+from stochflow.grids import Box, mesh_points, trapezoid_weights
 from stochflow.inverse import STATUS_OK, chart_from_batch, feynman_kac_psi_batch
-from stochflow.oracle import OracleSeries, solve_forward, grid_field_from_expr
 
 from conftest import make_coeffs
 
@@ -335,29 +333,28 @@ def test_mc_field_masking_and_se():
 # ---------------------------------------------------------------------------
 
 
-def test_entropy_martingale_translation_quadrature():
+def test_entropy_martingale_series_translation_quadrature():
     cs = make_coeffs("1", nu=0.05, n=1)
     labels = (np.linspace(-4.0, 4.0, 81),)
     driver = BrownianDriver(seed=33, dt=0.01, n=1)
-    result = simulate_paths(cs, labels, 10, [0, 10], driver, range(1), box=BOX)
-    chart = chart_from_batch(result, 0.1, 0)
-    shift = float(np.mean(chart.X[:, 0] - labels[0]))
+    result = simulate_paths(cs, labels, 10, [10], driver, range(1), box=BOX)
+    shift = float(np.mean(result.X[0, 0, :, 0] - labels[0]))
     rho0 = parse_field("exp(-4*x1*x1)", 1)
     f0 = parse_field("0.5*exp(-4*x1*x1)", 1)  # ratio f0/rho0 = 0.5 everywhere
     qaxes = (np.linspace(-3.0, 3.0, 121),)
-    val = entropy_martingale(chart, constant_phi(1.0), rho0, f0, get_convex("r2"),
-                             query_axes=qaxes)
+    samples = collect_psi_samples(cs, labels, [0.1], driver, f0, rho0, mesh_points(qaxes),
+                                  realizations=1, box=BOX)
+    series = entropy_martingale_series(samples, constant_phi(1.0), get_convex("r2"))
     w = trapezoid_weights(qaxes)
     expect = 0.25 * float(np.sum(w * np.exp(-4.0 * (qaxes[0] - shift) ** 2)))
-    assert val == pytest.approx(expect, rel=1e-9)
-    # a slowly decaying integrand trips the boundary guard unless disabled
+    assert series.shape == (1, 1)
+    assert series[0, 0] == pytest.approx(expect, rel=1e-9)
+    # a slowly decaying integrand trips the boundary guard
     wide = parse_field("exp(-0.1*x1*x1)", 1)
+    wide_samples = collect_psi_samples(cs, labels, [0.1], driver, wide, wide,
+                                       mesh_points(qaxes), realizations=1, box=BOX)
     with pytest.raises(SupportEscape):
-        entropy_martingale(chart, constant_phi(1.0), wide, wide, get_convex("r2"),
-                           query_axes=qaxes)
-    assert np.isfinite(entropy_martingale(chart, constant_phi(1.0), wide, wide,
-                                          get_convex("r2"), query_axes=qaxes,
-                                          edge_tol=None))
+        entropy_martingale_series(wide_samples, constant_phi(1.0), get_convex("r2"))
 
 
 def _synthetic_samples(ratios, r_count=120, q_count=21):
@@ -381,12 +378,23 @@ def _synthetic_samples(ratios, r_count=120, q_count=21):
 
 def test_entropy_martingale_series_hand_values():
     samples = _synthetic_samples([2.0, 1.5, 1.0])
+    # Within two cells of the grid edge the density is 1e-12, so the integrand
+    # there stays below the edge guard's 1e-8 of its peak.
+    edge = np.zeros(21, dtype=bool)
+    edge[:2] = edge[-2:] = True
+    dens = np.where(edge, 1e-12, 1.0)
+    samples.psi_rho[:] = dens
+    samples.psi_f *= dens
     series = entropy_martingale_series(samples, constant_phi(1.0), get_convex("r2"))
     assert series.shape == (120, 3)
-    # trapezoid weights over [0,1] sum to 1, so the value is just H(ratio)
-    assert np.allclose(series[:, 0], 4.0, rtol=1e-12)
-    assert np.allclose(series[:, 1], 2.25, rtol=1e-12)
-    assert np.allclose(series[:, 2], 1.0, rtol=1e-12)
+    # the value is H(ratio) times the quadrature of the density
+    mass = float(np.sum(trapezoid_weights((samples.points[:, 0],)) * dens))
+    assert np.allclose(series[:, 0], 4.0 * mass, rtol=1e-12)
+    assert np.allclose(series[:, 1], 2.25 * mass, rtol=1e-12)
+    assert np.allclose(series[:, 2], 1.0 * mass, rtol=1e-12)
+    # a flat integrand reaches the edge: the sample is rejected
+    with pytest.raises(SupportEscape):
+        entropy_martingale_series(_synthetic_samples([2.0]), constant_phi(1.0), get_convex("r2"))
 
 
 def test_entropy_decay_check_monte_carlo_verdicts():
@@ -411,28 +419,6 @@ def test_entropy_decay_check_noisy_density_rejected():
     samples.psi_rho[0, :, :] = 100.0
     with pytest.raises(SignalTooNoisy):
         entropy_decay_check(samples, phi=constant_phi(1.0), H=get_convex("r2"))
-
-
-def test_entropy_decay_check_deterministic_delegation():
-    cs = make_coeffs("1 + 0.5*sin(x1)", nu=0.15, n=1)
-    ax = (np.linspace(-4.0, 4.0, 81),)
-    f0 = grid_field_from_expr(parse_field("exp(-2*x1*x1)", 1), ax)
-    rho0 = grid_field_from_expr(parse_field("1 + 0.5*exp(-x1*x1)", 1), ax)
-    times = [0.0, 0.1, 0.2]
-    fser = solve_forward(cs, f0, T=0.2, dt=2e-3, output_times=times)
-    rser = solve_forward(cs, rho0, T=0.2, dt=2e-3, output_times=times, require_positive=True)
-    ones = grid_field_from_expr(parse_field("1", 1), ax)
-    pser = OracleSeries(times=np.asarray(times), fields=[ones.with_values(ones.values, t)
-                                                         for t in times], dt=2e-3)
-    rep = entropy_decay_check(fser, rho=rser, phi=pser, H=get_convex("r2"))
-    assert rep.verdict_nonincreasing
-    assert rep.z_scores is None  # deterministic route has no bootstrap
-    with pytest.raises(TypeError):
-        entropy_decay_check(fser, rho=None, phi=pser, H=get_convex("r2"))
-    with pytest.raises(TypeError):
-        entropy_decay_check([1.0, 2.0], phi=constant_phi(1.0), H=get_convex("r2"))
-    with pytest.raises(ValueError, match="required"):
-        entropy_decay_check(_synthetic_samples([1.0, 0.9]), phi=None, H=get_convex("r2"))
 
 
 def test_entropy_decay_check_requires_min_realizations():

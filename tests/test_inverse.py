@@ -17,6 +17,7 @@ from stochflow.inverse import (
     STATUS_NO_CONVERGENCE,
     STATUS_OK,
     STATUS_OUT_OF_CHART,
+    _det_and_deformation,
     chart_from_batch,
     feynman_kac_psi_batch,
     invert_batch,
@@ -215,6 +216,25 @@ def test_under_resolved_chart_is_flagged_and_rejects():
     assert status[0] == STATUS_OK
     G = np.linalg.matrix_power(np.eye(2) + 1e-3 * np.array([[9.0, 0.0], [0.0, 0.0]]), 1000)
     assert np.allclose(G @ labels[0], [10.0, 0.0], atol=1e-6)
+
+
+def test_deformation_ratio_comes_from_corner_jacobians(heat_run, monkeypatch):
+    # 2x2: the closed-form singular-value ratio is the SVD's s_max / s_min.
+    jacs = np.random.default_rng(3).normal(size=(50, 2, 2))
+    dets, ratio = _det_and_deformation(jacs)
+    sv = np.linalg.svd(jacs, compute_uv=False)
+    assert ratio == pytest.approx(np.max(sv[:, 0] / sv[:, 1]), rel=1e-8)
+    assert np.allclose(dets, np.linalg.det(jacs), rtol=1e-12)
+    # A singular Jacobian has an infinite ratio.
+    assert _det_and_deformation(np.array([[[1.0, 2.0], [2.0, 4.0]]]))[1] == np.inf
+
+    # 1D: every non-zero slope has ratio 1, and building the chart runs no SVD.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called while building a 1D chart")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    chart = chart_from_batch(heat_run, 0.1, 0)
+    assert chart.max_deformation == 1.0 and not chart.under_resolved
 
 
 def test_invert_batch_shape_validation(heat_run):

@@ -10,7 +10,6 @@ from stochflow.errors import (
     BlowUp,
     DimensionMismatch,
     PositivityViolation,
-    StabilityViolation,
 )
 from stochflow.fields import parse_field
 from stochflow.oracle import (
@@ -18,7 +17,6 @@ from stochflow.oracle import (
     OracleSeries,
     PhiSeries,
     entropy_series,
-    explicit_stability_limit,
     grid_field_from_expr,
     solve_adjoint,
     solve_forward,
@@ -137,39 +135,15 @@ def test_forward_conserves_mass_with_variable_coefficients():
     assert max(abs(m - masses[0]) for m in masses) < 1e-12
 
 
-def test_forward_explicit_method_matches_analytic():
-    nu, s0sq = 0.1, 0.25
-    cs = make_coeffs("1", nu=nu, n=1)
-    ax = (np.linspace(-6.0, 6.0, 241),)  # dx = 0.05
-    lim = explicit_stability_limit(cs, ax)
-    # constant coefficients: limit is exactly dx^2 / (2 * nu * n * max a)
-    assert lim == pytest.approx(0.05**2 / (2.0 * nu), rel=1e-12)
-    f0 = grid_field_from_expr(parse_field("exp(-x1*x1/0.5)", 1), ax)
-    ser = solve_forward(cs, f0, T=0.1, dt=0.01, method="explicit", output_times=[0.1])
-    var = s0sq + 2.0 * nu * 0.1
-    exact = np.sqrt(s0sq / var) * np.exp(-ax[0] ** 2 / (2.0 * var))
-    # measured 1.2e-4 at this resolution
-    assert np.max(np.abs(ser.at(0.1).values - exact)) < 5e-4
-
-
-def test_forward_explicit_rejects_unstable_step():
-    cs = make_coeffs("1", nu=0.1, n=1)
-    ax = (np.linspace(-6.0, 6.0, 241),)
-    f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
-    lim = explicit_stability_limit(cs, ax)
-    with pytest.raises(StabilityViolation):
-        solve_forward(cs, f0, T=np.round(4 * lim, 12), dt=np.round(2 * lim, 12), method="explicit")
-    assert explicit_stability_limit(make_coeffs("0", nu=0.1, n=1), ax) == np.inf
-
-
 def test_forward_blowup_detected():
-    # an enormous reaction coefficient overflows within two explicit steps
-    cs = make_coeffs("1", V="1e300", nu=0.1, n=1)
+    # growth rate V = 1000: each Crank-Nicolson step (V dt = 1) multiplies the
+    # solution by 3, so it overflows after about 650 of the 1000 steps
+    cs = make_coeffs("1", V="1000", nu=0.1, n=1)
     ax = (np.linspace(-6.0, 6.0, 241),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1/0.5)", 1), ax)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUp):
-            solve_forward(cs, f0, T=0.1, dt=0.01, method="explicit")
+            solve_forward(cs, f0, T=1.0, dt=1e-3)
 
 
 def test_forward_require_positive():
@@ -197,10 +171,6 @@ def test_forward_time_grid_validation():
         solve_forward(cs, f0, T=0.1, dt=0.0)
     with pytest.raises(ValueError, match="positive"):
         solve_forward(cs, f0, T=-0.1, dt=0.01)
-    with pytest.raises(ValueError, match="theta"):
-        solve_forward(cs, f0, T=0.1, dt=0.01, theta=1.5)
-    with pytest.raises(ValueError, match="method"):
-        solve_forward(cs, f0, T=0.1, dt=0.01, method="rk4")
     cs2 = make_coeffs([["1", "0"], ["0", "1"]], nu=0.1, n=2)
     with pytest.raises(DimensionMismatch):
         solve_forward(cs2, f0, T=0.1, dt=0.01)
@@ -224,7 +194,7 @@ def test_forward_default_output_stores_every_step():
 
 def test_adjoint_forward_discrete_duality():
     # sum(phi_k * f_k) over nodes must be constant in k to solver roundoff
-    # for any adjoint/forward pair sharing theta and dt.
+    # for any adjoint/forward pair sharing dt.
     cs = make_coeffs("1 + 0.5*sin(x1)", U=["0.1*cos(x1)"], V="0.3", nu=0.1, n=1)
     ax = (np.linspace(-4.0, 4.0, 201),)
     times = [0.0, 0.05, 0.1, 0.15, 0.2]
