@@ -9,7 +9,10 @@ Provided here:
   * ``collect_psi_samples`` drives the path engine over many realizations and records,
     per realization / output time / query point, the weighted transported data pair
     (psi_f, psi_rho) together with the inversion status — the raw material for every
-    statistical check below.
+    statistical check below.  Each chunk's alive realizations are inverted as chart
+    stacks of ``_PSI_BLOCK_ROWS`` rows at one output time (``inverse.chart_stack``,
+    ``inverse.feynman_kac_psi_stack``), written in place into the chunk's (R, S, Q)
+    outputs.
   * ``fields_from_samples``: per-point sample means and errors.
   * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
     realization and label.
@@ -43,8 +46,11 @@ from .errors import (
     SupportEscape,
 )
 from .fields import FieldExpr, eval_batch
-from .grids import Box, mesh_points, multilinear_interp, trapezoid_weights
-from .inverse import STATUS_OK, FlowChart, invert_batch
+from .grids import Box, mesh_points, trapezoid_weights
+from .inverse import STATUS_OK, chart_stack, feynman_kac_psi_stack
+# Unused here; kept importable because the benchmark's span tracer patches
+# estimators.invert_batch.
+from .inverse import invert_batch  # noqa: F401
 from .oracle import EntropyReport
 # Unused here; kept importable because the benchmark's span tracer patches
 # estimators.entropy_series.
@@ -80,6 +86,10 @@ _ENTROPY_EDGE_TOL = 1e-8
 # Bootstrap draws over realizations, and the confidence level of the entropy bands.
 _BOOTSTRAP_RESAMPLES = 200
 _BAND_LEVEL = 0.95
+# Realizations per chart stack in ``collect_psi_samples``: bounds the stack's
+# temporaries (corner Jacobians, bracketing indices, recovered labels) whatever the
+# chunk size.
+_PSI_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +283,6 @@ def _store_plan(times, dt: float) -> tuple[int, list[int]]:
     return max(idx), idx
 
 
-def _psi_pair_on_chart(chart: FlowChart, f0: FieldExpr, rho0: FieldExpr, pts: np.ndarray):
-    """One inversion, two weighted transported values (shared exponential factor)."""
-    labels, status = invert_batch(chart, pts)
-    ok = status == STATUS_OK
-    vf = np.full(pts.shape[0], np.nan)
-    vr = np.full(pts.shape[0], np.nan)
-    if ok.any():
-        lab = labels[ok]
-        logw = multilinear_interp(chart.label_axes, chart.log_I, lab, out_of_range="clamp")
-        w = np.exp(logw)
-        vf[ok] = _eval_at_points(f0, lab) * w
-        vr[ok] = _eval_at_points(rho0, lab) * w
-    return vf, vr, status.astype(np.uint8)
-
-
 def collect_psi_samples(
     cs: CoefficientSet,
     label_axes,
@@ -303,11 +298,10 @@ def collect_psi_samples(
 ) -> PsiSamples:
     """Simulate ``realizations`` independent flows and record psi pairs.
 
-    The reduction order is fixed by the realization indices, so the result is
-    bit-identical for any ``threads``.
+    Rows follow the realization indices, and every value depends only on its own
+    realization, so the result is bit-identical for any ``threads`` and
+    ``chunk_size``.
     """
-    from .inverse import chart_from_batch  # local import to avoid cycle at module load
-
     pts = np.asarray(query_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -315,35 +309,33 @@ def collect_psi_samples(
         raise DimensionMismatch(f"query points have dimension {pts.shape[1]}, expected {cs.n}")
     num_steps, store_indices = _store_plan(times, driver.dt)
     ts = np.array([float(t) for t in times])
+    q = pts.shape[0]
 
     def worker(indices: np.ndarray):
         result = simulate_paths(
             cs, label_axes, num_steps, store_indices, driver, indices, box=box
         )
         r_alive = np.nonzero(result.alive)[0]
-        s_count = ts.size
-        q = pts.shape[0]
-        pf = np.empty((r_alive.size, s_count, q))
-        pr = np.empty((r_alive.size, s_count, q))
-        st = np.empty((r_alive.size, s_count, q), dtype=np.uint8)
-        for out_r, slot in enumerate(r_alive):
-            for s, t in enumerate(ts):
-                chart = chart_from_batch(result, float(t), int(slot))
-                pf[out_r, s], pr[out_r, s], st[out_r, s] = _psi_pair_on_chart(
-                    chart, f0, rho0, pts
-                )
-        return result.realization_indices[r_alive], pf, pr, st, int((~result.alive).sum())
+        # The outputs are allocated once the engine's working state is freed; the
+        # stacks write into them block by block.
+        shape = (r_alive.size, ts.size, q)
+        pf, pr, st = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
+        for s, t in enumerate(ts):
+            for b0 in range(0, r_alive.size, _PSI_BLOCK_ROWS):
+                block = slice(b0, b0 + _PSI_BLOCK_ROWS)
+                stack = chart_stack(result, float(t), r_alive[block])
+                (vf, vr), status = feynman_kac_psi_stack(stack, (f0, rho0), pts)
+                pf[block, s], pr[block, s], st[block, s] = vf, vr, status
+        return result.realization_indices[r_alive], pf, pr, st
 
     chunks = run_chunks(range(realizations), worker, chunk_size=chunk_size, threads=threads)
-    kept = np.concatenate([c[0] for c in chunks]) if chunks else np.empty(0, dtype=np.int64)
-    psi_f = np.concatenate([c[1] for c in chunks], axis=0) if chunks else np.empty((0, ts.size, pts.shape[0]))
-    psi_rho = np.concatenate([c[2] for c in chunks], axis=0) if chunks else np.empty_like(psi_f)
-    status = (
-        np.concatenate([c[3] for c in chunks], axis=0)
-        if chunks
-        else np.empty((0, ts.size, pts.shape[0]), dtype=np.uint8)
+    if not chunks:
+        chunks = [(np.empty(0, dtype=np.int64), np.empty((0, ts.size, q)),
+                   np.empty((0, ts.size, q)), np.empty((0, ts.size, q), dtype=np.uint8))]
+    # One chunk is returned as it is; several are joined in realization order.
+    kept, psi_f, psi_rho, status = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*chunks)
     )
-    discarded = sum(c[4] for c in chunks)
     return PsiSamples(
         label_axes=tuple(np.asarray(ax, dtype=float) for ax in (label_axes if isinstance(label_axes, (tuple, list)) else (label_axes,))),
         points=pts,
@@ -352,7 +344,7 @@ def collect_psi_samples(
         psi_f=psi_f,
         psi_rho=psi_rho,
         status=status,
-        num_discarded=discarded,
+        num_discarded=realizations - kept.size,
     )
 
 

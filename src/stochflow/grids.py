@@ -12,6 +12,7 @@ __all__ = [
     "mesh_points",
     "trapezoid_weights",
     "multilinear_interp",
+    "multilinear_interp_rows",
     "multilinear_interp_with_grad",
 ]
 
@@ -123,6 +124,40 @@ def _locate(axes, pts):
     return idx, loc, inside
 
 
+def _strides(grid_shape) -> np.ndarray:
+    """Row-major strides of a grid, in nodes."""
+    strides = np.empty(len(grid_shape), dtype=np.int64)
+    acc = 1
+    for k in range(len(grid_shape) - 1, -1, -1):
+        strides[k] = acc
+        acc *= grid_shape[k]
+    return strides
+
+
+def _corner_sum(flat, base, loc, strides):
+    """Multilinear weights times the values at every cell corner, summed.
+
+    ``flat`` holds the grid values with the grid axes flattened to one leading axis,
+    ``base`` the flat index of each query's lower cell corner.
+    """
+    n = loc.shape[1]
+    q = base.shape[0]
+    value_shape = flat.shape[1:]
+    out = np.zeros((q,) + value_shape)
+    extra = (slice(None),) + (None,) * len(value_shape)
+    for corner in range(1 << n):
+        w = np.ones(q)
+        off = 0
+        for k in range(n):
+            if corner >> k & 1:
+                w = w * loc[:, k]
+                off += strides[k]
+            else:
+                w = w * (1.0 - loc[:, k])
+        out += w[extra] * flat[base + off]
+    return out
+
+
 def multilinear_interp(axes, values, pts, out_of_range: str = "error"):
     """Multilinear interpolation of grid data at query points.
 
@@ -142,30 +177,29 @@ def multilinear_interp(axes, values, pts, out_of_range: str = "error"):
         bad = np.asarray(pts)[~inside][0]
         raise ValueError(f"query point {bad.tolist()} outside the grid range")
 
-    value_shape = values.shape[n:]
-    flat = values.reshape((-1,) + value_shape)
-    strides = np.empty(n, dtype=np.int64)
-    acc = 1
-    for k in range(n - 1, -1, -1):
-        strides[k] = acc
-        acc *= grid_shape[k]
-    base = idx @ strides  # (Q,)
-
-    out = np.zeros((pts.shape[0],) + value_shape)
-    extra = (slice(None),) + (None,) * len(value_shape)
-    for corner in range(1 << n):
-        w = np.ones(pts.shape[0])
-        off = 0
-        for k in range(n):
-            if corner >> k & 1:
-                w = w * loc[:, k]
-                off += strides[k]
-            else:
-                w = w * (1.0 - loc[:, k])
-        out += w[extra] * flat[base + off]
+    strides = _strides(grid_shape)
+    out = _corner_sum(values.reshape((-1,) + values.shape[n:]), idx @ strides, loc, strides)
     if out_of_range == "mask":
         return out, inside
     return out
+
+
+def multilinear_interp_rows(axes, values, rows, pts):
+    """Interpolate a stack of scalar grids, grid ``rows[i]`` at point ``pts[i]``.
+
+    ``values`` has shape ``(R,) + grid_shape``; points outside the grid are clamped,
+    as ``multilinear_interp(..., out_of_range="clamp")`` does for one grid, with the
+    same floating-point operations.
+    """
+    axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
+    values = np.asarray(values)
+    grid_shape = tuple(ax.size for ax in axes)
+    if values.shape[1:] != grid_shape:
+        raise ValueError(f"values grid shape {values.shape[1:]} != grid shape {grid_shape}")
+    idx, loc, _ = _locate(axes, pts)
+    strides = _strides(grid_shape)
+    base = idx @ strides + np.asarray(rows, dtype=np.int64) * int(np.prod(grid_shape))
+    return _corner_sum(values.reshape(-1), base, loc, strides)
 
 
 def multilinear_interp_with_grad(axes, values, pts):
@@ -184,11 +218,7 @@ def multilinear_interp_with_grad(axes, values, pts):
 
     value_shape = values.shape[n:]
     flat = values.reshape((-1,) + value_shape)
-    strides = np.empty(n, dtype=np.int64)
-    acc = 1
-    for k in range(n - 1, -1, -1):
-        strides[k] = acc
-        acc *= grid_shape[k]
+    strides = _strides(grid_shape)
     base = idx @ strides
     inv_h = np.empty((pts.shape[0], n))
     for k in range(n):

@@ -1,4 +1,4 @@
-"""Back-to-labels inversion of a simulated flow chart.
+"""Back-to-labels inversion of simulated flow charts.
 
 A realization's stored positions over the label grid define a multilinear interpolant
 ``a -> X~(a)``.  Because the exact flow map is a diffeomorphism with positive Jacobian
@@ -7,20 +7,26 @@ cells whose interpolant Jacobian determinant falls below a threshold are marked
 degenerate and excluded.  Inversion is geometric:
 
 - dimension 1: bracket the query between stored positions and solve the linear
-  interpolant within the cell exactly (one Newton step, zero residual);
-- dimensions 2-3: damped Newton on the interpolant, seeded from the label whose stored
-  image is nearest to the query, iterates projected into the label box.
+  interpolant within the cell exactly (one Newton step, zero residual); the monotone
+  rows of a stack are bracketed together by one vectorized binary search, folded rows
+  by a scan of their cells;
+- dimensions 2-3: damped Newton on the interpolant, one chart at a time, seeded from
+  the label whose stored image is nearest to the query (a distance table built axis by
+  axis over blocks of queries), iterates projected into the label box.
 
-Charts come from a batch run (``chart_from_batch``: one realization slot at one stored
-time).  A chart holds the stored positions and log-weights over the label grid, and
-the degenerate cells and largest deformation ratio, both read off the interpolant's
-corner Jacobians.  Every query function takes many points and never raises for a
-single one: a point that cannot be inverted comes back as NaN with a status code,
-OUT_OF_CHART or NO_CONVERGENCE.  On the recovered labels the module evaluates
-transported initial data (``passive_scalar_batch``, a scalar that is constant along
-paths) and the exponentially weighted variant (``feynman_kac_psi_batch``),
-interpolating the stored log-weight (in log space, for positivity) at the recovered
-label.
+The inversion works on a ``ChartStack``: the charts of many realizations at one stored
+time, with a leading realization axis (``chart_stack``: given realization slots of a
+batch).  A stack holds the stored positions and log-weights over the label grid and,
+per row, the degenerate cells and largest deformation ratio, read off the
+interpolant's corner Jacobians for every row at once.  A single chart
+(``chart_from_batch``, a ``FlowChart``) runs through the same kernels as a one-row
+stack.  Every query function takes many points and never raises for a single one: a
+point that cannot be inverted comes back as NaN with a status code, OUT_OF_CHART or
+NO_CONVERGENCE.  On the recovered labels the module evaluates transported initial
+data (``passive_scalar_batch``, a scalar that is constant along paths) and the
+exponentially weighted variant (``feynman_kac_psi_stack`` for several fields over a
+stack, ``feynman_kac_psi_batch`` on one chart), interpolating the stored log-weight
+(in log space, for positivity) at the recovered label.
 """
 
 from __future__ import annotations
@@ -34,14 +40,18 @@ import numpy as np
 from .engine import BatchResult
 from .errors import DimensionMismatch
 from .fields import FieldExpr, eval_batch
-from .grids import Box, multilinear_interp, multilinear_interp_with_grad
+from .grids import Box, multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
 
 __all__ = [
     "FlowChart",
+    "ChartStack",
     "chart_from_batch",
+    "chart_stack",
     "invert_batch",
+    "invert_stack",
     "passive_scalar_batch",
     "feynman_kac_psi_batch",
+    "feynman_kac_psi_stack",
     "roundtrip_error",
     "STATUS_OK",
     "STATUS_OUT_OF_CHART",
@@ -58,6 +68,9 @@ DEGENERATE_DET_THRESHOLD = 1e-10
 MAX_DEFORMATION_RATIO = 50.0
 _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_HALVINGS = 8
+# Queries per block of the nearest-node seed search: bounds its (block, L) distance
+# table whatever the number of queries.
+_SEED_BLOCK_QUERIES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -97,36 +110,96 @@ class FlowChart:
         return tuple(ax.size for ax in self.label_axes)
 
 
-def _cell_corner_jacobians(label_axes, X) -> np.ndarray:
-    """Interpolant Jacobian at every parameter corner of every cell.
+@dataclass(eq=False)
+class ChartStack:
+    """Charts of many realizations at one stored time, with a leading realization axis.
 
-    Returns an array of shape ``cell_shape + (2**n, n, n)`` where ``cell_shape`` is the
-    grid shape minus one per axis.  The Jacobian column along axis k at a corner is the
-    scaled edge difference of the cell along that axis, at the corner's transverse
-    position.
+    ``X`` has shape ``(R,) + label_shape + (n,)`` and ``log_I`` ``(R,) + label_shape``;
+    ``degenerate_cells``, ``image_lo``, ``image_hi``, ``max_deformation`` and
+    ``under_resolved`` are the ``FlowChart`` fields of each row, stacked.
+    """
+
+    t: float
+    label_axes: tuple
+    X: np.ndarray
+    log_I: np.ndarray
+    degenerate_cells: np.ndarray
+    image_lo: np.ndarray
+    image_hi: np.ndarray
+    max_deformation: np.ndarray
+    under_resolved: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.label_axes)
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.X.shape[0])
+
+    def chart(self, r: int) -> FlowChart:
+        """Row ``r`` as a single chart (views into the stack)."""
+        axes = self.label_axes
+        return FlowChart(
+            t=self.t,
+            label_axes=axes,
+            X=self.X[r],
+            log_I=self.log_I[r],
+            box=Box(tuple(float(ax[0]) for ax in axes), tuple(float(ax[-1]) for ax in axes)),
+            degenerate_cells=self.degenerate_cells[r],
+            image_lo=self.image_lo[r],
+            image_hi=self.image_hi[r],
+            max_deformation=float(self.max_deformation[r]),
+            under_resolved=bool(self.under_resolved[r]),
+        )
+
+
+def _as_stack(chart: FlowChart) -> ChartStack:
+    """A single chart as a one-row stack (views, no copies)."""
+    return ChartStack(
+        t=chart.t,
+        label_axes=chart.label_axes,
+        X=chart.X[None],
+        log_I=chart.log_I[None],
+        degenerate_cells=chart.degenerate_cells[None],
+        image_lo=chart.image_lo[None],
+        image_hi=chart.image_hi[None],
+        max_deformation=np.array([chart.max_deformation]),
+        under_resolved=np.array([chart.under_resolved]),
+    )
+
+
+def _cell_corner_jacobians(label_axes, X) -> np.ndarray:
+    """Interpolant Jacobian at every parameter corner of every cell of every chart.
+
+    ``X`` has shape ``(R,) + label_shape + (n,)``.  Returns an array of shape
+    ``(R,) + cell_shape + (2**n, n, n)`` where ``cell_shape`` is the grid shape minus
+    one per axis.  The Jacobian column along axis k at a corner is the scaled edge
+    difference of the cell along that axis, at the corner's transverse position.
     """
     n = len(label_axes)
     shape = tuple(ax.size for ax in label_axes)
     cell_shape = tuple(s - 1 for s in shape)
+    every = slice(None)
 
-    # Edge difference arrays: E[k] has the k-th axis shortened by one and holds
+    # Edge difference arrays: E[k] has the k-th grid axis shortened by one and holds
     # (X[.., i+1, ..] - X[.., i, ..]) / (axis[i+1] - axis[i]) along that axis.
     edges = []
     for k in range(n):
-        sl_hi = [slice(None)] * n
-        sl_lo = [slice(None)] * n
-        sl_hi[k] = slice(1, None)
-        sl_lo[k] = slice(None, -1)
+        sl_hi = [every] * (n + 1)
+        sl_lo = [every] * (n + 1)
+        sl_hi[k + 1] = slice(1, None)
+        sl_lo[k + 1] = slice(None, -1)
         diff = X[tuple(sl_hi)] - X[tuple(sl_lo)]
         h = np.diff(label_axes[k])
-        h_shape = [1] * n
-        h_shape[k] = h.size
-        edges.append(diff / h.reshape(h_shape + [1]))
+        h_shape = [1] * (n + 2)
+        h_shape[k + 1] = h.size
+        edges.append(diff / h.reshape(h_shape))
 
-    jacs = np.empty(cell_shape + (1 << n, n, n))
+    jacs = np.empty(X.shape[:1] + cell_shape + (1 << n, n, n))
     for c, offsets in enumerate(product((0, 1), repeat=n)):
         for k in range(n):
-            sl = []
+            sl = [every]
             for j in range(n):
                 size_j = cell_shape[j]
                 if j == k:
@@ -137,8 +210,8 @@ def _cell_corner_jacobians(label_axes, X) -> np.ndarray:
     return jacs
 
 
-def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Determinants of a stack of Jacobians, and the largest singular-value ratio.
+def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a stack of Jacobians, and the singular-value ratio of each.
 
     The ratio of a 1x1 Jacobian is 1 unless it vanishes; 2x2 ratios come from the
     closed-form singular values, with s_max^2 = (S + sqrt(S^2 - 4 det^2)) / 2 for the
@@ -159,48 +232,53 @@ def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, float]:
         sv = np.linalg.svd(jacs, compute_uv=False)
         with np.errstate(divide="ignore"):
             ratios = np.where(sv[..., -1] > 0, sv[..., 0] / sv[..., -1], np.inf)
-    return dets, float(np.max(ratios)) if ratios.size else 1.0
+    return dets, ratios
 
 
-def _build_chart(label_axes, X, log_I, t: float) -> FlowChart:
+def _build_stack(label_axes, X, log_I, t: float) -> ChartStack:
+    """Chart metadata for every row of ``X`` at once; one warning per flagged row."""
+    rows = X.shape[0]
     n = len(label_axes)
-    box = Box(tuple(float(ax[0]) for ax in label_axes), tuple(float(ax[-1]) for ax in label_axes))
-    dets, max_def = _det_and_deformation(_cell_corner_jacobians(label_axes, X))
+    dets, ratios = _det_and_deformation(_cell_corner_jacobians(label_axes, X))
     degenerate = np.min(dets, axis=-1) <= DEGENERATE_DET_THRESHOLD
-    under = bool(max_def > MAX_DEFORMATION_RATIO)
-    if under:
+    ratios = ratios.reshape(rows, -1)
+    max_def = ratios.max(axis=1) if ratios.shape[1] else np.ones(rows)
+    under = max_def > MAX_DEFORMATION_RATIO
+    for ratio in max_def[under]:
         warnings.warn(
             f"chart at t={t:.6g} is under-resolved: max deformation ratio "
-            f"{max_def:.3g} exceeds {MAX_DEFORMATION_RATIO:g}",
+            f"{ratio:.3g} exceeds {MAX_DEFORMATION_RATIO:g}",
             stacklevel=3,
         )
-    flatX = X.reshape(-1, n)
-    return FlowChart(
+    flatX = X.reshape(rows, -1, n)
+    return ChartStack(
         t=float(t),
         label_axes=tuple(label_axes),
         X=X,
         log_I=log_I,
-        box=box,
         degenerate_cells=degenerate,
-        image_lo=flatX.min(axis=0),
-        image_hi=flatX.max(axis=0),
+        image_lo=flatX.min(axis=1),
+        image_hi=flatX.max(axis=1),
         max_deformation=max_def,
         under_resolved=under,
     )
 
 
-def chart_from_batch(result: BatchResult, t: float, realization_slot: int) -> FlowChart:
-    """Chart of one realization (by positional slot) of a batch at a stored time."""
+def chart_stack(result: BatchResult, t: float, realization_slots) -> ChartStack:
+    """Charts of the given realization slots of a batch at one stored time."""
     s = result.time_slot(t)
-    r = int(realization_slot)
-    shape = result.label_shape
-    n = result.n
-    return _build_chart(
+    slots = np.asarray(realization_slots, dtype=np.intp).reshape(-1)
+    return _build_stack(
         result.label_axes,
-        result.X[s, r].reshape(shape + (n,)),
-        result.log_I[s, r].reshape(shape),
+        result.X[s, slots].reshape((slots.size,) + result.label_shape + (result.n,)),
+        result.log_I[s, slots].reshape((slots.size,) + result.label_shape),
         float(result.times[s]),
     )
+
+
+def chart_from_batch(result: BatchResult, t: float, realization_slot: int) -> FlowChart:
+    """Chart of one realization (by positional slot) of a batch at a stored time."""
+    return chart_stack(result, t, [int(realization_slot)]).chart(0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +286,64 @@ def chart_from_batch(result: BatchResult, t: float, realization_slot: int) -> Fl
 # ---------------------------------------------------------------------------
 
 
-def _invert_batch_1d(chart: FlowChart, x: np.ndarray):
-    ax = chart.label_axes[0]
-    xg = chart.X[:, 0]
+def _search_right(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(row, x, side="right")`` for every sorted row, in one pass.
+
+    Binary lifting over (R, Q): a probe moves right unless the query is below it, so a
+    NaN query lands past the end, as numpy sorts NaN last.
+    """
+    r, size = rows.shape
+    flat = rows.reshape(-1)
+    base = np.arange(r, dtype=np.intp)[:, None] * size
+    pos = np.zeros((r, x.size), dtype=np.intp)
+    step = 1 << (size.bit_length() - 1)  # the largest power of two <= size
+    while step:
+        cand = pos + step
+        probe = flat[base + np.minimum(cand, size) - 1]
+        pos = np.where((cand <= size) & ~(x < probe), cand, pos)
+        step >>= 1
+    return pos
+
+
+def _invert_rows_1d(stack: ChartStack, x: np.ndarray):
+    """Labels (R, Q) and statuses (R, Q) of shared queries ``x`` on 1D charts."""
+    ax = stack.label_axes[0]
+    xg = stack.X[..., 0]
+    rows, size = xg.shape
     q = x.shape[0]
-    labels = np.full(q, np.nan)
-    status = np.full(q, STATUS_OUT_OF_CHART, dtype=np.int8)
-    nondeg = ~chart.degenerate_cells
+    labels = np.full((rows, q), np.nan)
+    status = np.full((rows, q), STATUS_OUT_OF_CHART, dtype=np.int8)
+    nondeg = ~stack.degenerate_cells
+    increasing = np.all(np.diff(xg, axis=1) > 0, axis=1)
 
-    increasing = bool(np.all(np.diff(xg) > 0))
-    if increasing:
-        tol = 1e-12 * max(1.0, float(max(abs(xg[0]), abs(xg[-1]))))
-        inside = (x >= xg[0] - tol) & (x <= xg[-1] + tol)
-        j = np.clip(np.searchsorted(xg, x, side="right") - 1, 0, xg.size - 2)
-        ok = inside & nondeg[j]
-        stuck = inside & ~nondeg[j]
-        s = (x[ok] - xg[j[ok]]) / (xg[j[ok] + 1] - xg[j[ok]])
-        labels[ok] = ax[j[ok]] + np.clip(s, 0.0, 1.0) * (ax[j[ok] + 1] - ax[j[ok]])
-        status[ok] = STATUS_OK
-        status[stuck] = STATUS_NO_CONVERGENCE
-        return labels[:, None], status
+    mono = np.nonzero(increasing)[0]
+    if mono.size:
+        g = xg[mono]
+        tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(g[:, 0]), np.abs(g[:, -1])))
+        inside = (x >= (g[:, 0] - tol)[:, None]) & (x <= (g[:, -1] + tol)[:, None])
+        j = np.clip(_search_right(g, x) - 1, 0, size - 2)
+        cell_ok = np.take_along_axis(nondeg[mono], j, axis=1)
+        r_ok, q_ok = np.nonzero(inside & cell_ok)
+        j_ok = j[r_ok, q_ok]
+        lo = g[r_ok, j_ok]
+        s = (x[q_ok] - lo) / (g[r_ok, j_ok + 1] - lo)
+        labels[mono[r_ok], q_ok] = ax[j_ok] + np.clip(s, 0.0, 1.0) * (ax[j_ok + 1] - ax[j_ok])
+        status[mono[r_ok], q_ok] = STATUS_OK
+        r_stuck, q_stuck = np.nonzero(inside & ~cell_ok)
+        status[mono[r_stuck], q_stuck] = STATUS_NO_CONVERGENCE
 
-    # Folded chart: scan cells for a bracket (first non-degenerate bracketing cell).
-    lo = np.minimum(xg[:-1], xg[1:])
-    hi = np.maximum(xg[:-1], xg[1:])
-    cand = (x[:, None] >= lo[None, :]) & (x[:, None] <= hi[None, :]) & nondeg[None, :]
-    has = cand.any(axis=1)
-    first = np.argmax(cand, axis=1)
-    j = first[has]
-    xx = x[has]
-    s = (xx - xg[j]) / (xg[j + 1] - xg[j])
-    labels[has] = ax[j] + np.clip(s, 0.0, 1.0) * (ax[j + 1] - ax[j])
-    status[has] = STATUS_OK
-    return labels[:, None], status
+    # Folded charts: scan cells for a bracket (first non-degenerate bracketing cell).
+    for r in np.nonzero(~increasing)[0]:
+        g = xg[r]
+        lo = np.minimum(g[:-1], g[1:])
+        hi = np.maximum(g[:-1], g[1:])
+        cand = (x[:, None] >= lo[None, :]) & (x[:, None] <= hi[None, :]) & nondeg[r][None, :]
+        has = cand.any(axis=1)
+        j = np.argmax(cand, axis=1)[has]
+        s = (x[has] - g[j]) / (g[j + 1] - g[j])
+        labels[r, has] = ax[j] + np.clip(s, 0.0, 1.0) * (ax[j + 1] - ax[j])
+        status[r, has] = STATUS_OK
+    return labels, status
 
 
 def _solve_newton_steps(jac: np.ndarray, rhs: np.ndarray):
@@ -262,9 +365,29 @@ def _solve_newton_steps(jac: np.ndarray, rhs: np.ndarray):
     return step, good
 
 
-def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
-    n = chart.n
-    axes = chart.label_axes
+def _nearest_node(flat_X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the stored node nearest to each query, the first one on a tie.
+
+    The squared distance is summed axis by axis over blocks of queries, so the table
+    is (block, L) rather than (Q, L, n); its bits are those of
+    ``((x[:, None, :] - flat_X[None]) ** 2).sum(axis=2)``.
+    """
+    cols = [np.ascontiguousarray(flat_X[:, k]) for k in range(flat_X.shape[1])]
+    nearest = np.empty(x.shape[0], dtype=np.intp)
+    for b0 in range(0, x.shape[0], _SEED_BLOCK_QUERIES):
+        xb = x[b0 : b0 + _SEED_BLOCK_QUERIES]
+        d2 = np.square(xb[:, :1] - cols[0])
+        for k in range(1, len(cols)):
+            d2 += np.square(xb[:, k : k + 1] - cols[k])
+        nearest[b0 : b0 + xb.shape[0]] = np.argmin(d2, axis=1)
+    return nearest
+
+
+def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
+    """Damped Newton for the queries ``x`` on row ``r`` of an nD stack."""
+    n = stack.n
+    axes = stack.label_axes
+    X = stack.X[r]
     q = x.shape[0]
     lo = np.array([ax[0] for ax in axes])
     hi = np.array([ax[-1] for ax in axes])
@@ -272,17 +395,15 @@ def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
 
     status = np.full(q, STATUS_NO_CONVERGENCE, dtype=np.int8)
     margin = 1e-9 * (1.0 + np.abs(x))
-    in_bbox = np.all((x >= chart.image_lo - margin) & (x <= chart.image_hi + margin), axis=1)
+    in_bbox = np.all((x >= stack.image_lo[r] - margin) & (x <= stack.image_hi[r] + margin), axis=1)
     status[~in_bbox] = STATUS_OUT_OF_CHART
 
     # Seed from the label whose stored image is nearest to the query.
     flat_labels = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    flat_X = chart.X.reshape(-1, n)
     a = np.empty((q, n))
     active = in_bbox.copy()
     if active.any():
-        d2 = ((x[active, None, :] - flat_X[None, :, :]) ** 2).sum(axis=2)
-        a[active] = flat_labels[np.argmin(d2, axis=1)]
+        a[active] = flat_labels[_nearest_node(X.reshape(-1, n), x[active])]
     a[~active] = np.nan
 
     resid = np.full(q, np.inf)
@@ -290,11 +411,11 @@ def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
         if not active.any():
             break
         ai = a[active]
-        vals, grads, _ = multilinear_interp_with_grad(axes, chart.X, ai)
+        vals, grads, _ = multilinear_interp_with_grad(axes, X, ai)
         f = vals - x[active]
-        r = np.max(np.abs(f), axis=1)
-        resid[active] = r
-        conv = r <= scale[active]
+        res = np.max(np.abs(f), axis=1)
+        resid[active] = res
+        conv = res <= scale[active]
         if conv.any():
             idx_active = np.nonzero(active)[0]
             status[idx_active[conv]] = STATUS_OK
@@ -302,7 +423,7 @@ def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
             keep = ~conv
             if not keep.any():
                 break
-            ai, f, r = ai[keep], f[keep], r[keep]
+            ai, f, res = ai[keep], f[keep], res[keep]
             grads = grads[keep]
 
         step, good = _solve_newton_steps(grads, -f)
@@ -311,21 +432,21 @@ def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
             # Singular interpolant Jacobian: cannot proceed for these queries.
             status[idx_active[~good]] = STATUS_NO_CONVERGENCE
             active[idx_active[~good]] = False
-            ai, f, r, step = ai[good], f[good], r[good], step[good]
+            ai, f, res, step = ai[good], f[good], res[good], step[good]
             idx_active = idx_active[good]
             if ai.shape[0] == 0:
                 continue
 
         # Damped update: halve until the residual decreases (projected into the box).
         cur = ai.copy()
-        cur_r = r.copy()
+        cur_r = res.copy()
         pending = np.ones(ai.shape[0], dtype=bool)
         trial_step = step.copy()
         for _h in range(_NEWTON_MAX_HALVINGS):
             if not pending.any():
                 break
             cand = np.clip(ai[pending] + trial_step[pending], lo, hi)
-            vals_c = multilinear_interp(axes, chart.X, cand, out_of_range="clamp")
+            vals_c = multilinear_interp(axes, X, cand, out_of_range="clamp")
             r_c = np.max(np.abs(vals_c - x[idx_active[pending]]), axis=1)
             better = r_c < cur_r[pending]
             pend_idx = np.nonzero(pending)[0]
@@ -353,19 +474,47 @@ def _invert_batch_nd(chart: FlowChart, x: np.ndarray):
         status[idx_un[on_edge]] = STATUS_OUT_OF_CHART
 
     # Reject labels that resolve into degenerate cells.
+    degenerate = stack.degenerate_cells[r]
     okm = status == STATUS_OK
-    if okm.any() and chart.degenerate_cells.any():
+    if okm.any() and degenerate.any():
         cells = np.empty((int(okm.sum()), n), dtype=np.int64)
         for k, ax in enumerate(axes):
             cells[:, k] = np.clip(
                 np.searchsorted(ax, a[okm, k], side="right") - 1, 0, ax.size - 2
             )
-        bad = chart.degenerate_cells[tuple(cells[:, k] for k in range(n))]
+        bad = degenerate[tuple(cells[:, k] for k in range(n))]
         idx_ok = np.nonzero(okm)[0]
         status[idx_ok[bad]] = STATUS_NO_CONVERGENCE
 
     a[status != STATUS_OK] = np.nan
     return a, status
+
+
+def _query_points(points, n: int) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None] if n == 1 else pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise DimensionMismatch(f"query points must have shape (Q, {n})")
+    return pts
+
+
+def invert_stack(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
+    """Recover labels for the same query positions on every chart of a stack.
+
+    Returns ``(labels, status)`` with labels shape (R, Q, n) and status (R, Q); failed
+    entries are NaN with status OUT_OF_CHART or NO_CONVERGENCE.  1D rows are
+    bracketed together; nD rows run damped Newton one row at a time.
+    """
+    pts = _query_points(points, stack.n)
+    if stack.n == 1:
+        labels, status = _invert_rows_1d(stack, pts[:, 0])
+        return labels[..., None], status
+    labels = np.empty((stack.num_rows, pts.shape[0], stack.n))
+    status = np.empty((stack.num_rows, pts.shape[0]), dtype=np.int8)
+    for r in range(stack.num_rows):
+        labels[r], status[r] = _invert_row_nd(stack, r, pts)
+    return labels, status
 
 
 def invert_batch(chart: FlowChart, points) -> tuple[np.ndarray, np.ndarray]:
@@ -375,14 +524,8 @@ def invert_batch(chart: FlowChart, points) -> tuple[np.ndarray, np.ndarray]:
     status OUT_OF_CHART (query outside the chart image) or NO_CONVERGENCE
     (under-resolved chart).  Never raises for individual points.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None] if chart.n == 1 else pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != chart.n:
-        raise DimensionMismatch(f"query points must have shape (Q, {chart.n})")
-    if chart.n == 1:
-        return _invert_batch_1d(chart, pts[:, 0])
-    return _invert_batch_nd(chart, pts)
+    labels, status = invert_stack(_as_stack(chart), points)
+    return labels[0], status[0]
 
 
 def roundtrip_error(chart: FlowChart, interior_only: bool = True) -> dict:
@@ -434,18 +577,33 @@ def passive_scalar_batch(chart: FlowChart, f0: FieldExpr, points):
     return vals, status
 
 
+def feynman_kac_psi_stack(stack: ChartStack, exprs, points):
+    """Exponentially weighted transported data of several fields on every chart.
+
+    For each field f in ``exprs`` the value at (row r, query q) is f(label) *
+    exp(log-weight of row r interpolated at the label), the stored log-weight grid
+    being interpolated in log space.  One inversion serves every field, and each field
+    is evaluated once over the recovered labels of all rows.  Returns
+    ``(values, status)``: a list of (R, Q) arrays in the order of ``exprs``, NaN where
+    the status is not OK.
+    """
+    labels, status = invert_stack(stack, points)
+    ok = status == STATUS_OK
+    values = [np.full(status.shape, np.nan) for _ in exprs]
+    if ok.any():
+        lab = labels[ok]
+        rows = np.nonzero(ok)[0]
+        w = np.exp(multilinear_interp_rows(stack.label_axes, stack.log_I, rows, lab))
+        for out, f in zip(values, exprs):
+            out[ok] = _eval_initial(f, lab) * w
+    return values, status
+
+
 def feynman_kac_psi_batch(chart: FlowChart, f0: FieldExpr, points):
     """Exponentially weighted transported data at many positions.
 
     Value = f0(label) * exp(interpolated log-weight at the label); the stored
     log-weight grid is interpolated in log space.  Returns ``(values, status)``.
     """
-    labels, status = invert_batch(chart, points)
-    ok = status == STATUS_OK
-    vals = np.full(labels.shape[0], np.nan)
-    if ok.any():
-        base = _eval_initial(f0, labels[ok])
-        logw = multilinear_interp(chart.label_axes, chart.log_I, labels[ok], out_of_range="clamp")
-        vals[ok] = base * np.exp(logw)
-    return vals, status
-
+    (vals,), status = feynman_kac_psi_stack(_as_stack(chart), (f0,), points)
+    return vals[0], status[0]

@@ -79,10 +79,13 @@ def test_tracker_gaps_do_not_depend_on_chunk_size(additive_cfg):
     assert gaps[0] == gaps[1]
 
 
-@pytest.mark.parametrize("name", ["additive_linear_1d", "heat_identity"])
+@pytest.mark.parametrize(
+    "name", ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d"]
+)
 def test_every_check_result_does_not_depend_on_chunk_size(name):
     # 100 realizations in one chunk or in chunks of 37, 37 and 26: every metric and
-    # every series point agrees bit for bit.
+    # every series point agrees bit for bit.  The last two scenarios have variable
+    # sigma and growth V, so their charts and log-weights differ per realization.
     cfg = load_config(str(bundled_scenario_path(name)))
     for check in cfg.checks:
         runs = []

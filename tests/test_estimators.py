@@ -250,6 +250,39 @@ def test_collect_psi_thread_and_chunk_invariance():
         assert np.array_equal(base.realization_indices, other.realization_indices)
 
 
+def test_collect_psi_peak_memory_is_bounded_by_the_block():
+    # One chunk of 1000 realizations: the charts are inverted in stacks of
+    # _PSI_BLOCK_ROWS rows written in place, so the tracemalloc peak is the engine
+    # snapshot plus the outputs plus temporaries that scale with the block, not with
+    # the chunk (inverting the whole chunk as one stack needs about 40 MB more).
+    import tracemalloc
+
+    from stochflow.estimators import _PSI_BLOCK_ROWS
+
+    cs = make_coeffs("1", nu=0.05, n=1)
+    labels = np.linspace(-4.0, 4.0, 17)
+    queries = np.linspace(-1.0, 1.0, 400)
+    realizations = 1000
+    driver = BrownianDriver(seed=5, dt=0.01, n=1)
+    f0 = parse_field("exp(-x1*x1)", 1)
+    rho0 = parse_field("1 + 0.5*exp(-0.5*x1*x1)", 1)
+    snapshot = simulate_paths(cs, (labels,), 10, [10], driver, range(realizations), box=BOX)
+    snapshot_bytes = sum(v.nbytes for v in vars(snapshot).values() if isinstance(v, np.ndarray))
+    del snapshot
+    tracemalloc.start()
+    try:
+        samples = collect_psi_samples(cs, labels, [0.1], driver, f0, rho0, queries,
+                                      realizations=realizations, box=BOX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.num_discarded == 0 and np.all(samples.status == STATUS_OK)
+    output_bytes = samples.psi_f.nbytes + samples.psi_rho.nbytes + samples.status.nbytes
+    # 32 doubles per (block row, query or label): about twice what one block uses.
+    allowance = 32 * 8 * _PSI_BLOCK_ROWS * (queries.size + labels.size)
+    assert peak <= snapshot_bytes + output_bytes + allowance
+
+
 def test_collect_psi_validation():
     cs = make_coeffs("1", nu=0.05, n=1)
     driver = BrownianDriver(seed=1, dt=0.01, n=1)

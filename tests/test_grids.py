@@ -9,6 +9,7 @@ from stochflow.grids import (
     grid_axes,
     mesh_points,
     multilinear_interp,
+    multilinear_interp_rows,
     multilinear_interp_with_grad,
     trapezoid_weights,
 )
@@ -126,6 +127,25 @@ def test_interp_out_of_range_modes():
     assert not inside.any()
     inside_pt = multilinear_interp(axes, vals, np.array([[0.25]]), out_of_range="mask")
     assert inside_pt[1].all() and inside_pt[0][0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interp_rows_matches_one_grid_at_a_time(n):
+    # Each point reads its own grid of the stack, with the bits of the one-grid
+    # interpolant in clamp mode, points outside the grid included.
+    rng = np.random.default_rng(n)
+    axes = tuple(np.sort(rng.uniform(-1.0, 1.0, 6 + k)) for k in range(n))
+    stack = rng.normal(size=(5,) + tuple(ax.size for ax in axes))
+    rows = rng.integers(0, 5, size=40)
+    pts = rng.uniform(-1.3, 1.3, size=(40, n))
+    got = multilinear_interp_rows(axes, stack, rows, pts)
+    ref = np.array([
+        multilinear_interp(axes, stack[r], p[None, :], out_of_range="clamp")[0]
+        for r, p in zip(rows, pts)
+    ])
+    assert got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        multilinear_interp_rows(axes, stack[:, :-1], rows, pts)
 
 
 def test_interp_with_grad_exact_on_multilinear():

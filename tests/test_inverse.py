@@ -14,13 +14,20 @@ from stochflow.errors import DimensionMismatch
 from stochflow.fields import parse_field
 from stochflow.grids import Box
 from stochflow.inverse import (
+    _SEED_BLOCK_QUERIES,
     STATUS_NO_CONVERGENCE,
     STATUS_OK,
     STATUS_OUT_OF_CHART,
+    _build_stack,
     _det_and_deformation,
+    _nearest_node,
+    _search_right,
     chart_from_batch,
+    chart_stack,
     feynman_kac_psi_batch,
+    feynman_kac_psi_stack,
     invert_batch,
+    invert_stack,
     passive_scalar_batch,
     roundtrip_error,
 )
@@ -221,12 +228,13 @@ def test_under_resolved_chart_is_flagged_and_rejects():
 def test_deformation_ratio_comes_from_corner_jacobians(heat_run, monkeypatch):
     # 2x2: the closed-form singular-value ratio is the SVD's s_max / s_min.
     jacs = np.random.default_rng(3).normal(size=(50, 2, 2))
-    dets, ratio = _det_and_deformation(jacs)
+    dets, ratios = _det_and_deformation(jacs)
     sv = np.linalg.svd(jacs, compute_uv=False)
-    assert ratio == pytest.approx(np.max(sv[:, 0] / sv[:, 1]), rel=1e-8)
+    assert np.allclose(ratios, sv[:, 0] / sv[:, 1], rtol=1e-8, atol=0.0)
+    assert np.max(ratios) == pytest.approx(np.max(sv[:, 0] / sv[:, 1]), rel=1e-8)
     assert np.allclose(dets, np.linalg.det(jacs), rtol=1e-12)
     # A singular Jacobian has an infinite ratio.
-    assert _det_and_deformation(np.array([[[1.0, 2.0], [2.0, 4.0]]]))[1] == np.inf
+    assert _det_and_deformation(np.array([[[1.0, 2.0], [2.0, 4.0]]]))[1][0] == np.inf
 
     # 1D: every non-zero slope has ratio 1, and building the chart runs no SVD.
     def no_svd(*args, **kwargs):
@@ -302,3 +310,193 @@ def test_folded_chart_statuses_and_defining_relation():
             assert np.allclose(forward, queries[ok], atol=1e-9)
             checked_ok += int(ok.sum())
     assert checked_ok > 0
+
+
+# ---------------------------------------------------------------------------
+# Chart stacks: one stored time, many realizations
+# ---------------------------------------------------------------------------
+
+
+def _reference_invert_1d(ax, xg, degenerate, x):
+    """One chart at a time, bracketing with np.searchsorted: the stacked kernel's
+    reference, with the same floating-point operations."""
+    q = x.shape[0]
+    labels = np.full(q, np.nan)
+    status = np.full(q, STATUS_OUT_OF_CHART, dtype=np.int8)
+    nondeg = ~degenerate
+    if np.all(np.diff(xg) > 0):
+        tol = 1e-12 * max(1.0, float(max(abs(xg[0]), abs(xg[-1]))))
+        inside = (x >= xg[0] - tol) & (x <= xg[-1] + tol)
+        j = np.clip(np.searchsorted(xg, x, side="right") - 1, 0, xg.size - 2)
+        ok = inside & nondeg[j]
+        s = (x[ok] - xg[j[ok]]) / (xg[j[ok] + 1] - xg[j[ok]])
+        labels[ok] = ax[j[ok]] + np.clip(s, 0.0, 1.0) * (ax[j[ok] + 1] - ax[j[ok]])
+        status[ok] = STATUS_OK
+        status[inside & ~nondeg[j]] = STATUS_NO_CONVERGENCE
+        return labels, status
+    lo = np.minimum(xg[:-1], xg[1:])
+    hi = np.maximum(xg[:-1], xg[1:])
+    cand = (x[:, None] >= lo[None, :]) & (x[:, None] <= hi[None, :]) & nondeg[None, :]
+    has = cand.any(axis=1)
+    j = np.argmax(cand, axis=1)[has]
+    s = (x[has] - xg[j]) / (xg[j + 1] - xg[j])
+    labels[has] = ax[j] + np.clip(s, 0.0, 1.0) * (ax[j + 1] - ax[j])
+    status[has] = STATUS_OK
+    return labels, status
+
+
+@pytest.mark.parametrize("size", [2, 3, 7, 8, 9, 25, 64, 65])
+def test_stacked_bracket_matches_searchsorted(size):
+    rng = np.random.default_rng(size)
+    rows = np.cumsum(rng.uniform(0.01, 1.0, size=(6, size)), axis=1) - 3.0
+    rows[1] *= 1e3  # a wide row, whose chart tolerance exceeds 1e-12
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1])))
+    x = np.concatenate([
+        rows.reshape(-1),  # every stored node exactly
+        rows[:, 0] - tol, rows[:, -1] + tol,  # the chart's tolerance edges
+        rows[:, 0] - 1.0, rows[:, -1] + 1.0,  # outside every chart
+        rng.uniform(rows.min() - 1.0, rows.max() + 1.0, 40),
+        [np.nan, np.inf, -np.inf, 0.0, -0.0],
+    ])
+    got = _search_right(rows, x)
+    ref = np.stack([np.searchsorted(row, x, side="right") for row in rows])
+    assert np.array_equal(got, ref)
+
+
+def test_stacked_bracket_tolerance_edges():
+    # Queries within the chart tolerance of either end resolve to the end labels;
+    # queries just beyond it are out of the chart.
+    ax = np.linspace(-1.0, 1.0, 9)
+    X = np.stack([ax * 2.0 + 0.5, ax * 3.0 - 0.25])[..., None]
+    stack = _build_stack((ax,), X, np.zeros(X.shape[:2]), 0.0)
+    lo, hi = X[:, 0, 0], X[:, -1, 0]
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    for r in range(2):
+        x = np.array([lo[r] - tol[r], hi[r] + tol[r], lo[r] - 4 * tol[r], hi[r] + 4 * tol[r]])
+        labels, status = invert_stack(stack, x)
+        assert status[r].tolist() == [STATUS_OK, STATUS_OK, STATUS_OUT_OF_CHART, STATUS_OUT_OF_CHART]
+        assert labels[r, :2, 0].tolist() == [-1.0, 1.0]
+        assert np.isnan(labels[r, 2:]).all()
+
+
+def _mixed_rows():
+    """Monotone, monotone with degenerate cells, folded, and reversed 1D rows."""
+    ax = np.linspace(-2.0, 2.0, 9)
+    regular = 1.5 * ax + 0.1 * np.sin(ax)
+    flat_cell = ax.copy()
+    flat_cell[5:] += 1e-11 - (ax[5] - ax[4])  # cell 4 is increasing but degenerate
+    folded = ax.copy()
+    folded[3], folded[4] = ax[4], ax[3]  # one fold in the middle
+    reversed_ = -ax  # every cell degenerate
+    plateau = np.where(ax < 0.0, ax, 0.0)  # non-decreasing: scanned, not bracketed
+    return ax, np.stack([regular, flat_cell, folded, regular + 0.3, reversed_, plateau])
+
+
+def test_mixed_stack_matches_the_single_chart_path():
+    ax, rows = _mixed_rows()
+    X = rows[..., None]
+    log_I = np.cos(rows)
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the plateau row's zero slope is flagged
+        stack = _build_stack((ax,), X, log_I, 0.5)
+    assert stack.degenerate_cells[1].any() and stack.degenerate_cells[4].all()
+    assert stack.degenerate_cells[2].any()
+    x = np.concatenate([rows.reshape(-1), np.linspace(-4.0, 4.0, 57), [np.nan]])
+    labels, status = invert_stack(stack, x)
+    assert labels.shape == (rows.shape[0], x.size, 1) and status.shape == (rows.shape[0], x.size)
+    seen = set()
+    for r in range(rows.shape[0]):
+        ref_labels, ref_status = _reference_invert_1d(ax, rows[r], stack.degenerate_cells[r], x)
+        assert np.array_equal(status[r], ref_status)
+        assert np.array_equal(labels[r, :, 0], ref_labels, equal_nan=True)
+        assert labels[r, :, 0].tobytes() == ref_labels.tobytes()
+        one_labels, one_status = invert_batch(stack.chart(r), x)
+        assert one_labels.tobytes() == labels[r].tobytes()
+        assert np.array_equal(one_status, status[r])
+        seen.update(status[r].tolist())
+    assert seen == {STATUS_OK, STATUS_OUT_OF_CHART, STATUS_NO_CONVERGENCE}
+    assert (status[1] == STATUS_NO_CONVERGENCE).any()
+
+    # psi on the stack is the single-chart psi, row by row, for every field.
+    f0 = parse_field("exp(-x1*x1)", 1)
+    rho0 = parse_field("1 + 0.5*x1*x1", 1)
+    (vf, vr), st = feynman_kac_psi_stack(stack, (f0, rho0), x)
+    assert np.array_equal(st, status)
+    for r in range(rows.shape[0]):
+        one_f, _ = feynman_kac_psi_batch(stack.chart(r), f0, x)
+        one_r, _ = feynman_kac_psi_batch(stack.chart(r), rho0, x)
+        assert vf[r].tobytes() == one_f.tobytes()
+        assert vr[r].tobytes() == one_r.tobytes()
+
+
+def test_chart_stack_rows_equal_single_charts():
+    # A batch with folded and regular realizations: every stack row carries the
+    # metadata of the chart built alone, and inverts to the same bits.
+    cs = make_coeffs("1 + 0.9*sin(3*x1)", nu=0.5, n=1, box=Box((-30.0,), (30.0,)))
+    driver = BrownianDriver(seed=5, dt=0.5, n=1)
+    result = simulate_paths(
+        cs, (np.linspace(-1, 1, 5),), num_steps=4, store_indices=[4],
+        driver=driver, realization_indices=range(64),
+    )
+    slots = np.nonzero(result.alive)[0]
+    assert result.degenerate[slots].any() and not result.degenerate[slots].all()
+    stack = chart_stack(result, result.times[-1], slots)
+    x = np.linspace(-6.0, 6.0, 49)
+    labels, status = invert_stack(stack, x)
+    for i, slot in enumerate(slots):
+        chart = chart_from_batch(result, result.times[-1], int(slot))
+        row = stack.chart(i)
+        assert np.array_equal(row.degenerate_cells, chart.degenerate_cells)
+        assert row.max_deformation == chart.max_deformation
+        assert np.array_equal(row.image_lo, chart.image_lo)
+        assert np.array_equal(row.image_hi, chart.image_hi)
+        one_labels, one_status = invert_batch(chart, x)
+        assert one_labels.tobytes() == labels[i].tobytes()
+        assert np.array_equal(one_status, status[i])
+
+
+def test_stack_warns_once_per_under_resolved_chart():
+    ax = np.linspace(-1.0, 1.0, 5)
+    grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    stretched = grid * np.array([100.0, 1.0])
+    X = np.stack([grid, stretched, grid, stretched * np.array([2.0, 1.0])])
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stack = _build_stack((ax, ax), X, np.zeros(X.shape[:3]), 0.25)
+    assert stack.under_resolved.tolist() == [False, True, False, True]
+    texts = [str(w.message) for w in caught]
+    assert texts == [
+        f"chart at t=0.25 is under-resolved: max deformation ratio {d:.3g} exceeds 50"
+        for d in (100.0, 200.0)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_seed_matches_brute_force_argmin(n):
+    rng = np.random.default_rng(n)
+    # Integer nodes and half-integer queries: many exact equal-distance ties.
+    nodes = rng.integers(-4, 5, size=(300, n)).astype(float)
+    queries = rng.integers(-8, 9, size=(2 * _SEED_BLOCK_QUERIES + 7, n)) / 2.0
+    smooth = rng.normal(size=(2 * _SEED_BLOCK_QUERIES + 7, n)) * 3.0
+    for flat_X, x in ((nodes, queries), (rng.normal(size=(1089, n)), smooth)):
+        brute = np.argmin(((x[:, None, :] - flat_X[None, :, :]) ** 2).sum(axis=2), axis=1)
+        assert np.array_equal(_nearest_node(flat_X, x), brute)
+    # Mirrored nodes (a, b, c) and (c, b, a) around a query at the origin: their
+    # squared distances are the same three squares summed in another order, so they
+    # tie or differ by rounding only, and the winner follows the brute-force bits.
+    flips = 0
+    for a in rng.uniform(0.5, 2.0, size=(200, n)):
+        pair = np.stack([a, a[::-1]])
+        brute = np.argmin(((0.0 - pair) ** 2).sum(axis=1))
+        assert _nearest_node(pair, np.zeros((1, n)))[0] == brute
+        flips += int(brute == 1)
+    assert flips > 0 if n == 3 else flips == 0
+    # An exact tie: the first of the equidistant nodes wins.
+    tie = np.zeros((4, n))
+    tie[1, 0], tie[2, 0], tie[3, 1] = 1.0, -1.0, 1.0
+    assert _nearest_node(tie[1:], np.zeros((1, n)))[0] == 0
+    assert _nearest_node(tie[[3, 2, 1]], np.zeros((1, n)))[0] == 0
