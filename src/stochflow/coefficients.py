@@ -12,8 +12,16 @@ and the path representation uses the effective drift
 :func:`assemble` parses the user's sigma / U / V expressions and symbolically builds
 every derived field the samplers need: first derivatives of sigma and U, a, u, v,
 grad v, div v, P, the column divergences of sigma, and the noise-geometry scalar E
-(the summed 2x2 minors of the sigma gradient) in both its defining minor form and
-the equivalent half-difference form, so the two can be cross-checked numerically.
+(the summed 2x2 minors of the sigma gradient).  The drift v is built from the
+expanded identity
+
+    v_j = U_j + nu sum_{k,p} (sigma_kp d_k sigma_jp - d_k sigma_kp sigma_jp),
+
+which is algebraically u_j + 2 nu (d_k sigma_jp) sigma_kp.  For a 1x1 or diagonal
+sigma every term of the sum is a product with a zero entry or cancels its partner
+(``sigma d sigma - d sigma sigma``), so the step compiler can fold v to exactly U
+and its derivatives to those of U, instead of relying on ``(U - y) + y`` to round
+back to U.
 """
 
 from __future__ import annotations
@@ -34,8 +42,6 @@ __all__ = [
     "CoefficientSample",
     "assemble",
     "sample",
-    "verify_E_forms",
-    "EFormsCheck",
     "min_diffusion_eigenvalue",
 ]
 
@@ -67,7 +73,6 @@ class CoefficientSet:
     div_v: FieldExpr
     P: FieldExpr
     E: FieldExpr
-    E_alt: FieldExpr
     div_sigma: tuple
     box: Box | None = None
 
@@ -169,15 +174,16 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         u.append(Uf[j] - nu * div_a_j)
     u = tuple(u)
 
-    # v_j = u_j + 2 nu (d_k sigma_jp) sigma_kp
+    # v_j = u_j + 2 nu (d_k sigma_jp) sigma_kp, expanded:
+    # v_j = U_j + nu sum_{k,p} (sigma_kp d_k sigma_jp - d_k sigma_kp sigma_jp)
     v = []
     for j in range(n):
         corr = None
-        for p in range(n):
-            for k in range(n):
-                term = dsig[k][j][p] * sig[k][p]
+        for k in range(n):
+            for p in range(n):
+                term = sig[k][p] * dsig[k][j][p] - dsig[k][k][p] * sig[j][p]
                 corr = term if corr is None else corr + term
-        v.append(u[j] + (2.0 * nu) * corr)
+        v.append(Uf[j] + nu * corr)
     v = tuple(v)
 
     dv = tuple(tuple(differentiate(v[j], k + 1) for j in range(n)) for k in range(n))
@@ -199,14 +205,6 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
             for j in range(i + 1, n):
                 minor = dsig[i][i][p] * dsig[j][j][p] - dsig[i][j][p] * dsig[j][i][p]
                 E = E + minor
-    # Equivalent half form: 1/2 [d_i sigma_ip d_j sigma_jp - d_j sigma_ip d_i sigma_jp]
-    E_alt = F.constant_field(0.0, n)
-    for p in range(n):
-        for i in range(n):
-            for j in range(n):
-                E_alt = E_alt + 0.5 * (
-                    dsig[i][i][p] * dsig[j][j][p] - dsig[j][i][p] * dsig[i][j][p]
-                )
 
     div_sigma = []
     for p in range(n):
@@ -231,7 +229,6 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         div_v=div_v,
         P=P,
         E=E,
-        E_alt=E_alt,
         div_sigma=div_sigma,
         box=box,
     )
@@ -282,35 +279,6 @@ def sample(cs: CoefficientSet, x, t: float = 0.0) -> CoefficientSample:
         P=float(eval_batch(cs.P, comps, t, memo)),
         E=float(eval_batch(cs.E, comps, t, memo)),
         div_sigma=_eval_grid(cs.div_sigma, comps, t, memo),
-    )
-
-
-@dataclass
-class EFormsCheck:
-    max_abs_diff: float
-    n_points: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_diff <= self.tolerance
-
-
-def verify_E_forms(
-    cs: CoefficientSet, points, t: float = 0.0, tolerance: float = 1e-10
-) -> EFormsCheck:
-    """Cross-check the minor-sum and half-difference forms of E at the given points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != cs.n:
-        raise DimensionMismatch(f"points must have shape (m, {cs.n})")
-    comps = tuple(pts[:, k] for k in range(cs.n))
-    memo: dict = {}
-    e1 = np.broadcast_to(eval_batch(cs.E, comps, t, memo), (pts.shape[0],))
-    e2 = np.broadcast_to(eval_batch(cs.E_alt, comps, t, memo), (pts.shape[0],))
-    return EFormsCheck(
-        max_abs_diff=float(np.max(np.abs(e1 - e2))) if pts.size else 0.0,
-        n_points=pts.shape[0],
-        tolerance=tolerance,
     )
 
 

@@ -18,9 +18,12 @@ with subtrees shared between sigma, the drift and their derivatives numbered onc
 and the state updates that consume them, into a straight-line program of ufunc calls
 that write into preallocated buffers (see ``fields.ProgramCompiler``).  The state is
 then advanced in place, with the floating-point operations of the plain update
-formulas in their order.  Exactly-zero coefficients (constant-folded by the expression
-layer) are skipped when the program is built, which makes trivial cases (identity
-sigma, zero drift) nearly free.
+formulas in their order.  The compiler is told that every coordinate lies in the padded
+box and the time in [0, num_steps*dt], and folds what provably vanishes there: for a
+1D or diagonal sigma the noise-induced part of the drift v and the field E are exactly
+0, so v reads U and every term they feed is skipped, as is any other term whose
+coefficient is a constant exact zero.  That makes trivial cases (identity sigma, zero
+drift) nearly free.  A value that may overflow or fail a domain check is never folded.
 
 Realizations whose chart leaves the padded integration box, or develops non-finite
 state, are flagged and their rows frozen to the box center so the remaining batch can
@@ -68,7 +71,9 @@ def escape_margin(nu: float, horizon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _compile_step(cs: CoefficientSet, dt: float) -> tuple[Program, bool]:
+def _compile_step(
+    cs: CoefficientSet, dt: float, coord_bounds, time_bounds
+) -> tuple[Program, bool]:
     """One Euler–Maruyama step of the full state as a straight-line program.
 
     Left-endpoint evaluation: every coefficient is read at the pre-step position and
@@ -76,11 +81,14 @@ def _compile_step(cs: CoefficientSet, dt: float) -> tuple[Program, bool]:
     of the value it overwrites; the positions, which every coefficient reads, are
     written last.  The floating-point operations and their order are those of the
     plain update formulas, term by term; a term is skipped only when its coefficient
-    is a constant exact zero, decided here once.  Returns the program and whether J
-    needs a second buffer: for n > 1, row j of the new J reads the old rows k.
+    compiles to a constant exact zero, decided here once.  The caller promises that
+    every step starts with the coordinates in ``coord_bounds`` and the time in
+    ``time_bounds``; the compiler folds to zero only what is provably zero there
+    (``fields.ProgramCompiler``).  Returns the program and whether J needs a second
+    buffer: for n > 1, row j of the new J reads the old rows k.
     """
     n = cs.n
-    b = ProgramCompiler(n)
+    b = ProgramCompiler(n, coord_bounds, time_bounds)
     f = b.field
     dW = [b.input(("dW", p), COLUMN) for p in range(n)]
     J = [[b.input(("J", j, i)) for i in range(n)] for j in range(n)]
@@ -175,11 +183,14 @@ class _Stepper:
     X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L).  The step program is
     compiled per stepper and its buffers belong to it alone, so concurrent
     simulations share nothing.  ``J`` names the current tangent buffer, which
-    alternates when the update needs two.
+    alternates when the update needs two.  ``coord_bounds`` and ``time_bounds``
+    must hold at the start of every step (see :func:`_compile_step`).
     """
 
-    def __init__(self, cs: CoefficientSet, dt: float, X, J, D, logL, logI):
-        program, double = _compile_step(cs, dt)
+    def __init__(
+        self, cs: CoefficientSet, dt: float, X, J, D, logL, logI, coord_bounds, time_bounds
+    ):
+        program, double = _compile_step(cs, dt, coord_bounds, time_bounds)
         n = cs.n
         shape = D.shape
         self._dW = np.empty((n, shape[0], 1))
@@ -402,7 +413,11 @@ def simulate_paths(
             alive[bad_fin] = False
             freeze(~alive)
 
-    stepper = _Stepper(cs, dt, X, J, D, logL, logI)
+    # Every step starts with each row inside the padded box or frozen at the box
+    # center, at a time in [0, horizon]: the bounds the step program may fold under.
+    stepper = _Stepper(
+        cs, dt, X, J, D, logL, logI, tuple(zip(plo, phi)), (0.0, horizon)
+    )
     if 0 in slot_of:
         snapshot(slot_of[0])
 

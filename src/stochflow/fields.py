@@ -15,16 +15,21 @@ symbolic derivatives stay inside the language.
 Trees are immutable and hash-consed: constructing the same shape twice returns the same
 object, which makes structural equality an identity check and lets evaluation share
 subtrees across many fields evaluated at the same points.  Constant subtrees are folded
-at construction; no other rewriting is done, except that additive/multiplicative
-identities with a literal 0/1 operand are dropped (``u*1 -> u``, ``u+0 -> u``) so
-derivative output stays readable.
+at construction; the trees are not otherwise rewritten, except that additive and
+multiplicative identities with a literal 0/1 operand are dropped (``u*1 -> u``,
+``u+0 -> u``) so derivative output stays readable.  ``0*u`` stays in the tree: ``u``
+may overflow or fail a domain check, and only a bound on ``u`` can rule that out.
 
 Evaluation is numpy-aware: variable slots may hold floats or same-shaped arrays.
 :func:`eval_batch` walks a tree once per call.  For repeated evaluation, as in every
 step of the Monte Carlo engine, :class:`ProgramCompiler` compiles many fields at once
 into a straight-line program: shared subtrees are numbered once (``a*b`` and ``b*a``
 included), constants and time-only subtrees become scalars, and every array operation
-writes into a reused buffer, with the same bits as :func:`eval_batch`.
+writes into a reused buffer, with the same bits as :func:`eval_batch`.  Given bounds on
+the coordinates and on time, the compiler also encloses every value in an interval
+(Moore 1966) and folds ``a - a``, ``-a + a`` and ``a*0`` to 0 and ``a + 0`` to ``a``
+wherever ``a`` is provably finite; such a fold changes no value, except possibly the
+sign of a zero.
 """
 
 from __future__ import annotations
@@ -812,6 +817,67 @@ _UFUNCS = {
 _POWER_UFUNCS = {2: np.square, -1: np.reciprocal}
 _COMMUTATIVE = ("add", "mul")
 
+# Every computed endpoint of an enclosure is widened outward by this relative amount
+# (and by the smallest subnormal), which covers the rounding of the endpoint
+# arithmetic and the few-ulp error of the transcendental ufuncs.
+_WIDEN = 2.0**-40
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _interval(lo, hi):
+    """``[lo, hi]`` widened outward, or None unless it is finite."""
+    lo = float(lo) - abs(float(lo)) * _WIDEN - _TINY
+    hi = float(hi) + abs(float(hi)) * _WIDEN + _TINY
+    return (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else None
+
+
+def _enclose(tag: str, param, args: list):
+    """An interval holding ``tag(*args)`` for every value in the operand intervals.
+
+    None where there is none that is finite: an operand without one, a possible
+    overflow, or an operand range on which the domain check of :func:`_apply` could
+    fail (a divisor or a negative power's base that may be 0, a log argument that
+    may be <= 0).
+    """
+    if any(a is None for a in args):
+        return None
+    (lo, hi), other = args[0], args[1:]
+    with np.errstate(all="ignore"):
+        if tag == "neg":
+            return (-hi, -lo)
+        if tag == "add":
+            return _interval(lo + other[0][0], hi + other[0][1])
+        if tag == "sub":
+            return _interval(lo - other[0][1], hi - other[0][0])
+        if tag in ("mul", "div"):
+            blo, bhi = other[0]
+            if tag == "div" and blo <= 0.0 <= bhi:
+                return None
+            ends = [_apply(tag, None, x, y) for x in (lo, hi) for y in (blo, bhi)]
+            return _interval(min(ends), max(ends))
+        if tag == "pow":
+            if param < 0 and lo <= 0.0 <= hi:
+                return None
+            ends = [np.float64(x) ** param for x in (lo, hi)]
+            if param % 2 == 0 and lo < 0.0 < hi:
+                return _interval(0.0, max(ends))
+            return _interval(min(ends), max(ends))
+        if param in ("sin", "cos"):
+            return (-1.0, 1.0)
+        if param == "log" and lo <= 0.0:
+            return None
+        return _interval(FUNCTIONS[param](lo), FUNCTIONS[param](hi))  # increasing
+
+
+def _proves(check, bounds) -> bool:
+    """True when every value in ``bounds`` passes the domain check ``check``."""
+    if bounds is None:
+        return False
+    lo, hi = bounds
+    if check is _check_log_argument:
+        return lo > 0.0
+    return lo > 0.0 or hi < 0.0
+
 
 def _copy(src, out) -> None:
     np.copyto(out, src)
@@ -828,23 +894,39 @@ class ProgramCompiler:
     the interned trees themselves are left as they are.  Every array operation
     writes into a buffer through ``out=``; :meth:`build` assigns the buffers by
     last use.  The domain checks of :func:`_apply` run as ops of their own.
+
+    ``coord_bounds`` (one ``(lo, hi)`` per coordinate) and ``time_bounds`` promise
+    that every run sees coordinates and a time inside them.  From them each slot gets
+    an interval enclosure, and :meth:`op` folds ``a - a``, ``-a + a``, ``a*0`` and
+    ``0*a`` to the constant 0 and ``a + 0``, ``a - 0`` to ``a`` when ``a`` has a
+    finite enclosure, so an overflow or a failed check is never folded away.  A
+    domain check is left out only when the enclosure of its operand proves it passes.
+    Without bounds only constants have enclosures, and nothing but constants folds.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, coord_bounds=None, time_bounds=None):
         self._kind: list = []  # per slot: "const" | "scalar" | "array" | "input"
         self._shape: list = []  # per slot: FIELD, COLUMN, or 0 for constants and scalars
+        self._bounds: list = []  # per slot: finite (lo, hi) enclosure, or None
         self._value: dict = {}  # constant slot -> value
         self._name: dict = {}  # input slot -> name
         self._keys: dict = {}  # value number -> slot
         self._nodes: dict = {}  # id(node) -> slot
+        self._negated: dict = {}  # slot of -a -> slot of a
         self._scalar_ops: list = []  # (slot, fn, argument slots)
         self._ops: list = []  # (fn, argument slots, out slot or None for a check)
         self.time = self._new("scalar", 0)
         self.coords = tuple(self.input(("x", k)) for k in range(dim))
+        if time_bounds is not None:
+            self._bounds[self.time] = tuple(map(float, time_bounds))
+        if coord_bounds is not None:
+            for slot, bounds in zip(self.coords, coord_bounds, strict=True):
+                self._bounds[slot] = tuple(map(float, bounds))
 
-    def _new(self, kind: str, shape: int) -> int:
+    def _new(self, kind: str, shape: int, bounds=None) -> int:
         self._kind.append(kind)
         self._shape.append(shape)
+        self._bounds.append(bounds)
         return len(self._kind) - 1
 
     # -- values --------------------------------------------------------------
@@ -853,7 +935,8 @@ class ProgramCompiler:
         key = ("const", type(value), float(value).hex())
         slot = self._keys.get(key)
         if slot is None:
-            slot = self._keys[key] = self._new("const", 0)
+            v = float(value)
+            slot = self._keys[key] = self._new("const", 0, (v, v) if np.isfinite(v) else None)
             self._value[slot] = value
         return slot
 
@@ -866,6 +949,10 @@ class ProgramCompiler:
     def is_zero(self, slot: int) -> bool:
         """True for a constant exact zero, the only value the engine may skip."""
         return self._kind[slot] == "const" and self._value[slot] == 0.0
+
+    def enclosure(self, slot: int):
+        """A finite ``(lo, hi)`` that holds every value of ``slot`` in the bounds, or None."""
+        return self._bounds[slot]
 
     def field(self, fe: FieldExpr) -> int:
         """The slot holding ``fe`` evaluated at the coordinate inputs and time."""
@@ -888,7 +975,10 @@ class ProgramCompiler:
         key = (tag, param, tuple(sorted(args)) if tag in _COMMUTATIVE else args)
         slot = self._keys.get(key)
         if slot is None:
-            slot = self._keys[key] = self._compute(tag, param, args)
+            slot = self._fold(tag, args)
+            if slot is None:
+                slot = self._compute(tag, param, args)
+            self._keys[key] = slot
         return slot
 
     def add(self, a: int, b: int) -> int:
@@ -897,16 +987,40 @@ class ProgramCompiler:
     def mul(self, a: int, b: int) -> int:
         return self.op("mul", a, b)
 
+    def _fold(self, tag: str, args: tuple):
+        """The slot of an identity that holds for every finite operand, or None."""
+        if tag not in ("add", "sub", "mul") or all(self._kind[a] == "const" for a in args):
+            return None
+        a, b = args
+        finite = self._bounds  # a finite enclosure, or None
+        if tag == "sub" and a == b and finite[a]:
+            return self.const(0.0)
+        if tag == "add" and (self._negated.get(a) == b or self._negated.get(b) == a):
+            if finite[a] and finite[b]:
+                return self.const(0.0)
+        if tag == "mul":
+            if (self.is_zero(a) and finite[b]) or (self.is_zero(b) and finite[a]):
+                return self.const(0.0)
+            return None
+        if self.is_zero(b) and finite[a]:
+            return a
+        if tag == "add" and self.is_zero(a) and finite[b]:
+            return b
+        return None
+
     def _compute(self, tag: str, param, args: tuple) -> int:
         shape = max(self._shape[a] for a in args)
+        bounds = _enclose(tag, param, [self._bounds[a] for a in args])
         if shape:
-            slot = self._new("array", shape)
+            slot = self._new("array", shape, bounds)
             self._array_op(tag, param, args, slot)
         elif all(self._kind[a] == "const" for a in args):
             slot = self.const(_apply(tag, param, *[self._value[a] for a in args]))
         else:
-            slot = self._new("scalar", 0)
+            slot = self._new("scalar", 0, bounds)
             self._scalar_ops.append((slot, functools.partial(_apply, tag, param), args))
+        if tag == "neg":
+            self._negated[slot] = args[0]
         return slot
 
     # -- in-place writes -----------------------------------------------------
@@ -942,7 +1056,7 @@ class ProgramCompiler:
     def _check(self, check, slot: int) -> None:
         if self._kind[slot] == "const":
             check(self._value[slot])  # raises now, before any step
-        else:
+        elif not _proves(check, self._bounds[slot]):
             self._ops.append((check, (slot,), None))
 
     # -- buffers ---------------------------------------------------------------
@@ -950,12 +1064,22 @@ class ProgramCompiler:
     def build(self, outputs: Sequence[int] = ()) -> "Program":
         """Freeze the program; ``outputs`` stay readable after :meth:`BoundProgram.run`.
 
-        A buffer returns to its pool after the last op that reads it, and an op's
-        output never shares a buffer with its own operands.
+        Only live array ops are kept: a domain check, a write into an input, and an
+        op whose value an output or a kept op reads.  A buffer returns to its pool
+        after the last op that reads it, and an op's output never shares a buffer
+        with its own operands.
         """
-        end = len(self._ops)
+        live = set(outputs)
+        ops = []
+        for op in reversed(self._ops):
+            _, args, out = op
+            if out is None or self._kind[out] != "array" or out in live:
+                ops.append(op)
+                live.update(args)
+        ops.reverse()
+        end = len(ops)
         last = {}
-        for i, (_, args, _) in enumerate(self._ops):
+        for i, (_, args, _) in enumerate(ops):
             for a in args:
                 last[a] = i
         for s in outputs:
@@ -963,7 +1087,7 @@ class ProgramCompiler:
         free: dict = {FIELD: [], COLUMN: []}
         counts = {FIELD: 0, COLUMN: 0}
         buffers: dict = {}  # array slot -> (shape class, buffer index)
-        for i, (_, args, out) in enumerate(self._ops):
+        for i, (_, args, out) in enumerate(ops):
             if out is not None and self._kind[out] == "array":
                 shape = self._shape[out]
                 if free[shape]:
@@ -977,14 +1101,14 @@ class ProgramCompiler:
             for a in set(args):
                 if last[a] == i and a in buffers:
                     free[buffers[a][0]].append(buffers[a][1])
-        read = {a for _, args, _ in self._ops for a in args}
+        read = {a for _, args, _ in ops for a in args}
         return Program(
             kinds=tuple(self._kind),
             values=dict(self._value),
             names=dict(self._name),
             time=self.time,
             scalar_ops=tuple(self._scalar_ops),
-            ops=tuple(self._ops),
+            ops=tuple(ops),
             buffers=buffers,
             counts=counts,
             feeds=tuple(s for s in sorted(read) if self._kind[s] == "scalar"),

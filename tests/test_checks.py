@@ -154,3 +154,54 @@ def test_convergence_study_validates_levels(additive_cfg):
 
     with pytest.raises(ConfigError):
         convergence_study(additive_cfg, levels=1)
+
+
+# The engine tests' cs_full_2d coefficients: sigma has off-diagonal entries, so the
+# noise-induced drift and E are nonzero, which no bundled scenario exercises.
+OFF_DIAGONAL_SIGMA = """
+name: cs_full_2d
+dimension: 2
+nu: 0.2
+sigma:
+  - ["1 + 0.3*sin(x1)*cos(x2)", "0.2*cos(x1)"]
+  - ["0.1*sin(x2)", "1 + 0.3*cos(x1)*sin(x2)"]
+U: ["0.1*x2", "-0.05*x1"]
+V: "0.15"
+f0: "exp(-(x1*x1 + x2*x2)/0.18)"
+rho0: "0.05 + exp(-(x1*x1 + x2*x2)/0.5)"
+h0: "exp(-(x1*x1 + x2*x2)/0.18)"
+phi_terminal: "1"
+H: r2
+box:
+  lo: [-3.0, -3.0]
+  hi: [3.0, 3.0]
+labels: [21, 21]
+T: 1.0
+dt: 0.002
+output_times: [0.0, 0.5, 1.0]
+realizations: 100
+seed: 6
+oracle_dx: 0.05
+checks:
+  - martingale_M
+  - conservation
+check_params:
+  martingale_M:
+    phi: trivial
+    probe_labels: [[-1.0, -0.5, 1.5], [-1.0, 0.0, 1.0]]
+    realizations: 4000
+"""
+
+
+def test_off_diagonal_sigma_keeps_martingale_and_conservation(tmp_path):
+    # The probes sit where the divergence of the drift correction is largest; there
+    # a transposed index or a flipped sign in the drift moves the martingale mean by
+    # many standard errors.  A 21x21 grid keeps h0 clear of conservation's edge
+    # guard (13x13 trips it).
+    cfg = loads_config(OFF_DIAGONAL_SIGMA)
+    report = run_scenario(cfg, str(tmp_path))
+    assert [r.name for r in report.results] == ["martingale_M", "conservation"]
+    for result in report.results:
+        assert result.passed, (result.name, result.metrics)
+        assert result.metrics["num_discarded"] == 0
+    assert report.results[0].metrics["weighting"] == "exp(0.15*(T-t))"

@@ -16,7 +16,6 @@ from stochflow.coefficients import (
     assemble,
     min_diffusion_eigenvalue,
     sample,
-    verify_E_forms,
 )
 from stochflow.errors import DimensionMismatch
 from stochflow.fields import evaluate, parse_field
@@ -141,10 +140,20 @@ def test_E_matches_minor_formula_from_finite_differences(cs2, points2):
 
 
 def test_E_forms_agree(cs2, points2):
-    chk = verify_E_forms(cs2, points2)
-    assert chk.passed
-    assert chk.n_points == points2.shape[0]
-    assert chk.max_abs_diff <= 1e-10
+    # The half-difference form over all (i, j), from the symbolic sigma gradient:
+    # E = 1/2 sum_p sum_{i,j} (d_i sig_ip d_j sig_jp - d_j sig_ip d_i sig_jp).
+    n = cs2.n
+    for x in points2:
+        ds = np.array(
+            [[[_num(cs2.dsigma[k][j][p], x) for p in range(n)] for j in range(n)] for k in range(n)]
+        )
+        half = sum(
+            0.5 * (ds[i, i, p] * ds[j, j, p] - ds[j, i, p] * ds[i, j, p])
+            for p in range(n)
+            for i in range(n)
+            for j in range(n)
+        )
+        assert abs(_num(cs2.E, x) - half) <= 1e-10
 
 
 def test_E_vanishes_in_1d_and_for_constant_sigma():
@@ -156,11 +165,6 @@ def test_E_vanishes_in_1d_and_for_constant_sigma():
     # Constant sigma also kills the divergence and tracker noise terms.
     for p in range(2):
         assert _num(cs_const.div_sigma[p], x) == 0.0
-
-
-def test_verify_E_forms_point_shape_validation(cs2):
-    with pytest.raises(DimensionMismatch):
-        verify_E_forms(cs2, np.zeros((4, 3)))
 
 
 def test_sample_agrees_with_symbolic_evaluation(cs2):

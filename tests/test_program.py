@@ -1,19 +1,21 @@
-"""Compiled field programs against the tree-walking evaluator, bit for bit.
+"""Compiled field programs against the tree-walking evaluator.
 
 The engine evaluates its coefficient fields through a program built by
-``ProgramCompiler``; ``eval_batch`` is the reference.  Results are compared as
-raw bytes, so a reordered operation or a different ufunc path would show.
+``ProgramCompiler``; ``eval_batch`` is the reference.  Without bounds nothing folds
+and results are compared as raw bytes, so a reordered operation or a different
+ufunc path would show.  With bounds the compiler folds what provably vanishes, which
+may flip the sign of a zero, so there results are compared by value.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_coeffs
+from conftest import make_coeffs, random_expr_source
 from stochflow.brownian import BrownianDriver
 from stochflow.config import bundled_scenario_path, bundled_scenarios, load_config
-from stochflow.engine import simulate_paths
+from stochflow.engine import _compile_step, escape_margin, simulate_paths
 from stochflow.errors import DomainError
-from stochflow.fields import ProgramCompiler, eval_batch, parse_field
+from stochflow.fields import FieldExpr, ProgramCompiler, eval_batch, parse_field
 from stochflow.grids import Box
 
 
@@ -92,9 +94,10 @@ def test_commutative_operands_share_a_slot_and_time_only_nodes_are_scalars():
     ab = compiler.field(parse_field("x1*sin(x2) + 1", 2))
     ba = compiler.field(parse_field("1 + sin(x2)*x1", 2))
     assert ab == ba
-    before = len(compiler.build().ops)
-    compiler.field(parse_field("cos(t)*2 + t", 2))
-    program = compiler.build()
+    before = len(compiler.build(outputs=[ab]).ops)
+    assert before == 3
+    scalar = compiler.field(parse_field("cos(t)*2 + t", 2))
+    program = compiler.build(outputs=[ab, scalar])
     assert len(program.ops) == before  # no array op for a time-only field
     assert len(program.scalar_ops) == 3
 
@@ -129,6 +132,10 @@ def test_constant_domain_errors_raise_while_building():
         ("0", "log(x1)", "log of a non-positive value"),
         ("1 / x1", "0", "division by zero"),
         ("x1^-1", "0", "zero raised to a negative power"),
+        # 0*log(x1) has no finite enclosure on the box, so it is not folded away;
+        # as a drift its gradient 0*(1/x1) divides by the label at 0 first.
+        ("0", "0*log(x1)", "log of a non-positive value"),
+        ("0*log(x1)", "0", "division by zero"),
     ],
 )
 def test_simulate_paths_raises_domain_errors(U, V, message):
@@ -136,3 +143,118 @@ def test_simulate_paths_raises_domain_errors(U, V, message):
     brownian = BrownianDriver(seed=1, dt=1e-3, n=1)
     with pytest.raises(DomainError, match=message):
         simulate_paths(cs, (np.array([-0.5, 0.0, 0.5]),), 5, [5], brownian, range(3))
+
+
+# ---------------------------------------------------------------------------
+# Folds under interval enclosures
+# ---------------------------------------------------------------------------
+
+
+def _padded_bounds(cfg):
+    padded = cfg.box.padded(escape_margin(cfg.coefficients.nu, cfg.T))
+    return tuple(zip(padded.lo, padded.hi)), (0.0, cfg.T)
+
+
+def _points_in(bounds, rng, shape):
+    """Uniform points in ``bounds``, with the corners of the box among them."""
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    X = rng.uniform(lo, hi, size=shape + (len(bounds),))
+    X[0, : 2 ** len(bounds)] = [
+        [hi[k] if (c >> k) & 1 else lo[k] for k in range(len(bounds))]
+        for c in range(2 ** len(bounds))
+    ]
+    return X
+
+
+def assert_folded_program_equals_eval_batch(fields, bounds, time_bounds, seed=0):
+    n = len(bounds)
+    X = _points_in(bounds, np.random.default_rng(seed), (7, 13))
+    comps = tuple(X[..., k] for k in range(n))
+    compiler = ProgramCompiler(n, bounds, time_bounds)
+    slots = [compiler.field(fe) for fe in fields]
+    bound = compiler.build(outputs=slots).bind({("x", k): comps[k] for k in range(n)}, (7, 13))
+    t0, t1 = time_bounds
+    for t in (t0, 0.37 * t0 + 0.63 * t1, t1):
+        bound.run(t)
+        for fe, slot in zip(fields, slots):
+            got = np.broadcast_to(bound.value(slot), (7, 13))
+            expected = np.broadcast_to(eval_batch(fe, comps, t), (7, 13))
+            assert np.array_equal(got, expected), fe.pretty()
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_folded_program_equals_eval_batch_on_bundled_engine_fields(name):
+    cfg = load_config(str(bundled_scenario_path(name)))
+    bounds, time_bounds = _padded_bounds(cfg)
+    assert_folded_program_equals_eval_batch(engine_fields(cfg.coefficients), bounds, time_bounds)
+
+
+def test_folded_program_equals_eval_batch_on_hand_made_fields():
+    # [0.5, 1.5]^2 keeps every divisor and log argument of HAND_MADE away from 0,
+    # so the enclosures are finite and the drift and E terms fold.
+    cs = make_coeffs(**HAND_MADE)
+    assert_folded_program_equals_eval_batch(
+        engine_fields(cs), ((0.5, 1.5), (0.5, 1.5)), (0.0, 1.0)
+    )
+
+
+@pytest.mark.parametrize("name, max_ops", [("diag_sigma_2d", 54), ("sine_sigma_1d", 18)])
+def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
+    # For a 1D or diagonal sigma with U = 0, v, its gradient, div v and E are
+    # exactly 0 on the padded box, so the step reads none of them.
+    cfg = load_config(str(bundled_scenario_path(name)))
+    cs = cfg.coefficients
+    bounds, time_bounds = _padded_bounds(cfg)
+    compiler = ProgramCompiler(cs.n, bounds, time_bounds)
+    zeros = [*cs.v, *(cs.dv[k][j] for k in range(cs.n) for j in range(cs.n)), cs.div_v, cs.E]
+    assert all(compiler.is_zero(compiler.field(fe)) for fe in zeros)
+    program, _ = _compile_step(cs, cfg.dt, bounds, time_bounds)
+    assert len(program.ops) <= max_ops
+
+
+def test_a_value_that_may_overflow_is_not_folded():
+    # exp(800*x1) overflows for x1 > 0.887: exp(..) - exp(..) is then inf - inf,
+    # which must still turn the positions NaN and flag the realization.
+    box = Box((-1.0,), (1.0,))
+    driver = BrownianDriver(seed=1, dt=1e-3, n=1)
+    labels = (np.array([-0.5, 0.0, 0.95]),)
+    cs = make_coeffs("1", U=["exp(800*x1) - exp(800*x1)"], nu=0.1, n=1, box=box)
+    with np.errstate(all="ignore"):
+        result = simulate_paths(cs, labels, 5, [5], driver, range(3))
+    assert result.nonfinite.all() and not result.alive.any()
+    # The same cancellation of a bounded value folds, and every realization lives.
+    cs = make_coeffs("1", U=["exp(x1) - exp(x1)"], nu=0.1, n=1, box=box)
+    result = simulate_paths(cs, labels, 5, [5], driver, range(3))
+    assert result.alive.all()
+
+
+def _subtrees(node, seen):
+    if id(node) not in seen:
+        seen[id(node)] = node
+        for child in node.children:
+            _subtrees(child, seen)
+    return seen
+
+
+def test_values_lie_inside_their_finite_enclosures():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(150):
+        dim = int(rng.integers(1, 4))
+        root = parse_field(random_expr_source(rng, dim), dim).root
+        bounds = tuple((-2.0, 2.0) for _ in range(dim))
+        compiler = ProgramCompiler(dim, bounds, (0.0, 1.0))
+        X = _points_in(bounds, rng, (4, 16))
+        comps = tuple(X[..., k] for k in range(dim))
+        ts = (0.0, float(rng.uniform()), 1.0)
+        for node in _subtrees(root, {}).values():
+            box = compiler.enclosure(compiler.field(FieldExpr(node, dim)))
+            if box is None:
+                continue
+            for t in ts:
+                with np.errstate(all="ignore"):
+                    value = np.asarray(eval_batch(FieldExpr(node, dim), comps, t))
+                assert np.all((box[0] <= value) & (value <= box[1])), (node, box)
+                checked += 1
+    assert checked > 1000
