@@ -236,16 +236,19 @@ def _det_stack(J: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class BatchResult:
-    """Snapshots of a chunk of realizations over a common label grid.
+    """Snapshots of a chunk of realizations over a common label grid or point set.
 
-    Leading axes of the arrays: (stored time, realization, label).  ``alive`` marks
+    Leading axes of the arrays: (stored time, realization, label).  For a tensor grid
+    ``label_axes`` holds the per-axis nodes and ``label_shape`` their sizes; for a
+    point set (``labels`` given as an (L, n) array) ``label_axes`` is None and
+    ``label_shape`` is (L,), and no chart can be built from the result.  ``alive`` marks
     realizations that stayed finite and inside the padded box for the whole run;
     consumers must discard the rest (``escaped`` / ``nonfinite`` say why).
     ``degenerate`` flags realizations whose direct determinant was <= 0 at some stored
     time while still alive — a sign the step size is too coarse.
     """
 
-    label_axes: tuple  # tuple of 1D arrays
+    label_axes: tuple | None  # tuple of 1D arrays; None for a point set
     labels: np.ndarray  # (L, n)
     label_shape: tuple
     times: np.ndarray  # (S,)
@@ -285,7 +288,17 @@ class BatchResult:
         return int(hits[0])
 
 
-def _normalize_label_axes(labels, n: int) -> tuple:
+def _label_points(labels, n: int) -> tuple:
+    """(label axes or None, (L, n) label points, label shape) of a grid or point set."""
+    if isinstance(labels, np.ndarray) and labels.ndim == 2:
+        if labels.shape[1] != n:
+            raise DimensionMismatch(f"label points have {labels.shape[1]} components, expected {n}")
+        if labels.shape[0] < 1:
+            raise ValueError("the label point set must be nonempty")
+        pts = np.array(labels, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("label points contain non-finite entries")
+        return None, pts, (pts.shape[0],)
     if isinstance(labels, np.ndarray) and labels.ndim == 1:
         if n != 1:
             raise DimensionMismatch("a single 1D label array is only valid in dimension 1")
@@ -293,7 +306,10 @@ def _normalize_label_axes(labels, n: int) -> tuple:
     elif isinstance(labels, (tuple, list)):
         axes = tuple(np.asarray(ax, dtype=float).reshape(-1) for ax in labels)
     else:
-        raise TypeError("labels must be a tuple/list of 1D axis arrays (or a 1D array when n=1)")
+        raise TypeError(
+            "labels must be a tuple/list of 1D axis arrays, an (L, n) point array, "
+            "or a 1D array when n=1"
+        )
     if len(axes) != n:
         raise DimensionMismatch(f"{len(axes)} label axes given for dimension {n}")
     out = []
@@ -306,7 +322,8 @@ def _normalize_label_axes(labels, n: int) -> tuple:
         if not np.all(np.isfinite(ax)):
             raise ValueError(f"label axis {k + 1} contains non-finite entries")
         out.append(ax)
-    return tuple(out)
+    axes = tuple(out)
+    return axes, mesh_points(axes), tuple(ax.size for ax in axes)
 
 
 def simulate_paths(
@@ -318,9 +335,13 @@ def simulate_paths(
     realization_indices,
     box: Box | None = None,
 ) -> BatchResult:
-    """Advance a chunk of realizations over a label grid, storing snapshots.
+    """Advance a chunk of realizations over a label grid or point set, storing snapshots.
 
-    ``labels``: tuple of per-axis 1D arrays (rectangular label grid).  ``store_indices``:
+    ``labels``: tuple of per-axis 1D arrays (rectangular label grid), or an (L, n)
+    array of label points.  Every label is advanced independently of the others under
+    the shared noise, so a point set gives the same bits as the matching columns of a
+    grid that contains those points; only the alive/escaped/nonfinite/degenerate flags
+    differ, as they are judged over the labels simulated.  ``store_indices``:
     step indices (0 = initial state) at which full state snapshots are kept.  The step
     size is ``driver.dt``.  Escaped / non-finite realizations are flagged, frozen to the
     box center, and carried along so results stay aligned; they are never raised here.
@@ -339,13 +360,12 @@ def simulate_paths(
     if box.dim != n:
         raise DimensionMismatch(f"box dimension {box.dim} != coefficient dimension {n}")
 
-    axes = _normalize_label_axes(labels, n)
-    pts = mesh_points(axes)  # (L, n)
+    axes, pts, label_shape = _label_points(labels, n)  # pts: (L, n)
     L = pts.shape[0]
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
     if not (np.all(pts >= lo) and np.all(pts <= hi)):
-        raise ValueError("label grid extends outside the label box")
+        raise ValueError("labels extend outside the label box")
 
     horizon = num_steps * dt
     padded = box.padded(escape_margin(cs.nu, horizon))
@@ -445,7 +465,7 @@ def simulate_paths(
     return BatchResult(
         label_axes=axes,
         labels=pts,
-        label_shape=tuple(ax.size for ax in axes),
+        label_shape=label_shape,
         times=times,
         time_indices=np.array(store, dtype=np.int64),
         dt=dt,

@@ -254,12 +254,12 @@ class PsiSamples:
 
 @dataclass(frozen=True)
 class JensenResult:
-    """Outcome of the finite-sample convexity inequality."""
+    """Outcome of the finite-sample convexity inequality (arrays for a stack of sets)."""
 
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    slack: float | np.ndarray
+    holds: bool | np.ndarray
     num_samples: int
 
 
@@ -538,22 +538,29 @@ def jensen_check(psi_rho, psi_f, H: ConvexH, slack: float = 1e-12) -> JensenResu
     With g = psi_rho / mean(psi_rho) and v = psi_f / mean(psi_rho), convexity gives
     H(mean(v)) <= mean(g * H(v / g)) exactly (a finite convex combination), so the
     verdict must hold up to floating-point slack for every positive sample set.
+
+    The samples lie along the last axis.  A 1D pair gives one result of scalars; a
+    stack of sets, shape (num_sets, num_samples), gives arrays of shape (num_sets,).
     """
-    rho = np.asarray(psi_rho, dtype=float).reshape(-1)
-    f = np.asarray(psi_f, dtype=float).reshape(-1)
-    if rho.shape != f.shape or rho.size == 0:
+    rho = np.asarray(psi_rho, dtype=float)
+    f = np.asarray(psi_f, dtype=float)
+    if rho.ndim == 0 or rho.shape != f.shape or rho.shape[-1] == 0:
         raise ValueError("psi_rho and psi_f must be equal-length nonempty samples")
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)) or not np.all(np.isfinite(f)):
         raise NonPositiveDensity("density weights must be finite and strictly positive")
-    mean_rho = float(rho.mean())
-    if mean_rho <= 0:
+    mean_rho = rho.mean(axis=-1, keepdims=True)
+    if np.any(mean_rho <= 0):
         raise NonPositiveDensity("mean density weight must be positive")
     g = rho / mean_rho
     v = f / mean_rho
-    lhs = float(H(float(v.mean())))
-    rhs = float(np.mean(g * np.asarray(H(v / g), dtype=float)))
-    tol = slack * max(1.0, abs(rhs))
-    return JensenResult(lhs=lhs, rhs=rhs, slack=tol, holds=lhs <= rhs + tol, num_samples=rho.size)
+    lhs = np.asarray(H(v.mean(axis=-1)), dtype=float)
+    rhs = np.mean(g * np.asarray(H(v / g), dtype=float), axis=-1)
+    tol = slack * np.maximum(1.0, np.abs(rhs))
+    holds = lhs <= rhs + tol
+    if rho.ndim == 1:
+        return JensenResult(lhs=float(lhs), rhs=float(rhs), slack=float(tol),
+                            holds=bool(holds), num_samples=rho.size)
+    return JensenResult(lhs=lhs, rhs=rhs, slack=tol, holds=holds, num_samples=rho.shape[-1])
 
 
 # ---------------------------------------------------------------------------

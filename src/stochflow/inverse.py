@@ -237,6 +237,8 @@ def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_stack(label_axes, X, log_I, t: float) -> ChartStack:
     """Chart metadata for every row of ``X`` at once; one warning per flagged row."""
+    if label_axes is None:
+        raise ValueError("a chart needs a label grid; this batch was simulated on a point set")
     rows = X.shape[0]
     n = len(label_axes)
     dets, ratios = _det_and_deformation(_cell_corner_jacobians(label_axes, X))
@@ -265,7 +267,10 @@ def _build_stack(label_axes, X, log_I, t: float) -> ChartStack:
 
 
 def chart_stack(result: BatchResult, t: float, realization_slots) -> ChartStack:
-    """Charts of the given realization slots of a batch at one stored time."""
+    """Charts of the given realization slots of a batch at one stored time.
+
+    Raises ValueError for a batch simulated on a point set: it has no label grid.
+    """
     s = result.time_slot(t)
     slots = np.asarray(realization_slots, dtype=np.intp).reshape(-1)
     return _build_stack(

@@ -18,13 +18,19 @@ adjoint is literally the matrix transpose: backward stepping with L^T makes the 
 sum(phi * f) constant to solver roundoff.
 
 Time stepping: the Crank–Nicolson theta-scheme (theta = 1/2, unconditionally stable),
-via one sparse LU factorization per solve.  The entropy functional of a solution triple is evaluated with the
-plain node sum times the cell volume, matching the conservative stencil's invariant.
+via one sparse LU factorization per solve.  ``solve_forward`` (matrix L) and
+``solve_adjoint`` (matrix L^T) factor I - (dt/2) M through one helper,
+``_cn_factor``.  On 2D grids it orders the columns by multiple minimum degree on
+A + A^T (Liu 1985) instead of SuperLU's default COLAMD: on the 5-point operator
+that nearly halves the L+U fill, and with it the cost of every step.  On 1D grids
+the matrix is tridiagonal, so there is no fill to save, and the default ordering
+is kept (the step costs the same, and the 1D results keep their bits).  The
+entropy functional of a solution triple is evaluated with the plain node sum times
+the cell volume, matching the conservative stencil's invariant.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -140,23 +146,6 @@ class GridField:
             return (float(vals[0]), bool(inside[0])) if squeeze else (vals, inside)
         return float(res[0]) if squeeze else res
 
-    def with_values(self, values: np.ndarray, t: float | None = None) -> "GridField":
-        return GridField(self.axes, values, self.t if t is None else float(t))
-
-    def to_csv(self, path: str) -> None:
-        """Write node coordinates and values, columns x1[,x2],value."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.n == 1:
-                writer.writerow(["x1", "value"])
-                for x, v in zip(self.axes[0], self.values):
-                    writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-            else:
-                writer.writerow(["x1", "x2", "value"])
-                for i, x1 in enumerate(self.axes[0]):
-                    for j, x2 in enumerate(self.axes[1]):
-                        writer.writerow([f"{x1:.17g}", f"{x2:.17g}", f"{self.values[i, j]:.17g}"])
-
 
 def _eval_on_mesh(expr: FieldExpr, axes, t: float) -> np.ndarray:
     shape = tuple(ax.size for ax in axes)
@@ -268,6 +257,16 @@ def assemble_generator(cs: CoefficientSet, axes, t: float = 0.0) -> sp.csr_matri
 _THETA = 0.5
 
 
+def _cn_factor(M: sp.csr_matrix, half_dt: float, dim: int):
+    """SuperLU factor of I - half_dt * M, the implicit half of a Crank–Nicolson step.
+
+    2D grids use a minimum-degree ordering on A + A^T, which keeps SuperLU's default
+    partial pivoting; 1D grids keep the default COLAMD (see the module docstring).
+    """
+    A = (sp.identity(M.shape[0], format="csc") - half_dt * M).tocsc()
+    return splu(A, permc_spec="COLAMD" if dim == 1 else "MMD_AT_PLUS_A")
+
+
 @dataclass(eq=False)
 class OracleSeries:
     """Solution snapshots at increasing times, plus the solver step used."""
@@ -330,7 +329,7 @@ def solve_forward(
     shape = f0.shape
 
     half_dt = _THETA * dt
-    lu = splu((sp.identity(f.size, format="csc") - half_dt * L).tocsc())
+    lu = _cn_factor(L, half_dt, f0.n)
 
     slot_of = {i: s for s, i in enumerate(slots)}
     fields: list[GridField | None] = [None] * len(slots)
@@ -378,7 +377,7 @@ def solve_adjoint(
     L = assemble_generator(cs, phi_T.axes)
     lt = L.T.tocsr()
     half_dt = _THETA * dt
-    lu = splu((sp.identity(phi_T.values.size, format="csc") - half_dt * lt).tocsc())
+    lu = _cn_factor(lt, half_dt, phi_T.n)
 
     shape = phi_T.shape
     phi = phi_T.values.reshape(-1).copy()

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 
+from stochflow import checks
 from stochflow.checks import (
     _RUNNERS,
     RunContext,
@@ -17,6 +19,7 @@ from stochflow.checks import (
     run_scenario,
 )
 from stochflow.config import bundled_scenario_path, load_config, loads_config
+from stochflow.estimators import martingale_values
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +208,38 @@ def test_off_diagonal_sigma_keeps_martingale_and_conservation(tmp_path):
         assert result.passed, (result.name, result.metrics)
         assert result.metrics["num_discarded"] == 0
     assert report.results[0].metrics["weighting"] == "exp(0.15*(T-t))"
+
+
+def test_martingale_M_simulates_only_its_probes(monkeypatch):
+    # In 2D the check asks the engine for its m diagonal probes as a point set, and
+    # each cell's mean is the one read off the diagonal columns of the 3x3 grid run.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("diag_sigma_2d"))))
+    raw["oracle_dx"] = 0.2
+    cfg = loads_config(yaml.safe_dump(raw))
+    params = dict(raw["check_params"]["martingale_M"], realizations=120)
+    requested = []
+    real_simulate = checks.simulate_paths
+
+    def recording(cs, labels, *args, **kwargs):
+        requested.append(labels)
+        return real_simulate(cs, labels, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "simulate_paths", recording)
+    ctx = RunContext(cfg, 4)
+    result = _RUNNERS["martingale_M"](ctx, params)
+    monkeypatch.undo()
+    assert result.passed, result.metrics
+    assert [labels.shape for labels in requested] == [(3, 2)]
+
+    grid_axes = tuple(np.asarray(ax, dtype=float) for ax in params["probe_labels"])
+    grid = checks._simulate_chunked(ctx, grid_axes, params["times"], 120)
+    phi = ctx.weight("adjoint", params["times"])[0]
+    diagonal = [0, 4, 8]
+    cells = iter(result.metrics["cells"])
+    for t in params["times"]:
+        values = np.concatenate([martingale_values(c, phi, t) for c in grid], axis=0)
+        for j, col in enumerate(diagonal):
+            cell = next(cells)
+            assert cell["t"] == t
+            assert cell["label"] == [float(ax[j]) for ax in grid_axes]
+            assert cell["mean"] == float(values[:, col].mean())

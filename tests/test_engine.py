@@ -21,6 +21,7 @@ from stochflow.engine import (
 from stochflow.errors import DimensionMismatch
 from stochflow.estimators import constant_phi, exponential_phi, martingale_values
 from stochflow.grids import Box
+from stochflow.inverse import chart_stack
 
 
 def hand_step(cs, state: dict, dW: np.ndarray, dt: float) -> dict:
@@ -414,6 +415,42 @@ def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_
         threaded = gathered(run_chunks(range(24), worker, chunk_size=5, threads=4))
         assert base == small
         assert base == threaded
+
+
+def test_point_labels_match_the_grid_columns_bit_for_bit(cs_full_2d):
+    # The engine advances each label on its own under the shared noise, so a point
+    # set reproduces the matching columns of a tensor-grid run exactly.
+    cs = cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0)))
+    axes = (np.array([-0.5, 0.0, 0.7]), np.array([-0.5, 0.3, 0.7]))
+    brownian = BrownianDriver(seed=11, dt=1e-3, n=2)
+    grid = simulate_paths(cs, axes, 300, [0, 150, 300], brownian, range(64))
+    cols = [0, 4, 8]  # the diagonal of the 3x3 grid
+    pts = grid.labels[cols]
+    point = simulate_paths(cs, pts, 300, [0, 150, 300], brownian, range(64))
+    assert point.label_axes is None
+    assert point.label_shape == (3,)
+    assert point.labels.tobytes() == pts.tobytes()
+    assert grid.alive.all()
+    for name in ("alive", "escaped", "nonfinite", "degenerate", "realization_indices"):
+        assert getattr(point, name).tobytes() == getattr(grid, name).tobytes(), name
+    for name in ("X", "D_sde", "log_lambda", "log_I", "D_direct"):
+        assert getattr(point, name).tobytes() == getattr(grid, name)[:, :, cols].tobytes(), name
+    with pytest.raises(ValueError, match="point set"):
+        chart_stack(point, 0.15, [0, 1])
+    chart_stack(grid, 0.15, [0, 1])  # the grid run still charts
+
+
+def test_point_labels_validation(cs_full_2d):
+    cs = cs_full_2d.with_box(Box((-1.0, -1.0), (1.0, 1.0)))
+    driver = BrownianDriver(seed=1, dt=1e-3, n=2)
+    with pytest.raises(DimensionMismatch):
+        simulate_paths(cs, np.zeros((3, 1)), 10, [10], driver, [0])
+    with pytest.raises(ValueError, match="nonempty"):
+        simulate_paths(cs, np.zeros((0, 2)), 10, [10], driver, [0])
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate_paths(cs, np.array([[0.0, np.nan]]), 10, [10], driver, [0])
+    with pytest.raises(ValueError, match="outside the label box"):
+        simulate_paths(cs, np.array([[0.0, 2.0]]), 10, [10], driver, [0])
 
 
 def test_escape_margin_formula():

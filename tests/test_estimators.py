@@ -106,6 +106,24 @@ def test_jensen_holds_for_random_positive_samples():
             assert res.holds, f"{name}: lhs={res.lhs} rhs={res.rhs}"
 
 
+def test_jensen_stack_equals_one_check_per_set():
+    # A (num_sets, num_samples) stack reduces over the last axis; each row gives the
+    # bits of the 1D call on that row.
+    rng = np.random.default_rng(13)
+    for name in ("r2", "abs_smooth", "rlogr", "pos_part_sq"):
+        H = get_convex(name)
+        rho = rng.uniform(0.05, 3.0, size=(40, 64))
+        f = rng.uniform(0.0, 2.5, size=(40, 64))
+        stacked = jensen_check(rho, f, H)
+        assert stacked.lhs.shape == stacked.holds.shape == (40,)
+        assert stacked.num_samples == 64
+        rows = [jensen_check(r, g, H) for r, g in zip(rho, f)]
+        for field in ("lhs", "rhs", "slack", "holds"):
+            one_by_one = np.array([getattr(r, field) for r in rows])
+            assert getattr(stacked, field).tobytes() == one_by_one.tobytes(), (name, field)
+        assert isinstance(rows[0].lhs, float) and isinstance(rows[0].holds, bool)
+
+
 def test_jensen_input_validation():
     with pytest.raises(NonPositiveDensity):
         jensen_check(np.array([1.0, -0.5]), np.array([1.0, 1.0]), get_convex("r2"))

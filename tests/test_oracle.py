@@ -4,8 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import yaml
+from scipy.sparse.linalg import splu
 
+from stochflow import oracle
+from stochflow.checks import RunContext
+from stochflow.config import bundled_scenario_path, loads_config
 from stochflow.convex import get_convex, non_convex_control
+from stochflow.engine import escape_margin
 from stochflow.errors import (
     BlowUp,
     DimensionMismatch,
@@ -90,21 +97,6 @@ def test_grid_field_sample_shapes_and_modes():
         gf2.sample([0.25, 0.5, 0.75])
 
 
-def test_grid_field_to_csv_roundtrip(tmp_path):
-    ax = (np.linspace(0.0, 1.0, 5), np.linspace(2.0, 3.0, 3))
-    rng = np.random.default_rng(7)
-    gf = GridField(ax, rng.standard_normal((5, 3)), 0.0)
-    path = tmp_path / "field.csv"
-    gf.to_csv(str(path))
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x1,x2,value"
-    assert len(rows) == 1 + 15
-    # %.17g roundtrips doubles exactly
-    first = rows[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == 2.0
-    assert float(first[2]) == gf.values[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # forward solve vs closed forms
 # ---------------------------------------------------------------------------
@@ -151,7 +143,7 @@ def test_forward_require_positive():
     ax = (np.linspace(-6.0, 6.0, 121),)
     bump = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     # strictly positive data stays positive through the heat solve
-    ser = solve_forward(cs, bump.with_values(bump.values + 0.1), T=0.1, dt=1e-3,
+    ser = solve_forward(cs, GridField(bump.axes, bump.values + 0.1, bump.t), T=0.1, dt=1e-3,
                         output_times=[0.1], require_positive=True)
     assert np.min(ser.at(0.1).values) > 0.0
     signed = grid_field_from_expr(parse_field("sin(x1)", 1), ax)
@@ -233,6 +225,84 @@ def test_adjoint_rejects_negative_terminal_data():
     signed = grid_field_from_expr(parse_field("sin(3*x1)", 1), ax, t=0.1)
     with pytest.raises(ValueError, match="non-negative"):
         solve_adjoint(cs, signed, T=0.1, dt=0.01)
+
+
+# ---------------------------------------------------------------------------
+# Crank–Nicolson factorization: ordering
+# ---------------------------------------------------------------------------
+
+
+def _diag_2d_adjoint_problem():
+    """Coefficients, terminal data and step of the benchmark's 2D adjoint solve.
+
+    The bundled diag_sigma_2d scenario at oracle_dx 0.1, on the grid its
+    martingale_M weight solves on: 109 x 109 = 11881 unknowns.
+    """
+    raw = yaml.safe_load(open(str(bundled_scenario_path("diag_sigma_2d"))))
+    raw["oracle_dx"] = 0.1
+    cfg = loads_config(yaml.safe_dump(raw))
+    pad = escape_margin(cfg.nu, cfg.T) + 5 * cfg.oracle_dx
+    axes = RunContext(cfg, cfg.seed).oracle_axes(cfg.box.padded(pad))
+    return cfg.coefficients, grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T), cfg.dt
+
+
+def _colamd_march(L, f, half_dt, steps, adjoint):
+    """Crank–Nicolson march with SuperLU's default (COLAMD) column ordering."""
+    M = L.T.tocsr() if adjoint else L
+    lu = splu((sp.identity(f.size, format="csc") - half_dt * M).tocsc())
+    out = [f.copy()]
+    for _ in range(steps):
+        if adjoint:
+            y = lu.solve(f)
+            f = y + half_dt * (M @ y)
+            np.clip(f, 0.0, None, out=f)
+        else:
+            f = lu.solve(f + half_dt * (M @ f))
+        out.append(f.copy())
+    return np.array(out)
+
+
+def test_2d_crank_nicolson_factor_has_at_most_0_6_of_colamd_fill(monkeypatch):
+    cs, phi_T, dt = _diag_2d_adjoint_problem()
+    assert phi_T.values.size == 11881
+    factored = []
+
+    def recording_splu(A, **kwargs):
+        lu = splu(A, **kwargs)
+        factored.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(oracle, "splu", recording_splu)
+    solve_adjoint(cs, phi_T, T=dt, dt=dt)
+    (A, lu), = factored
+    colamd = splu(A, permc_spec="COLAMD")
+    fill, reference = lu.L.nnz + lu.U.nnz, colamd.L.nnz + colamd.U.nnz
+    assert fill <= 0.6 * reference, (fill, reference)
+
+
+def test_2d_series_match_a_colamd_march():
+    cs, phi_T, dt = _diag_2d_adjoint_problem()
+    steps = 40
+    T = steps * dt
+    L = oracle.assemble_generator(cs, phi_T.axes)
+    shape = (steps + 1,) + phi_T.shape
+    adj = solve_adjoint(cs, phi_T, T=T, dt=dt).stack()[::-1].reshape(steps + 1, -1)
+    ref = _colamd_march(L, phi_T.values.reshape(-1), 0.5 * dt, steps, adjoint=True)
+    assert np.max(np.abs(adj - ref)) <= 1e-12 * np.max(np.abs(ref))
+    f0 = GridField(phi_T.axes, phi_T.values, 0.0)
+    fwd = solve_forward(cs, f0, T=T, dt=dt).stack().reshape(shape[0], -1)
+    ref = _colamd_march(L, f0.values.reshape(-1), 0.5 * dt, steps, adjoint=False)
+    assert np.max(np.abs(fwd - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_1d_forward_series_keeps_the_default_ordering_bits():
+    cs = make_coeffs("1 + 0.5*sin(x1)", U=["0.1*cos(x1)"], V="0.3", nu=0.1, n=1)
+    ax = (np.linspace(-4.0, 4.0, 201),)
+    f0 = grid_field_from_expr(parse_field("exp(-(x1-0.5)*(x1-0.5))", 1), ax)
+    got = solve_forward(cs, f0, T=0.1, dt=1e-3).stack()
+    ref = _colamd_march(oracle.assemble_generator(cs, ax), f0.values.copy(), 0.5e-3, 100,
+                        adjoint=False)
+    assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
