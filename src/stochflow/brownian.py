@@ -59,23 +59,6 @@ class BrownianDriver:
             out[row] = self.increments(num_steps, int(r))
         return out
 
-    def self_test(self, num_draws: int = 200_000) -> dict:
-        """Mean/variance sanity of the stream: |z| for both should stay below 4."""
-        draws = self.increments(int(np.ceil(num_draws / self.n))).reshape(-1)[:num_draws]
-        m = float(draws.mean())
-        v = float(draws.var(ddof=1))
-        se_mean = np.sqrt(self.dt / num_draws)
-        se_var = self.dt * np.sqrt(2.0 / (num_draws - 1))
-        z_mean = m / se_mean
-        z_var = (v - self.dt) / se_var
-        return {
-            "mean": m,
-            "variance": v,
-            "z_mean": float(z_mean),
-            "z_variance": float(z_var),
-            "ok": bool(abs(z_mean) <= 4.0 and abs(z_var) <= 4.0),
-        }
-
 
 def auxiliary_rng(seed: int, tag: str) -> np.random.Generator:
     """Deterministic generator for non-path randomness (bootstrap resampling etc.).

@@ -5,7 +5,21 @@ Each check is a pure function of a run context (config + seed + budgets) returni
 emitted time series (header ``t,value,se``) plus a ``report.json``, and never lets a
 failing check abort the rest of the run.  All randomness flows through the
 counter-based per-realization streams, so a report is byte-identical across repeat
-runs and across worker-thread counts.
+runs, worker-thread counts and chunk sizes.
+
+A check is planned before anything is simulated: its Monte Carlo work is a list of
+consumers, each naming the labels, dt, times, realization budget and snapshot fields
+it reads, with a reducer that turns one chunk into per-realization scalars (the
+roundtrip errors of the first 8 realizations, conserved quadratures, martingale
+samples, tracker gaps, ψ rows).  ``run_scenario`` groups the consumers of every
+check by labels, dt and horizon (the horizon sets the padded escape box and the
+fold bounds, so only equal horizons share), and gives each group one ``run_chunks``
+pass that stores the union of their times and fields.  Every chunk goes to every
+consumer of the group, cut to that consumer's realization prefix, and is then
+dropped, so memory is bounded by the chunk.  The pass runs when the first check of
+its group comes up, and that check's elapsed time includes it.  Reductions happen
+once per check, in realization order, on the gathered scalars, so the bits are those
+of a check run alone (``_RUNNERS``).  A reducer that raises fails its own check only.
 """
 
 from __future__ import annotations
@@ -13,7 +27,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +36,10 @@ from . import __version__
 from .brownian import BrownianDriver, auxiliary_rng
 from .config import ScenarioConfig
 from .convex import get_convex, non_convex_control
-from .engine import DEFAULT_CHUNK_SIZE, BatchResult, escape_margin, run_chunks, simulate_paths
+from .engine import DEFAULT_CHUNK_SIZE, escape_margin, run_chunks, simulate_paths, step_indices
 from .errors import ConfigError, StochflowError
 from .estimators import (
+    _eval_at_points,
     collect_psi_samples,
     conserved_quantity_batch,
     constant_phi,
@@ -31,10 +47,12 @@ from .estimators import (
     exponential_phi,
     fields_from_samples,
     jensen_check,
+    join_psi_samples,
     martingale_values,
+    validate_compact_support,
     z_score,
 )
-from .fields import eval_batch, parse_field
+from .fields import parse_field
 from .grids import Box, grid_axes, mesh_points, trapezoid_weights
 from .inverse import STATUS_OK, chart_from_batch, roundtrip_error
 from .oracle import (
@@ -251,56 +269,6 @@ class RunContext:
         self.discards += int(count)
 
 
-def _alive_subset(result: BatchResult) -> tuple[BatchResult, int]:
-    """Drop escaped/non-finite realizations, keeping the container contract."""
-    alive = result.alive
-    dropped = int((~alive).sum())
-    if dropped == 0:
-        return result, 0
-    keep = np.nonzero(alive)[0]
-    sub = replace(
-        result,
-        realization_indices=result.realization_indices[keep],
-        X=result.X[:, keep],
-        D_sde=result.D_sde[:, keep],
-        log_lambda=result.log_lambda[:, keep],
-        log_I=result.log_I[:, keep],
-        D_direct=result.D_direct[:, keep],
-        alive=np.ones(keep.size, dtype=bool),
-        escaped=result.escaped[keep],
-        nonfinite=result.nonfinite[keep],
-        degenerate=result.degenerate[keep],
-    )
-    return sub, dropped
-
-
-def _store_indices(times, dt: float) -> tuple[int, list]:
-    idx = []
-    for t in times:
-        i = int(round(float(t) / dt))
-        if abs(i * dt - float(t)) > 1e-9 * max(1.0, abs(float(t))):
-            raise ConfigError(f"time {t!r} is not on the dt={dt} step grid")
-        idx.append(i)
-    num_steps = max(max(idx), 1)
-    return num_steps, sorted(set(idx))
-
-
-def _simulate_chunked(ctx: RunContext, labels, times, realizations: int, dt: float | None = None):
-    """Simulate ``realizations`` flows over ``labels`` storing ``times``; chunk list."""
-    cfg = ctx.cfg
-    step = cfg.dt if dt is None else float(dt)
-    num_steps, store = _store_indices(times, step)
-    driver = ctx.driver(step)
-
-    def worker(indices):
-        return simulate_paths(
-            ctx.cs, labels, num_steps=num_steps, store_indices=store,
-            driver=driver, realization_indices=indices, box=cfg.box,
-        )
-
-    return run_chunks(range(realizations), worker, chunk_size=ctx.chunk_size, threads=ctx.threads)
-
-
 def _times_from(params: dict, key: str, default) -> list:
     raw = params.get(key, default)
     if not isinstance(raw, (list, tuple)) or not raw:
@@ -309,11 +277,133 @@ def _times_from(params: dict, key: str, default) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo passes: every check that simulates the same labels, dt and horizon
+# reads one chunked simulation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Consumer:
+    """One check's share of a simulation pass.
+
+    The check simulates ``labels`` (label axes, or an (L, n) point array) with step
+    ``dt`` over realizations ``0 .. realizations-1`` and reads ``fields`` at
+    ``times``.  ``reduce`` turns one chunk, cut to those realizations, into a small
+    partial result; ``results()`` returns the partials in chunk order, or raises what
+    ``reduce`` raised.
+    """
+
+    labels: object
+    dt: float
+    times: list
+    realizations: int
+    fields: tuple
+    reduce: Callable
+    partials: list = field(default_factory=list)
+    error: Exception | None = None
+
+    def __post_init__(self):
+        self.store = step_indices(self.times, self.dt)
+        self.num_steps = max(max(self.store), 1)
+
+    def pass_key(self) -> tuple:
+        """Consumers with equal keys share a pass; the horizon sets the padded box."""
+        labels = self.labels
+        if isinstance(labels, np.ndarray) and labels.ndim == 2:
+            grid = ("points", labels.shape, labels.tobytes())
+        else:
+            grid = ("axes",) + tuple(np.asarray(ax, dtype=float).tobytes() for ax in labels)
+        return grid, float(self.dt), self.num_steps
+
+    def results(self) -> list:
+        if self.error is not None:
+            raise self.error
+        return self.partials
+
+
+@dataclass(eq=False)
+class _Plan:
+    """A check ready to run: its Monte Carlo consumers, then ``finish()``."""
+
+    consumers: list
+    finish: Callable
+
+
+def _run_pass(ctx: RunContext, group: list) -> None:
+    """Simulate a group of consumers once, chunk by chunk, and feed every one.
+
+    The pass stores the union of their times and fields over the largest budget; a
+    consumer with a smaller budget reads its realization prefix.  Each chunk is
+    dropped once every consumer has reduced it.  A consumer whose ``reduce`` raises
+    keeps the error for itself; an engine error goes to the whole group.
+    """
+    first = group[0]
+    store = sorted(set().union(*(c.store for c in group)))
+    fields = tuple(sorted(set().union(*(c.fields for c in group))))
+    driver = ctx.driver(first.dt)
+
+    def worker(indices):
+        result = simulate_paths(
+            ctx.cs, first.labels, num_steps=first.num_steps, store_indices=store,
+            driver=driver, realization_indices=indices, box=ctx.cfg.box, fields=fields,
+        )
+        out = []
+        for c in group:
+            take = min(indices.size, c.realizations - int(indices[0]))
+            if take <= 0:
+                out.append(None)
+                continue
+            try:
+                out.append(c.reduce(result if take == indices.size else result.head(take)))
+            except Exception as exc:  # noqa: BLE001 — it fails only its own check
+                out.append(exc)
+        return out
+
+    try:
+        per_chunk = run_chunks(
+            range(max(c.realizations for c in group)), worker,
+            chunk_size=ctx.chunk_size, threads=ctx.threads,
+        )
+    except Exception as exc:  # noqa: BLE001 — reported by every check of the group
+        for c in group:
+            c.error = exc
+        return
+    for i, c in enumerate(group):
+        c.partials = [chunk[i] for chunk in per_chunk if chunk[i] is not None]
+        c.error = next((p for p in c.partials if isinstance(p, Exception)), None)
+
+
+def _passes(consumers) -> dict:
+    """Consumers grouped by pass key, in first-seen order."""
+    groups: dict = {}
+    for c in consumers:
+        groups.setdefault(c.pass_key(), []).append(c)
+    return groups
+
+
+def _simulate(ctx: RunContext, consumers) -> None:
+    for group in _passes(consumers).values():
+        _run_pass(ctx, group)
+
+
+def _run_alone(planner: Callable) -> Callable:
+    """A planner as a plain check: its passes are shared with no other check."""
+
+    def run(ctx: RunContext, params: dict) -> CheckResult:
+        plan = planner(ctx, params)
+        _simulate(ctx, plan.consumers)
+        return plan.finish()
+
+    run.__doc__ = planner.__doc__
+    return run
+
+
+# ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
 
-def check_roundtrip(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
     """Invert the flow map at every stored time and measure max |A(X(a,t)) - a|.
 
     Interior labels only: boundary labels may map outside the covered cell complex.
@@ -324,52 +414,71 @@ def check_roundtrip(ctx: RunContext, params: dict) -> CheckResult:
     tol = float(params.get("tolerance", 1e-6))
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
     num_real = 8
-    chunks = _simulate_chunked(ctx, cfg.label_axes, times, num_real)
 
-    worst = 0.0
-    worst_fraction = 1.0
-    per_time = {float(t): 0.0 for t in times}
-    dead = 0
-    for result in chunks:
-        sub, dropped = _alive_subset(result)
-        dead += dropped
-        for slot_r in range(sub.num_realizations):
+    def reduce(result):
+        rows = np.flatnonzero(result.alive)
+        errors = []
+        for slot in rows:
             for t in times:
-                chart = chart_from_batch(sub, t, slot_r)
-                rt = roundtrip_error(chart, interior_only=True)
-                err = rt["max_abs_error"]
+                rt = roundtrip_error(chart_from_batch(result, t, slot), interior_only=True)
+                errors.append((float(t), rt["max_abs_error"], rt["resolved_fraction"]))
+        return result.num_realizations - rows.size, errors
+
+    mc = _Consumer(cfg.label_axes, cfg.dt, times, num_real, ("X", "log_I"), reduce)
+
+    def finish() -> CheckResult:
+        worst = 0.0
+        worst_fraction = 1.0
+        per_time = {float(t): 0.0 for t in times}
+        dead = 0
+        for dropped, errors in mc.results():
+            dead += dropped
+            for t, err, fraction in errors:
                 worst = max(worst, err)
-                worst_fraction = min(worst_fraction, rt["resolved_fraction"])
-                per_time[float(t)] = max(per_time[float(t)], err)
-    ctx.note_discards(dead)
-    passed = dead == 0 and worst <= tol and worst_fraction == 1.0
-    metrics = {
-        "max_abs_error": worst,
-        "tolerance": tol,
-        "min_resolved_fraction": worst_fraction,
-        "realizations": num_real,
-        "num_discarded": dead,
-    }
-    rows = [(t, per_time[float(t)], 0.0) for t in times]
-    return CheckResult("roundtrip", passed, 0.0, metrics, {"roundtrip": rows})
+                worst_fraction = min(worst_fraction, fraction)
+                per_time[t] = max(per_time[t], err)
+        ctx.note_discards(dead)
+        passed = dead == 0 and worst <= tol and worst_fraction == 1.0
+        metrics = {
+            "max_abs_error": worst,
+            "tolerance": tol,
+            "min_resolved_fraction": worst_fraction,
+            "realizations": num_real,
+            "num_discarded": dead,
+        }
+        rows = [(t, per_time[float(t)], 0.0) for t in times]
+        return CheckResult("roundtrip", passed, 0.0, metrics, {"roundtrip": rows})
+
+    return _Plan([mc], finish)
 
 
-def _tracker_gaps(ctx: RunContext, labels, horizon: float, dt: float, realizations: int):
+def _tracker_consumers(labels, horizon: float, dts, realizations: int) -> list:
+    """One pass per step size over ``labels`` to the horizon, reading the trackers."""
+    for dt in dts:
+        if abs(round(horizon / dt) * dt - horizon) > 1e-9:
+            raise ConfigError(f"horizon {horizon} is not a multiple of dt {dt}")
+
+    def reduce(result):
+        s = result.time_slot(horizon)
+        alive = result.alive
+        d = result.D_direct[s][alive].reshape(-1)
+        return (
+            result.num_realizations - int(alive.sum()),
+            d - result.D_sde[s][alive].reshape(-1),
+            d - np.exp(result.log_lambda[s][alive]).reshape(-1),
+        )
+
+    fields = ("D_direct", "D_sde", "log_lambda")
+    return [_Consumer(labels, float(dt), [horizon], realizations, fields, reduce) for dt in dts]
+
+
+def _tracker_gaps(consumer: _Consumer) -> dict:
     """RMS gaps among the determinant trackers at the horizon, one step size."""
-    chunks = _simulate_chunked(ctx, labels, [horizon], realizations, dt=dt)
-    # Gather every chunk's gaps before reducing, so the sums do not depend on
+    # Every chunk's gaps are gathered before reducing, so the sums do not depend on
     # where the chunks split.
-    gap_ds = []
-    gap_dl = []
-    dead = 0
-    for result in chunks:
-        sub, dropped = _alive_subset(result)
-        dead += dropped
-        d = sub.D_direct[0].reshape(-1)
-        gap_ds.append(d - sub.D_sde[0].reshape(-1))
-        gap_dl.append(d - np.exp(sub.log_lambda[0]).reshape(-1))
-    g_ds = np.concatenate(gap_ds)
-    g_dl = np.concatenate(gap_dl)
+    parts = consumer.results()
+    g_ds = np.concatenate([p[1] for p in parts])
+    g_dl = np.concatenate([p[2] for p in parts])
     count = g_ds.size
     if count == 0:
         raise StochflowError("all realizations were discarded; no tracker samples left")
@@ -378,16 +487,15 @@ def _tracker_gaps(ctx: RunContext, labels, horizon: float, dt: float, realizatio
         "rms_direct_vs_exp_lambda": float(np.sqrt(float(np.sum(g_dl ** 2)) / count)),
         "max_direct_vs_sde": float(np.max(np.abs(g_ds))),
         "samples": count,
-        "num_discarded": dead,
+        "num_discarded": sum(p[0] for p in parts),
     }
 
 
 def _tracker_levels(ctx: RunContext, labels, horizon: float, dts, realizations: int) -> list:
     """``_tracker_gaps`` at each step size; the horizon must be a multiple of every one."""
-    for dt in dts:
-        if abs(round(horizon / dt) * dt - horizon) > 1e-9:
-            raise ConfigError(f"horizon {horizon} is not a multiple of dt {dt}")
-    return [_tracker_gaps(ctx, labels, horizon, dt, realizations) for dt in dts]
+    consumers = _tracker_consumers(labels, horizon, dts, realizations)
+    _simulate(ctx, consumers)
+    return [_tracker_gaps(c) for c in consumers]
 
 
 def _fit_order(dts, gaps) -> float:
@@ -424,7 +532,7 @@ def _det_label_axes(cfg: ScenarioConfig) -> tuple:
     return grid_axes(cfg.box, tuple(min(s, 17) for s in cfg.label_shape))
 
 
-def check_determinant_consistency(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
     """Cross-validate the three volume-change trackers across halved step sizes.
 
     The compounded Jacobian determinant, its direct SDE solution, and the exponential
@@ -443,50 +551,53 @@ def check_determinant_consistency(ctx: RunContext, params: dict) -> CheckResult:
             raise ConfigError("determinant_consistency: dt levels must halve")
     horizon = float(params.get("horizon", min(cfg.T, 0.5)))
     realizations = ctx.realizations_for("determinant_consistency", params)
-    labels = _det_label_axes(cfg)
+    consumers = _tracker_consumers(_det_label_axes(cfg), horizon, dt_levels, realizations)
 
-    levels = _tracker_levels(ctx, labels, horizon, dt_levels, realizations)
-    dead = sum(lv["num_discarded"] for lv in levels)
-    ctx.note_discards(dead)
+    def finish() -> CheckResult:
+        levels = [_tracker_gaps(c) for c in consumers]
+        dead = sum(lv["num_discarded"] for lv in levels)
+        ctx.note_discards(dead)
 
-    gate_dl = _gate_pair(dt_levels, [lv["rms_direct_vs_exp_lambda"] for lv in levels])
-    metrics = {
-        "dt_levels": dt_levels,
-        "horizon": horizon,
-        "realizations": realizations,
-        "num_discarded": dead,
-        "pair_direct_vs_exp_lambda": gate_dl,
-    }
-    passed = gate_dl["passed"]
-
-    if cfg.n == 1:
-        # Shared scalar recurrence: the direct pair must coincide to roundoff.
-        max_gap = max(lv["max_direct_vs_sde"] for lv in levels)
-        metrics["pair_direct_vs_sde"] = {
-            "regime": "identical_recurrence",
-            "max_abs_gap": max_gap,
-            "passed": max_gap <= 1e-12,
+        gate_dl = _gate_pair(dt_levels, [lv["rms_direct_vs_exp_lambda"] for lv in levels])
+        metrics = {
+            "dt_levels": dt_levels,
+            "horizon": horizon,
+            "realizations": realizations,
+            "num_discarded": dead,
+            "pair_direct_vs_exp_lambda": gate_dl,
         }
-        passed = passed and max_gap <= 1e-12
-    else:
-        gate_ds = _gate_pair(dt_levels, [lv["rms_direct_vs_sde"] for lv in levels])
-        metrics["pair_direct_vs_sde"] = gate_ds
-        passed = passed and gate_ds["passed"]
+        passed = gate_dl["passed"]
 
-    frac = dead / max(1, realizations * len(dt_levels))
-    if frac > MAX_DISCARD_FRACTION:
-        passed = False
-        metrics["discard_fraction"] = frac
+        if cfg.n == 1:
+            # Shared scalar recurrence: the direct pair must coincide to roundoff.
+            max_gap = max(lv["max_direct_vs_sde"] for lv in levels)
+            metrics["pair_direct_vs_sde"] = {
+                "regime": "identical_recurrence",
+                "max_abs_gap": max_gap,
+                "passed": max_gap <= 1e-12,
+            }
+            passed = passed and max_gap <= 1e-12
+        else:
+            gate_ds = _gate_pair(dt_levels, [lv["rms_direct_vs_sde"] for lv in levels])
+            metrics["pair_direct_vs_sde"] = gate_ds
+            passed = passed and gate_ds["passed"]
 
-    series = {
-        "determinant_consistency.exp_lambda": [
-            (dt, lv["rms_direct_vs_exp_lambda"], 0.0) for dt, lv in zip(dt_levels, levels)
-        ],
-        "determinant_consistency.sde": [
-            (dt, lv["rms_direct_vs_sde"], 0.0) for dt, lv in zip(dt_levels, levels)
-        ],
-    }
-    return CheckResult("determinant_consistency", passed, 0.0, metrics, series)
+        frac = dead / max(1, realizations * len(dt_levels))
+        if frac > MAX_DISCARD_FRACTION:
+            passed = False
+            metrics["discard_fraction"] = frac
+
+        series = {
+            "determinant_consistency.exp_lambda": [
+                (dt, lv["rms_direct_vs_exp_lambda"], 0.0) for dt, lv in zip(dt_levels, levels)
+            ],
+            "determinant_consistency.sde": [
+                (dt, lv["rms_direct_vs_sde"], 0.0) for dt, lv in zip(dt_levels, levels)
+            ],
+        }
+        return CheckResult("determinant_consistency", passed, 0.0, metrics, series)
+
+    return _Plan(consumers, finish)
 
 
 def _probe_axes(cfg: ScenarioConfig, params: dict) -> tuple:
@@ -513,7 +624,7 @@ def _probe_axes(cfg: ScenarioConfig, params: dict) -> tuple:
     return tuple(axes)
 
 
-def check_martingale_M(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
     """Mean of the path functional phi(X,t) * detJ * exp(accumulated weight).
 
     For an admissible weighting factor this functional is a martingale, so its mean
@@ -533,51 +644,61 @@ def check_martingale_M(ctx: RunContext, params: dict) -> CheckResult:
     probes = np.stack(axes, axis=1)  # (m, n): the diagonal of the per-axis lists
     refs = phi0(probes)
 
-    chunks = _simulate_chunked(ctx, probes, times, realizations)
-    dead = sum(int((~c.alive).sum()) for c in chunks)
-    ctx.note_discards(dead)
+    def reduce(result):
+        dead = int((~result.alive).sum())
+        return dead, [martingale_values(result, phi, t) for t in times]
 
-    table = []
-    max_abs_z = 0.0
-    series = {}
-    for t in times:
-        values = np.concatenate([martingale_values(c, phi, t) for c in chunks], axis=0)
-        for j in range(probes.shape[0]):
-            samples = values[:, j]
-            z = z_score(samples, float(refs[j]))
-            max_abs_z = max(max_abs_z, abs(z))
-            mean = float(samples.mean())
-            se = float(samples.std(ddof=1) / np.sqrt(samples.size))
-            table.append({
-                "t": float(t),
-                "label": [float(v) for v in probes[j]],
-                "mean": mean,
-                "se": se,
-                "reference": float(refs[j]),
-                "z": z,
-            })
-            series.setdefault(f"martingale_M.probe{j}", []).append((float(t), mean, se))
+    mc = _Consumer(probes, cfg.dt, times, realizations, ("X", "D_direct", "log_I"), reduce)
 
-    frac = dead / max(1, realizations)
-    passed = max_abs_z <= _Z_LIMIT and np.isfinite(max_abs_z) and frac <= MAX_DISCARD_FRACTION
-    metrics = {
-        "weighting": phi_label,
-        "realizations": realizations,
-        "num_discarded": dead,
-        "max_abs_z": max_abs_z,
-        "z_limit": _Z_LIMIT,
-        "cells": table,
-    }
-    return CheckResult("martingale_M", passed, 0.0, metrics, series)
+    def finish() -> CheckResult:
+        parts = mc.results()
+        dead = sum(p[0] for p in parts)
+        ctx.note_discards(dead)
+
+        table = []
+        max_abs_z = 0.0
+        series = {}
+        for i, t in enumerate(times):
+            values = np.concatenate([p[1][i] for p in parts], axis=0)
+            for j in range(probes.shape[0]):
+                samples = values[:, j]
+                z = z_score(samples, float(refs[j]))
+                max_abs_z = max(max_abs_z, abs(z))
+                mean = float(samples.mean())
+                se = float(samples.std(ddof=1) / np.sqrt(samples.size))
+                table.append({
+                    "t": float(t),
+                    "label": [float(v) for v in probes[j]],
+                    "mean": mean,
+                    "se": se,
+                    "reference": float(refs[j]),
+                    "z": z,
+                })
+                series.setdefault(f"martingale_M.probe{j}", []).append((float(t), mean, se))
+
+        frac = dead / max(1, realizations)
+        passed = max_abs_z <= _Z_LIMIT and np.isfinite(max_abs_z) and frac <= MAX_DISCARD_FRACTION
+        metrics = {
+            "weighting": phi_label,
+            "realizations": realizations,
+            "num_discarded": dead,
+            "max_abs_z": max_abs_z,
+            "z_limit": _Z_LIMIT,
+            "cells": table,
+        }
+        return CheckResult("martingale_M", passed, 0.0, metrics, series)
+
+    return _Plan([mc], finish)
 
 
-def check_conservation(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
     """Constancy in time of the label-space quadrature of the weighted flow.
 
     The per-realization quadrature of phi * detJ * exp(weight) * rho0 * h0 over
     labels has time-independent expectation equal to its (deterministic) value at
     t = 0; the gate is |z| <= 4 at every requested time, for the configured h0 and
-    optionally a second displaced profile.
+    optionally a second displaced profile.  Each chunk leaves only those per-
+    realization quadratures behind.
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
@@ -595,62 +716,75 @@ def check_conservation(ctx: RunContext, params: dict) -> CheckResult:
     axes = cfg.label_axes
     labels = mesh_points(axes)
     w = trapezoid_weights(axes)
+    references = []
+    for _, h_expr in variants:
+        # The quadrature needs the integrand density rho0*h0 to vanish near the
+        # label-box edge; rho0 itself may be a strictly positive plateau.
+        validate_compact_support(h_expr, axes, "h0")
+        validate_compact_support(cfg.rho0 * h_expr, axes, "rho0*h0")
+        dens = _eval_at_points(cfg.rho0, labels) * _eval_at_points(h_expr, labels)
+        references.append(float(np.sum(w * dens * phi0(labels))))
 
-    chunks = _simulate_chunked(ctx, axes, times, realizations)
-    subs = []
-    dead = 0
-    for c in chunks:
-        sub, dropped = _alive_subset(c)
-        dead += dropped
-        subs.append(sub)
-    ctx.note_discards(dead)
-    frac = dead / max(1, realizations)
+    def reduce(result):
+        alive = result.alive
+        rows = None if alive.all() else np.flatnonzero(alive)
+        samples = [
+            [
+                conserved_quantity_batch(result, phi, cfg.rho0, h_expr, t,
+                                         validate_support=False, rows=rows)
+                for t in times
+            ]
+            for _, h_expr in variants
+        ]
+        return result.num_realizations - int(alive.sum()), samples
 
-    def eval_pts(expr):
-        vals = eval_batch(expr, tuple(labels[:, k] for k in range(cfg.n)), 0.0)
-        return np.broadcast_to(np.asarray(vals, dtype=float), (labels.shape[0],)).copy()
+    mc = _Consumer(axes, cfg.dt, times, realizations, ("X", "D_direct", "log_I"), reduce)
 
-    table = []
-    max_abs_z = 0.0
-    series = {}
-    for vname, h_expr in variants:
-        dens = eval_pts(cfg.rho0) * eval_pts(h_expr)
-        reference = float(np.sum(w * dens * phi0(labels)))
-        stem = "conservation" if vname == "h0" else "conservation.alt"
-        for t in times:
-            samples = np.concatenate(
-                [conserved_quantity_batch(s, phi, cfg.rho0, h_expr, t) for s in subs]
-            )
-            z = z_score(samples, reference)
-            max_abs_z = max(max_abs_z, abs(z))
-            mean = float(samples.mean())
-            se = float(samples.std(ddof=1) / np.sqrt(samples.size))
-            table.append({
-                "profile": vname,
-                "t": float(t),
-                "mean": mean,
-                "se": se,
-                "reference": reference,
-                "z": z,
-            })
-            series.setdefault(stem, []).append((float(t), mean, se))
+    def finish() -> CheckResult:
+        parts = mc.results()
+        dead = sum(p[0] for p in parts)
+        ctx.note_discards(dead)
+        frac = dead / max(1, realizations)
 
-    zs = [abs(row["z"]) for row in table]
-    passed = (
-        max_abs_z <= _Z_LIMIT
-        and all(np.isfinite(z) for z in zs)
-        and frac <= MAX_DISCARD_FRACTION
-    )
-    metrics = {
-        "weighting": phi_label,
-        "realizations": realizations,
-        "num_discarded": dead,
-        "max_abs_z": max_abs_z,
-        "z_limit": _Z_LIMIT,
-        "fraction_abs_z_above_2": float(np.mean([z > 2.0 for z in zs])),
-        "cells": table,
-    }
-    return CheckResult("conservation", passed, 0.0, metrics, series)
+        table = []
+        max_abs_z = 0.0
+        series = {}
+        for v, ((vname, _), reference) in enumerate(zip(variants, references)):
+            stem = "conservation" if vname == "h0" else "conservation.alt"
+            for i, t in enumerate(times):
+                samples = np.concatenate([p[1][v][i] for p in parts])
+                z = z_score(samples, reference)
+                max_abs_z = max(max_abs_z, abs(z))
+                mean = float(samples.mean())
+                se = float(samples.std(ddof=1) / np.sqrt(samples.size))
+                table.append({
+                    "profile": vname,
+                    "t": float(t),
+                    "mean": mean,
+                    "se": se,
+                    "reference": reference,
+                    "z": z,
+                })
+                series.setdefault(stem, []).append((float(t), mean, se))
+
+        zs = [abs(row["z"]) for row in table]
+        passed = (
+            max_abs_z <= _Z_LIMIT
+            and all(np.isfinite(z) for z in zs)
+            and frac <= MAX_DISCARD_FRACTION
+        )
+        metrics = {
+            "weighting": phi_label,
+            "realizations": realizations,
+            "num_discarded": dead,
+            "max_abs_z": max_abs_z,
+            "z_limit": _Z_LIMIT,
+            "fraction_abs_z_above_2": float(np.mean([z > 2.0 for z in zs])),
+            "cells": table,
+        }
+        return CheckResult("conservation", passed, 0.0, metrics, series)
+
+    return _Plan([mc], finish)
 
 
 def _query_axes(cfg: ScenarioConfig, params: dict, default_nodes: int = 41) -> tuple:
@@ -664,7 +798,20 @@ def _query_axes(cfg: ScenarioConfig, params: dict, default_nodes: int = 41) -> t
     return grid_axes(Box(tuple(lo), tuple(hi)), (nodes,) * cfg.n)
 
 
-def check_entropy_mc(ctx: RunContext, params: dict) -> CheckResult:
+def _psi_consumer(ctx: RunContext, times, realizations: int, pts) -> _Consumer:
+    """ψ pairs at query points ``pts``, from chart stacks over the scenario's labels."""
+    cfg = ctx.cfg
+
+    def reduce(result):
+        return collect_psi_samples(
+            ctx.cs, cfg.label_axes, times, ctx.driver(), cfg.f0, cfg.rho0, pts,
+            realizations=realizations, box=cfg.box, simulated=result,
+        )
+
+    return _Consumer(cfg.label_axes, cfg.dt, times, realizations, ("X", "log_I"), reduce)
+
+
+def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     """Monte Carlo entropy decay, its bootstrap bands, and the supporting identities.
 
     Builds the weighted transported pair at quadrature points, asserts the per-point
@@ -678,73 +825,73 @@ def check_entropy_mc(ctx: RunContext, params: dict) -> CheckResult:
     phi, _, phi_label = ctx.weight("auto", times)
     axes = _query_axes(cfg, params)
     pts = mesh_points(axes)
+    mc = _psi_consumer(ctx, times, realizations, pts)
 
-    samples = collect_psi_samples(
-        ctx.cs, cfg.label_axes, times, ctx.driver(), cfg.f0, cfg.rho0, pts,
-        realizations=realizations, box=cfg.box, chunk_size=ctx.chunk_size,
-        threads=ctx.threads,
-    )
-    ctx.note_discards(samples.num_discarded)
+    def finish() -> CheckResult:
+        samples = join_psi_samples(mc.results())
+        ctx.note_discards(samples.num_discarded)
 
-    report = entropy_decay_check(samples, phi=phi, H=h_fun, times=times, seed=ctx.seed)
-    control = entropy_decay_check(
-        samples, phi=phi, H=non_convex_control(), times=times, seed=ctx.seed
-    )
+        report = entropy_decay_check(samples, phi=phi, H=h_fun, times=times, seed=ctx.seed)
+        control = entropy_decay_check(
+            samples, phi=phi, H=non_convex_control(), times=times, seed=ctx.seed
+        )
 
-    # Per-point convexity on the raw samples at a few interior quadrature points:
-    # the inequality is exact for finite sample sets, so any violation is a defect.
-    q = pts.shape[0]
-    jensen_cells = []
-    jensen_ok = True
-    for s, t in enumerate(times):
-        for qi in sorted({q // 2, q // 3, (2 * q) // 3}):
-            ok_rows = samples.status[:, s, qi] == STATUS_OK
-            if int(ok_rows.sum()) < 2:
-                continue
-            rho_s = samples.psi_rho[ok_rows, s, qi]
-            f_s = samples.psi_f[ok_rows, s, qi]
-            if np.any(rho_s <= 0):
-                continue
-            res = jensen_check(rho_s, f_s, h_fun)
-            jensen_ok = jensen_ok and res.holds
-            jensen_cells.append({
-                "t": float(t),
-                "point": [float(v) for v in pts[qi]],
-                "lhs": res.lhs,
-                "rhs": res.rhs,
-                "holds": res.holds,
-            })
+        # Per-point convexity on the raw samples at a few interior quadrature points:
+        # the inequality is exact for finite sample sets, so any violation is a defect.
+        q = pts.shape[0]
+        jensen_cells = []
+        jensen_ok = True
+        for s, t in enumerate(times):
+            for qi in sorted({q // 2, q // 3, (2 * q) // 3}):
+                ok_rows = samples.status[:, s, qi] == STATUS_OK
+                if int(ok_rows.sum()) < 2:
+                    continue
+                rho_s = samples.psi_rho[ok_rows, s, qi]
+                f_s = samples.psi_f[ok_rows, s, qi]
+                if np.any(rho_s <= 0):
+                    continue
+                res = jensen_check(rho_s, f_s, h_fun)
+                jensen_ok = jensen_ok and res.holds
+                jensen_cells.append({
+                    "t": float(t),
+                    "point": [float(v) for v in pts[qi]],
+                    "lhs": res.lhs,
+                    "rhs": res.rhs,
+                    "holds": res.holds,
+                })
 
-    frac = samples.num_discarded / max(1, realizations)
-    passed = (
-        report.verdict_nonincreasing
-        and not control.verdict_nonincreasing
-        and jensen_ok
-        and frac <= MAX_DISCARD_FRACTION
-    )
-    se = None
-    if report.lower is not None and report.upper is not None:
-        se = (report.upper - report.lower) / (2.0 * 1.959963984540054)
-    rows = [
-        (float(t), float(v), float(se[i]) if se is not None else 0.0)
-        for i, (t, v) in enumerate(zip(report.times, report.values))
-    ]
-    metrics = {
-        "weighting": phi_label,
-        "H": cfg.H_name,
-        "realizations": realizations,
-        "num_discarded": samples.num_discarded,
-        "values": [float(v) for v in report.values],
-        "increments": [float(v) for v in report.increments],
-        "num_violations": report.num_violations,
-        "band_lower": [float(v) for v in report.lower] if report.lower is not None else None,
-        "band_upper": [float(v) for v in report.upper] if report.upper is not None else None,
-        "control_num_violations": control.num_violations,
-        "control_fails": not control.verdict_nonincreasing,
-        "jensen_on_samples": jensen_cells,
-        "jensen_holds": jensen_ok,
-    }
-    return CheckResult("entropy_mc", passed, 0.0, metrics, {"entropy_mc": rows})
+        frac = samples.num_discarded / max(1, realizations)
+        passed = (
+            report.verdict_nonincreasing
+            and not control.verdict_nonincreasing
+            and jensen_ok
+            and frac <= MAX_DISCARD_FRACTION
+        )
+        se = None
+        if report.lower is not None and report.upper is not None:
+            se = (report.upper - report.lower) / (2.0 * 1.959963984540054)
+        rows = [
+            (float(t), float(v), float(se[i]) if se is not None else 0.0)
+            for i, (t, v) in enumerate(zip(report.times, report.values))
+        ]
+        metrics = {
+            "weighting": phi_label,
+            "H": cfg.H_name,
+            "realizations": realizations,
+            "num_discarded": samples.num_discarded,
+            "values": [float(v) for v in report.values],
+            "increments": [float(v) for v in report.increments],
+            "num_violations": report.num_violations,
+            "band_lower": [float(v) for v in report.lower] if report.lower is not None else None,
+            "band_upper": [float(v) for v in report.upper] if report.upper is not None else None,
+            "control_num_violations": control.num_violations,
+            "control_fails": not control.verdict_nonincreasing,
+            "jensen_on_samples": jensen_cells,
+            "jensen_holds": jensen_ok,
+        }
+        return CheckResult("entropy_mc", passed, 0.0, metrics, {"entropy_mc": rows})
+
+    return _Plan([mc], finish)
 
 
 def _ones_series(axes, times) -> OracleSeries:
@@ -886,7 +1033,7 @@ def check_jensen(ctx: RunContext, params: dict) -> CheckResult:
     return CheckResult("jensen", passed, 0.0, metrics, {})
 
 
-def check_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     """Monte Carlo field estimate against the grid forward solve, in masked L2.
 
     The tolerance at each output time is max(4 * SE_L2, C * (dt + dx^2)): sampling
@@ -907,78 +1054,102 @@ def check_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> CheckResult:
     axes = _query_axes(cfg, params, default_nodes=51)
     pts = mesh_points(axes)
     w = trapezoid_weights(axes)
+    mc = _psi_consumer(ctx, times, realizations, pts)
 
-    samples = collect_psi_samples(
-        ctx.cs, cfg.label_axes, times, ctx.driver(), cfg.f0, cfg.rho0, pts,
-        realizations=realizations, box=cfg.box, chunk_size=ctx.chunk_size,
-        threads=ctx.threads,
-    )
-    ctx.note_discards(samples.num_discarded)
+    def finish() -> CheckResult:
+        samples = join_psi_samples(mc.results())
+        ctx.note_discards(samples.num_discarded)
 
-    oracle_axes = ctx.oracle_axes()
-    f0 = grid_field_from_expr(cfg.f0, oracle_axes, t=0.0)
-    reference = solve_forward(ctx.cs, f0, cfg.T, oracle_dt, output_times=times)
+        oracle_axes = ctx.oracle_axes()
+        f0 = grid_field_from_expr(cfg.f0, oracle_axes, t=0.0)
+        reference = solve_forward(ctx.cs, f0, cfg.T, oracle_dt, output_times=times)
 
-    disc_tol = slack_constant * (cfg.dt + cfg.oracle_dx ** 2)
-    rows = []
-    table = []
-    passed = True
-    for t in times:
-        f_hat, _ = fields_from_samples(samples, t)
-        ref_vals = reference.at(t).sample(pts)
-        usable = ~f_hat.masked
-        frac_usable = float(usable.mean())
-        if frac_usable < 0.5:
-            passed = False
-            table.append({"t": float(t), "usable_fraction": frac_usable, "passed": False})
-            continue
-        wsum = float(np.sum(w[usable]))
-        l2 = float(np.sqrt(np.sum(w[usable] * (f_hat.mean[usable] - ref_vals[usable]) ** 2) / wsum))
-        se_l2 = float(np.sqrt(np.sum(w[usable] * f_hat.se[usable] ** 2) / wsum))
-        tol = max(4.0 * se_l2, disc_tol)
-        ok = l2 <= tol
-        passed = passed and ok
-        rows.append((float(t), l2, se_l2))
-        table.append({
-            "t": float(t),
-            "l2": l2,
-            "se_l2": se_l2,
-            "stat_tolerance": 4.0 * se_l2,
-            "disc_tolerance": disc_tol,
-            "usable_fraction": frac_usable,
-            "passed": ok,
-        })
+        disc_tol = slack_constant * (cfg.dt + cfg.oracle_dx ** 2)
+        rows = []
+        table = []
+        passed = True
+        for t in times:
+            f_hat, _ = fields_from_samples(samples, t)
+            ref_vals = reference.at(t).sample(pts)
+            usable = ~f_hat.masked
+            frac_usable = float(usable.mean())
+            if frac_usable < 0.5:
+                passed = False
+                table.append({"t": float(t), "usable_fraction": frac_usable, "passed": False})
+                continue
+            wsum = float(np.sum(w[usable]))
+            l2 = float(np.sqrt(np.sum(w[usable] * (f_hat.mean[usable] - ref_vals[usable]) ** 2) / wsum))
+            se_l2 = float(np.sqrt(np.sum(w[usable] * f_hat.se[usable] ** 2) / wsum))
+            tol = max(4.0 * se_l2, disc_tol)
+            ok = l2 <= tol
+            passed = passed and ok
+            rows.append((float(t), l2, se_l2))
+            table.append({
+                "t": float(t),
+                "l2": l2,
+                "se_l2": se_l2,
+                "stat_tolerance": 4.0 * se_l2,
+                "disc_tolerance": disc_tol,
+                "usable_fraction": frac_usable,
+                "passed": ok,
+            })
 
-    frac = samples.num_discarded / max(1, realizations)
-    passed = passed and frac <= MAX_DISCARD_FRACTION
-    metrics = {
-        "slack_constant": slack_constant,
-        "oracle_dt": oracle_dt,
-        "engine_dt": cfg.dt,
-        "oracle_dx": cfg.oracle_dx,
-        "realizations": realizations,
-        "num_discarded": samples.num_discarded,
-        "times": table,
-    }
-    return CheckResult("feynman_kac_vs_oracle", passed, 0.0, metrics,
-                       {"feynman_kac_vs_oracle": rows})
+        frac = samples.num_discarded / max(1, realizations)
+        passed = passed and frac <= MAX_DISCARD_FRACTION
+        metrics = {
+            "slack_constant": slack_constant,
+            "oracle_dt": oracle_dt,
+            "engine_dt": cfg.dt,
+            "oracle_dx": cfg.oracle_dx,
+            "realizations": realizations,
+            "num_discarded": samples.num_discarded,
+            "times": table,
+        }
+        return CheckResult("feynman_kac_vs_oracle", passed, 0.0, metrics,
+                           {"feynman_kac_vs_oracle": rows})
+
+    return _Plan([mc], finish)
 
 
-_RUNNERS = {
-    "roundtrip": check_roundtrip,
-    "determinant_consistency": check_determinant_consistency,
-    "martingale_M": check_martingale_M,
-    "conservation": check_conservation,
-    "entropy_mc": check_entropy_mc,
-    "entropy_oracle": check_entropy_oracle,
-    "jensen": check_jensen,
-    "feynman_kac_vs_oracle": check_feynman_kac_vs_oracle,
+def _without_simulation(check: Callable) -> Callable:
+    """The planner of a check that runs no Monte Carlo pass."""
+
+    def plan(ctx: RunContext, params: dict) -> _Plan:
+        return _Plan([], lambda: check(ctx, params))
+
+    plan.__doc__ = check.__doc__
+    return plan
+
+
+_PLANNERS = {
+    "roundtrip": _plan_roundtrip,
+    "determinant_consistency": _plan_determinant_consistency,
+    "martingale_M": _plan_martingale_M,
+    "conservation": _plan_conservation,
+    "entropy_mc": _plan_entropy_mc,
+    "entropy_oracle": _without_simulation(check_entropy_oracle),
+    "jensen": _without_simulation(check_jensen),
+    "feynman_kac_vs_oracle": _plan_feynman_kac_vs_oracle,
 }
+
+# Each check on its own, sharing no pass with another.
+_RUNNERS = {name: _run_alone(planner) for name, planner in _PLANNERS.items()}
 
 
 # ---------------------------------------------------------------------------
 # Scenario runner
 # ---------------------------------------------------------------------------
+
+
+def _aborted(name: str, exc: Exception) -> CheckResult:
+    return CheckResult(
+        name,
+        False,
+        0.0,
+        {"error": f"{type(exc).__name__}: {exc}"},
+        {},
+        notes="check aborted by error",
+    )
 
 
 def run_scenario(
@@ -987,12 +1158,17 @@ def run_scenario(
     seed: int | None = None,
     realizations: int | None = None,
     threads: int = 1,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> RunReport:
     """Execute every configured check, writing CSVs as they finish plus report.json.
 
-    A check that raises is recorded as failed with the error message; later checks
-    still run.  ``realizations`` overrides every per-check budget (used for quick
-    deterministic replays); ``seed`` overrides the scenario seed.
+    Every check is planned first.  Checks that simulate the same labels with the
+    same dt to the same horizon share one chunked engine pass, which runs when the
+    first of them comes up, so that check's elapsed time includes the pass.  A check
+    that raises is recorded as failed with the error message; later checks still
+    run.  ``realizations`` overrides every per-check budget (used for quick
+    deterministic replays); ``seed`` overrides the scenario seed.  The report does
+    not depend on ``threads`` or ``chunk_size``.
     """
     os.makedirs(out_dir, exist_ok=True)
     ctx = RunContext(
@@ -1000,24 +1176,34 @@ def run_scenario(
         seed=cfg.seed if seed is None else int(seed),
         realizations_override=realizations,
         threads=max(1, int(threads)),
+        chunk_size=chunk_size,
     )
-    results: list[CheckResult] = []
     t_start = time.perf_counter()
+    plans = []  # (name, plan or the error that stopped planning, seconds spent)
     for name in cfg.checks:
-        runner = _RUNNERS[name]
         t0 = time.perf_counter()
         try:
-            res = runner(ctx, cfg.params_for(name))
-            res.elapsed = time.perf_counter() - t0
+            plan = _PLANNERS[name](ctx, cfg.params_for(name))
         except Exception as exc:  # noqa: BLE001 — verdicts must survive bad checks
-            res = CheckResult(
-                name,
-                False,
-                time.perf_counter() - t0,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                {},
-                notes="check aborted by error",
-            )
+            plan = exc
+        plans.append((name, plan, time.perf_counter() - t0))
+    passes = _passes(c for _, plan, _ in plans if isinstance(plan, _Plan) for c in plan.consumers)
+
+    results: list[CheckResult] = []
+    for name, plan, planning in plans:
+        t0 = time.perf_counter()
+        if isinstance(plan, _Plan):
+            for c in plan.consumers:
+                group = passes.pop(c.pass_key(), None)
+                if group is not None:
+                    _run_pass(ctx, group)
+            try:
+                res = plan.finish()
+            except Exception as exc:  # noqa: BLE001 — verdicts must survive bad checks
+                res = _aborted(name, exc)
+        else:
+            res = _aborted(name, plan)
+        res.elapsed = planning + time.perf_counter() - t0
         for stem, rows in res.series.items():
             _write_series_csv(os.path.join(out_dir, f"{stem}.csv"), rows)
         results.append(res)

@@ -28,12 +28,19 @@ drift) nearly free.  A value that may overflow or fail a domain check is never f
 Realizations whose chart leaves the padded integration box, or develops non-finite
 state, are flagged and their rows frozen to the box center so the remaining batch can
 continue without domain errors; consumers must drop flagged realizations.
+
+A snapshot keeps only the fields its caller names (``fields=``), so several checks
+can share one pass over a chunk: each realization's rows depend only on its own
+Brownian path, the labels, dt and the number of steps (which sets the padded box and
+the fold bounds), never on the other realizations in the chunk or the times stored.
+``run_chunks`` drives such a pass chunk by chunk, and ``step_indices`` places output
+times on the step grid.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,10 +58,15 @@ __all__ = [
     "simulate_paths",
     "run_chunks",
     "escape_margin",
+    "step_indices",
+    "SNAPSHOT_FIELDS",
     "DEFAULT_CHUNK_SIZE",
 ]
 
 DEFAULT_CHUNK_SIZE = 4096
+
+# The per-label arrays a snapshot can keep.
+SNAPSHOT_FIELDS = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
 
 # Number of diffusive standard deviations sqrt(2*nu*T) added around the label box to
 # form the integration domain; leaving it counts as an escape.
@@ -64,6 +76,21 @@ ESCAPE_MARGIN_SIGMAS = 6.0
 def escape_margin(nu: float, horizon: float) -> float:
     """Padding width around the label box for escape detection."""
     return ESCAPE_MARGIN_SIGMAS * float(np.sqrt(max(2.0 * nu * horizon, 0.0)))
+
+
+def step_indices(times, dt: float) -> list[int]:
+    """Step index i of every time t = i*dt, in the given order.
+
+    Raises ValueError for a time that is negative or off the dt step grid.
+    """
+    idx = []
+    for t in times:
+        t = float(t)
+        i = int(round(t / dt))
+        if i < 0 or abs(i * dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"time {t!r} does not lie on the dt={dt} step grid")
+        idx.append(i)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +265,8 @@ def _det_stack(J: np.ndarray) -> np.ndarray:
 class BatchResult:
     """Snapshots of a chunk of realizations over a common label grid or point set.
 
-    Leading axes of the arrays: (stored time, realization, label).  For a tensor grid
+    Leading axes of the arrays: (stored time, realization, label).  A snapshot field
+    the simulation was not asked to keep is None.  For a tensor grid
     ``label_axes`` holds the per-axis nodes and ``label_shape`` their sizes; for a
     point set (``labels`` given as an (L, n) array) ``label_axes`` is None and
     ``label_shape`` is (L,), and no chart can be built from the result.  ``alive`` marks
@@ -256,11 +284,11 @@ class BatchResult:
     dt: float
     num_steps: int
     realization_indices: np.ndarray  # (R,)
-    X: np.ndarray  # (S, R, L, n)
-    D_sde: np.ndarray  # (S, R, L)
-    log_lambda: np.ndarray  # (S, R, L)
-    log_I: np.ndarray  # (S, R, L)
-    D_direct: np.ndarray  # (S, R, L)
+    X: np.ndarray | None  # (S, R, L, n)
+    D_sde: np.ndarray | None  # (S, R, L)
+    log_lambda: np.ndarray | None  # (S, R, L)
+    log_I: np.ndarray | None  # (S, R, L)
+    D_direct: np.ndarray | None  # (S, R, L)
     alive: np.ndarray  # (R,) bool
     escaped: np.ndarray  # (R,) bool
     nonfinite: np.ndarray  # (R,) bool
@@ -286,6 +314,18 @@ class BatchResult:
         if hits.size == 0:
             raise ValueError(f"time {t!r} is not a stored output time; stored: {self.times.tolist()}")
         return int(hits[0])
+
+    def head(self, count: int) -> "BatchResult":
+        """The first ``count`` realizations of the chunk, as views."""
+        per_time = {
+            name: None if getattr(self, name) is None else getattr(self, name)[:, :count]
+            for name in SNAPSHOT_FIELDS
+        }
+        per_realization = {
+            name: getattr(self, name)[:count]
+            for name in ("realization_indices", "alive", "escaped", "nonfinite", "degenerate")
+        }
+        return replace(self, **per_time, **per_realization)
 
 
 def _label_points(labels, n: int) -> tuple:
@@ -334,6 +374,7 @@ def simulate_paths(
     driver: BrownianDriver,
     realization_indices,
     box: Box | None = None,
+    fields=None,
 ) -> BatchResult:
     """Advance a chunk of realizations over a label grid or point set, storing snapshots.
 
@@ -342,7 +383,9 @@ def simulate_paths(
     the shared noise, so a point set gives the same bits as the matching columns of a
     grid that contains those points; only the alive/escaped/nonfinite/degenerate flags
     differ, as they are judged over the labels simulated.  ``store_indices``:
-    step indices (0 = initial state) at which full state snapshots are kept.  The step
+    step indices (0 = initial state) at which snapshots are kept.  ``fields``: the
+    names in ``SNAPSHOT_FIELDS`` to keep (default: all of them); the others are None
+    in the result.  The flags are judged on the full state whatever is kept.  The step
     size is ``driver.dt``.  Escaped / non-finite realizations are flagged, frozen to the
     box center, and carried along so results stay aligned; they are never raised here.
     """
@@ -380,6 +423,10 @@ def simulate_paths(
         raise ValueError(f"store_indices must lie in [0, {num_steps}]")
     slot_of = {idx: s for s, idx in enumerate(store)}
     S = len(store)
+    kept = SNAPSHOT_FIELDS if fields is None else tuple(fields)
+    unknown = set(kept) - set(SNAPSHOT_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown snapshot fields {sorted(unknown)}; known: {SNAPSHOT_FIELDS}")
 
     r_idx = np.asarray(list(realization_indices), dtype=np.int64)
     R = r_idx.size
@@ -397,11 +444,7 @@ def simulate_paths(
     nonfinite = np.zeros(R, dtype=bool)
     degenerate = np.zeros(R, dtype=bool)
 
-    Xs = np.empty((S, R, L, n))
-    Ds = np.empty((S, R, L))
-    logLs = np.empty((S, R, L))
-    logIs = np.empty((S, R, L))
-    Ddir = np.empty((S, R, L))
+    snaps = {name: np.empty((S, R, L, n) if name == "X" else (S, R, L)) for name in kept}
 
     def freeze(dead_mask: np.ndarray) -> None:
         X[dead_mask] = center
@@ -411,12 +454,10 @@ def simulate_paths(
         logI[dead_mask] = 0.0
 
     def snapshot(slot: int) -> None:
-        Xs[slot] = X
-        Ds[slot] = D
-        logLs[slot] = logL
-        logIs[slot] = logI
         dd = _det_stack(J)
-        Ddir[slot] = dd
+        live = {"X": X, "D_sde": D, "log_lambda": logL, "log_I": logI, "D_direct": dd}
+        for name, arr in snaps.items():
+            arr[slot] = live[name]
         # Judge tracker health only on live realizations.
         bad_det = alive & np.any(dd <= 0.0, axis=1)
         if bad_det.any():
@@ -471,11 +512,7 @@ def simulate_paths(
         dt=dt,
         num_steps=num_steps,
         realization_indices=r_idx,
-        X=Xs,
-        D_sde=Ds,
-        log_lambda=logLs,
-        log_I=logIs,
-        D_direct=Ddir,
+        **{name: snaps.get(name) for name in SNAPSHOT_FIELDS},
         alive=alive,
         escaped=escaped,
         nonfinite=nonfinite,

@@ -12,9 +12,6 @@ class SourceSpan:
     start: int
     end: int
 
-    def excerpt(self, source: str) -> str:
-        return source[self.start : self.end]
-
 
 class StochflowError(Exception):
     """Base class for all package-specific errors."""

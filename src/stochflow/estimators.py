@@ -12,7 +12,8 @@ Provided here:
     statistical check below.  Each chunk's alive realizations are inverted as chart
     stacks of ``_PSI_BLOCK_ROWS`` rows at one output time (``inverse.chart_stack``,
     ``inverse.feynman_kac_psi_stack``), written in place into the chunk's (R, S, Q)
-    outputs.
+    outputs.  Given a chunk that is already simulated (``simulated=``, one pass shared
+    by several checks), it records that chunk only; ``join_psi_samples`` joins chunks.
   * ``fields_from_samples``: per-point sample means and errors.
   * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
     realization and label.
@@ -29,7 +30,7 @@ Provided here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .brownian import BrownianDriver, auxiliary_rng
 from .coefficients import CoefficientSet
 from .convex import ConvexH
-from .engine import DEFAULT_CHUNK_SIZE, BatchResult, run_chunks, simulate_paths
+from .engine import DEFAULT_CHUNK_SIZE, BatchResult, run_chunks, simulate_paths, step_indices
 from .errors import (
     DimensionMismatch,
     InsufficientRealizations,
@@ -67,6 +68,7 @@ __all__ = [
     "field_phi",
     "validate_compact_support",
     "collect_psi_samples",
+    "join_psi_samples",
     "fields_from_samples",
     "martingale_values",
     "conserved_quantity_batch",
@@ -268,19 +270,47 @@ class JensenResult:
 # ---------------------------------------------------------------------------
 
 
-def _store_plan(times, dt: float) -> tuple[int, list[int]]:
-    ts = [float(t) for t in times]
-    if len(ts) == 0:
-        raise ValueError("at least one output time is required")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("output times must be strictly increasing")
-    idx = []
-    for t in ts:
-        i = int(round(t / dt))
-        if i < 0 or abs(i * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"output time {t!r} does not lie on the step grid dt={dt}")
-        idx.append(i)
-    return max(idx), idx
+def _psi_rows(result: BatchResult, ts: np.ndarray, f0: FieldExpr, rho0: FieldExpr,
+              pts: np.ndarray, realizations: int) -> PsiSamples:
+    """ψ pairs of a batch's alive realizations with index below ``realizations``."""
+    head = result.realization_indices < realizations
+    r_alive = np.nonzero(result.alive & head)[0]
+    # The outputs are allocated once the engine's working state is freed; the stacks
+    # write into them block by block.
+    shape = (r_alive.size, ts.size, pts.shape[0])
+    pf, pr, st = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
+    for s, t in enumerate(ts):
+        for b0 in range(0, r_alive.size, _PSI_BLOCK_ROWS):
+            block = slice(b0, b0 + _PSI_BLOCK_ROWS)
+            stack = chart_stack(result, float(t), r_alive[block])
+            (vf, vr), status = feynman_kac_psi_stack(stack, (f0, rho0), pts)
+            pf[block, s], pr[block, s], st[block, s] = vf, vr, status
+    return PsiSamples(
+        label_axes=result.label_axes,
+        points=pts,
+        times=ts,
+        realization_indices=result.realization_indices[r_alive],
+        psi_f=pf,
+        psi_rho=pr,
+        status=st,
+        num_discarded=int(head.sum()) - r_alive.size,
+    )
+
+
+def join_psi_samples(parts: Sequence[PsiSamples]) -> PsiSamples:
+    """Samples of consecutive chunks of realizations, joined in realization order."""
+    if not parts:
+        raise ValueError("no samples to join")
+    if len(parts) == 1:
+        return parts[0]
+    return replace(
+        parts[0],
+        realization_indices=np.concatenate([p.realization_indices for p in parts]),
+        psi_f=np.concatenate([p.psi_f for p in parts]),
+        psi_rho=np.concatenate([p.psi_rho for p in parts]),
+        status=np.concatenate([p.status for p in parts]),
+        num_discarded=sum(p.num_discarded for p in parts),
+    )
 
 
 def collect_psi_samples(
@@ -295,56 +325,54 @@ def collect_psi_samples(
     box: Box | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
+    simulated: BatchResult | None = None,
 ) -> PsiSamples:
-    """Simulate ``realizations`` independent flows and record psi pairs.
+    """Simulate realizations ``0 .. realizations-1`` and record psi pairs.
 
     Rows follow the realization indices, and every value depends only on its own
     realization, so the result is bit-identical for any ``threads`` and
     ``chunk_size``.
+
+    ``simulated``: a chunk already simulated from ``cs`` over ``label_axes`` with
+    ``driver``, storing every time in ``times`` (for instance one pass that several
+    checks share).  Nothing is simulated then: the samples are those of its
+    realizations with index below ``realizations``, and ``join_psi_samples`` joins
+    the samples of consecutive chunks.
     """
     pts = np.asarray(query_points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != cs.n:
         raise DimensionMismatch(f"query points have dimension {pts.shape[1]}, expected {cs.n}")
-    num_steps, store_indices = _store_plan(times, driver.dt)
     ts = np.array([float(t) for t in times])
-    q = pts.shape[0]
+    if ts.size == 0:
+        raise ValueError("at least one output time is required")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("output times must be strictly increasing")
+    store_indices = step_indices(ts, driver.dt)
+    if simulated is not None:
+        return _psi_rows(simulated, ts, f0, rho0, pts, realizations)
 
-    def worker(indices: np.ndarray):
+    def worker(indices: np.ndarray) -> PsiSamples:
         result = simulate_paths(
-            cs, label_axes, num_steps, store_indices, driver, indices, box=box
+            cs, label_axes, store_indices[-1], store_indices, driver, indices, box=box,
+            fields=("X", "log_I"),
         )
-        r_alive = np.nonzero(result.alive)[0]
-        # The outputs are allocated once the engine's working state is freed; the
-        # stacks write into them block by block.
-        shape = (r_alive.size, ts.size, q)
-        pf, pr, st = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
-        for s, t in enumerate(ts):
-            for b0 in range(0, r_alive.size, _PSI_BLOCK_ROWS):
-                block = slice(b0, b0 + _PSI_BLOCK_ROWS)
-                stack = chart_stack(result, float(t), r_alive[block])
-                (vf, vr), status = feynman_kac_psi_stack(stack, (f0, rho0), pts)
-                pf[block, s], pr[block, s], st[block, s] = vf, vr, status
-        return result.realization_indices[r_alive], pf, pr, st
+        return _psi_rows(result, ts, f0, rho0, pts, realizations)
 
     chunks = run_chunks(range(realizations), worker, chunk_size=chunk_size, threads=threads)
-    if not chunks:
-        chunks = [(np.empty(0, dtype=np.int64), np.empty((0, ts.size, q)),
-                   np.empty((0, ts.size, q)), np.empty((0, ts.size, q), dtype=np.uint8))]
-    # One chunk is returned as it is; several are joined in realization order.
-    kept, psi_f, psi_rho, status = (
-        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*chunks)
-    )
+    if chunks:
+        return join_psi_samples(chunks)
+    empty = np.empty((0, ts.size, pts.shape[0]))
     return PsiSamples(
         label_axes=tuple(np.asarray(ax, dtype=float) for ax in (label_axes if isinstance(label_axes, (tuple, list)) else (label_axes,))),
         points=pts,
         times=ts,
-        realization_indices=kept,
-        psi_f=psi_f,
-        psi_rho=psi_rho,
-        status=status,
-        num_discarded=realizations - kept.size,
+        realization_indices=np.empty(0, dtype=np.int64),
+        psi_f=empty,
+        psi_rho=empty.copy(),
+        status=np.empty(empty.shape, dtype=np.uint8),
+        num_discarded=0,
     )
 
 
@@ -410,15 +438,21 @@ def conserved_quantity_batch(
     h0: FieldExpr,
     t: float,
     validate_support: bool = True,
+    rows=None,
 ) -> np.ndarray:
-    """Per-realization conserved-quantity samples from a batch run (alive rows only)."""
+    """Per-realization conserved-quantity samples from a batch run.
+
+    ``rows``: the realization slots to use (default: all of them); every one must be
+    alive, or ``SupportEscape`` is raised.
+    """
     axes = result.label_axes
     if validate_support:
         # The quadrature only needs the *integrand density* rho0*h0 to vanish near the
         # label-box edge; rho0 itself may be a strictly positive plateau.
         validate_compact_support(h0, axes, "h0")
         validate_compact_support(rho0 * h0, axes, "rho0*h0")
-    alive = result.alive
+    rows = slice(None) if rows is None else rows
+    alive = result.alive[rows]
     if not np.all(alive):
         raise SupportEscape(
             f"{int((~alive).sum())} of {alive.size} realizations left the padded domain"
@@ -428,13 +462,13 @@ def conserved_quantity_batch(
     dens = _eval_at_points(rho0, labels) * _eval_at_points(h0, labels)
     support = _support_mask(dens)
     s = result.time_slot(t)
-    x_t = result.X[s]  # (R, L, n)
+    x_t = result.X[s][rows]  # (R, L, n)
     if support.any():
         _check_phi_reach(phi, x_t[:, support, :].reshape(-1, result.n))
     t_val = float(result.times[s])
     r_count, l_count = x_t.shape[0], x_t.shape[1]
     phi_vals = _phi_values(phi, x_t.reshape(-1, result.n), t_val).reshape(r_count, l_count)
-    m = phi_vals * result.D_direct[s] * np.exp(result.log_I[s])
+    m = phi_vals * result.D_direct[s][rows] * np.exp(result.log_I[s][rows])
     return (m * (w * dens)[None, :]).sum(axis=1)
 
 

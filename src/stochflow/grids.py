@@ -48,11 +48,6 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-    def contains_box(self, other: "Box") -> bool:
-        return all(a <= c for a, c in zip(self.lo, other.lo)) and all(
-            d <= b for b, d in zip(self.hi, other.hi)
-        )
-
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))

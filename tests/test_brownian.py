@@ -56,10 +56,15 @@ def test_increment_moments_match_dt():
     assert abs(v - dt) <= 4.0 * dt * np.sqrt(2.0 / (n - 1))
 
 
-def test_self_test_passes_on_healthy_stream():
-    rep = BrownianDriver(seed=11, dt=0.01, n=2).self_test()
-    assert rep["ok"]
-    assert abs(rep["z_mean"]) <= 4.0 and abs(rep["z_variance"]) <= 4.0
+def test_two_component_stream_moments_match_dt():
+    # Both components of a 2D stream, pooled: 4-standard-error gates on mean 0 and
+    # variance dt.
+    dt = 0.01
+    draws = BrownianDriver(seed=11, dt=dt, n=2).increments(100_000).reshape(-1)
+    n = draws.size
+    assert n == 200_000
+    assert abs(draws.mean()) <= 4.0 * np.sqrt(dt / n)
+    assert abs(draws.var(ddof=1) - dt) <= 4.0 * dt * np.sqrt(2.0 / (n - 1))
 
 
 def test_constructor_validation():

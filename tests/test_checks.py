@@ -12,13 +12,14 @@ from stochflow.checks import (
     RunContext,
     _det_label_axes,
     _jsonable,
-    _tracker_gaps,
+    _tracker_levels,
     convergence_study,
     golden_payload,
     report_payload,
     run_scenario,
 )
 from stochflow.config import bundled_scenario_path, load_config, loads_config
+from stochflow.engine import step_indices
 from stochflow.estimators import martingale_values
 
 
@@ -75,7 +76,7 @@ def test_tracker_gaps_do_not_depend_on_chunk_size(additive_cfg):
     # gaps are reduced once over all chunks, so every float agrees bit for bit.
     labels = _det_label_axes(additive_cfg)
     gaps = [
-        _tracker_gaps(RunContext(additive_cfg, 5, chunk_size=size), labels, 0.5, 0.002, 100)
+        _tracker_levels(RunContext(additive_cfg, 5, chunk_size=size), labels, 0.5, [0.002], 100)[0]
         for size in (4096, 37)
     ]
     assert gaps[0]["samples"] == 100 * labels[0].size
@@ -97,6 +98,96 @@ def test_every_check_result_does_not_depend_on_chunk_size(name):
             result = _RUNNERS[check](ctx, cfg.params_for(check))
             runs.append((_jsonable(result.metrics), result.series))
         assert runs[0] == runs[1], check
+
+
+@pytest.mark.parametrize(
+    "name", ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d"]
+)
+def test_scenario_output_does_not_depend_on_chunk_size(tmp_path, name):
+    # The golden budget in one chunk or in chunks of 37: the checks that share a
+    # pass read chunk-cut realization prefixes, and the golden payload and every
+    # CSV keep their bytes.
+    cfg = load_config(str(bundled_scenario_path(name)))
+    outputs = []
+    for size in (4096, 37):
+        out = tmp_path / str(size)
+        report = run_scenario(cfg, str(out), realizations=200, chunk_size=size)
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        outputs.append((json.dumps(golden_payload(report), sort_keys=True), csvs))
+    assert outputs[0][1]
+    assert outputs[0] == outputs[1]
+
+
+def test_shared_pass_prefixes_match_each_check_run_alone(tmp_path, monkeypatch):
+    # conservation simulates 150 realizations in chunks of 37, 37, 37, 37 and 2;
+    # roundtrip reads the first 8 and entropy_mc the first 100, which end inside
+    # the third chunk.  Each check's metrics and series equal those of a scenario
+    # that lists it alone, simulated in one chunk.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("sine_sigma_1d"))))
+    raw["checks"] = ["roundtrip", "conservation", "entropy_mc"]
+    raw["check_params"]["conservation"]["realizations"] = 150
+    raw["check_params"]["entropy_mc"]["realizations"] = 100
+    chunks = []
+    real_simulate = checks.simulate_paths
+
+    def recording(*args, **kwargs):
+        result = real_simulate(*args, **kwargs)
+        chunks.append(result.num_realizations)
+        return result
+
+    monkeypatch.setattr(checks, "simulate_paths", recording)
+    shared = run_scenario(loads_config(yaml.safe_dump(raw)), str(tmp_path / "shared"),
+                          chunk_size=37)
+    monkeypatch.undo()
+    assert chunks == [37, 37, 37, 37, 2]
+    assert [r.name for r in shared.results] == raw["checks"]
+    for result in shared.results:
+        assert "error" not in result.metrics, result.metrics
+        alone = run_scenario(loads_config(yaml.safe_dump(dict(raw, checks=[result.name]))),
+                             str(tmp_path / result.name))
+        assert _jsonable(alone.results[0].metrics) == _jsonable(result.metrics), result.name
+        assert alone.results[0].series == result.series, result.name
+
+
+def test_failing_consumer_fails_only_its_own_check(tmp_path, monkeypatch):
+    # conservation and entropy_mc share one pass; a reduction that raises inside
+    # it is reported by conservation alone.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw["checks"] = ["conservation", "entropy_mc"]
+
+    def broken(*args, **kwargs):
+        raise FloatingPointError("reduction failed")
+
+    monkeypatch.setattr(checks, "conserved_quantity_batch", broken)
+    report = run_scenario(loads_config(yaml.safe_dump(raw)), str(tmp_path), realizations=150)
+    conservation, entropy_mc = report.results
+    assert conservation.metrics == {"error": "FloatingPointError: reduction failed"}
+    assert entropy_mc.passed, entropy_mc.metrics
+
+
+def test_conservation_memory_is_bounded_by_one_chunk():
+    # 800 realizations in chunks of 40: each chunk is reduced to per-realization
+    # quadratures and dropped, so the tracemalloc peak stays near that of
+    # simulating one chunk; keeping every chunk's snapshots needs 20 times that.
+    import tracemalloc
+
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw.update(T=0.1, output_times=[0.0, 0.05, 0.1], checks=["conservation"])
+    raw["check_params"]["conservation"]["times"] = [0.05, 0.1]
+    cfg = loads_config(yaml.safe_dump(raw))
+    ctx = RunContext(cfg, cfg.seed, realizations_override=800, chunk_size=40)
+    tracemalloc.start()
+    try:
+        checks.simulate_paths(ctx.cs, cfg.label_axes, 100, [50, 100], ctx.driver(),
+                              range(40), box=cfg.box)
+        _, one_chunk = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = _RUNNERS["conservation"](ctx, cfg.params_for("conservation"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.metrics
+    assert peak <= 2 * one_chunk, (peak, one_chunk)
 
 
 def test_jensen_draws_follow_the_run_seed(additive_cfg):
@@ -232,12 +323,13 @@ def test_martingale_M_simulates_only_its_probes(monkeypatch):
     assert [labels.shape for labels in requested] == [(3, 2)]
 
     grid_axes = tuple(np.asarray(ax, dtype=float) for ax in params["probe_labels"])
-    grid = checks._simulate_chunked(ctx, grid_axes, params["times"], 120)
+    store = step_indices(params["times"], cfg.dt)
+    grid = real_simulate(ctx.cs, grid_axes, max(store), store, ctx.driver(), range(120), box=cfg.box)
     phi = ctx.weight("adjoint", params["times"])[0]
     diagonal = [0, 4, 8]
     cells = iter(result.metrics["cells"])
     for t in params["times"]:
-        values = np.concatenate([martingale_values(c, phi, t) for c in grid], axis=0)
+        values = martingale_values(grid, phi, t)
         for j, col in enumerate(diagonal):
             cell = next(cells)
             assert cell["t"] == t

@@ -456,3 +456,28 @@ def test_point_labels_validation(cs_full_2d):
 def test_escape_margin_formula():
     assert escape_margin(0.1, 0.5) == pytest.approx(6.0 * np.sqrt(2 * 0.1 * 0.5))
     assert escape_margin(0.0, 1.0) == 0.0
+
+
+def test_fields_and_stored_times_do_not_change_the_kept_bits(cs_full_2d):
+    # One pass may serve several checks: it keeps only the fields they read, at the
+    # union of their times, and each reads its realization prefix through head().
+    cs = cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0)))
+    axes = (np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))
+    brownian = BrownianDriver(seed=23, dt=1e-3, n=2)
+    full = simulate_paths(cs, axes, 200, [100, 200], brownian, range(12))
+    kept = ("X", "log_I")
+    lean = simulate_paths(cs, axes, 200, [0, 50, 100, 200], brownian, range(12), fields=kept)
+    for name in ("X", "D_sde", "log_lambda", "log_I", "D_direct"):
+        if name in kept:
+            assert getattr(lean, name)[[2, 3]].tobytes() == getattr(full, name).tobytes(), name
+        else:
+            assert getattr(lean, name) is None, name
+    for name in ("alive", "escaped", "nonfinite", "degenerate", "realization_indices"):
+        assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
+    head = lean.head(5)
+    assert head.num_realizations == 5 and head.D_direct is None
+    assert np.shares_memory(head.X, lean.X)
+    assert head.X.tobytes() == lean.X[:, :5].tobytes()
+    assert head.alive.tobytes() == lean.alive[:5].tobytes()
+    with pytest.raises(ValueError, match="unknown snapshot fields"):
+        simulate_paths(cs, axes, 10, [10], brownian, [0], fields=("X", "J"))

@@ -29,12 +29,12 @@ def test_box_basic_properties():
     assert not b.contains([2.1, 1.0])
 
 
-def test_box_padded_and_contains_box():
-    b = Box((-1.0,), (1.0,))
+def test_box_padded():
+    b = Box((-1.0, 0.0), (1.0, 2.0))
     p = b.padded(0.5)
-    assert np.allclose(p.lo, [-1.5]) and np.allclose(p.hi, [1.5])
-    assert p.contains_box(b)
-    assert not b.contains_box(p)
+    assert np.allclose(p.lo, [-1.5, -0.5]) and np.allclose(p.hi, [1.5, 2.5])
+    # the padded box strictly encloses the original on every side
+    assert all(a < c for a, c in zip(p.lo, b.lo)) and all(d < c for c, d in zip(p.hi, b.hi))
 
 
 def test_box_validation():
