@@ -33,11 +33,10 @@ from .errors import (
 from .fields import FieldExpr, differentiate, eval_batch, evaluate, parse_field
 from .grids import Box, grid_axes, mesh_points, multilinear_interp, trapezoid_weights
 from .inverse import (
-    FlowChart,
+    ChartStack,
     chart_from_batch,
-    feynman_kac_psi_batch,
+    feynman_kac_psi_stack,
     invert_batch,
-    passive_scalar_batch,
     roundtrip_error,
 )
 from .oracle import (

@@ -19,7 +19,8 @@ consumer of the group, cut to that consumer's realization prefix, and is then
 dropped, so memory is bounded by the chunk.  The pass runs when the first check of
 its group comes up, and that check's elapsed time includes it.  Reductions happen
 once per check, in realization order, on the gathered scalars, so the bits are those
-of a check run alone (``_RUNNERS``).  A reducer that raises fails its own check only.
+of a scenario that lists the check alone.  A reducer that raises fails its own check
+only.
 """
 
 from __future__ import annotations
@@ -381,23 +382,6 @@ def _passes(consumers) -> dict:
     return groups
 
 
-def _simulate(ctx: RunContext, consumers) -> None:
-    for group in _passes(consumers).values():
-        _run_pass(ctx, group)
-
-
-def _run_alone(planner: Callable) -> Callable:
-    """A planner as a plain check: its passes are shared with no other check."""
-
-    def run(ctx: RunContext, params: dict) -> CheckResult:
-        plan = planner(ctx, params)
-        _simulate(ctx, plan.consumers)
-        return plan.finish()
-
-    run.__doc__ = planner.__doc__
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -418,10 +402,11 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
     def reduce(result):
         rows = np.flatnonzero(result.alive)
         errors = []
-        for slot in rows:
+        if rows.size:
             for t in times:
-                rt = roundtrip_error(chart_from_batch(result, t, slot), interior_only=True)
-                errors.append((float(t), rt["max_abs_error"], rt["resolved_fraction"]))
+                rt = roundtrip_error(chart_from_batch(result, t, rows), interior_only=True)
+                errors.append((float(t), float(rt["max_abs_error"].max()),
+                               float(rt["resolved_fraction"].min())))
         return result.num_realizations - rows.size, errors
 
     mc = _Consumer(cfg.label_axes, cfg.dt, times, num_real, ("X", "log_I"), reduce)
@@ -494,7 +479,8 @@ def _tracker_gaps(consumer: _Consumer) -> dict:
 def _tracker_levels(ctx: RunContext, labels, horizon: float, dts, realizations: int) -> list:
     """``_tracker_gaps`` at each step size; the horizon must be a multiple of every one."""
     consumers = _tracker_consumers(labels, horizon, dts, realizations)
-    _simulate(ctx, consumers)
+    for group in _passes(consumers).values():
+        _run_pass(ctx, group)
     return [_tracker_gaps(c) for c in consumers]
 
 
@@ -803,10 +789,7 @@ def _psi_consumer(ctx: RunContext, times, realizations: int, pts) -> _Consumer:
     cfg = ctx.cfg
 
     def reduce(result):
-        return collect_psi_samples(
-            ctx.cs, cfg.label_axes, times, ctx.driver(), cfg.f0, cfg.rho0, pts,
-            realizations=realizations, box=cfg.box, simulated=result,
-        )
+        return collect_psi_samples(result, times, cfg.f0, cfg.rho0, pts)
 
     return _Consumer(cfg.label_axes, cfg.dt, times, realizations, ("X", "log_I"), reduce)
 
@@ -1131,9 +1114,6 @@ _PLANNERS = {
     "jensen": _without_simulation(check_jensen),
     "feynman_kac_vs_oracle": _plan_feynman_kac_vs_oracle,
 }
-
-# Each check on its own, sharing no pass with another.
-_RUNNERS = {name: _run_alone(planner) for name, planner in _PLANNERS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -26,23 +26,16 @@ back to U.
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fields as F
 from .errors import DimensionMismatch
-from .fields import FieldExpr, differentiate, eval_batch, parse_field
+from .fields import FieldExpr, differentiate, parse_field
 from .grids import Box
 
 __all__ = [
     "CoefficientSet",
-    "CoefficientSample",
     "assemble",
-    "sample",
-    "min_diffusion_eigenvalue",
 ]
 
 
@@ -81,32 +74,6 @@ class CoefficientSet:
         for row in self.sigma:
             exprs.extend(row)
         return any(e.depends_on_time() for e in exprs)
-
-    def with_box(self, box: Box) -> "CoefficientSet":
-        if box.dim != self.n:
-            raise DimensionMismatch("box dimension does not match coefficients")
-        return dataclasses.replace(self, box=box)
-
-
-@dataclass
-class CoefficientSample:
-    """All coefficient fields evaluated at one space-time point."""
-
-    x: np.ndarray
-    t: float
-    sigma: np.ndarray  # (n, n)
-    dsigma: np.ndarray  # (n, n, n), [k, j, p] = d_k sigma_jp
-    U: np.ndarray  # (n,)
-    dU: np.ndarray  # (n, n), [k, j] = d_k U_j
-    V: float
-    a: np.ndarray  # (n, n)
-    u: np.ndarray  # (n,)
-    v: np.ndarray  # (n,)
-    dv: np.ndarray  # (n, n), [k, j] = d_k v_j
-    div_v: float
-    P: float
-    E: float
-    div_sigma: np.ndarray  # (n,)
 
 
 def _as_field(src, n: int) -> FieldExpr:
@@ -232,82 +199,3 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         div_sigma=div_sigma,
         box=box,
     )
-
-
-def _eval_grid(exprs, comps, t, memo):
-    """Evaluate a nested tuple structure of FieldExpr into a float ndarray."""
-    flat = []
-
-    def walk(obj):
-        if isinstance(obj, FieldExpr):
-            flat.append(float(eval_batch(obj, comps, t, memo)))
-            return None
-        return [walk(e) for e in obj]
-
-    def shape_of(obj):
-        if isinstance(obj, FieldExpr):
-            return ()
-        return (len(obj),) + shape_of(obj[0])
-
-    shp = shape_of(exprs)
-    walk(exprs)
-    return np.array(flat, dtype=float).reshape(shp)
-
-
-def sample(cs: CoefficientSet, x, t: float = 0.0) -> CoefficientSample:
-    """Evaluate every stored field at one point (validated against the box if set)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (cs.n,):
-        raise DimensionMismatch(f"point must have shape ({cs.n},)")
-    if cs.box is not None and not cs.box.contains(x):
-        raise ValueError(f"point {x.tolist()} lies outside the declared box")
-    comps = tuple(float(c) for c in x)
-    memo: dict = {}
-    return CoefficientSample(
-        x=x,
-        t=float(t),
-        sigma=_eval_grid(cs.sigma, comps, t, memo),
-        dsigma=_eval_grid(cs.dsigma, comps, t, memo),
-        U=_eval_grid(cs.U, comps, t, memo),
-        dU=_eval_grid(cs.dU, comps, t, memo),
-        V=float(eval_batch(cs.V, comps, t, memo)),
-        a=_eval_grid(cs.a, comps, t, memo),
-        u=_eval_grid(cs.u, comps, t, memo),
-        v=_eval_grid(cs.v, comps, t, memo),
-        dv=_eval_grid(cs.dv, comps, t, memo),
-        div_v=float(eval_batch(cs.div_v, comps, t, memo)),
-        P=float(eval_batch(cs.P, comps, t, memo)),
-        E=float(eval_batch(cs.E, comps, t, memo)),
-        div_sigma=_eval_grid(cs.div_sigma, comps, t, memo),
-    )
-
-
-def min_diffusion_eigenvalue(
-    cs: CoefficientSet, box: Box, t_values=(0.0,), samples_per_axis: int = 9
-) -> float:
-    """Smallest eigenvalue of a = sigma sigma^T over a sample lattice in ``box``.
-
-    Emits a degenerate-diffusion warning below 1e-8 (the flow can still run, but
-    inversion may hit flat cells).
-    """
-    axes = [np.linspace(box.lo[k], box.hi[k], samples_per_axis) for k in range(cs.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    comps = tuple(pts[:, k] for k in range(cs.n))
-    worst = np.inf
-    for t in t_values:
-        memo: dict = {}
-        a = np.empty((pts.shape[0], cs.n, cs.n))
-        for i in range(cs.n):
-            for j in range(cs.n):
-                a[:, i, j] = np.broadcast_to(
-                    eval_batch(cs.a[i][j], comps, float(t), memo), (pts.shape[0],)
-                )
-        eigs = np.linalg.eigvalsh(a)
-        worst = min(worst, float(eigs.min()))
-    if worst < 1e-8:
-        warnings.warn(
-            f"diffusion matrix is nearly degenerate: min eigenvalue {worst:.3e}",
-            stacklevel=2,
-        )
-    return worst

@@ -6,14 +6,14 @@ All estimators reduce over realizations in a fixed order keyed by realization in
 so results are bit-identical for any worker-thread count.
 
 Provided here:
-  * ``collect_psi_samples`` drives the path engine over many realizations and records,
-    per realization / output time / query point, the weighted transported data pair
-    (psi_f, psi_rho) together with the inversion status — the raw material for every
-    statistical check below.  Each chunk's alive realizations are inverted as chart
-    stacks of ``_PSI_BLOCK_ROWS`` rows at one output time (``inverse.chart_stack``,
+  * ``collect_psi_samples`` records, for a chunk of realizations already simulated
+    (one pass that several checks share), per realization / output time / query
+    point, the weighted transported data pair (psi_f, psi_rho) together with the
+    inversion status — the raw material for every statistical check below.  The
+    chunk's alive realizations are inverted as chart stacks of ``_PSI_BLOCK_ROWS``
+    rows at one output time (``inverse.chart_from_batch``,
     ``inverse.feynman_kac_psi_stack``), written in place into the chunk's (R, S, Q)
-    outputs.  Given a chunk that is already simulated (``simulated=``, one pass shared
-    by several checks), it records that chunk only; ``join_psi_samples`` joins chunks.
+    outputs; ``join_psi_samples`` joins the samples of consecutive chunks.
   * ``fields_from_samples``: per-point sample means and errors.
   * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
     realization and label.
@@ -35,10 +35,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brownian import BrownianDriver, auxiliary_rng
-from .coefficients import CoefficientSet
+from . import inverse
+from .brownian import auxiliary_rng
 from .convex import ConvexH
-from .engine import DEFAULT_CHUNK_SIZE, BatchResult, run_chunks, simulate_paths, step_indices
+from .engine import BatchResult
+# Unused here; kept importable because the benchmark's span tracer patches
+# estimators.simulate_paths and counts chunks through estimators.run_chunks.
+from .engine import run_chunks, simulate_paths  # noqa: F401
 from .errors import (
     DimensionMismatch,
     InsufficientRealizations,
@@ -47,8 +50,8 @@ from .errors import (
     SupportEscape,
 )
 from .fields import FieldExpr, eval_batch
-from .grids import Box, mesh_points, trapezoid_weights
-from .inverse import STATUS_OK, chart_stack, feynman_kac_psi_stack
+from .grids import mesh_points, trapezoid_weights
+from .inverse import STATUS_OK
 # Unused here; kept importable because the benchmark's span tracer patches
 # estimators.invert_batch.
 from .inverse import invert_batch  # noqa: F401
@@ -62,10 +65,8 @@ __all__ = [
     "PsiSamples",
     "JensenResult",
     "MIN_REALIZATIONS",
-    "DEFAULT_FIELD_REALIZATIONS",
     "constant_phi",
     "exponential_phi",
-    "field_phi",
     "validate_compact_support",
     "collect_psi_samples",
     "join_psi_samples",
@@ -79,7 +80,6 @@ __all__ = [
 ]
 
 MIN_REALIZATIONS = 100
-DEFAULT_FIELD_REALIZATIONS = 2_000
 SUPPORT_MARGIN_CELLS = 4
 _SUPPORT_REL_TOL = 1e-10
 # An entropy-martingale integrand above this fraction of its peak within two cells of
@@ -120,21 +120,6 @@ def exponential_phi(c: float, T: float) -> Callable:
         if pts.ndim <= 1:
             return val
         return np.full(pts.shape[0], val)
-
-    return phi
-
-
-def field_phi(expr: FieldExpr) -> Callable:
-    """Adapt a parsed field expression to the (points, t) callable protocol."""
-
-    def phi(points, t):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts2 = pts[None, :]
-            vals = eval_batch(expr, tuple(pts2.T), float(t))
-            return float(np.broadcast_to(np.asarray(vals, dtype=float), (1,))[0])
-        vals = eval_batch(expr, tuple(pts.T), float(t))
-        return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
     return phi
 
@@ -266,34 +251,57 @@ class JensenResult:
 
 
 # ---------------------------------------------------------------------------
-# Collection: run the engine, invert, and record psi pairs
+# Collection: invert a simulated chunk and record psi pairs
 # ---------------------------------------------------------------------------
 
 
-def _psi_rows(result: BatchResult, ts: np.ndarray, f0: FieldExpr, rho0: FieldExpr,
-              pts: np.ndarray, realizations: int) -> PsiSamples:
-    """ψ pairs of a batch's alive realizations with index below ``realizations``."""
-    head = result.realization_indices < realizations
-    r_alive = np.nonzero(result.alive & head)[0]
+def collect_psi_samples(
+    simulated: BatchResult,
+    times: Sequence[float],
+    f0: FieldExpr,
+    rho0: FieldExpr,
+    query_points,
+) -> PsiSamples:
+    """ψ pairs of the alive realizations of a simulated chunk at query points.
+
+    ``simulated`` stores X and log_I over a label grid at every time in ``times``;
+    rows follow its realization indices, and every value depends only on its own
+    realization, so the samples of consecutive chunks, joined by
+    ``join_psi_samples``, do not depend on where the chunks split.
+    """
+    pts = np.asarray(query_points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[1] != simulated.n:
+        raise DimensionMismatch(
+            f"query points have dimension {pts.shape[1]}, expected {simulated.n}"
+        )
+    ts = np.array([float(t) for t in times])
+    if ts.size == 0:
+        raise ValueError("at least one output time is required")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("output times must be strictly increasing")
+    r_alive = np.nonzero(simulated.alive)[0]
     # The outputs are allocated once the engine's working state is freed; the stacks
-    # write into them block by block.
+    # write into them block by block.  The chart is looked up on the inverse module
+    # so that the benchmark's span tracer sees every stack.
     shape = (r_alive.size, ts.size, pts.shape[0])
     pf, pr, st = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
     for s, t in enumerate(ts):
         for b0 in range(0, r_alive.size, _PSI_BLOCK_ROWS):
             block = slice(b0, b0 + _PSI_BLOCK_ROWS)
-            stack = chart_stack(result, float(t), r_alive[block])
-            (vf, vr), status = feynman_kac_psi_stack(stack, (f0, rho0), pts)
+            stack = inverse.chart_from_batch(simulated, float(t), r_alive[block])
+            (vf, vr), status = inverse.feynman_kac_psi_stack(stack, (f0, rho0), pts)
             pf[block, s], pr[block, s], st[block, s] = vf, vr, status
     return PsiSamples(
-        label_axes=result.label_axes,
+        label_axes=simulated.label_axes,
         points=pts,
         times=ts,
-        realization_indices=result.realization_indices[r_alive],
+        realization_indices=simulated.realization_indices[r_alive],
         psi_f=pf,
         psi_rho=pr,
         status=st,
-        num_discarded=int(head.sum()) - r_alive.size,
+        num_discarded=simulated.num_realizations - r_alive.size,
     )
 
 
@@ -310,69 +318,6 @@ def join_psi_samples(parts: Sequence[PsiSamples]) -> PsiSamples:
         psi_rho=np.concatenate([p.psi_rho for p in parts]),
         status=np.concatenate([p.status for p in parts]),
         num_discarded=sum(p.num_discarded for p in parts),
-    )
-
-
-def collect_psi_samples(
-    cs: CoefficientSet,
-    label_axes,
-    times: Sequence[float],
-    driver: BrownianDriver,
-    f0: FieldExpr,
-    rho0: FieldExpr,
-    query_points,
-    realizations: int = DEFAULT_FIELD_REALIZATIONS,
-    box: Box | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    threads: int = 1,
-    simulated: BatchResult | None = None,
-) -> PsiSamples:
-    """Simulate realizations ``0 .. realizations-1`` and record psi pairs.
-
-    Rows follow the realization indices, and every value depends only on its own
-    realization, so the result is bit-identical for any ``threads`` and
-    ``chunk_size``.
-
-    ``simulated``: a chunk already simulated from ``cs`` over ``label_axes`` with
-    ``driver``, storing every time in ``times`` (for instance one pass that several
-    checks share).  Nothing is simulated then: the samples are those of its
-    realizations with index below ``realizations``, and ``join_psi_samples`` joins
-    the samples of consecutive chunks.
-    """
-    pts = np.asarray(query_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != cs.n:
-        raise DimensionMismatch(f"query points have dimension {pts.shape[1]}, expected {cs.n}")
-    ts = np.array([float(t) for t in times])
-    if ts.size == 0:
-        raise ValueError("at least one output time is required")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("output times must be strictly increasing")
-    store_indices = step_indices(ts, driver.dt)
-    if simulated is not None:
-        return _psi_rows(simulated, ts, f0, rho0, pts, realizations)
-
-    def worker(indices: np.ndarray) -> PsiSamples:
-        result = simulate_paths(
-            cs, label_axes, store_indices[-1], store_indices, driver, indices, box=box,
-            fields=("X", "log_I"),
-        )
-        return _psi_rows(result, ts, f0, rho0, pts, realizations)
-
-    chunks = run_chunks(range(realizations), worker, chunk_size=chunk_size, threads=threads)
-    if chunks:
-        return join_psi_samples(chunks)
-    empty = np.empty((0, ts.size, pts.shape[0]))
-    return PsiSamples(
-        label_axes=tuple(np.asarray(ax, dtype=float) for ax in (label_axes if isinstance(label_axes, (tuple, list)) else (label_axes,))),
-        points=pts,
-        times=ts,
-        realization_indices=np.empty(0, dtype=np.int64),
-        psi_f=empty,
-        psi_rho=empty.copy(),
-        status=np.empty(empty.shape, dtype=np.uint8),
-        num_discarded=0,
     )
 
 

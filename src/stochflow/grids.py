@@ -44,10 +44,6 @@ class Box:
             tuple(b + margin for b in self.hi),
         )
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))

@@ -15,18 +15,16 @@ degenerate and excluded.  Inversion is geometric:
   axis over blocks of queries), iterates projected into the label box.
 
 The inversion works on a ``ChartStack``: the charts of many realizations at one stored
-time, with a leading realization axis (``chart_stack``: given realization slots of a
-batch).  A stack holds the stored positions and log-weights over the label grid and,
-per row, the degenerate cells and largest deformation ratio, read off the
-interpolant's corner Jacobians for every row at once.  A single chart
-(``chart_from_batch``, a ``FlowChart``) runs through the same kernels as a one-row
-stack.  Every query function takes many points and never raises for a single one: a
-point that cannot be inverted comes back as NaN with a status code, OUT_OF_CHART or
-NO_CONVERGENCE.  On the recovered labels the module evaluates transported initial
-data (``passive_scalar_batch``, a scalar that is constant along paths) and the
-exponentially weighted variant (``feynman_kac_psi_stack`` for several fields over a
-stack, ``feynman_kac_psi_batch`` on one chart), interpolating the stored log-weight
-(in log space, for positivity) at the recovered label.
+time, with a leading realization axis (``chart_from_batch``: given realization slots of
+a batch; one chart is a one-row stack).  A stack holds the stored positions and
+log-weights over the label grid and, per row, the degenerate cells and largest
+deformation ratio, read off the interpolant's corner Jacobians for every row at once.
+Every query function takes many points, shared by every row or one set per row, and
+never raises for a single one: a point that cannot be inverted comes back as NaN with
+a status code, OUT_OF_CHART or NO_CONVERGENCE.  On the recovered labels
+``feynman_kac_psi_stack`` evaluates the exponentially weighted transported data of
+several fields, interpolating the stored log-weight (in log space, for positivity) at
+the recovered label.
 """
 
 from __future__ import annotations
@@ -40,17 +38,12 @@ import numpy as np
 from .engine import BatchResult
 from .errors import DimensionMismatch
 from .fields import FieldExpr, eval_batch
-from .grids import Box, multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
+from .grids import multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
 
 __all__ = [
-    "FlowChart",
     "ChartStack",
     "chart_from_batch",
-    "chart_stack",
     "invert_batch",
-    "invert_stack",
-    "passive_scalar_batch",
-    "feynman_kac_psi_batch",
     "feynman_kac_psi_stack",
     "roundtrip_error",
     "STATUS_OK",
@@ -79,44 +72,16 @@ _SEED_BLOCK_QUERIES = 256
 
 
 @dataclass(eq=False)
-class FlowChart:
-    """Frozen snapshot of one realization's label-to-position map at one time.
-
-    ``X`` has shape ``label_shape + (n,)`` and ``log_I`` shape ``label_shape``.
-    ``degenerate_cells`` marks grid cells whose interpolant Jacobian determinant is <=
-    the threshold at some cell corner; queries resolving into them are rejected.
-    ``max_deformation`` is the largest singular-value ratio of those corner Jacobians;
-    above ``MAX_DEFORMATION_RATIO`` the chart is flagged ``under_resolved`` (advisory).
-    Immutable after construction; all queries are pure and reentrant.
-    """
-
-    t: float
-    label_axes: tuple
-    X: np.ndarray
-    log_I: np.ndarray
-    box: Box
-    degenerate_cells: np.ndarray
-    image_lo: np.ndarray
-    image_hi: np.ndarray
-    max_deformation: float
-    under_resolved: bool
-
-    @property
-    def n(self) -> int:
-        return len(self.label_axes)
-
-    @property
-    def label_shape(self) -> tuple:
-        return tuple(ax.size for ax in self.label_axes)
-
-
-@dataclass(eq=False)
 class ChartStack:
     """Charts of many realizations at one stored time, with a leading realization axis.
 
-    ``X`` has shape ``(R,) + label_shape + (n,)`` and ``log_I`` ``(R,) + label_shape``;
-    ``degenerate_cells``, ``image_lo``, ``image_hi``, ``max_deformation`` and
-    ``under_resolved`` are the ``FlowChart`` fields of each row, stacked.
+    ``X`` has shape ``(R,) + label_shape + (n,)`` and ``log_I`` ``(R,) + label_shape``.
+    Per row, ``degenerate_cells`` marks grid cells whose interpolant Jacobian
+    determinant is <= the threshold at some cell corner (queries resolving into them
+    are rejected), ``image_lo``/``image_hi`` bound the stored positions, and
+    ``max_deformation`` is the largest singular-value ratio of those corner
+    Jacobians; above ``MAX_DEFORMATION_RATIO`` the row is flagged ``under_resolved``
+    (advisory).  Immutable after construction; all queries are pure and reentrant.
     """
 
     t: float
@@ -134,39 +99,12 @@ class ChartStack:
         return len(self.label_axes)
 
     @property
+    def label_shape(self) -> tuple:
+        return tuple(ax.size for ax in self.label_axes)
+
+    @property
     def num_rows(self) -> int:
         return int(self.X.shape[0])
-
-    def chart(self, r: int) -> FlowChart:
-        """Row ``r`` as a single chart (views into the stack)."""
-        axes = self.label_axes
-        return FlowChart(
-            t=self.t,
-            label_axes=axes,
-            X=self.X[r],
-            log_I=self.log_I[r],
-            box=Box(tuple(float(ax[0]) for ax in axes), tuple(float(ax[-1]) for ax in axes)),
-            degenerate_cells=self.degenerate_cells[r],
-            image_lo=self.image_lo[r],
-            image_hi=self.image_hi[r],
-            max_deformation=float(self.max_deformation[r]),
-            under_resolved=bool(self.under_resolved[r]),
-        )
-
-
-def _as_stack(chart: FlowChart) -> ChartStack:
-    """A single chart as a one-row stack (views, no copies)."""
-    return ChartStack(
-        t=chart.t,
-        label_axes=chart.label_axes,
-        X=chart.X[None],
-        log_I=chart.log_I[None],
-        degenerate_cells=chart.degenerate_cells[None],
-        image_lo=chart.image_lo[None],
-        image_hi=chart.image_hi[None],
-        max_deformation=np.array([chart.max_deformation]),
-        under_resolved=np.array([chart.under_resolved]),
-    )
 
 
 def _cell_corner_jacobians(label_axes, X) -> np.ndarray:
@@ -266,7 +204,7 @@ def _build_stack(label_axes, X, log_I, t: float) -> ChartStack:
     )
 
 
-def chart_stack(result: BatchResult, t: float, realization_slots) -> ChartStack:
+def chart_from_batch(result: BatchResult, t: float, realization_slots) -> ChartStack:
     """Charts of the given realization slots of a batch at one stored time.
 
     Raises ValueError for a batch simulated on a point set: it has no label grid.
@@ -281,26 +219,22 @@ def chart_stack(result: BatchResult, t: float, realization_slots) -> ChartStack:
     )
 
 
-def chart_from_batch(result: BatchResult, t: float, realization_slot: int) -> FlowChart:
-    """Chart of one realization (by positional slot) of a batch at a stored time."""
-    return chart_stack(result, t, [int(realization_slot)]).chart(0)
-
-
 # ---------------------------------------------------------------------------
 # Inversion
 # ---------------------------------------------------------------------------
 
 
 def _search_right(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(row, x, side="right")`` for every sorted row, in one pass.
+    """``np.searchsorted(row, x_row, side="right")`` for every sorted row, in one pass.
 
-    Binary lifting over (R, Q): a probe moves right unless the query is below it, so a
-    NaN query lands past the end, as numpy sorts NaN last.
+    ``x`` holds shared queries (Q,) or one set per row (R, Q).  Binary lifting over
+    (R, Q): a probe moves right unless the query is below it, so a NaN query lands
+    past the end, as numpy sorts NaN last.
     """
     r, size = rows.shape
     flat = rows.reshape(-1)
     base = np.arange(r, dtype=np.intp)[:, None] * size
-    pos = np.zeros((r, x.size), dtype=np.intp)
+    pos = np.zeros((r, x.shape[-1]), dtype=np.intp)
     step = 1 << (size.bit_length() - 1)  # the largest power of two <= size
     while step:
         cand = pos + step
@@ -311,11 +245,12 @@ def _search_right(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _invert_rows_1d(stack: ChartStack, x: np.ndarray):
-    """Labels (R, Q) and statuses (R, Q) of shared queries ``x`` on 1D charts."""
+    """Labels (R, Q) and statuses (R, Q) of queries ``x``, (Q,) or (R, Q), on 1D charts."""
     ax = stack.label_axes[0]
     xg = stack.X[..., 0]
     rows, size = xg.shape
-    q = x.shape[0]
+    x = np.broadcast_to(x, (rows, x.shape[-1]))
+    q = x.shape[1]
     labels = np.full((rows, q), np.nan)
     status = np.full((rows, q), STATUS_OUT_OF_CHART, dtype=np.int8)
     nondeg = ~stack.degenerate_cells
@@ -324,14 +259,15 @@ def _invert_rows_1d(stack: ChartStack, x: np.ndarray):
     mono = np.nonzero(increasing)[0]
     if mono.size:
         g = xg[mono]
+        xm = x[mono]
         tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(g[:, 0]), np.abs(g[:, -1])))
-        inside = (x >= (g[:, 0] - tol)[:, None]) & (x <= (g[:, -1] + tol)[:, None])
-        j = np.clip(_search_right(g, x) - 1, 0, size - 2)
+        inside = (xm >= (g[:, 0] - tol)[:, None]) & (xm <= (g[:, -1] + tol)[:, None])
+        j = np.clip(_search_right(g, xm) - 1, 0, size - 2)
         cell_ok = np.take_along_axis(nondeg[mono], j, axis=1)
         r_ok, q_ok = np.nonzero(inside & cell_ok)
         j_ok = j[r_ok, q_ok]
         lo = g[r_ok, j_ok]
-        s = (x[q_ok] - lo) / (g[r_ok, j_ok + 1] - lo)
+        s = (xm[r_ok, q_ok] - lo) / (g[r_ok, j_ok + 1] - lo)
         labels[mono[r_ok], q_ok] = ax[j_ok] + np.clip(s, 0.0, 1.0) * (ax[j_ok + 1] - ax[j_ok])
         status[mono[r_ok], q_ok] = STATUS_OK
         r_stuck, q_stuck = np.nonzero(inside & ~cell_ok)
@@ -340,12 +276,13 @@ def _invert_rows_1d(stack: ChartStack, x: np.ndarray):
     # Folded charts: scan cells for a bracket (first non-degenerate bracketing cell).
     for r in np.nonzero(~increasing)[0]:
         g = xg[r]
+        xr = x[r]
         lo = np.minimum(g[:-1], g[1:])
         hi = np.maximum(g[:-1], g[1:])
-        cand = (x[:, None] >= lo[None, :]) & (x[:, None] <= hi[None, :]) & nondeg[r][None, :]
+        cand = (xr[:, None] >= lo[None, :]) & (xr[:, None] <= hi[None, :]) & nondeg[r][None, :]
         has = cand.any(axis=1)
         j = np.argmax(cand, axis=1)[has]
-        s = (x[has] - g[j]) / (g[j + 1] - g[j])
+        s = (xr[has] - g[j]) / (g[j + 1] - g[j])
         labels[r, has] = ax[j] + np.clip(s, 0.0, 1.0) * (ax[j + 1] - ax[j])
         status[r, has] = STATUS_OK
     return labels, status
@@ -495,66 +432,61 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
     return a, status
 
 
-def _query_points(points, n: int) -> np.ndarray:
+def _query_points(points, n: int, rows: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None] if n == 1 else pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise DimensionMismatch(f"query points must have shape (Q, {n})")
+    if pts.ndim not in (2, 3) or pts.shape[-1] != n or (pts.ndim == 3 and pts.shape[0] != rows):
+        raise DimensionMismatch(f"query points must have shape (Q, {n}) or ({rows}, Q, {n})")
     return pts
 
 
-def invert_stack(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
-    """Recover labels for the same query positions on every chart of a stack.
+def invert_batch(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
+    """Recover labels for many query positions on every chart of a stack.
 
-    Returns ``(labels, status)`` with labels shape (R, Q, n) and status (R, Q); failed
-    entries are NaN with status OUT_OF_CHART or NO_CONVERGENCE.  1D rows are
-    bracketed together; nD rows run damped Newton one row at a time.
+    ``points`` holds queries shared by every row, shape (Q, n), or one set per row,
+    shape (R, Q, n); a 1D stack also takes a flat vector of shared queries.  Returns
+    ``(labels, status)`` with labels shape (R, Q, n) and status (R, Q); failed entries
+    are NaN with status OUT_OF_CHART (query outside the chart image) or
+    NO_CONVERGENCE (under-resolved chart).  Never raises for individual points.  1D
+    rows are bracketed together; nD rows run damped Newton one row at a time.
     """
-    pts = _query_points(points, stack.n)
+    pts = _query_points(points, stack.n, stack.num_rows)
     if stack.n == 1:
-        labels, status = _invert_rows_1d(stack, pts[:, 0])
+        labels, status = _invert_rows_1d(stack, pts[..., 0])
         return labels[..., None], status
-    labels = np.empty((stack.num_rows, pts.shape[0], stack.n))
-    status = np.empty((stack.num_rows, pts.shape[0]), dtype=np.int8)
+    labels = np.empty((stack.num_rows, pts.shape[-2], stack.n))
+    status = np.empty((stack.num_rows, pts.shape[-2]), dtype=np.int8)
     for r in range(stack.num_rows):
-        labels[r], status[r] = _invert_row_nd(stack, r, pts)
+        labels[r], status[r] = _invert_row_nd(stack, r, pts[r] if pts.ndim == 3 else pts)
     return labels, status
 
 
-def invert_batch(chart: FlowChart, points) -> tuple[np.ndarray, np.ndarray]:
-    """Recover labels for many query positions.
+def roundtrip_error(stack: ChartStack, interior_only: bool = True) -> dict:
+    """Forward-then-inverse defect over grid labels, per row: max |A(X(a)) - a|.
 
-    Returns ``(labels, status)`` with labels shape (Q, n); failed rows are NaN with
-    status OUT_OF_CHART (query outside the chart image) or NO_CONVERGENCE
-    (under-resolved chart).  Never raises for individual points.
+    Each row inverts its own stored positions.  Boundary labels can legitimately fail
+    to re-invert (their image may be covered only by cells outside the grid), so by
+    default only interior labels count.  Returns per-row arrays ``max_abs_error``
+    (inf for a row that resolves no query) and ``resolved_fraction``, and
+    ``num_queries``, the number of labels each row inverts.
     """
-    labels, status = invert_stack(_as_stack(chart), points)
-    return labels[0], status[0]
-
-
-def roundtrip_error(chart: FlowChart, interior_only: bool = True) -> dict:
-    """Forward-then-inverse defect over grid labels: max |A(X(a)) - a|.
-
-    Boundary labels can legitimately fail to re-invert (their image may be covered
-    only by cells outside the grid), so by default only interior labels count.
-    """
-    shape = chart.label_shape
-    n = chart.n
-    labels = np.stack(np.meshgrid(*chart.label_axes, indexing="ij"), axis=-1).reshape(-1, n)
+    shape = stack.label_shape
+    n = stack.n
+    labels = np.stack(np.meshgrid(*stack.label_axes, indexing="ij"), axis=-1).reshape(-1, n)
     mask = np.ones(labels.shape[0], dtype=bool)
     if interior_only and all(s > 2 for s in shape):
         grid_mask = np.zeros(shape, dtype=bool)
         grid_mask[(slice(1, -1),) * n] = True
         mask = grid_mask.reshape(-1)
-    pts = chart.X.reshape(-1, n)[mask]
-    rec, status = invert_batch(chart, pts)
+    rec, status = invert_batch(stack, stack.X.reshape(stack.num_rows, -1, n)[:, mask])
     ok = status == STATUS_OK
-    err = np.max(np.abs(rec[ok] - labels[mask][ok])) if ok.any() else np.inf
+    defect = np.where(ok[..., None], np.abs(rec - labels[mask]), -np.inf)
+    err = defect.max(axis=(1, 2), initial=-np.inf)
     return {
-        "max_abs_error": float(err),
-        "resolved_fraction": float(ok.mean()) if ok.size else 0.0,
-        "num_queries": int(ok.size),
+        "max_abs_error": np.where(ok.any(axis=1), err, np.inf),
+        "resolved_fraction": ok.mean(axis=1) if ok.shape[1] else np.zeros(stack.num_rows),
+        "num_queries": int(ok.shape[1]),
     }
 
 
@@ -569,19 +501,6 @@ def _eval_initial(f0: FieldExpr, labels: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(vals, dtype=float), (labels.shape[0],)).copy()
 
 
-def passive_scalar_batch(chart: FlowChart, f0: FieldExpr, points):
-    """Transported initial data at many positions: f0 at the recovered label.
-
-    Returns ``(values, status)``; failed rows are NaN.
-    """
-    labels, status = invert_batch(chart, points)
-    ok = status == STATUS_OK
-    vals = np.full(labels.shape[0], np.nan)
-    if ok.any():
-        vals[ok] = _eval_initial(f0, labels[ok])
-    return vals, status
-
-
 def feynman_kac_psi_stack(stack: ChartStack, exprs, points):
     """Exponentially weighted transported data of several fields on every chart.
 
@@ -592,7 +511,7 @@ def feynman_kac_psi_stack(stack: ChartStack, exprs, points):
     ``(values, status)``: a list of (R, Q) arrays in the order of ``exprs``, NaN where
     the status is not OK.
     """
-    labels, status = invert_stack(stack, points)
+    labels, status = invert_batch(stack, points)
     ok = status == STATUS_OK
     values = [np.full(status.shape, np.nan) for _ in exprs]
     if ok.any():
@@ -602,13 +521,3 @@ def feynman_kac_psi_stack(stack: ChartStack, exprs, points):
         for out, f in zip(values, exprs):
             out[ok] = _eval_initial(f, lab) * w
     return values, status
-
-
-def feynman_kac_psi_batch(chart: FlowChart, f0: FieldExpr, points):
-    """Exponentially weighted transported data at many positions.
-
-    Value = f0(label) * exp(interpolated log-weight at the label); the stored
-    log-weight grid is interpolated in log space.  Returns ``(values, status)``.
-    """
-    (vals,), status = feynman_kac_psi_stack(_as_stack(chart), (f0,), points)
-    return vals[0], status[0]

@@ -9,10 +9,15 @@ magic numbers.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from stochflow.coefficients import assemble
+from stochflow.engine import DEFAULT_CHUNK_SIZE, run_chunks, simulate_paths, step_indices
+from stochflow.estimators import collect_psi_samples, join_psi_samples
+from stochflow.fields import FieldExpr, eval_batch
 from stochflow.grids import Box
 
 
@@ -30,6 +35,49 @@ def make_coeffs(
     if U is None:
         U = ["0"] * n
     return assemble(sigma, U, V, nu=nu, n=n, box=box)
+
+
+_SAMPLED_FIELDS = (
+    "sigma", "dsigma", "U", "dU", "V", "a", "u", "v", "dv", "div_v", "P", "E", "div_sigma",
+)
+
+
+def coefficient_sample(cs, x, t: float = 0.0) -> SimpleNamespace:
+    """Every coefficient field of ``cs`` evaluated at one space-time point.
+
+    Nested fields keep their index order (``dsigma[k, j, p]`` is d_k sigma_jp,
+    ``dv[k, j]`` is d_k v_j); scalar fields are floats.  The expression evaluator
+    computes them, not the engine's compiled step program, so a hand-rolled step
+    built on this sample is an independent reference.
+    """
+    comps = tuple(float(c) for c in np.atleast_1d(np.asarray(x, dtype=float)))
+    memo: dict = {}
+
+    def evaluate_nested(obj):
+        if isinstance(obj, FieldExpr):
+            return float(eval_batch(obj, comps, t, memo))
+        return np.array([evaluate_nested(e) for e in obj])
+
+    values = {name: evaluate_nested(getattr(cs, name)) for name in _SAMPLED_FIELDS}
+    return SimpleNamespace(x=np.array(comps), t=float(t), **values)
+
+
+def collect_psi(cs, label_axes, times, driver, f0, rho0, query_points, realizations: int,
+                box: Box | None = None, chunk_size: int = DEFAULT_CHUNK_SIZE, threads: int = 1):
+    """ψ samples of realizations ``0 .. realizations-1``, simulated chunk by chunk.
+
+    The pipeline of a check's ψ consumer: each chunk stores X and log_I at ``times``
+    and is recorded by ``collect_psi_samples``; the chunks are joined in order.
+    """
+    store = step_indices(times, driver.dt)
+
+    def worker(indices):
+        result = simulate_paths(cs, label_axes, store[-1], store, driver, indices, box=box,
+                                fields=("X", "log_I"))
+        return collect_psi_samples(result, times, f0, rho0, query_points)
+
+    chunks = run_chunks(range(realizations), worker, chunk_size=chunk_size, threads=threads)
+    return join_psi_samples(chunks)
 
 
 @pytest.fixture

@@ -16,11 +16,11 @@ from stochflow.checks import golden_payload, run_scenario
 from stochflow.coefficients import assemble
 from stochflow.config import bundled_scenario_path, bundled_scenarios, load_config
 from stochflow.convex import get_convex
-from stochflow.estimators import collect_psi_samples, fields_from_samples, jensen_check
+from stochflow.estimators import fields_from_samples, jensen_check
 from stochflow.fields import parse_field
 from stochflow.grids import Box
 
-from conftest import derivative_discrepancies
+from conftest import collect_psi, derivative_discrepancies
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,9 @@ def test_criterion_01_heat_kernel_field_within_4se():
     f0 = parse_field("exp(-x1*x1/0.5)", 1)  # Gaussian with spread s0 = 0.5
     rho0 = parse_field("1", 1)
     t0 = time.perf_counter()
-    samples = collect_psi_samples(
-        cs, labels, [0.5], driver, f0, rho0, queries,
-        realizations=20000, box=Box((-6.0,), (6.0,)), threads=1,
+    samples = collect_psi(
+        cs, labels, [0.5], driver, f0, rho0, queries, 20000,
+        box=Box((-6.0,), (6.0,)), threads=1,
     )
     f_hat, _ = fields_from_samples(samples, 0.5)
     elapsed = time.perf_counter() - t0

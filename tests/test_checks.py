@@ -8,7 +8,6 @@ import yaml
 
 from stochflow import checks
 from stochflow.checks import (
-    _RUNNERS,
     RunContext,
     _det_label_axes,
     _jsonable,
@@ -26,6 +25,15 @@ from stochflow.estimators import martingale_values
 @pytest.fixture(scope="module")
 def additive_cfg():
     return load_config(str(bundled_scenario_path("additive_linear_1d")))
+
+
+def _one_check(name: str, check: str, **params):
+    """A bundled scenario that lists one check, with some of its parameters replaced."""
+    raw = yaml.safe_load(open(str(bundled_scenario_path(name))))
+    raw["checks"] = [check]
+    raw.setdefault("check_params", {})
+    raw["check_params"][check] = dict(raw["check_params"].get(check) or {}, **params)
+    return loads_config(yaml.safe_dump(raw))
 
 
 def test_run_scenario_report_contents(tmp_path, additive_cfg):
@@ -86,16 +94,19 @@ def test_tracker_gaps_do_not_depend_on_chunk_size(additive_cfg):
 @pytest.mark.parametrize(
     "name", ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d"]
 )
-def test_every_check_result_does_not_depend_on_chunk_size(name):
-    # 100 realizations in one chunk or in chunks of 37, 37 and 26: every metric and
-    # every series point agrees bit for bit.  The last two scenarios have variable
-    # sigma and growth V, so their charts and log-weights differ per realization.
+def test_every_check_result_does_not_depend_on_chunk_size(tmp_path, name):
+    # Each check alone, 100 realizations in one chunk or in chunks of 37, 37 and 26:
+    # every metric and every series point agrees bit for bit.  The last two
+    # scenarios have variable sigma and growth V, so their charts and log-weights
+    # differ per realization.
     cfg = load_config(str(bundled_scenario_path(name)))
     for check in cfg.checks:
+        alone = _one_check(name, check)
         runs = []
         for size in (4096, 37):
-            ctx = RunContext(cfg, cfg.seed, realizations_override=100, chunk_size=size)
-            result = _RUNNERS[check](ctx, cfg.params_for(check))
+            report = run_scenario(alone, str(tmp_path / f"{check}_{size}"),
+                                  realizations=100, chunk_size=size)
+            result = report.results[0]
             runs.append((_jsonable(result.metrics), result.series))
         assert runs[0] == runs[1], check
 
@@ -165,7 +176,7 @@ def test_failing_consumer_fails_only_its_own_check(tmp_path, monkeypatch):
     assert entropy_mc.passed, entropy_mc.metrics
 
 
-def test_conservation_memory_is_bounded_by_one_chunk():
+def test_conservation_memory_is_bounded_by_one_chunk(tmp_path):
     # 800 realizations in chunks of 40: each chunk is reduced to per-realization
     # quadratures and dropped, so the tracemalloc peak stays near that of
     # simulating one chunk; keeping every chunk's snapshots needs 20 times that.
@@ -175,36 +186,42 @@ def test_conservation_memory_is_bounded_by_one_chunk():
     raw.update(T=0.1, output_times=[0.0, 0.05, 0.1], checks=["conservation"])
     raw["check_params"]["conservation"]["times"] = [0.05, 0.1]
     cfg = loads_config(yaml.safe_dump(raw))
-    ctx = RunContext(cfg, cfg.seed, realizations_override=800, chunk_size=40)
+    ctx = RunContext(cfg, cfg.seed)
     tracemalloc.start()
     try:
         checks.simulate_paths(ctx.cs, cfg.label_axes, 100, [50, 100], ctx.driver(),
                               range(40), box=cfg.box)
         _, one_chunk = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        result = _RUNNERS["conservation"](ctx, cfg.params_for("conservation"))
+        report = run_scenario(cfg, str(tmp_path), realizations=800, chunk_size=40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    result = report.results[0]
     assert result.passed, result.metrics
     assert peak <= 2 * one_chunk, (peak, one_chunk)
 
 
-def test_jensen_draws_follow_the_run_seed(additive_cfg):
+def test_jensen_draws_follow_the_run_seed(tmp_path):
+    cfg = _one_check("additive_linear_1d", "jensen", num_sets=50)
+
     def margin(seed):
-        ctx = RunContext(additive_cfg, seed)
-        return _RUNNERS["jensen"](ctx, {"num_sets": 50}).metrics["worst_margin"]
+        report = run_scenario(cfg, str(tmp_path / str(seed)), seed=seed)
+        return report.results[0].metrics["worst_margin"]
 
     assert margin(1) == margin(1)
     assert margin(1) != margin(2)
 
 
-def test_dt_levels_must_divide_the_horizon(additive_cfg):
+def test_dt_levels_must_divide_the_horizon(tmp_path):
     from stochflow.errors import ConfigError
 
-    ctx = RunContext(additive_cfg, 5)
-    with pytest.raises(ConfigError, match="not a multiple"):
-        _RUNNERS["determinant_consistency"](ctx, {"dt_levels": [0.002, 0.001], "horizon": 0.003})
+    cfg = _one_check("additive_linear_1d", "determinant_consistency",
+                     dt_levels=[0.002, 0.001], horizon=0.003)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5).results
+    assert not result.passed
+    assert result.metrics["error"].startswith(f"{ConfigError.__name__}: ")
+    assert "not a multiple" in result.metrics["error"]
     # cfg.dt = 0.002 halves to 0.001 and 0.0005; 0.0035 is a multiple of 0.0005 only
     raw = yaml.safe_load(open(str(bundled_scenario_path("additive_linear_1d"))))
     raw["check_params"]["determinant_consistency"]["horizon"] = 0.0035
@@ -301,13 +318,15 @@ def test_off_diagonal_sigma_keeps_martingale_and_conservation(tmp_path):
     assert report.results[0].metrics["weighting"] == "exp(0.15*(T-t))"
 
 
-def test_martingale_M_simulates_only_its_probes(monkeypatch):
+def test_martingale_M_simulates_only_its_probes(tmp_path, monkeypatch):
     # In 2D the check asks the engine for its m diagonal probes as a point set, and
     # each cell's mean is the one read off the diagonal columns of the 3x3 grid run.
     raw = yaml.safe_load(open(str(bundled_scenario_path("diag_sigma_2d"))))
     raw["oracle_dx"] = 0.2
+    raw["checks"] = ["martingale_M"]
+    params = raw["check_params"]["martingale_M"]
+    params["realizations"] = 120
     cfg = loads_config(yaml.safe_dump(raw))
-    params = dict(raw["check_params"]["martingale_M"], realizations=120)
     requested = []
     real_simulate = checks.simulate_paths
 
@@ -316,9 +335,9 @@ def test_martingale_M_simulates_only_its_probes(monkeypatch):
         return real_simulate(cs, labels, *args, **kwargs)
 
     monkeypatch.setattr(checks, "simulate_paths", recording)
-    ctx = RunContext(cfg, 4)
-    result = _RUNNERS["martingale_M"](ctx, params)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=4).results
     monkeypatch.undo()
+    ctx = RunContext(cfg, 4)
     assert result.passed, result.metrics
     assert [labels.shape for labels in requested] == [(3, 2)]
 

@@ -6,12 +6,13 @@ match it; the statistical tests use the exactly known law of the
 constant-coefficient flow.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_coeffs
+from conftest import coefficient_sample, make_coeffs
 from stochflow.brownian import BrownianDriver
-from stochflow.coefficients import sample
 from stochflow.engine import (
     BatchResult,
     escape_margin,
@@ -21,13 +22,13 @@ from stochflow.engine import (
 from stochflow.errors import DimensionMismatch
 from stochflow.estimators import constant_phi, exponential_phi, martingale_values
 from stochflow.grids import Box
-from stochflow.inverse import chart_stack
+from stochflow.inverse import chart_from_batch
 
 
 def hand_step(cs, state: dict, dW: np.ndarray, dt: float) -> dict:
     """Reference Euler update assembled from pointwise coefficient samples."""
     n = cs.n
-    smp = sample(cs, state["X"], state["t"])
+    smp = coefficient_sample(cs, state["X"], state["t"])
     s2n = np.sqrt(2.0 * cs.nu)
     x_new = state["X"] + smp.v * dt + s2n * (smp.sigma @ dW)
     # M[j, k] = d_k v_j dt + sqrt(2 nu) sum_p d_k sigma_jp dW_p ; J' = (I + M) J.
@@ -317,7 +318,7 @@ def test_degenerate_determinant_flagging():
 
 
 def test_ensemble_accessors_and_state(cs_sine_1d):
-    cs = cs_sine_1d.with_box(Box((-3.0,), (3.0,)))
+    cs = replace(cs_sine_1d, box=Box((-3.0,), (3.0,)))
     driver = BrownianDriver(seed=7, dt=1e-3, n=1)
     result = simulate_paths(cs, (np.linspace(-1, 1, 7),), 50, range(51), driver, [0])
     assert result.alive.all() and result.n == 1 and result.num_labels == 7
@@ -330,7 +331,7 @@ def test_ensemble_accessors_and_state(cs_sine_1d):
 
 
 def test_ensemble_time_grid_validation(cs_sine_1d):
-    cs = cs_sine_1d.with_box(Box((-3.0,), (3.0,)))
+    cs = replace(cs_sine_1d, box=Box((-3.0,), (3.0,)))
     driver = BrownianDriver(seed=7, dt=1e-3, n=1)
     labels = (np.linspace(-1, 1, 3),)
     with pytest.raises(ValueError):
@@ -393,8 +394,8 @@ def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_
     per_realization = ("alive", "escaped", "nonfinite", "degenerate")
     per_snapshot = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
     cases = [
-        (cs_sine_1d.with_box(Box((-3.0,), (3.0,))), (np.linspace(-1, 1, 5),)),
-        (cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0))),
+        (replace(cs_sine_1d, box=Box((-3.0,), (3.0,))), (np.linspace(-1, 1, 5),)),
+        (replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0))),
          (np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))),
     ]
     for cs, labels in cases:
@@ -420,7 +421,7 @@ def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_
 def test_point_labels_match_the_grid_columns_bit_for_bit(cs_full_2d):
     # The engine advances each label on its own under the shared noise, so a point
     # set reproduces the matching columns of a tensor-grid run exactly.
-    cs = cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0)))
+    cs = replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0)))
     axes = (np.array([-0.5, 0.0, 0.7]), np.array([-0.5, 0.3, 0.7]))
     brownian = BrownianDriver(seed=11, dt=1e-3, n=2)
     grid = simulate_paths(cs, axes, 300, [0, 150, 300], brownian, range(64))
@@ -436,12 +437,12 @@ def test_point_labels_match_the_grid_columns_bit_for_bit(cs_full_2d):
     for name in ("X", "D_sde", "log_lambda", "log_I", "D_direct"):
         assert getattr(point, name).tobytes() == getattr(grid, name)[:, :, cols].tobytes(), name
     with pytest.raises(ValueError, match="point set"):
-        chart_stack(point, 0.15, [0, 1])
-    chart_stack(grid, 0.15, [0, 1])  # the grid run still charts
+        chart_from_batch(point, 0.15, [0, 1])
+    chart_from_batch(grid, 0.15, [0, 1])  # the grid run still charts
 
 
 def test_point_labels_validation(cs_full_2d):
-    cs = cs_full_2d.with_box(Box((-1.0, -1.0), (1.0, 1.0)))
+    cs = replace(cs_full_2d, box=Box((-1.0, -1.0), (1.0, 1.0)))
     driver = BrownianDriver(seed=1, dt=1e-3, n=2)
     with pytest.raises(DimensionMismatch):
         simulate_paths(cs, np.zeros((3, 1)), 10, [10], driver, [0])
@@ -461,7 +462,7 @@ def test_escape_margin_formula():
 def test_fields_and_stored_times_do_not_change_the_kept_bits(cs_full_2d):
     # One pass may serve several checks: it keeps only the fields they read, at the
     # union of their times, and each reads its realization prefix through head().
-    cs = cs_full_2d.with_box(Box((-3.0, -3.0), (3.0, 3.0)))
+    cs = replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0)))
     axes = (np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))
     brownian = BrownianDriver(seed=23, dt=1e-3, n=2)
     full = simulate_paths(cs, axes, 200, [100, 200], brownian, range(12))

@@ -23,7 +23,6 @@ from stochflow.estimators import (
     entropy_decay_check,
     entropy_martingale_series,
     exponential_phi,
-    field_phi,
     fields_from_samples,
     jensen_check,
     martingale_values,
@@ -32,9 +31,9 @@ from stochflow.estimators import (
 )
 from stochflow.fields import parse_field
 from stochflow.grids import Box, mesh_points, trapezoid_weights
-from stochflow.inverse import STATUS_OK, chart_from_batch, feynman_kac_psi_batch
+from stochflow.inverse import STATUS_OK, chart_from_batch, feynman_kac_psi_stack
 
-from conftest import make_coeffs
+from conftest import collect_psi, make_coeffs
 
 
 BOX = Box((-8.0,), (8.0,))
@@ -62,12 +61,6 @@ def test_phi_helpers_protocol():
     ephi = exponential_phi(0.3, T=1.0)
     assert ephi(np.array([0.0]), 0.25) == pytest.approx(np.exp(0.3 * 0.75), rel=1e-15)
     assert np.allclose(ephi(np.zeros((3, 2)), 1.0), 1.0)
-    fphi = field_phi(parse_field("1 + x1*x1 + t", 1))
-    assert fphi(np.array([2.0]), 0.5) == pytest.approx(5.5, abs=1e-15)
-    out = fphi(np.array([[0.0], [2.0]]), 0.5)
-    assert np.allclose(out, [1.5, 5.5], atol=1e-15)
-    cphi = field_phi(parse_field("3", 1))  # constant expression must still broadcast
-    assert np.array_equal(cphi(np.zeros((5, 1)), 0.0), np.full(5, 3.0))
 
 
 def test_validate_compact_support():
@@ -232,9 +225,8 @@ def _collect(threads=1, chunk_size=4096, realizations=120, seed=909):
     driver = BrownianDriver(seed=seed, dt=0.01, n=1)
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*exp(-0.5*x1*x1)", 1)
-    return collect_psi_samples(cs, labels, TIMES, driver, f0, rho0, QUERY,
-                               realizations=realizations, box=BOX,
-                               chunk_size=chunk_size, threads=threads)
+    return collect_psi(cs, labels, TIMES, driver, f0, rho0, QUERY, realizations, box=BOX,
+                       chunk_size=chunk_size, threads=threads)
 
 
 def test_collect_psi_translation_exact_per_realization():
@@ -289,8 +281,8 @@ def test_collect_psi_peak_memory_is_bounded_by_the_block():
     del snapshot
     tracemalloc.start()
     try:
-        samples = collect_psi_samples(cs, labels, [0.1], driver, f0, rho0, queries,
-                                      realizations=realizations, box=BOX)
+        samples = collect_psi(cs, labels, [0.1], driver, f0, rho0, queries, realizations,
+                              box=BOX)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -305,15 +297,14 @@ def test_collect_psi_validation():
     cs = make_coeffs("1", nu=0.05, n=1)
     driver = BrownianDriver(seed=1, dt=0.01, n=1)
     labels = np.linspace(-2.0, 2.0, 11)
+    one = parse_field("1", 1)
+    chunk = simulate_paths(cs, labels, 10, [5, 10], driver, range(2), box=BOX)
     with pytest.raises(DimensionMismatch):
-        collect_psi_samples(cs, labels, [0.05], driver, parse_field("1", 1),
-                            parse_field("1", 1), np.zeros((3, 2)), realizations=2, box=BOX)
+        collect_psi_samples(chunk, [0.05], one, one, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="step grid"):
-        collect_psi_samples(cs, labels, [0.033], driver, parse_field("1", 1),
-                            parse_field("1", 1), QUERY, realizations=2, box=BOX)
+        collect_psi(cs, labels, [0.033], driver, one, one, QUERY, 2, box=BOX)
     with pytest.raises(ValueError, match="increasing"):
-        collect_psi_samples(cs, labels, [0.1, 0.05], driver, parse_field("1", 1),
-                            parse_field("1", 1), QUERY, realizations=2, box=BOX)
+        collect_psi_samples(chunk, [0.1, 0.05], one, one, QUERY)
 
 
 def test_fields_from_samples_statistics():
@@ -349,10 +340,10 @@ def test_psi_batch_means_match_fields_from_samples():
     psi_f = np.empty((120, QUERY.size))
     psi_rho = np.empty((120, QUERY.size))
     for r in range(120):
-        chart = chart_from_batch(result, 0.1, r)
-        psi_f[r], status_f = feynman_kac_psi_batch(chart, f0, QUERY)
-        psi_rho[r], status_rho = feynman_kac_psi_batch(chart, rho0, QUERY)
-        assert np.all(status_f == STATUS_OK) and np.all(status_rho == STATUS_OK)
+        chart = chart_from_batch(result, 0.1, [r])  # a one-row stack
+        (one_f, one_rho), status = feynman_kac_psi_stack(chart, (f0, rho0), QUERY)
+        psi_f[r], psi_rho[r] = one_f[0], one_rho[0]
+        assert np.all(status == STATUS_OK)
     f_ref, rho_ref = fields_from_samples(samples, 0.1)
     assert np.array_equal(psi_f.mean(axis=0), f_ref.mean)
     assert np.array_equal(psi_rho.mean(axis=0), rho_ref.mean)
@@ -393,8 +384,7 @@ def test_entropy_martingale_series_translation_quadrature():
     rho0 = parse_field("exp(-4*x1*x1)", 1)
     f0 = parse_field("0.5*exp(-4*x1*x1)", 1)  # ratio f0/rho0 = 0.5 everywhere
     qaxes = (np.linspace(-3.0, 3.0, 121),)
-    samples = collect_psi_samples(cs, labels, [0.1], driver, f0, rho0, mesh_points(qaxes),
-                                  realizations=1, box=BOX)
+    samples = collect_psi(cs, labels, [0.1], driver, f0, rho0, mesh_points(qaxes), 1, box=BOX)
     series = entropy_martingale_series(samples, constant_phi(1.0), get_convex("r2"))
     w = trapezoid_weights(qaxes)
     expect = 0.25 * float(np.sum(w * np.exp(-4.0 * (qaxes[0] - shift) ** 2)))
@@ -402,8 +392,8 @@ def test_entropy_martingale_series_translation_quadrature():
     assert series[0, 0] == pytest.approx(expect, rel=1e-9)
     # a slowly decaying integrand trips the boundary guard
     wide = parse_field("exp(-0.1*x1*x1)", 1)
-    wide_samples = collect_psi_samples(cs, labels, [0.1], driver, wide, wide,
-                                       mesh_points(qaxes), realizations=1, box=BOX)
+    wide_samples = collect_psi(cs, labels, [0.1], driver, wide, wide, mesh_points(qaxes), 1,
+                               box=BOX)
     with pytest.raises(SupportEscape):
         entropy_martingale_series(wide_samples, constant_phi(1.0), get_convex("r2"))
 

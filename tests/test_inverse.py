@@ -11,7 +11,7 @@ from conftest import make_coeffs
 from stochflow.brownian import BrownianDriver
 from stochflow.engine import simulate_paths
 from stochflow.errors import DimensionMismatch
-from stochflow.fields import parse_field
+from stochflow.fields import eval_batch, parse_field
 from stochflow.grids import Box
 from stochflow.inverse import (
     _SEED_BLOCK_QUERIES,
@@ -23,12 +23,8 @@ from stochflow.inverse import (
     _nearest_node,
     _search_right,
     chart_from_batch,
-    chart_stack,
-    feynman_kac_psi_batch,
     feynman_kac_psi_stack,
     invert_batch,
-    invert_stack,
-    passive_scalar_batch,
     roundtrip_error,
 )
 
@@ -38,6 +34,27 @@ def _run(cs, labels, T, dt, seed=3):
     driver = BrownianDriver(seed=seed, dt=dt, n=cs.n)
     steps = int(round(T / dt))
     return simulate_paths(cs, labels, steps, [0, steps], driver, realization_indices=[0])
+
+
+def _invert_one(chart, points):
+    """Labels (Q, n) and statuses (Q,) on a one-row stack."""
+    labels, status = invert_batch(chart, points)
+    return labels[0], status[0]
+
+
+def _passive_scalar(chart, f0, points):
+    """f0 at the labels recovered on a one-row stack: transported initial data."""
+    labels, status = _invert_one(chart, points)
+    ok = status == STATUS_OK
+    values = np.full(status.shape, np.nan)
+    values[ok] = eval_batch(f0, tuple(labels[ok].T), 0.0)
+    return values, status
+
+
+def _psi_one(chart, f0, points):
+    """Exponentially weighted transported data of one field on a one-row stack."""
+    (values,), status = feynman_kac_psi_stack(chart, (f0,), points)
+    return values[0], status[0]
 
 
 @pytest.fixture
@@ -52,39 +69,39 @@ def heat_run():
 
 
 def test_identity_chart_at_time_zero(heat_run):
-    chart = chart_from_batch(heat_run, 0.0, 0)
-    assert chart.t == 0.0
-    assert np.allclose(chart.X[:, 0], heat_run.labels[:, 0])
-    labels, status = invert_batch(chart, np.array([[-1.3], [0.0], [2.1]]))
+    chart = chart_from_batch(heat_run, 0.0, [0])
+    assert chart.t == 0.0 and chart.num_rows == 1
+    assert np.allclose(chart.X[0, :, 0], heat_run.labels[:, 0])
+    labels, status = _invert_one(chart, np.array([[-1.3], [0.0], [2.1]]))
     assert np.all(status == STATUS_OK)
     assert np.allclose(labels[:, 0], [-1.3, 0.0, 2.1], atol=1e-12)
     rt = roundtrip_error(chart)
-    assert rt["max_abs_error"] <= 1e-12
-    assert rt["resolved_fraction"] == 1.0
+    assert rt["max_abs_error"][0] <= 1e-12
+    assert rt["resolved_fraction"][0] == 1.0
 
 
 def test_translation_chart_recovers_shifted_labels(heat_run):
     # The constant-coefficient flow is a rigid translation: X(a) = a + shift,
     # so the chart inverse is exactly x - shift.
-    chart = chart_from_batch(heat_run, 0.1, 0)
-    shift = chart.X[:, 0] - heat_run.labels[:, 0]
+    chart = chart_from_batch(heat_run, 0.1, [0])
+    shift = chart.X[0, :, 0] - heat_run.labels[:, 0]
     assert np.ptp(shift) <= 1e-12  # identical across labels
     s = float(shift[0])
     queries = np.array([[-1.0 + s], [0.5 + s], [2.0 + s]])
-    labels, status = invert_batch(chart, queries)
+    labels, status = _invert_one(chart, queries)
     assert np.all(status == STATUS_OK)
     assert np.allclose(labels[:, 0], [-1.0, 0.5, 2.0], atol=1e-10)
     rt = roundtrip_error(chart)
-    assert rt["max_abs_error"] <= 1e-10
+    assert rt["max_abs_error"][0] <= 1e-10
 
 
 def test_invert_single_point_and_out_of_chart(heat_run):
-    chart = chart_from_batch(heat_run, 0.1, 0)
-    mid = 0.5 * (chart.image_lo + chart.image_hi)
-    labels, status = invert_batch(chart, mid[None, :])
+    chart = chart_from_batch(heat_run, 0.1, [0])
+    mid = 0.5 * (chart.image_lo[0] + chart.image_hi[0])
+    labels, status = _invert_one(chart, mid[None, :])
     assert labels.shape == (1, 1) and status[0] == STATUS_OK
     assert np.isfinite(labels[0]).all()
-    labels, status = invert_batch(chart, (chart.image_hi + 1.0)[None, :])
+    labels, status = _invert_one(chart, (chart.image_hi[0] + 1.0)[None, :])
     assert status[0] == STATUS_OUT_OF_CHART
     assert np.isnan(labels[0]).all()
 
@@ -110,25 +127,25 @@ def test_linear_stretch_chart_inverts_exactly():
     result = _stretch_run(rate, T, dt)
     k = int(round(T / dt))
     growth = (1.0 + rate * dt) ** k
-    chart = chart_from_batch(result, T, 0)
-    assert np.allclose(chart.X[:, 0], result.labels[:, 0] * growth, rtol=1e-13)
+    chart = chart_from_batch(result, T, [0])
+    assert np.allclose(chart.X[0, :, 0], result.labels[:, 0] * growth, rtol=1e-13)
     # The map is linear, so multilinear interpolation and Newton are exact.
     x_q = np.array([[-1.1], [0.3], [1.7]])
-    labels, status = invert_batch(chart, x_q)
+    labels, status = _invert_one(chart, x_q)
     assert np.all(status == STATUS_OK)
     assert np.allclose(labels[:, 0], x_q[:, 0] / growth, atol=1e-10)
     rt = roundtrip_error(chart)
-    assert rt["max_abs_error"] <= 1e-9
+    assert rt["max_abs_error"][0] <= 1e-9
 
 
 def test_passive_scalar_composes_initial_data_with_inverse():
     rate, T, dt = 0.3, 0.5, 1e-3
     result = _stretch_run(rate, T, dt)
     growth = (1.0 + rate * dt) ** int(round(T / dt))
-    chart = chart_from_batch(result, T, 0)
+    chart = chart_from_batch(result, T, [0])
     f0 = parse_field("exp(-x1*x1)", 1)
     x = np.array([0.8, -0.4])
-    vals, status = passive_scalar_batch(chart, f0, x[:, None])
+    vals, status = _passive_scalar(chart, f0, x[:, None])
     assert np.all(status == STATUS_OK)
     assert np.allclose(vals, np.exp(-((x / growth) ** 2)), rtol=1e-8, atol=0.0)
 
@@ -138,21 +155,21 @@ def test_feynman_kac_weight_uses_exponential_factor():
     # every label, and psi(x) = f0(A(x)) exp((c - rate) T).
     rate, T, dt, c = 0.3, 0.5, 1e-3, 0.45
     result = _stretch_run(rate, T, dt, c=c)
-    chart = chart_from_batch(result, T, 0)
+    chart = chart_from_batch(result, T, [0])
     f0 = parse_field("exp(-x1*x1)", 1)
     x = np.array([[0.8]])
-    plain, plain_status = passive_scalar_batch(chart, f0, x)
-    weighted, status = feynman_kac_psi_batch(chart, f0, x)
+    plain, plain_status = _passive_scalar(chart, f0, x)
+    weighted, status = _psi_one(chart, f0, x)
     assert plain_status[0] == STATUS_OK and status[0] == STATUS_OK
     assert weighted[0] == pytest.approx(plain[0] * np.exp((c - rate) * T), rel=1e-10)
 
 
 def test_feynman_kac_equals_passive_scalar_without_potential(heat_run):
-    chart = chart_from_batch(heat_run, 0.1, 0)
+    chart = chart_from_batch(heat_run, 0.1, [0])
     f0 = parse_field("exp(-x1*x1/0.5)", 1)
-    pts = np.linspace(-0.5, 0.5, 5)[:, None] + chart.X[12, 0] - heat_run.labels[12, 0]
-    a_vals, a_st = passive_scalar_batch(chart, f0, pts)
-    b_vals, b_st = feynman_kac_psi_batch(chart, f0, pts)
+    pts = np.linspace(-0.5, 0.5, 5)[:, None] + chart.X[0, 12, 0] - heat_run.labels[12, 0]
+    a_vals, a_st = _passive_scalar(chart, f0, pts)
+    b_vals, b_st = _psi_one(chart, f0, pts)
     assert np.array_equal(a_st, b_st)
     ok = a_st == STATUS_OK
     assert ok.all()
@@ -181,15 +198,15 @@ def test_2d_linear_flow_inverts_to_machine_precision():
     k = int(round(T / dt))
     W = np.array([[0.0, -0.5], [0.5, 0.0]])
     G = np.linalg.matrix_power(np.eye(2) + dt * W, k)  # exact discrete propagator
-    chart = chart_from_batch(result, T, 0)
+    chart = chart_from_batch(result, T, [0])
     x_q = np.array([[0.7, -0.3], [-1.1, 0.4], [0.0, 0.9]])
-    labels, status = invert_batch(chart, x_q)
+    labels, status = _invert_one(chart, x_q)
     assert np.all(status == STATUS_OK)
     ref = (np.linalg.inv(G) @ x_q.T).T
     assert np.allclose(labels, ref, atol=1e-9)
     rt = roundtrip_error(chart)
-    assert rt["max_abs_error"] <= 1e-8
-    assert rt["resolved_fraction"] == 1.0
+    assert rt["max_abs_error"][0] <= 1e-8
+    assert rt["resolved_fraction"][0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +230,13 @@ def test_under_resolved_chart_is_flagged_and_rejects():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = _run(cs, (np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), T, dt, seed=7)
-        chart = chart_from_batch(result, T, 0)
-    assert chart.under_resolved
-    assert chart.max_deformation > 50.0
+        chart = chart_from_batch(result, T, [0])
+    assert chart.under_resolved[0]
+    assert chart.max_deformation[0] > 50.0
     assert any("under-resolved" in str(w.message) for w in caught)
     # The flag is advisory: this chart is still linear, so queries resolve, and
     # the recovered labels must satisfy the defining relation X(A(x)) = x.
-    labels, status = invert_batch(chart, np.array([[10.0, 0.0]]))
+    labels, status = _invert_one(chart, np.array([[10.0, 0.0]]))
     assert status[0] == STATUS_OK
     G = np.linalg.matrix_power(np.eye(2) + 1e-3 * np.array([[9.0, 0.0], [0.0, 0.0]]), 1000)
     assert np.allclose(G @ labels[0], [10.0, 0.0], atol=1e-6)
@@ -241,21 +258,24 @@ def test_deformation_ratio_comes_from_corner_jacobians(heat_run, monkeypatch):
         raise AssertionError("SVD called while building a 1D chart")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    chart = chart_from_batch(heat_run, 0.1, 0)
-    assert chart.max_deformation == 1.0 and not chart.under_resolved
+    chart = chart_from_batch(heat_run, 0.1, [0])
+    assert chart.max_deformation[0] == 1.0 and not chart.under_resolved[0]
 
 
 def test_invert_batch_shape_validation(heat_run):
-    chart = chart_from_batch(heat_run, 0.1, 0)
+    chart = chart_from_batch(heat_run, 0.1, [0])
     with pytest.raises(DimensionMismatch):
         invert_batch(chart, np.zeros((4, 2)))
     # 1D charts accept a flat vector of query positions.
-    labels, status = invert_batch(chart, chart.X[10:13, 0])
-    assert labels.shape == (3, 1) and status.shape == (3,)
+    labels, status = invert_batch(chart, chart.X[0, 10:13, 0])
+    assert labels.shape == (1, 3, 1) and status.shape == (1, 3)
+    # Per-row query sets need one set per row.
+    with pytest.raises(DimensionMismatch):
+        invert_batch(chart, np.zeros((2, 3, 1)))
 
 
 def test_roundtrip_includes_boundary_when_asked(heat_run):
-    chart = chart_from_batch(heat_run, 0.1, 0)
+    chart = chart_from_batch(heat_run, 0.1, [0])
     interior = roundtrip_error(chart, interior_only=True)
     full = roundtrip_error(chart, interior_only=False)
     assert full["num_queries"] == 25
@@ -272,10 +292,10 @@ def test_orientation_reversed_chart_rejects_all_queries():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = _run(cs, (np.linspace(-2, 2, 9),), T=1.0, dt=1.0)
-    chart = chart_from_batch(result, 1.0, 0)
-    assert np.allclose(chart.X[:, 0], -result.labels[:, 0])
+    chart = chart_from_batch(result, 1.0, [0])
+    assert np.allclose(chart.X[0, :, 0], -result.labels[:, 0])
     assert chart.degenerate_cells.all()
-    labels, status = invert_batch(chart, np.array([[0.0], [1.0], [-0.5]]))
+    labels, status = _invert_one(chart, np.array([[0.0], [1.0], [-0.5]]))
     assert np.all(status != STATUS_OK)
     assert np.isnan(labels).all()
 
@@ -295,10 +315,10 @@ def test_folded_chart_statuses_and_defining_relation():
     assert folded.size > 0
     checked_ok = 0
     for slot in folded[:4]:
-        chart = chart_from_batch(result, result.times[-1], int(slot))
+        chart = chart_from_batch(result, result.times[-1], [int(slot)])
         assert chart.degenerate_cells.any()
-        queries = np.linspace(chart.image_lo[0], chart.image_hi[0], 21)
-        labels, status = invert_batch(chart, queries[:, None])
+        queries = np.linspace(chart.image_lo[0, 0], chart.image_hi[0, 0], 21)
+        labels, status = _invert_one(chart, queries[:, None])
         assert np.all(
             np.isin(status, [STATUS_OK, STATUS_OUT_OF_CHART, STATUS_NO_CONVERGENCE])
         )
@@ -306,7 +326,7 @@ def test_folded_chart_statuses_and_defining_relation():
         assert np.isnan(labels[bad]).all()
         ok = ~bad
         if ok.any():
-            forward = np.interp(labels[ok, 0], chart.label_axes[0], chart.X[:, 0])
+            forward = np.interp(labels[ok, 0], chart.label_axes[0], chart.X[0, :, 0])
             assert np.allclose(forward, queries[ok], atol=1e-9)
             checked_ok += int(ok.sum())
     assert checked_ok > 0
@@ -373,7 +393,7 @@ def test_stacked_bracket_tolerance_edges():
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     for r in range(2):
         x = np.array([lo[r] - tol[r], hi[r] + tol[r], lo[r] - 4 * tol[r], hi[r] + 4 * tol[r]])
-        labels, status = invert_stack(stack, x)
+        labels, status = invert_batch(stack, x)
         assert status[r].tolist() == [STATUS_OK, STATUS_OK, STATUS_OUT_OF_CHART, STATUS_OUT_OF_CHART]
         assert labels[r, :2, 0].tolist() == [-1.0, 1.0]
         assert np.isnan(labels[r, 2:]).all()
@@ -392,6 +412,15 @@ def _mixed_rows():
     return ax, np.stack([regular, flat_cell, folded, regular + 0.3, reversed_, plateau])
 
 
+def _one_row(ax, X, log_I, r, t):
+    """Row ``r`` of a 1D stack's positions and log-weights, charted on its own."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the plateau row's zero slope is flagged
+        return _build_stack((ax,), X[r : r + 1], log_I[r : r + 1], t)
+
+
 def test_mixed_stack_matches_the_single_chart_path():
     ax, rows = _mixed_rows()
     X = rows[..., None]
@@ -404,7 +433,7 @@ def test_mixed_stack_matches_the_single_chart_path():
     assert stack.degenerate_cells[1].any() and stack.degenerate_cells[4].all()
     assert stack.degenerate_cells[2].any()
     x = np.concatenate([rows.reshape(-1), np.linspace(-4.0, 4.0, 57), [np.nan]])
-    labels, status = invert_stack(stack, x)
+    labels, status = invert_batch(stack, x)
     assert labels.shape == (rows.shape[0], x.size, 1) and status.shape == (rows.shape[0], x.size)
     seen = set()
     for r in range(rows.shape[0]):
@@ -412,28 +441,29 @@ def test_mixed_stack_matches_the_single_chart_path():
         assert np.array_equal(status[r], ref_status)
         assert np.array_equal(labels[r, :, 0], ref_labels, equal_nan=True)
         assert labels[r, :, 0].tobytes() == ref_labels.tobytes()
-        one_labels, one_status = invert_batch(stack.chart(r), x)
+        one_labels, one_status = _invert_one(_one_row(ax, X, log_I, r, 0.5), x)
         assert one_labels.tobytes() == labels[r].tobytes()
         assert np.array_equal(one_status, status[r])
         seen.update(status[r].tolist())
     assert seen == {STATUS_OK, STATUS_OUT_OF_CHART, STATUS_NO_CONVERGENCE}
     assert (status[1] == STATUS_NO_CONVERGENCE).any()
 
-    # psi on the stack is the single-chart psi, row by row, for every field.
+    # psi on the stack is the one-row psi, row by row, for every field.
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*x1*x1", 1)
     (vf, vr), st = feynman_kac_psi_stack(stack, (f0, rho0), x)
     assert np.array_equal(st, status)
     for r in range(rows.shape[0]):
-        one_f, _ = feynman_kac_psi_batch(stack.chart(r), f0, x)
-        one_r, _ = feynman_kac_psi_batch(stack.chart(r), rho0, x)
+        one = _one_row(ax, X, log_I, r, 0.5)
+        one_f, _ = _psi_one(one, f0, x)
+        one_r, _ = _psi_one(one, rho0, x)
         assert vf[r].tobytes() == one_f.tobytes()
         assert vr[r].tobytes() == one_r.tobytes()
 
 
 def test_chart_stack_rows_equal_single_charts():
     # A batch with folded and regular realizations: every stack row carries the
-    # metadata of the chart built alone, and inverts to the same bits.
+    # metadata of the one-row stack built alone, and inverts to the same bits.
     cs = make_coeffs("1 + 0.9*sin(3*x1)", nu=0.5, n=1, box=Box((-30.0,), (30.0,)))
     driver = BrownianDriver(seed=5, dt=0.5, n=1)
     result = simulate_paths(
@@ -442,19 +472,86 @@ def test_chart_stack_rows_equal_single_charts():
     )
     slots = np.nonzero(result.alive)[0]
     assert result.degenerate[slots].any() and not result.degenerate[slots].all()
-    stack = chart_stack(result, result.times[-1], slots)
+    stack = chart_from_batch(result, result.times[-1], slots)
     x = np.linspace(-6.0, 6.0, 49)
-    labels, status = invert_stack(stack, x)
+    labels, status = invert_batch(stack, x)
     for i, slot in enumerate(slots):
-        chart = chart_from_batch(result, result.times[-1], int(slot))
-        row = stack.chart(i)
-        assert np.array_equal(row.degenerate_cells, chart.degenerate_cells)
-        assert row.max_deformation == chart.max_deformation
-        assert np.array_equal(row.image_lo, chart.image_lo)
-        assert np.array_equal(row.image_hi, chart.image_hi)
-        one_labels, one_status = invert_batch(chart, x)
+        chart = chart_from_batch(result, result.times[-1], [int(slot)])
+        assert np.array_equal(stack.degenerate_cells[i], chart.degenerate_cells[0])
+        assert stack.max_deformation[i] == chart.max_deformation[0]
+        assert np.array_equal(stack.image_lo[i], chart.image_lo[0])
+        assert np.array_equal(stack.image_hi[i], chart.image_hi[0])
+        one_labels, one_status = _invert_one(chart, x)
         assert one_labels.tobytes() == labels[i].tobytes()
         assert np.array_equal(one_status, status[i])
+
+
+def _assert_rows_match_one_row_stacks(stack, one_row, queries):
+    """Per-row queries and roundtrip defects on a stack, against one-row stacks."""
+    labels, status = invert_batch(stack, queries)
+    assert labels.shape == queries.shape and status.shape == queries.shape[:2]
+    rt = roundtrip_error(stack)
+    assert rt["max_abs_error"].shape == rt["resolved_fraction"].shape == (stack.num_rows,)
+    for r in range(stack.num_rows):
+        one = one_row(r)
+        one_labels, one_status = invert_batch(one, queries[r])
+        assert labels[r].tobytes() == one_labels[0].tobytes(), r
+        assert status[r].tobytes() == one_status[0].tobytes(), r
+        one_rt = roundtrip_error(one)
+        for key in ("max_abs_error", "resolved_fraction"):
+            assert rt[key][r].tobytes() == one_rt[key][0].tobytes(), (r, key)
+        assert rt["num_queries"] == one_rt["num_queries"]
+    return status
+
+
+def test_per_row_queries_match_one_row_stacks_1d():
+    # Folded, flat-celled and reversed rows each invert their own query set.
+    ax, rows = _mixed_rows()
+    X = rows[..., None]
+    log_I = np.cos(rows)
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the plateau row's zero slope is flagged
+        stack = _build_stack((ax,), X, log_I, 0.5)
+    rng = np.random.default_rng(17)
+    queries = np.concatenate(
+        [rows, rows + 0.013, rng.uniform(-4.0, 4.0, size=(rows.shape[0], 31))], axis=1
+    )[..., None]
+    status = _assert_rows_match_one_row_stacks(
+        stack, lambda r: _one_row(ax, X, log_I, r, 0.5), queries
+    )
+    assert set(status.reshape(-1).tolist()) == {
+        STATUS_OK, STATUS_OUT_OF_CHART, STATUS_NO_CONVERGENCE,
+    }
+    # Per-row queries that repeat one set give the shared-query result.
+    shared_labels, shared_status = invert_batch(stack, queries[0])
+    rep_labels, rep_status = invert_batch(stack, np.broadcast_to(queries[0], queries.shape))
+    assert shared_labels.tobytes() == rep_labels.tobytes()
+    assert np.array_equal(shared_status, rep_status)
+
+
+def test_per_row_queries_match_one_row_stacks_2d():
+    cs = make_coeffs(
+        [["1 + 0.3*sin(x1)", "0"], ["0", "1 + 0.3*cos(x2)"]],
+        nu=0.1, n=2, box=Box((-4.0, -4.0), (4.0, 4.0)),
+    )
+    axes = (np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
+    driver = BrownianDriver(seed=8, dt=0.01, n=2)
+    result = simulate_paths(cs, axes, 20, [20], driver, range(4))
+    assert result.alive.all()
+    stack = chart_from_batch(result, 0.2, range(4))
+    rng = np.random.default_rng(19)
+    nodes = stack.X.reshape(4, -1, 2)
+    queries = np.concatenate(
+        [nodes[:, ::7] + rng.normal(scale=0.05, size=nodes[:, ::7].shape),
+         rng.uniform(-3.0, 3.0, size=(4, 6, 2))],
+        axis=1,
+    )
+    status = _assert_rows_match_one_row_stacks(
+        stack, lambda r: chart_from_batch(result, 0.2, [r]), queries
+    )
+    assert (status == STATUS_OK).any() and (status != STATUS_OK).any()
 
 
 def test_stack_warns_once_per_under_resolved_chart():
