@@ -38,26 +38,28 @@ class BrownianDriver:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def _generator(self, realization_index: int) -> np.random.Generator:
-        key = np.array(
-            [np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(realization_index)],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
-
     def increments(self, num_steps: int, realization_index: int | None = None) -> np.ndarray:
         """(num_steps, n) array of N(0, dt) increments for one realization."""
         r = self.realization_index if realization_index is None else int(realization_index)
-        gen = self._generator(r)
-        return gen.standard_normal((int(num_steps), self.n)) * np.sqrt(self.dt)
+        return self.increments_block([r], num_steps)[0]
 
     def increments_block(self, realization_indices, num_steps: int) -> np.ndarray:
-        """(R, num_steps, n) stacked increments for a chunk of realizations."""
+        """(R, num_steps, n) stacked increments for a chunk of realizations.
+
+        One generator serves the block, re-keyed for each realization r to the state
+        a fresh ``Philox(key=[seed, r])`` starts in: key (seed, r), zero counter.
+        """
         idx = np.asarray(realization_indices, dtype=np.int64)
         out = np.empty((idx.size, int(num_steps), self.n))
+        seed = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
+        bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        gen = np.random.Generator(bit_gen)
+        fresh = bit_gen.state
         for row, r in enumerate(idx):
-            out[row] = self.increments(num_steps, int(r))
-        return out
+            fresh["state"]["key"] = np.array([seed, np.uint64(r)], dtype=np.uint64)
+            bit_gen.state = fresh
+            gen.standard_normal(out=out[row])
+        return np.multiply(out, np.sqrt(self.dt), out=out)
 
 
 def auxiliary_rng(seed: int, tag: str) -> np.random.Generator:

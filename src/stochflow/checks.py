@@ -814,9 +814,8 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
         samples = join_psi_samples(mc.results())
         ctx.note_discards(samples.num_discarded)
 
-        report = entropy_decay_check(samples, phi=phi, H=h_fun, times=times, seed=ctx.seed)
-        control = entropy_decay_check(
-            samples, phi=phi, H=non_convex_control(), times=times, seed=ctx.seed
+        report, control = entropy_decay_check(
+            samples, phi=phi, hs=(h_fun, non_convex_control()), times=times, seed=ctx.seed
         )
 
         # Per-point convexity on the raw samples at a few interior quadrature points:
@@ -877,19 +876,6 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     return _Plan([mc], finish)
 
 
-def _ones_series(axes, times) -> OracleSeries:
-    fields = [GridField(axes, np.ones(tuple(ax.size for ax in axes)), float(t)) for t in times]
-    return OracleSeries(times=np.asarray([float(t) for t in times]), fields=fields, dt=0.0)
-
-
-def _scaled_series(axes, times, c: float, T: float) -> OracleSeries:
-    fields = [
-        GridField(axes, np.full(tuple(ax.size for ax in axes), float(np.exp(c * (T - t)))), float(t))
-        for t in times
-    ]
-    return OracleSeries(times=np.asarray([float(t) for t in times]), fields=fields, dt=0.0)
-
-
 def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
     """Grid-solver entropy decay: the series must be nonincreasing to within 1e-8.
 
@@ -914,17 +900,14 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
     axes = ctx.oracle_axes()
     f0 = grid_field_from_expr(cfg.f0, axes, t=0.0)
     rho0 = grid_field_from_expr(cfg.rho0, axes, t=0.0)
-    f_series = solve_forward(ctx.cs, f0, cfg.T, oracle_dt, output_times=times)
-    rho_series = solve_forward(
-        ctx.cs, rho0, cfg.T, oracle_dt, output_times=times, require_positive=True
+    f_series, rho_series = solve_forward(
+        ctx.cs, [f0, rho0], cfg.T, oracle_dt, output_times=times, require_positive=[False, True]
     )
-    v_expr = ctx.cs.V
-    if v_expr.is_constant and v_expr.constant_value == 0.0:
-        phi_series = _ones_series(axes, times)
-        phi_label = "constant 1"
-    elif v_expr.is_constant:
-        phi_series = _scaled_series(axes, times, v_expr.constant_value, cfg.T)
-        phi_label = f"exp({v_expr.constant_value:g}*(T-t))"
+    if ctx.cs.V.is_constant:  # the closed-form weight, sampled on the grid
+        phi, _, phi_label = ctx.weight("trivial", times)
+        pts = mesh_points(axes)
+        phi_fields = [GridField(axes, phi(pts, t).reshape(f0.shape), t) for t in times]
+        phi_series = OracleSeries(times=np.asarray(times), fields=phi_fields, dt=0.0)
     else:
         phi_T = grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T)
         phi_series = solve_adjoint(ctx.cs, phi_T, cfg.T, oracle_dt, output_times=times)
@@ -1045,7 +1028,7 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
 
         oracle_axes = ctx.oracle_axes()
         f0 = grid_field_from_expr(cfg.f0, oracle_axes, t=0.0)
-        reference = solve_forward(ctx.cs, f0, cfg.T, oracle_dt, output_times=times)
+        (reference,) = solve_forward(ctx.cs, [f0], cfg.T, oracle_dt, output_times=times)
 
         disc_tol = slack_constant * (cfg.dt + cfg.oracle_dx ** 2)
         rows = []

@@ -23,9 +23,9 @@ Provided here:
     psi_rho * H(psi_f / psi_rho) * phi over the recorded points, whose mean is
     constant in time; an integrand that reaches the grid edge is rejected.
   * ``jensen_check``: the finite-sample convexity inequality, exact up to roundoff.
-  * ``entropy_decay_check``: bootstrap-banded monotonicity verdict for the entropy
-    time series of the estimated fields (the grid-solver counterpart is
-    ``oracle.entropy_series``).
+  * ``entropy_decay_check``: bootstrap-banded monotonicity verdicts for the entropy
+    time series of the estimated fields, one per H from one set of draws (the
+    grid-solver counterpart is ``oracle.entropy_series``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
     InsufficientRealizations,
     NonPositiveDensity,
     SignalTooNoisy,
+    StochflowError,
     SupportEscape,
 )
 from .fields import FieldExpr, eval_batch
@@ -547,32 +548,46 @@ def jensen_check(psi_rho, psi_f, H: ConvexH, slack: float = 1e-12) -> JensenResu
 # ---------------------------------------------------------------------------
 
 
-def _quadrature_entropy(mean_f, mean_rho, phi_vals, weights, usable, H: ConvexH) -> float:
+def _quadrature_entropy(mean_f, mean_rho, phi_vals, weights, usable, H: ConvexH) -> np.ndarray:
+    """Entropy quadrature of every row of (S, Q) estimated fields, each summed alone."""
     # Points with zero estimated density contribute zero (compactly supported data
     # transported outside its support); positivity where the integrand matters is
     # enforced by the caller.
     pos = usable & (mean_rho > 0)
     vals = np.zeros_like(mean_f)
     vals[pos] = mean_rho[pos] * np.asarray(H(mean_f[pos] / mean_rho[pos]), dtype=float) * phi_vals[pos]
-    return float(np.sum(weights[pos] * vals[pos]))
+    return np.array([np.sum(row[keep]) for row, keep in zip(weights * vals, pos)])
 
 
 def entropy_decay_check(
     samples: PsiSamples,
     phi,
-    H: ConvexH,
+    hs: Sequence[ConvexH],
     times=None,
     seed: int = 0,
-) -> EntropyReport:
-    """Monotonicity verdict for the entropy series of the estimated fields.
+) -> list[EntropyReport]:
+    """Monotonicity verdicts for the entropy series of the estimated fields, one per H.
 
     The series is built from per-point sample means, and each increment gets a
     bootstrap confidence band (200 draws over realizations); the verdict fails only
-    where an increment's 95% band lies above zero.
+    where an increment's 95% band lies above zero.  Every H reads the same draws,
+    and each draw's means are computed once for all of them.  The reports, and the
+    error raised, are those of one call per H in the given order.
 
     Raises SignalTooNoisy when the estimated density does not dominate its own
     standard error (mean <= 4*SE) at quadrature points that matter.
     """
+    hs = list(hs)
+    try:
+        return _decay_reports(samples, phi, hs, times, seed)
+    except (StochflowError, ValueError):
+        if len(hs) > 1:
+            for H in hs:
+                _decay_reports(samples, phi, [H], times, seed)
+        raise
+
+
+def _decay_reports(samples: PsiSamples, phi, hs: list, times, seed: int) -> list[EntropyReport]:
     r_count = samples.num_realizations
     if r_count < MIN_REALIZATIONS:
         raise InsufficientRealizations(
@@ -585,13 +600,12 @@ def entropy_decay_check(
 
     axes = _axes_from_points(samples.points)
     weights = trapezoid_weights(axes)
-    q = samples.points.shape[0]
     s_count = len(slots)
 
-    psi_f = samples.psi_f[:, slots, :]
-    psi_rho = samples.psi_rho[:, slots, :]
-    status = samples.status[:, slots, :]
-    masked = np.any(status != STATUS_OK, axis=0)  # (S, Q)
+    # np.take keeps the (R, S, Q) arrays C-ordered, so a draw gathers whole rows.
+    psi_f = np.take(samples.psi_f, slots, axis=1)
+    psi_rho = np.take(samples.psi_rho, slots, axis=1)
+    masked = np.any(np.take(samples.status, slots, axis=1) != STATUS_OK, axis=0)  # (S, Q)
 
     safe_f = np.where(masked[None, :, :], 0.0, np.nan_to_num(psi_f, nan=0.0))
     safe_rho = np.where(masked[None, :, :], 0.0, np.nan_to_num(psi_rho, nan=0.0))
@@ -600,72 +614,63 @@ def entropy_decay_check(
     se_rho = safe_rho.std(axis=0, ddof=1) / np.sqrt(r_count)
 
     phi_grid = np.stack([_phi_values(phi, samples.points, float(t)) for t in ts], axis=0)
-
-    # Signal check where the integrand can contribute: either transported data is
-    # present, or H(0) != 0 makes the bare density term contribute.
-    try:
-        h_at_zero = abs(float(H(0.0)))
-    except ValueError:
-        h_at_zero = 0.0
-    proxy = np.abs(mean_f) + h_at_zero * np.abs(mean_rho)
-    peak = float(proxy.max()) if proxy.size else 0.0
-    matters = (~masked) & (proxy > 1e-6 * peak)
-    weak = matters & (mean_rho <= 4.0 * se_rho)
-    if np.any(weak):
-        raise SignalTooNoisy(
-            f"estimated density fails mean > 4*SE at {int(weak.sum())} quadrature points"
-        )
-    if np.any(mean_rho[matters] <= 0):
-        raise NonPositiveDensity("estimated density is not positive where the integrand matters")
-
     usable = ~masked
-    values = np.array(
-        [
-            _quadrature_entropy(mean_f[s], mean_rho[s], phi_grid[s], weights, usable[s], H)
-            for s in range(s_count)
-        ]
-    )
-    increments = np.diff(values)
+
+    values = []
+    for H in hs:
+        # Signal check where the integrand can contribute: either transported data
+        # is present, or H(0) != 0 makes the bare density term contribute.
+        try:
+            h_at_zero = abs(float(H(0.0)))
+        except ValueError:
+            h_at_zero = 0.0
+        proxy = np.abs(mean_f) + h_at_zero * np.abs(mean_rho)
+        peak = float(proxy.max()) if proxy.size else 0.0
+        matters = (~masked) & (proxy > 1e-6 * peak)
+        weak = matters & (mean_rho <= 4.0 * se_rho)
+        if np.any(weak):
+            raise SignalTooNoisy(
+                f"estimated density fails mean > 4*SE at {int(weak.sum())} quadrature points"
+            )
+        if np.any(mean_rho[matters] <= 0):
+            raise NonPositiveDensity("estimated density is not positive where the integrand matters")
+        values.append(_quadrature_entropy(mean_f, mean_rho, phi_grid, weights, usable, H))
 
     rng = auxiliary_rng(seed, "entropy-decay-bootstrap")
-    boot_vals = np.empty((_BOOTSTRAP_RESAMPLES, s_count))
+    boot_vals = np.empty((len(hs), _BOOTSTRAP_RESAMPLES, s_count))
+    drawn = np.empty(safe_f.shape)  # one draw's resampled rows, reused
     for b in range(_BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, r_count, size=r_count)
-        bf = safe_f[pick].mean(axis=0)
-        brho = safe_rho[pick].mean(axis=0)
+        bf = np.take(safe_f, pick, axis=0, out=drawn, mode="clip").mean(axis=0)
+        brho = np.take(safe_rho, pick, axis=0, out=drawn, mode="clip").mean(axis=0)
         brho_floor = np.where(usable & (brho > 0), brho, 1.0)
         ok_b = usable & (brho > 0)
-        boot_vals[b] = [
-            _quadrature_entropy(bf[s], brho_floor[s], phi_grid[s], weights, ok_b[s], H)
-            for s in range(s_count)
-        ]
-    boot_inc = np.diff(boot_vals, axis=1)  # (B, S-1)
+        for i, H in enumerate(hs):
+            boot_vals[i, b] = _quadrature_entropy(bf, brho_floor, phi_grid, weights, ok_b, H)
+
     alpha = 1.0 - _BAND_LEVEL
-    lo_inc = np.percentile(boot_inc, 100 * (alpha / 2), axis=0)
-    lower = np.percentile(boot_vals, 100 * (alpha / 2), axis=0)
-    upper = np.percentile(boot_vals, 100 * (1 - alpha / 2), axis=0)
-    inc_std = boot_inc.std(axis=0, ddof=1)
-    z = np.divide(
-        increments, inc_std, out=np.zeros_like(increments), where=inc_std > 0
-    )
-    violations = int(np.sum(lo_inc > 0))
-    max_inc = float(increments.max()) if increments.size else 0.0
-    return EntropyReport(
-        times=ts,
-        values=values,
-        increments=increments,
-        slack=0.0,
-        verdict_nonincreasing=violations == 0,
-        num_violations=violations,
-        C_used=0.0,
-        C_needed=float("nan"),
-        scale=1.0,
-        max_increment=max_inc,
-        lower=lower,
-        upper=upper,
-        z_scores=z,
-        description=(
-            f"Monte Carlo entropy series with H={H.name}; verdict fails only on "
-            f"increments whose bootstrap {_BAND_LEVEL:.0%} band lies above zero"
-        ),
-    )
+    reports = []
+    for H, vals, boot in zip(hs, values, boot_vals):
+        increments = np.diff(vals)
+        boot_inc = np.diff(boot, axis=1)  # (B, S-1)
+        lo_inc = np.percentile(boot_inc, 100 * (alpha / 2), axis=0)
+        inc_std = boot_inc.std(axis=0, ddof=1)
+        violations = int(np.sum(lo_inc > 0))
+        reports.append(EntropyReport(
+            times=ts,
+            values=vals,
+            increments=increments,
+            verdict_nonincreasing=violations == 0,
+            num_violations=violations,
+            max_increment=float(increments.max()) if increments.size else 0.0,
+            lower=np.percentile(boot, 100 * (alpha / 2), axis=0),
+            upper=np.percentile(boot, 100 * (1 - alpha / 2), axis=0),
+            z_scores=np.divide(
+                increments, inc_std, out=np.zeros_like(increments), where=inc_std > 0
+            ),
+            description=(
+                f"Monte Carlo entropy series with H={H.name}; verdict fails only on "
+                f"increments whose bootstrap {_BAND_LEVEL:.0%} band lies above zero"
+            ),
+        ))
+    return reports

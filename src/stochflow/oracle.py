@@ -24,7 +24,9 @@ via one sparse LU factorization per solve.  ``solve_forward`` (matrix L) and
 A + A^T (Liu 1985) instead of SuperLU's default COLAMD: on the 5-point operator
 that nearly halves the L+U fill, and with it the cost of every step.  On 1D grids
 the matrix is tridiagonal, so there is no fill to save, and the default ordering
-is kept (the step costs the same, and the 1D results keep their bits).  The
+is kept (the step costs the same, and the 1D results keep their bits).
+``solve_forward`` marches every field that shares the generator (data and density)
+through that one factorization, as the columns of one stack.  The
 entropy functional of a solution triple is evaluated with the plain node sum times
 the cell volume, matching the conservative stencil's invariant.
 """
@@ -182,15 +184,10 @@ def _node_grad_1d(ax: np.ndarray) -> sp.csr_matrix:
     """(N, N): centered derivative at nodes, one-sided at the two ends."""
     n = ax.size
     h = float(ax[1] - ax[0])
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1] = -0.5 / h
-        m[i, i + 1] = 0.5 / h
-    m[0, 0] = -1.0 / h
-    m[0, 1] = 1.0 / h
-    m[n - 1, n - 2] = -1.0 / h
-    m[n - 1, n - 1] = 1.0 / h
-    return m.tocsr()
+    lower, diag, upper = np.full(n - 1, -0.5 / h), np.zeros(n), np.full(n - 1, 0.5 / h)
+    diag[0], upper[0], lower[-1], diag[-1] = -1.0 / h, 1.0 / h, -1.0 / h, 1.0 / h
+    # The zero interior diagonal is not stored.
+    return sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n)).tocsr()
 
 
 def _is_zero_expr(expr: FieldExpr) -> bool:
@@ -225,7 +222,6 @@ def assemble_generator(cs: CoefficientSet, axes, t: float = 0.0) -> sp.csr_matri
 
     face_diff = [lift(_face_diff_1d(axes[k]), k) for k in range(n)]
     face_avg = [lift(_face_avg_1d(axes[k].size), k) for k in range(n)]
-    node_grad = [lift(_node_grad_1d(axes[k]), k) for k in range(n)]
 
     L = sp.csr_matrix((total, total))
     for k in range(n):
@@ -235,7 +231,8 @@ def assemble_generator(cs: CoefficientSet, axes, t: float = 0.0) -> sp.csr_matri
             if _is_zero_expr(cs.a[k][l]):
                 continue
             coeff = _eval_on_mesh(cs.a[k][l], fx, t).reshape(-1)
-            grad_l = face_diff[k] if l == k else (face_avg[k] @ node_grad[l])
+            # Only a cross term needs the centered node gradient.
+            grad_l = face_diff[k] if l == k else face_avg[k] @ lift(_node_grad_1d(axes[l]), l)
             term = sp.diags(cs.nu * coeff) @ grad_l
             flux = term if flux is None else flux + term
         if flux is not None:
@@ -310,49 +307,65 @@ def _steps_and_slots(T: float, dt: float, output_times):
 
 def solve_forward(
     cs: CoefficientSet,
-    f0: GridField,
+    initial: Sequence[GridField],
     T: float,
     dt: float,
     output_times: Sequence[float] | None = None,
-    require_positive: bool = False,
-) -> OracleSeries:
-    """March the forward equation from f0 to time T with Crank–Nicolson steps.
+    require_positive: Sequence[bool] | None = None,
+) -> list[OracleSeries]:
+    """March the forward equation from each initial field to time T with Crank–Nicolson steps.
 
-    ``require_positive`` aborts (rather than clips) if the solution loses
-    positivity — used for density solves.
+    Returns one series per field.  The fields share one generator and one
+    factorization, and each step advances them as the columns of one (N, m) stack;
+    the sparse product and SuperLU's multi-column solve give every column the bits
+    of a march of that field alone.  ``require_positive[i]`` aborts (rather than
+    clips) if field i loses positivity — used for density solves.  A failing march
+    raises what marching the fields one at a time, in order, raises.
     """
-    if f0.n != cs.n:
+    initial = list(initial)
+    positive = [False] * len(initial) if require_positive is None else list(require_positive)
+    if not initial or len(positive) != len(initial):
+        raise ValueError("need at least one initial field and one require_positive flag per field")
+    f0 = initial[0]
+    if any(g.n != cs.n for g in initial):
         raise DimensionMismatch("initial field dimension != coefficient dimension")
+    if any(g.shape != f0.shape or g.box != f0.box for g in initial):
+        raise ValueError("initial fields must share one grid")
     K, slots = _steps_and_slots(T, dt, output_times)
     L = assemble_generator(cs, f0.axes)
-    f = f0.values.reshape(-1).copy()
-    shape = f0.shape
+    F = np.stack([g.values.reshape(-1) for g in initial], axis=1)
 
     half_dt = _THETA * dt
     lu = _cn_factor(L, half_dt, f0.n)
 
-    slot_of = {i: s for s, i in enumerate(slots)}
-    fields: list[GridField | None] = [None] * len(slots)
-
-    def check(vec: np.ndarray, t_now: float) -> None:
-        if not np.all(np.isfinite(vec)):
+    def check(t_now: float) -> None:
+        if not np.all(np.isfinite(F)):
             raise BlowUp(f"forward solve produced non-finite values at t={t_now:.6g}")
-        if require_positive and np.min(vec) <= 0.0:
+        low = min((np.min(F[:, j]) for j, p in enumerate(positive) if p), default=np.inf)
+        if low <= 0.0:
             raise PositivityViolation(
-                f"forward solve lost strict positivity at t={t_now:.6g} "
-                f"(min value {np.min(vec):.3e})"
+                f"forward solve lost strict positivity at t={t_now:.6g} (min value {low:.3e})"
             )
 
-    check(f, 0.0)
-    if 0 in slot_of:
-        fields[slot_of[0]] = GridField(f0.axes, f.reshape(shape).copy(), 0.0)
-    for k in range(1, K + 1):
-        f = lu.solve(f + half_dt * (L @ f))
-        t_now = k * dt
-        check(f, t_now)
-        if k in slot_of:
-            fields[slot_of[k]] = GridField(f0.axes, f.reshape(shape).copy(), t_now)
-    return OracleSeries(times=np.array([i * dt for i in slots]), fields=fields, dt=dt)
+    stored = {}  # step -> (N, m) stack; a step makes a new stack, never edits one
+    try:
+        for k in range(K + 1):
+            if k > 0:
+                F = lu.solve(F + half_dt * (L @ F))
+            check(k * dt)
+            if k in slots:
+                stored[k] = F
+    except (BlowUp, PositivityViolation):
+        if len(initial) > 1:
+            for g, p in zip(initial, positive):
+                solve_forward(cs, [g], T, dt, output_times, [p])
+        raise
+    times = np.array([i * dt for i in slots])
+    series = [
+        [GridField(f0.axes, stored[i][:, c].reshape(f0.shape).copy(), i * dt) for i in slots]
+        for c in range(len(initial))
+    ]
+    return [OracleSeries(times=times.copy(), fields=fields, dt=dt) for fields in series]
 
 
 def solve_adjoint(
@@ -463,22 +476,23 @@ class PhiSeries:
 class EntropyReport:
     """Entropy time series and its monotonicity verdict.
 
-    ``slack`` is the per-increment allowance; an increment counts as a violation when
-    it exceeds slack.  ``C_needed`` is the smallest slack constant that would make the
-    verdict pass (same scale unit as ``C_used``).  Confidence-band fields are None for
-    deterministic (oracle) series and filled by the Monte Carlo decay check.
+    ``slack`` is the per-increment allowance of a deterministic (oracle) series; an
+    increment counts as a violation when it exceeds slack.  ``C_needed`` is the
+    smallest slack constant that would make the verdict pass (same scale unit as
+    ``C_used``).  The slack fields are None and the confidence-band fields filled
+    for the Monte Carlo decay check.
     """
 
     times: np.ndarray
     values: np.ndarray
     increments: np.ndarray
-    slack: float
     verdict_nonincreasing: bool
     num_violations: int
-    C_used: float
-    C_needed: float
-    scale: float  # the (dx^2 + dt) unit multiplying C
     max_increment: float
+    slack: float | None = None
+    C_used: float | None = None
+    C_needed: float | None = None
+    scale: float | None = None  # the (dx^2 + dt) unit multiplying C
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     z_scores: np.ndarray | None = None

@@ -37,12 +37,21 @@ def test_different_seeds_differ():
     assert not np.allclose(a, b)
 
 
+def _fresh_stream(seed, r, num_steps, n, dt):
+    """Increments from a generator built for this one realization."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+    return gen.standard_normal((num_steps, n)) * np.sqrt(dt)
+
+
 def test_increments_block_matches_per_realization():
-    d = BrownianDriver(seed=77, dt=0.002, n=3)
-    block = d.increments_block([4, 9, 2], 25)
-    assert block.shape == (3, 25, 3)
-    for row, r in enumerate([4, 9, 2]):
-        assert np.array_equal(block[row], d.increments(25, realization_index=r))
+    # unsorted, repeated and non-contiguous indices; every row is its own stream
+    for n, indices in ((3, [4, 9, 2]), (2, [17, 3, 250, 0, 3, 9]), (1, [5])):
+        d = BrownianDriver(seed=77, dt=0.002, n=n)
+        block = d.increments_block(indices, 25)
+        assert block.shape == (len(indices), 25, n)
+        for row, r in enumerate(indices):
+            assert np.array_equal(block[row], d.increments(25, realization_index=r))
+            assert block[row].tobytes() == _fresh_stream(77, r, 25, n, 0.002).tobytes()
 
 
 def test_increment_moments_match_dt():

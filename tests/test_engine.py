@@ -15,6 +15,7 @@ from conftest import coefficient_sample, make_coeffs
 from stochflow.brownian import BrownianDriver
 from stochflow.engine import (
     BatchResult,
+    _rows_inside,
     escape_margin,
     run_chunks,
     simulate_paths,
@@ -457,6 +458,25 @@ def test_point_labels_validation(cs_full_2d):
 def test_escape_margin_formula():
     assert escape_margin(0.1, 0.5) == pytest.approx(6.0 * np.sqrt(2 * 0.1 * 0.5))
     assert escape_margin(0.0, 1.0) == 0.0
+
+
+def test_escape_shortcut_gives_the_per_row_flags():
+    # An anisotropic box: x1 in [-0.5, 0.5], x2 in [-4, 4].
+    lo, hi = np.array([-0.5, -4.0]), np.array([0.5, 4.0])
+    rng = np.random.default_rng(11)
+    inside = rng.uniform(-0.4, 0.4, (6, 5, 2))
+    one_coordinate = inside.copy()
+    one_coordinate[2, 3, 0] = 0.7  # leaves by x1 only, still inside x2's range
+    wide_x2 = inside.copy()
+    wide_x2[:, :, 1] *= 9.0  # every row inside, beyond the tightest range
+    nan_row = inside.copy()
+    nan_row[4, 1, 1] = np.nan
+    for X in (inside, one_coordinate, wide_x2, nan_row):
+        reference = ((X >= lo) & (X <= hi)).all(axis=(1, 2))
+        assert np.array_equal(_rows_inside(X, lo, hi), reference)
+    assert _rows_inside(inside, lo, hi).all()
+    assert np.flatnonzero(~_rows_inside(one_coordinate, lo, hi)).tolist() == [2]
+    assert np.flatnonzero(~_rows_inside(nan_row, lo, hi)).tolist() == [4]
 
 
 def test_fields_and_stored_times_do_not_change_the_kept_bits(cs_full_2d):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochflow.brownian import BrownianDriver
-from stochflow.convex import get_convex
+from stochflow.convex import get_convex, non_convex_control
 from stochflow.engine import simulate_paths
 from stochflow.errors import (
     DimensionMismatch,
@@ -440,14 +440,14 @@ def test_entropy_martingale_series_hand_values():
 
 def test_entropy_decay_check_monte_carlo_verdicts():
     decreasing = _synthetic_samples([2.0, 1.5, 1.2, 1.1])
-    rep = entropy_decay_check(decreasing, phi=constant_phi(1.0), H=get_convex("r2"))
+    (rep,) = entropy_decay_check(decreasing, phi=constant_phi(1.0), hs=[get_convex("r2")])
     assert rep.verdict_nonincreasing and rep.num_violations == 0
     assert np.allclose(rep.values, [4.0, 2.25, 1.44, 1.21], rtol=1e-12)
     assert rep.lower is not None and rep.upper is not None
     assert np.all(rep.lower <= rep.values + 1e-12)
     assert np.all(rep.values <= rep.upper + 1e-12)
     growing = _synthetic_samples([1.0, 1.0, 1.5])
-    rep2 = entropy_decay_check(growing, phi=constant_phi(1.0), H=get_convex("r2"))
+    (rep2,) = entropy_decay_check(growing, phi=constant_phi(1.0), hs=[get_convex("r2")])
     assert not rep2.verdict_nonincreasing
     assert rep2.num_violations >= 1
     assert rep2.max_increment == pytest.approx(1.25, rel=1e-12)
@@ -459,10 +459,57 @@ def test_entropy_decay_check_noisy_density_rejected():
     samples.psi_rho[:, :, :] = 0.01
     samples.psi_rho[0, :, :] = 100.0
     with pytest.raises(SignalTooNoisy):
-        entropy_decay_check(samples, phi=constant_phi(1.0), H=get_convex("r2"))
+        entropy_decay_check(samples, phi=constant_phi(1.0), hs=[get_convex("r2")])
+
+
+def _report_bytes(rep):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(rep).items()}
+
+
+def test_entropy_decay_check_gives_each_h_the_report_of_its_own_call():
+    samples = _synthetic_samples([2.0, 1.5, 1.2, 1.1])
+    # spread the data so that the bootstrap bands are not points
+    samples.psi_f *= np.random.default_rng(3).uniform(0.5, 1.5, samples.psi_f.shape)
+    hs = [get_convex("r2"), non_convex_control(), get_convex("abs_smooth")]
+    joint = entropy_decay_check(samples, phi=constant_phi(1.0), hs=hs, seed=5)
+    assert len(joint) == 3
+    for rep, H in zip(joint, hs):
+        (alone,) = entropy_decay_check(samples, phi=constant_phi(1.0), hs=[H], seed=5)
+        assert _report_bytes(rep) == _report_bytes(alone)
+    assert np.all(joint[0].upper > joint[0].lower)
+    assert joint[0].verdict_nonincreasing and not joint[1].verdict_nonincreasing
+
+
+def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
+    # Ten points carry no data and a density swamped by one outlier: they matter
+    # only to an H with H(0) != 0, so r2 passes its signal check and abs_smooth fails.
+    samples = _synthetic_samples([1.5, 1.2])
+    noisy = slice(0, 10)
+    samples.psi_f[:, :, noisy] = 0.0
+    samples.psi_rho[:, :, noisy] = 0.01
+    samples.psi_rho[0, :, noisy] = 100.0
+    r2, abs_smooth, rlogr = get_convex("r2"), get_convex("abs_smooth"), get_convex("rlogr")
+
+    def raised(hs):
+        with pytest.raises((SignalTooNoisy, ValueError)) as info:
+            entropy_decay_check(samples, phi=constant_phi(1.0), hs=hs)
+        return type(info.value), str(info.value)
+
+    entropy_decay_check(samples, phi=constant_phi(1.0), hs=[r2])
+    assert raised([abs_smooth])[0] is SignalTooNoisy
+    assert raised([r2, abs_smooth]) == raised([abs_smooth, r2]) == raised([abs_smooth])
+    # One realization's large negative datum keeps the mean data at point 15
+    # positive, but a draw that picks it twice is negative there, outside rlogr's
+    # domain: rlogr passes its signal check and fails in the bootstrap, which one
+    # call for rlogr alone reaches before a call for abs_smooth starts.
+    samples.psi_f[:, :, 15] = 1.0
+    samples.psi_f[0, :, 15] = -118.5
+    assert raised([rlogr])[0] is ValueError
+    assert raised([rlogr, abs_smooth]) == raised([rlogr])
+    assert raised([abs_smooth, rlogr]) == raised([abs_smooth])
 
 
 def test_entropy_decay_check_requires_min_realizations():
     small = _synthetic_samples([1.5, 1.2], r_count=40)
     with pytest.raises(InsufficientRealizations):
-        entropy_decay_check(small, phi=constant_phi(1.0), H=get_convex("r2"))
+        entropy_decay_check(small, phi=constant_phi(1.0), hs=[get_convex("r2")])

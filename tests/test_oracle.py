@@ -108,7 +108,7 @@ def test_forward_heat_matches_analytic_gaussian():
     cs = make_coeffs("1", nu=nu, n=1)
     ax = (np.linspace(-6.0, 6.0, 601),)  # dx = 0.02
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1/0.5)", 1), ax)
-    ser = solve_forward(cs, f0, T=0.5, dt=1e-3, output_times=[0.25, 0.5])
+    (ser,) = solve_forward(cs, [f0], T=0.5, dt=1e-3, output_times=[0.25, 0.5])
     for t in (0.25, 0.5):
         var = s0sq + 2.0 * nu * t
         exact = np.sqrt(s0sq / var) * np.exp(-ax[0] ** 2 / (2.0 * var))
@@ -122,7 +122,7 @@ def test_forward_conserves_mass_with_variable_coefficients():
     cs = make_coeffs("1 + 0.5*sin(x1)", U=["0.1*cos(x1)"], nu=0.1, n=1)
     ax = (np.linspace(-4.0, 4.0, 201),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
-    ser = solve_forward(cs, f0, T=0.2, dt=1e-3, output_times=[0.0, 0.1, 0.2])
+    (ser,) = solve_forward(cs, [f0], T=0.2, dt=1e-3, output_times=[0.0, 0.1, 0.2])
     masses = [f.mass() for f in ser.fields]
     assert max(abs(m - masses[0]) for m in masses) < 1e-12
 
@@ -135,7 +135,7 @@ def test_forward_blowup_detected():
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1/0.5)", 1), ax)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUp):
-            solve_forward(cs, f0, T=1.0, dt=1e-3)
+            solve_forward(cs, [f0], T=1.0, dt=1e-3)
 
 
 def test_forward_require_positive():
@@ -143,12 +143,12 @@ def test_forward_require_positive():
     ax = (np.linspace(-6.0, 6.0, 121),)
     bump = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     # strictly positive data stays positive through the heat solve
-    ser = solve_forward(cs, GridField(bump.axes, bump.values + 0.1, bump.t), T=0.1, dt=1e-3,
-                        output_times=[0.1], require_positive=True)
+    (ser,) = solve_forward(cs, [GridField(bump.axes, bump.values + 0.1, bump.t)], T=0.1,
+                           dt=1e-3, output_times=[0.1], require_positive=[True])
     assert np.min(ser.at(0.1).values) > 0.0
     signed = grid_field_from_expr(parse_field("sin(x1)", 1), ax)
     with pytest.raises(PositivityViolation):
-        solve_forward(cs, signed, T=0.1, dt=1e-3, require_positive=True)
+        solve_forward(cs, [signed], T=0.1, dt=1e-3, require_positive=[True])
 
 
 def test_forward_time_grid_validation():
@@ -156,23 +156,23 @@ def test_forward_time_grid_validation():
     ax = (np.linspace(-1.0, 1.0, 21),)
     f0 = grid_field_from_expr(parse_field("1", 1), ax)
     with pytest.raises(ValueError, match="integer multiple"):
-        solve_forward(cs, f0, T=0.105, dt=0.01)
+        solve_forward(cs, [f0], T=0.105, dt=0.01)
     with pytest.raises(ValueError, match="step grid"):
-        solve_forward(cs, f0, T=0.1, dt=0.01, output_times=[0.055])
+        solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.055])
     with pytest.raises(ValueError, match="positive"):
-        solve_forward(cs, f0, T=0.1, dt=0.0)
+        solve_forward(cs, [f0], T=0.1, dt=0.0)
     with pytest.raises(ValueError, match="positive"):
-        solve_forward(cs, f0, T=-0.1, dt=0.01)
+        solve_forward(cs, [f0], T=-0.1, dt=0.01)
     cs2 = make_coeffs([["1", "0"], ["0", "1"]], nu=0.1, n=2)
     with pytest.raises(DimensionMismatch):
-        solve_forward(cs2, f0, T=0.1, dt=0.01)
+        solve_forward(cs2, [f0], T=0.1, dt=0.01)
 
 
 def test_forward_default_output_stores_every_step():
     cs = make_coeffs("1", nu=0.1, n=1)
     ax = (np.linspace(-1.0, 1.0, 21),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
-    ser = solve_forward(cs, f0, T=0.05, dt=0.01)
+    (ser,) = solve_forward(cs, [f0], T=0.05, dt=0.01)
     assert np.allclose(ser.times, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05], atol=1e-12)
     assert ser.stack().shape == (6, 21)
     # slot 0 is the initial data itself
@@ -191,7 +191,7 @@ def test_adjoint_forward_discrete_duality():
     ax = (np.linspace(-4.0, 4.0, 201),)
     times = [0.0, 0.05, 0.1, 0.15, 0.2]
     f0 = grid_field_from_expr(parse_field("exp(-(x1-0.5)*(x1-0.5))", 1), ax)
-    fser = solve_forward(cs, f0, T=0.2, dt=1e-3, output_times=times)
+    (fser,) = solve_forward(cs, [f0], T=0.2, dt=1e-3, output_times=times)
     phi_T = grid_field_from_expr(parse_field("1 + exp(-x1*x1)", 1), ax, t=0.2)
     aser = solve_adjoint(cs, phi_T, T=0.2, dt=1e-3, output_times=times)
     assert np.allclose(aser.times, times, atol=1e-12)
@@ -290,7 +290,7 @@ def test_2d_series_match_a_colamd_march():
     ref = _colamd_march(L, phi_T.values.reshape(-1), 0.5 * dt, steps, adjoint=True)
     assert np.max(np.abs(adj - ref)) <= 1e-12 * np.max(np.abs(ref))
     f0 = GridField(phi_T.axes, phi_T.values, 0.0)
-    fwd = solve_forward(cs, f0, T=T, dt=dt).stack().reshape(shape[0], -1)
+    fwd = solve_forward(cs, [f0], T=T, dt=dt)[0].stack().reshape(shape[0], -1)
     ref = _colamd_march(L, f0.values.reshape(-1), 0.5 * dt, steps, adjoint=False)
     assert np.max(np.abs(fwd - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -299,10 +299,100 @@ def test_1d_forward_series_keeps_the_default_ordering_bits():
     cs = make_coeffs("1 + 0.5*sin(x1)", U=["0.1*cos(x1)"], V="0.3", nu=0.1, n=1)
     ax = (np.linspace(-4.0, 4.0, 201),)
     f0 = grid_field_from_expr(parse_field("exp(-(x1-0.5)*(x1-0.5))", 1), ax)
-    got = solve_forward(cs, f0, T=0.1, dt=1e-3).stack()
+    got = solve_forward(cs, [f0], T=0.1, dt=1e-3)[0].stack()
     ref = _colamd_march(oracle.assemble_generator(cs, ax), f0.values.copy(), 0.5e-3, 100,
                         adjoint=False)
     assert got.tobytes() == ref.tobytes()
+
+
+def _loop_node_grad_1d(ax):
+    """The centered node gradient built entry by entry, as a reference."""
+    n = ax.size
+    h = float(ax[1] - ax[0])
+    m = sp.lil_matrix((n, n))
+    for i in range(1, n - 1):
+        m[i, i - 1] = -0.5 / h
+        m[i, i + 1] = 0.5 / h
+    m[0, 0] = -1.0 / h
+    m[0, 1] = 1.0 / h
+    m[n - 1, n - 2] = -1.0 / h
+    m[n - 1, n - 1] = 1.0 / h
+    return m.tocsr()
+
+
+def test_cross_term_generator_keeps_the_loop_built_gradient_csr(monkeypatch):
+    # a full sigma gives a nonzero off-diagonal a, the one place the node gradient enters
+    cs = make_coeffs([["1 + 0.3*sin(x2)", "0.4"], ["0", "1"]], U=["0.2", "0"], nu=0.1, n=2)
+    ax = (np.linspace(-3.0, 3.0, 41), np.linspace(-2.0, 2.0, 31))
+    got = oracle.assemble_generator(cs, ax)
+    monkeypatch.setattr(oracle, "_node_grad_1d", _loop_node_grad_1d)
+    ref = oracle.assemble_generator(cs, ax)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(got, part).tobytes() == getattr(ref, part).tobytes(), part
+
+
+def _one_vector_march(cs, f0, T, dt):
+    """Every step of a field marched alone, as a vector, with the solver's own factor."""
+    L = oracle.assemble_generator(cs, f0.axes)
+    lu = oracle._cn_factor(L, 0.5 * dt, f0.n)
+    f = f0.values.reshape(-1).copy()
+    out = [f.copy()]
+    for _ in range(round(T / dt)):
+        f = lu.solve(f + 0.5 * dt * (L @ f))
+        out.append(f)
+    return np.array(out)
+
+
+_JOINT_PROBLEMS = {
+    # variable diffusion, drift and growth on 401 nodes
+    "1d": ("1 + 0.5*sin(x1)", ["0.1*cos(x1)"], "0.3", (np.linspace(-4.0, 4.0, 401),),
+           ["exp(-(x1-0.5)*(x1-0.5))", "1 + 0.5*exp(-x1*x1)", "sin(x1)"]),
+    # a full sigma, so the generator has cross terms, on 41 x 31 nodes
+    "2d": ([["1 + 0.3*sin(x2)", "0.4"], ["0", "1"]], ["0.2", "0"], "0",
+           (np.linspace(-3.0, 3.0, 41), np.linspace(-2.0, 2.0, 31)),
+           ["exp(-x1*x1 - x2*x2)", "1 + 0.5*exp(-x1*x1)", "x1*x2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JOINT_PROBLEMS))
+def test_joint_march_gives_each_field_the_bits_of_a_lone_march(name):
+    sigma, U, V, ax, exprs = _JOINT_PROBLEMS[name]
+    cs = make_coeffs(sigma, U=U, V=V, nu=0.1, n=len(ax))
+    initial = [grid_field_from_expr(parse_field(e, len(ax)), ax) for e in exprs]
+    joint = solve_forward(cs, initial, T=0.2, dt=1e-3)
+    assert len(joint) == len(initial)
+    for g, ser in zip(initial, joint):
+        ref = _one_vector_march(cs, g, T=0.2, dt=1e-3)
+        assert ser.stack().reshape(ref.shape).tobytes() == ref.tobytes()
+        assert np.array_equal(ser.times, joint[0].times)
+
+
+def test_joint_march_raises_the_first_failing_field_error():
+    # V = 1000 blows every field up after about 650 of the 1000 steps; a signed
+    # field that must stay positive fails already at t = 0.  Marched one at a time
+    # in order, the first field's error comes first whatever step the others fail at.
+    cs = make_coeffs("1", V="1000", nu=0.1, n=1)
+    ax = (np.linspace(-6.0, 6.0, 241),)
+    bump = grid_field_from_expr(parse_field("exp(-x1*x1/0.5)", 1), ax)
+    signed = grid_field_from_expr(parse_field("sin(x1)", 1), ax)
+
+    def error(fields, positive):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises((BlowUp, PositivityViolation)) as info:
+                solve_forward(cs, fields, T=1.0, dt=1e-3, require_positive=positive)
+        return type(info.value), str(info.value)
+
+    alone_bump = error([bump], [False])
+    alone_signed = error([signed], [True])
+    assert alone_bump[0] is BlowUp and alone_signed[0] is PositivityViolation
+    assert error([bump, signed], [False, True]) == alone_bump
+    assert error([signed, bump], [True, False]) == alone_signed
+    # a field that never fails (zero stays zero) lets the next field's error through
+    zero = GridField(ax, np.zeros(241), 0.0)
+    assert error([zero, bump, signed], [False, False, True]) == alone_bump
+    assert error([zero, signed, bump], [False, True, False]) == alone_signed
+    with pytest.raises(ValueError, match="one require_positive flag per field"):
+        solve_forward(cs, [bump, signed], T=1.0, dt=1e-3, require_positive=[True])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +404,7 @@ def test_oracle_series_at_lookup_errors():
     cs = make_coeffs("1", nu=0.1, n=1)
     ax = (np.linspace(-1.0, 1.0, 21),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
-    ser = solve_forward(cs, f0, T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
+    (ser,) = solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
     assert ser.at(0.05).t == pytest.approx(0.05)
     with pytest.raises(ValueError, match="not stored"):
         ser.at(0.07)
@@ -324,7 +414,7 @@ def test_phi_series_time_and_space_interpolation():
     cs = make_coeffs("1", nu=0.1, n=1)
     ax = (np.linspace(-2.0, 2.0, 41),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
-    ser = solve_forward(cs, f0, T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
+    (ser,) = solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
     phi = PhiSeries(ser)
     # exact at nodes and stored times
     assert phi(ax[0][7], 0.05) == pytest.approx(ser.at(0.05).values[7], abs=1e-15)
@@ -436,8 +526,9 @@ def test_entropy_series_on_heat_solve_decays():
     f0 = grid_field_from_expr(parse_field("exp(-2*(x1-0.3)*(x1-0.3))", 1), ax)
     rho0 = grid_field_from_expr(parse_field("1 + 0.5*exp(-x1*x1)", 1), ax)
     times = [0.0, 0.04, 0.08, 0.12, 0.16, 0.2]
-    fser = solve_forward(cs, f0, T=0.2, dt=2e-3, output_times=times)
-    rser = solve_forward(cs, rho0, T=0.2, dt=2e-3, output_times=times, require_positive=True)
+    (fser,) = solve_forward(cs, [f0], T=0.2, dt=2e-3, output_times=times)
+    (rser,) = solve_forward(cs, [rho0], T=0.2, dt=2e-3, output_times=times,
+                            require_positive=[True])
     pser = _const_series(ax, [1.0] * len(times), times, 2e-3)
     rep = entropy_series(fser, rser, pser, get_convex("r2"), slack_constant=1.0)
     assert rep.verdict_nonincreasing
