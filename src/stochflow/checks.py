@@ -11,7 +11,9 @@ A check is planned before anything is simulated: its Monte Carlo work is a list 
 consumers, each naming the labels, dt, times, realization budget and snapshot fields
 it reads, with a reducer that turns one chunk into per-realization scalars (the
 roundtrip errors of the first 8 realizations, conserved quadratures, martingale
-samples, tracker gaps, ψ rows).  ``run_scenario`` groups the consumers of every
+samples, tracker gaps, ψ rows).  A reducer returns only that payload: the pass counts
+the realizations of the consumer's prefix that are not alive in ``discarded``, which
+a check's ``finish()`` reads.  ``run_scenario`` groups the consumers of every
 check by labels, dt and horizon (the horizon sets the padded escape box and the
 fold bounds, so only equal horizons share), and gives each group one ``run_chunks``
 pass that stores the union of their times and fields.  Every chunk goes to every
@@ -40,7 +42,7 @@ from .convex import get_convex, non_convex_control
 from .engine import DEFAULT_CHUNK_SIZE, escape_margin, run_chunks, simulate_paths, step_indices
 from .errors import ConfigError, StochflowError
 from .estimators import (
-    _eval_at_points,
+    _phi_values,
     collect_psi_samples,
     conserved_quantity_batch,
     constant_phi,
@@ -51,9 +53,8 @@ from .estimators import (
     join_psi_samples,
     martingale_values,
     validate_compact_support,
-    z_score,
 )
-from .fields import parse_field
+from .fields import eval_points, parse_field
 from .grids import Box, grid_axes, mesh_points, trapezoid_weights
 from .inverse import STATUS_OK, chart_from_batch, roundtrip_error
 from .oracle import (
@@ -72,7 +73,7 @@ __all__ = [
     "RunContext",
     "run_scenario",
     "convergence_study",
-    "write_report",
+    "write_json",
     "report_payload",
     "golden_payload",
     "MAX_DISCARD_FRACTION",
@@ -180,9 +181,10 @@ def golden_payload(report: RunReport) -> dict:
     return payload
 
 
-def write_report(report: RunReport, path: str) -> None:
+def write_json(payload: dict, path: str) -> None:
+    """A report, golden or study as sorted, indented, strict JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_payload(report), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -229,7 +231,7 @@ class RunContext:
         return grid_axes(box, tuple(counts))
 
     def weight(self, kind: str, times) -> tuple:
-        """Weighting factor for the scenario: (phi callable, phi_at_time_zero, label).
+        """Weighting factor for the scenario: (phi callable, label).
 
         ``kind`` is "trivial" (requires a constant zeroth-order coefficient V: the
         exact closed-form weight), "adjoint" (backward grid solve from the terminal
@@ -248,10 +250,8 @@ class RunContext:
                 )
             c = v_expr.constant_value
             if c == 0.0:
-                return constant_phi(1.0), (lambda pts: np.ones(np.atleast_2d(pts).shape[0])), "constant 1"
-            phi = exponential_phi(c, cfg.T)
-            ref = float(np.exp(c * cfg.T))
-            return phi, (lambda pts: np.full(np.atleast_2d(pts).shape[0], ref)), f"exp({c:g}*(T-t))"
+                return constant_phi(1.0), "constant 1"
+            return exponential_phi(c, cfg.T), f"exp({c:g}*(T-t))"
         if kind != "adjoint":
             raise ConfigError(f"unknown weighting kind {kind!r} (use trivial/adjoint/auto)")
 
@@ -263,8 +263,7 @@ class RunContext:
             out_times = sorted({0.0, cfg.T, *(float(t) for t in times)})
             series = solve_adjoint(self.cs, phi_T, cfg.T, cfg.dt, output_times=out_times)
             self._weight_cache[key] = PhiSeries(series)
-        phi = self._weight_cache[key]
-        return phi, (lambda pts: np.asarray(phi(np.atleast_2d(pts), 0.0), dtype=float).reshape(-1)), "adjoint solve"
+        return self._weight_cache[key], "adjoint solve"
 
     def note_discards(self, count: int) -> None:
         self.discards += int(count)
@@ -291,7 +290,7 @@ class _Consumer:
     ``dt`` over realizations ``0 .. realizations-1`` and reads ``fields`` at
     ``times``.  ``reduce`` turns one chunk, cut to those realizations, into a small
     partial result; ``results()`` returns the partials in chunk order, or raises what
-    ``reduce`` raised.
+    ``reduce`` raised.  ``discarded`` counts the realizations that are not alive.
     """
 
     labels: object
@@ -301,6 +300,7 @@ class _Consumer:
     fields: tuple
     reduce: Callable
     partials: list = field(default_factory=list)
+    discarded: int = 0
     error: Exception | None = None
 
     def __post_init__(self):
@@ -336,7 +336,8 @@ def _run_pass(ctx: RunContext, group: list) -> None:
     The pass stores the union of their times and fields over the largest budget; a
     consumer with a smaller budget reads its realization prefix.  Each chunk is
     dropped once every consumer has reduced it.  A consumer whose ``reduce`` raises
-    keeps the error for itself; an engine error goes to the whole group.
+    keeps the error for itself; an engine error goes to the whole group.  Every
+    consumer also gets the number of its realizations that are not alive.
     """
     first = group[0]
     store = sorted(set().union(*(c.store for c in group)))
@@ -354,10 +355,11 @@ def _run_pass(ctx: RunContext, group: list) -> None:
             if take <= 0:
                 out.append(None)
                 continue
+            dead = int(np.count_nonzero(~result.alive[:take]))
             try:
-                out.append(c.reduce(result if take == indices.size else result.head(take)))
+                out.append((dead, c.reduce(result if take == indices.size else result.head(take))))
             except Exception as exc:  # noqa: BLE001 — it fails only its own check
-                out.append(exc)
+                out.append((dead, exc))
         return out
 
     try:
@@ -370,7 +372,9 @@ def _run_pass(ctx: RunContext, group: list) -> None:
             c.error = exc
         return
     for i, c in enumerate(group):
-        c.partials = [chunk[i] for chunk in per_chunk if chunk[i] is not None]
+        parts = [chunk[i] for chunk in per_chunk if chunk[i] is not None]
+        c.discarded = sum(dead for dead, _ in parts)
+        c.partials = [p for _, p in parts]
         c.error = next((p for p in c.partials if isinstance(p, Exception)), None)
 
 
@@ -407,7 +411,7 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
                 rt = roundtrip_error(chart_from_batch(result, t, rows), interior_only=True)
                 errors.append((float(t), float(rt["max_abs_error"].max()),
                                float(rt["resolved_fraction"].min())))
-        return result.num_realizations - rows.size, errors
+        return errors
 
     mc = _Consumer(cfg.label_axes, cfg.dt, times, num_real, ("X", "log_I"), reduce)
 
@@ -415,13 +419,12 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
         worst = 0.0
         worst_fraction = 1.0
         per_time = {float(t): 0.0 for t in times}
-        dead = 0
-        for dropped, errors in mc.results():
-            dead += dropped
+        for errors in mc.results():
             for t, err, fraction in errors:
                 worst = max(worst, err)
                 worst_fraction = min(worst_fraction, fraction)
                 per_time[t] = max(per_time[t], err)
+        dead = mc.discarded
         ctx.note_discards(dead)
         passed = dead == 0 and worst <= tol and worst_fraction == 1.0
         metrics = {
@@ -447,11 +450,8 @@ def _tracker_consumers(labels, horizon: float, dts, realizations: int) -> list:
         s = result.time_slot(horizon)
         alive = result.alive
         d = result.D_direct[s][alive].reshape(-1)
-        return (
-            result.num_realizations - int(alive.sum()),
-            d - result.D_sde[s][alive].reshape(-1),
-            d - np.exp(result.log_lambda[s][alive]).reshape(-1),
-        )
+        exp_lambda = np.exp(result.log_lambda[s][alive]).reshape(-1)
+        return d - result.D_sde[s][alive].reshape(-1), d - exp_lambda
 
     fields = ("D_direct", "D_sde", "log_lambda")
     return [_Consumer(labels, float(dt), [horizon], realizations, fields, reduce) for dt in dts]
@@ -462,8 +462,8 @@ def _tracker_gaps(consumer: _Consumer) -> dict:
     # Every chunk's gaps are gathered before reducing, so the sums do not depend on
     # where the chunks split.
     parts = consumer.results()
-    g_ds = np.concatenate([p[1] for p in parts])
-    g_dl = np.concatenate([p[2] for p in parts])
+    g_ds = np.concatenate([p[0] for p in parts])
+    g_dl = np.concatenate([p[1] for p in parts])
     count = g_ds.size
     if count == 0:
         raise StochflowError("all realizations were discarded; no tracker samples left")
@@ -472,7 +472,7 @@ def _tracker_gaps(consumer: _Consumer) -> dict:
         "rms_direct_vs_exp_lambda": float(np.sqrt(float(np.sum(g_dl ** 2)) / count)),
         "max_direct_vs_sde": float(np.max(np.abs(g_ds))),
         "samples": count,
-        "num_discarded": sum(p[0] for p in parts),
+        "num_discarded": consumer.discarded,
     }
 
 
@@ -610,6 +610,32 @@ def _probe_axes(cfg: ScenarioConfig, params: dict) -> tuple:
     return tuple(axes)
 
 
+def _z_table(cells, discarded: int, realizations: int) -> tuple:
+    """The z-gate of martingale_M and conservation: (table, series, max |z|, passed).
+
+    ``cells`` lists (row, series stem, samples, reference) in table order.  Each row
+    gets the sample mean, its standard error, the reference and z = (mean - reference)
+    / se; with se = 0, z is 0 when the mean equals the reference and inf otherwise.
+    The check passes when max |z| <= 4, which NaN and inf fail, and at most
+    ``MAX_DISCARD_FRACTION`` of the realizations were discarded.
+    """
+    table, series = [], {}
+    for row, stem, samples, reference in cells:
+        if samples.size < 2:
+            raise ValueError("need at least two samples for a z-score")
+        mean = float(samples.mean())
+        se = float(samples.std(ddof=1) / np.sqrt(samples.size))
+        if se == 0.0:
+            z = 0.0 if abs(mean - reference) == 0.0 else float("inf")
+        else:
+            z = (mean - reference) / se
+        table.append({**row, "mean": mean, "se": se, "reference": reference, "z": z})
+        series.setdefault(stem, []).append((row["t"], mean, se))
+    max_abs_z = float(np.max(np.abs([row["z"] for row in table])))
+    passed = max_abs_z <= _Z_LIMIT and discarded / max(1, realizations) <= MAX_DISCARD_FRACTION
+    return table, series, max_abs_z, passed
+
+
 def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
     """Mean of the path functional phi(X,t) * detJ * exp(accumulated weight).
 
@@ -625,49 +651,30 @@ def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0][:3])
     realizations = ctx.realizations_for("martingale_M", params)
     axes = _probe_axes(cfg, params)
-    phi, phi0, phi_label = ctx.weight(str(params.get("phi", "auto")), times)
+    phi, phi_label = ctx.weight(str(params.get("phi", "auto")), times)
 
     probes = np.stack(axes, axis=1)  # (m, n): the diagonal of the per-axis lists
-    refs = phi0(probes)
+    refs = _phi_values(phi, probes, 0.0)
 
     def reduce(result):
-        dead = int((~result.alive).sum())
-        return dead, [martingale_values(result, phi, t) for t in times]
+        return [martingale_values(result, phi, t) for t in times]
 
     mc = _Consumer(probes, cfg.dt, times, realizations, ("X", "D_direct", "log_I"), reduce)
 
     def finish() -> CheckResult:
         parts = mc.results()
-        dead = sum(p[0] for p in parts)
-        ctx.note_discards(dead)
-
-        table = []
-        max_abs_z = 0.0
-        series = {}
+        ctx.note_discards(mc.discarded)
+        cells = []
         for i, t in enumerate(times):
-            values = np.concatenate([p[1][i] for p in parts], axis=0)
-            for j in range(probes.shape[0]):
-                samples = values[:, j]
-                z = z_score(samples, float(refs[j]))
-                max_abs_z = max(max_abs_z, abs(z))
-                mean = float(samples.mean())
-                se = float(samples.std(ddof=1) / np.sqrt(samples.size))
-                table.append({
-                    "t": float(t),
-                    "label": [float(v) for v in probes[j]],
-                    "mean": mean,
-                    "se": se,
-                    "reference": float(refs[j]),
-                    "z": z,
-                })
-                series.setdefault(f"martingale_M.probe{j}", []).append((float(t), mean, se))
-
-        frac = dead / max(1, realizations)
-        passed = max_abs_z <= _Z_LIMIT and np.isfinite(max_abs_z) and frac <= MAX_DISCARD_FRACTION
+            values = np.concatenate([p[i] for p in parts], axis=0)
+            for j, probe in enumerate(probes):
+                row = {"t": float(t), "label": [float(v) for v in probe]}
+                cells.append((row, f"martingale_M.probe{j}", values[:, j], float(refs[j])))
+        table, series, max_abs_z, passed = _z_table(cells, mc.discarded, realizations)
         metrics = {
             "weighting": phi_label,
             "realizations": realizations,
-            "num_discarded": dead,
+            "num_discarded": mc.discarded,
             "max_abs_z": max_abs_z,
             "z_limit": _Z_LIMIT,
             "cells": table,
@@ -689,7 +696,7 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
     cfg = ctx.cfg
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
     realizations = ctx.realizations_for("conservation", params)
-    phi, phi0, phi_label = ctx.weight("auto", times)
+    phi, phi_label = ctx.weight("auto", times)
 
     variants = [("h0", cfg.h0)]
     if params.get("h0_alt") is not None:
@@ -708,13 +715,13 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
         # label-box edge; rho0 itself may be a strictly positive plateau.
         validate_compact_support(h_expr, axes, "h0")
         validate_compact_support(cfg.rho0 * h_expr, axes, "rho0*h0")
-        dens = _eval_at_points(cfg.rho0, labels) * _eval_at_points(h_expr, labels)
-        references.append(float(np.sum(w * dens * phi0(labels))))
+        dens = eval_points(cfg.rho0, labels) * eval_points(h_expr, labels)
+        references.append(float(np.sum(w * dens * _phi_values(phi, labels, 0.0))))
 
     def reduce(result):
         alive = result.alive
         rows = None if alive.all() else np.flatnonzero(alive)
-        samples = [
+        return [
             [
                 conserved_quantity_batch(result, phi, cfg.rho0, h_expr, t,
                                          validate_support=False, rows=rows)
@@ -722,50 +729,26 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
             ]
             for _, h_expr in variants
         ]
-        return result.num_realizations - int(alive.sum()), samples
 
     mc = _Consumer(axes, cfg.dt, times, realizations, ("X", "D_direct", "log_I"), reduce)
 
     def finish() -> CheckResult:
         parts = mc.results()
-        dead = sum(p[0] for p in parts)
-        ctx.note_discards(dead)
-        frac = dead / max(1, realizations)
-
-        table = []
-        max_abs_z = 0.0
-        series = {}
+        ctx.note_discards(mc.discarded)
+        cells = []
         for v, ((vname, _), reference) in enumerate(zip(variants, references)):
             stem = "conservation" if vname == "h0" else "conservation.alt"
             for i, t in enumerate(times):
-                samples = np.concatenate([p[1][v][i] for p in parts])
-                z = z_score(samples, reference)
-                max_abs_z = max(max_abs_z, abs(z))
-                mean = float(samples.mean())
-                se = float(samples.std(ddof=1) / np.sqrt(samples.size))
-                table.append({
-                    "profile": vname,
-                    "t": float(t),
-                    "mean": mean,
-                    "se": se,
-                    "reference": reference,
-                    "z": z,
-                })
-                series.setdefault(stem, []).append((float(t), mean, se))
-
-        zs = [abs(row["z"]) for row in table]
-        passed = (
-            max_abs_z <= _Z_LIMIT
-            and all(np.isfinite(z) for z in zs)
-            and frac <= MAX_DISCARD_FRACTION
-        )
+                samples = np.concatenate([p[v][i] for p in parts])
+                cells.append(({"profile": vname, "t": float(t)}, stem, samples, reference))
+        table, series, max_abs_z, passed = _z_table(cells, mc.discarded, realizations)
         metrics = {
             "weighting": phi_label,
             "realizations": realizations,
-            "num_discarded": dead,
+            "num_discarded": mc.discarded,
             "max_abs_z": max_abs_z,
             "z_limit": _Z_LIMIT,
-            "fraction_abs_z_above_2": float(np.mean([z > 2.0 for z in zs])),
+            "fraction_abs_z_above_2": float(np.mean([abs(row["z"]) > 2.0 for row in table])),
             "cells": table,
         }
         return CheckResult("conservation", passed, 0.0, metrics, series)
@@ -805,7 +788,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     times = _times_from(params, "times", list(cfg.output_times))
     realizations = ctx.realizations_for("entropy_mc", params)
     h_fun = get_convex(cfg.H_name)
-    phi, _, phi_label = ctx.weight("auto", times)
+    phi, phi_label = ctx.weight("auto", times)
     axes = _query_axes(cfg, params)
     pts = mesh_points(axes)
     mc = _psi_consumer(ctx, times, realizations, pts)
@@ -904,7 +887,7 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
         ctx.cs, [f0, rho0], cfg.T, oracle_dt, output_times=times, require_positive=[False, True]
     )
     if ctx.cs.V.is_constant:  # the closed-form weight, sampled on the grid
-        phi, _, phi_label = ctx.weight("trivial", times)
+        phi, phi_label = ctx.weight("trivial", times)
         pts = mesh_points(axes)
         phi_fields = [GridField(axes, phi(pts, t).reshape(f0.shape), t) for t in times]
         phi_series = OracleSeries(times=np.asarray(times), fields=phi_fields, dt=0.0)
@@ -1182,7 +1165,7 @@ def run_scenario(
         num_discarded=ctx.discards,
         results=results,
     )
-    write_report(report, os.path.join(out_dir, "report.json"))
+    write_json(report_payload(report), os.path.join(out_dir, "report.json"))
     return report
 
 

@@ -13,12 +13,11 @@ STOCHFLOW_THREADS environment variable, else 1; thread count never changes resul
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import resources
 
-from .checks import _jsonable, convergence_study, golden_payload, run_scenario
+from .checks import _write_series_csv, convergence_study, golden_payload, run_scenario, write_json
 from .config import bundled_scenario_path, bundled_scenarios, load_config
 from .errors import ConfigError, StochflowError
 
@@ -54,13 +53,6 @@ def _threads(value: int | None) -> int:
 
 def _golden_path(name: str) -> str:
     return str(resources.files("stochflow").joinpath("scenarios", "golden", f"{name}.json"))
-
-
-def _write_golden(payload: dict, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,7 +116,7 @@ def main(argv=None) -> int:
             print(f"report: {os.path.join(args.out, 'report.json')}")
             if args.regen_golden:
                 path = _golden_path(cfg.name)
-                _write_golden(golden_payload(report), path)
+                write_json(golden_payload(report), path)
                 print(f"golden: {path}")
             return 0 if report.all_passed else 1
 
@@ -143,13 +135,9 @@ def main(argv=None) -> int:
             print(f"fitted order: {study['fitted_order']:.3f}")
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
-                with open(os.path.join(args.out, "study.json"), "w", encoding="utf-8") as fh:
-                    json.dump(_jsonable(study), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                with open(os.path.join(args.out, "convergence.csv"), "w", encoding="utf-8") as fh:
-                    fh.write("t,value,se\n")
-                    for dt, g1 in zip(study["dt"], study["gap_direct_vs_exp_lambda"]):
-                        fh.write(f"{dt:.17g},{g1:.17g},0\n")
+                write_json(study, os.path.join(args.out, "study.json"))
+                rows = [(dt, g, 0.0) for dt, g in zip(study["dt"], study["gap_direct_vs_exp_lambda"])]
+                _write_series_csv(os.path.join(args.out, "convergence.csv"), rows)
                 print(f"study: {os.path.join(args.out, 'study.json')}")
             return 0
 

@@ -50,7 +50,7 @@ from .errors import (
     StochflowError,
     SupportEscape,
 )
-from .fields import FieldExpr, eval_batch
+from .fields import FieldExpr, eval_points
 from .grids import mesh_points, trapezoid_weights
 from .inverse import STATUS_OK
 # Unused here; kept importable because the benchmark's span tracer patches
@@ -77,7 +77,6 @@ __all__ = [
     "entropy_martingale_series",
     "jensen_check",
     "entropy_decay_check",
-    "z_score",
 ]
 
 MIN_REALIZATIONS = 100
@@ -150,11 +149,6 @@ def _boundary_ring_mask(shape: tuple, cells: int) -> np.ndarray:
     return mask
 
 
-def _eval_at_points(expr: FieldExpr, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
-    vals = eval_batch(expr, tuple(pts.T), t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
-
-
 def validate_compact_support(
     expr: FieldExpr, label_axes, name: str, cells: int = SUPPORT_MARGIN_CELLS
 ) -> None:
@@ -166,7 +160,7 @@ def validate_compact_support(
     axes = tuple(np.asarray(ax, dtype=float) for ax in label_axes)
     shape = tuple(ax.size for ax in axes)
     pts = mesh_points(axes)
-    vals = np.abs(_eval_at_points(expr, pts)).reshape(shape)
+    vals = np.abs(eval_points(expr, pts)).reshape(shape)
     ring = _boundary_ring_mask(shape, cells)
     peak = float(vals.max()) if vals.size else 0.0
     worst = float(vals[ring].max()) if ring.any() else 0.0
@@ -405,7 +399,7 @@ def conserved_quantity_batch(
         )
     w = trapezoid_weights(axes)
     labels = result.labels
-    dens = _eval_at_points(rho0, labels) * _eval_at_points(h0, labels)
+    dens = eval_points(rho0, labels) * eval_points(h0, labels)
     support = _support_mask(dens)
     s = result.time_slot(t)
     x_t = result.X[s][rows]  # (R, L, n)
@@ -427,17 +421,6 @@ def martingale_values(result: BatchResult, phi, t: float) -> np.ndarray:
     phi_vals = _phi_values(phi, x_t.reshape(-1, result.n), float(result.times[s]))
     phi_vals = phi_vals.reshape(r_count, l_count)
     return phi_vals * result.D_direct[s][alive] * np.exp(result.log_I[s][alive])
-
-
-def z_score(samples: np.ndarray, reference: float) -> float:
-    """Standardized distance of the sample mean from a reference value."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two samples for a z-score")
-    se = arr.std(ddof=1) / np.sqrt(arr.size)
-    if se == 0.0:
-        return 0.0 if abs(float(arr.mean()) - reference) == 0.0 else float("inf")
-    return float((arr.mean() - reference) / se)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ __all__ = [
     "differentiate",
     "evaluate",
     "eval_batch",
+    "eval_points",
     "ProgramCompiler",
     "Program",
     "BoundProgram",
@@ -721,18 +722,9 @@ class FieldExpr:
 
 
 def _mentions_time(node: Node) -> bool:
-    tag = node.tag
-    if tag == "var":
+    if node.tag == "var":
         return node.index < 0
-    if tag == "const":
-        return False
-    if tag == "neg":
-        return _mentions_time(node.child)
-    if tag == "pow":
-        return _mentions_time(node.base)
-    if tag == "call":
-        return _mentions_time(node.child)
-    return _mentions_time(node.left) or _mentions_time(node.right)
+    return any(_mentions_time(c) for c in node.children)
 
 
 def parse_field(source: str, dimension: int) -> FieldExpr:
@@ -796,6 +788,12 @@ def eval_batch(fe: FieldExpr, comps: tuple, t: float, memo: dict | None = None):
     if len(comps) != fe.dim:
         raise ValueError(f"expected {fe.dim} coordinate arrays, got {len(comps)}")
     return _eval(fe.root, comps, t, {} if memo is None else memo)
+
+
+def eval_points(fe: FieldExpr, pts: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """``eval_batch`` at (P, n) points, as a fresh (P,) float array even for a constant."""
+    vals = eval_batch(fe, tuple(pts.T), t)
+    return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
 
 # ---------------------------------------------------------------------------

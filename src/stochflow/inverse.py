@@ -37,7 +37,7 @@ import numpy as np
 
 from .engine import BatchResult
 from .errors import DimensionMismatch
-from .fields import FieldExpr, eval_batch
+from .fields import FieldExpr, eval_points
 from .grids import multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
 
 __all__ = [
@@ -495,12 +495,6 @@ def roundtrip_error(stack: ChartStack, interior_only: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _eval_initial(f0: FieldExpr, labels: np.ndarray) -> np.ndarray:
-    comps = tuple(labels[:, k] for k in range(labels.shape[1]))
-    vals = eval_batch(f0, comps, 0.0)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (labels.shape[0],)).copy()
-
-
 def feynman_kac_psi_stack(stack: ChartStack, exprs, points):
     """Exponentially weighted transported data of several fields on every chart.
 
@@ -519,5 +513,5 @@ def feynman_kac_psi_stack(stack: ChartStack, exprs, points):
         rows = np.nonzero(ok)[0]
         w = np.exp(multilinear_interp_rows(stack.label_axes, stack.log_I, rows, lab))
         for out, f in zip(values, exprs):
-            out[ok] = _eval_initial(f, lab) * w
+            out[ok] = eval_points(f, lab) * w
     return values, status

@@ -44,8 +44,8 @@ from scipy.sparse.linalg import splu
 from .coefficients import CoefficientSet
 from .convex import ConvexH
 from .errors import BlowUp, DimensionMismatch, PositivityViolation
-from .fields import FieldExpr, eval_batch
-from .grids import Box, multilinear_interp
+from .fields import FieldExpr, eval_points
+from .grids import Box, mesh_points, multilinear_interp
 
 __all__ = [
     "GridField",
@@ -149,18 +149,12 @@ class GridField:
         return float(res[0]) if squeeze else res
 
 
-def _eval_on_mesh(expr: FieldExpr, axes, t: float) -> np.ndarray:
-    shape = tuple(ax.size for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = eval_batch(expr, tuple(mesh), t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
-
-
 def grid_field_from_expr(expr: FieldExpr, axes, t: float = 0.0) -> GridField:
     axes = _check_uniform_axes(axes)
     if expr.dim != len(axes):
         raise DimensionMismatch(f"expression dimension {expr.dim} != grid dimension {len(axes)}")
-    return GridField(axes, _eval_on_mesh(expr, axes, t), t)
+    values = eval_points(expr, mesh_points(axes), t).reshape(tuple(ax.size for ax in axes))
+    return GridField(axes, values, t)
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +210,21 @@ def assemble_generator(cs: CoefficientSet, axes, t: float = 0.0) -> sp.csr_matri
             return sp.kron(mat_1d, eye[1], format="csr")
         return sp.kron(eye[0], mat_1d, format="csr")
 
-    def face_axes(axis: int):
+    def face_points(axis: int) -> np.ndarray:
         mid = 0.5 * (axes[axis][:-1] + axes[axis][1:])
-        return tuple(mid if k == axis else axes[k] for k in range(n))
+        return mesh_points(tuple(mid if k == axis else axes[k] for k in range(n)))
 
     face_diff = [lift(_face_diff_1d(axes[k]), k) for k in range(n)]
     face_avg = [lift(_face_avg_1d(axes[k].size), k) for k in range(n)]
 
     L = sp.csr_matrix((total, total))
     for k in range(n):
-        fx = face_axes(k)
+        fx = face_points(k)
         flux = None  # operator producing the k-face flux from node values
         for l in range(n):
             if _is_zero_expr(cs.a[k][l]):
                 continue
-            coeff = _eval_on_mesh(cs.a[k][l], fx, t).reshape(-1)
+            coeff = eval_points(cs.a[k][l], fx, t)
             # Only a cross term needs the centered node gradient.
             grad_l = face_diff[k] if l == k else face_avg[k] @ lift(_node_grad_1d(axes[l]), l)
             term = sp.diags(cs.nu * coeff) @ grad_l
@@ -238,10 +232,10 @@ def assemble_generator(cs: CoefficientSet, axes, t: float = 0.0) -> sp.csr_matri
         if flux is not None:
             L = L - face_diff[k].T @ flux
         if not _is_zero_expr(cs.U[k]):
-            u_face = _eval_on_mesh(cs.U[k], fx, t).reshape(-1)
+            u_face = eval_points(cs.U[k], fx, t)
             L = L + face_diff[k].T @ (sp.diags(u_face) @ face_avg[k])
     if not _is_zero_expr(cs.V):
-        L = L + sp.diags(_eval_on_mesh(cs.V, axes, t).reshape(-1))
+        L = L + sp.diags(eval_points(cs.V, mesh_points(axes), t))
     return L.tocsr()
 
 

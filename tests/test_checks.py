@@ -356,3 +356,88 @@ def test_martingale_M_simulates_only_its_probes(tmp_path, monkeypatch):
             assert cell["t"] == t
             assert cell["label"] == [float(ax[j]) for ax in grid_axes]
             assert cell["mean"] == float(values[:, col].mean())
+
+
+def test_z_table_hand_values():
+    samples = np.array([1.0, 2.0, 3.0, 4.0])
+    se = samples.std(ddof=1) / 2.0
+    (row,), series, max_abs_z, passed = checks._z_table([({"t": 0.5}, "s", samples, 2.0)], 0, 4)
+    assert row["z"] == pytest.approx((2.5 - 2.0) / se, rel=1e-14)
+    assert (row["mean"], row["reference"]) == (2.5, 2.0)
+    assert series == {"s": [(0.5, 2.5, row["se"])]}
+    assert max_abs_z == abs(row["z"]) and passed
+
+    flat = np.array([3.0, 3.0, 3.0])
+    assert checks._z_table([({"t": 0.0}, "s", flat, 3.0)], 0, 3)[0][0]["z"] == 0.0
+    table, _, max_abs_z, passed = checks._z_table([({"t": 0.0}, "s", flat, 2.0)], 0, 3)
+    assert table[0]["z"] == np.inf and max_abs_z == np.inf and not passed
+    with pytest.raises(ValueError, match="at least two samples"):
+        checks._z_table([({"t": 0.0}, "s", np.array([1.0]), 0.0)], 0, 1)
+
+
+@pytest.mark.parametrize(
+    "check, target",
+    [("martingale_M", "martingale_values"), ("conservation", "conserved_quantity_batch")],
+)
+def test_a_nan_sample_fails_the_z_gate(tmp_path, monkeypatch, check, target):
+    # heat_identity's martingale samples are exactly 1, so every se is 0 and every z
+    # is 0.  One NaN sample makes its cell's z NaN; the maximum keeps the NaN and
+    # the gate fails.
+    real = getattr(checks, target)
+    poisoned = []
+
+    def with_one_nan(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not poisoned:
+            out = out.copy()
+            out.flat[0] = np.nan
+            poisoned.append(out)
+        return out
+
+    monkeypatch.setattr(checks, target, with_one_nan)
+    (result,) = run_scenario(_one_check("heat_identity", check), str(tmp_path),
+                             realizations=200).results
+    assert poisoned
+    assert not result.passed, result.metrics
+    assert np.isnan(result.metrics["max_abs_z"])
+    assert sum(np.isnan(cell["z"]) for cell in result.metrics["cells"]) == 1
+
+
+@pytest.mark.parametrize("chunk_size", [4096, 37])
+def test_discards_are_counted_per_check(tmp_path, monkeypatch, chunk_size):
+    # Every realization whose index is a multiple of 7 comes back not alive.  Each
+    # check counts the killed realizations within its own budget (per dt level for
+    # the tracker check), the report sums them, and the z-gates fail on the
+    # discard fraction alone.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw["checks"] = ["roundtrip", "determinant_consistency", "martingale_M", "conservation",
+                     "entropy_mc", "feynman_kac_vs_oracle"]
+    real_simulate = checks.simulate_paths
+
+    def killing(*args, **kwargs):
+        result = real_simulate(*args, **kwargs)
+        result.alive[result.realization_indices % 7 == 0] = False
+        return result
+
+    monkeypatch.setattr(checks, "simulate_paths", killing)
+    budget = 140
+    report = run_scenario(loads_config(yaml.safe_dump(raw)), str(tmp_path),
+                          realizations=budget, chunk_size=chunk_size)
+    killed = -(-budget // 7)
+    levels = len(raw["check_params"]["determinant_consistency"]["dt_levels"])
+    expected = {
+        "roundtrip": 2,  # realizations 0 and 7 of the first 8
+        "determinant_consistency": levels * killed,
+        "martingale_M": killed,
+        "conservation": killed,
+        "entropy_mc": killed,
+        "feynman_kac_vs_oracle": killed,
+    }
+    found = {r.name: r.metrics.get("num_discarded", r.metrics) for r in report.results}
+    assert found == expected
+    assert report.num_discarded == sum(expected.values())
+    for result in report.results:
+        if result.name not in ("martingale_M", "conservation"):
+            continue
+        assert not result.passed
+        assert result.metrics["max_abs_z"] <= result.metrics["z_limit"], result.metrics

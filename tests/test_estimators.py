@@ -27,7 +27,6 @@ from stochflow.estimators import (
     jensen_check,
     martingale_values,
     validate_compact_support,
-    z_score,
 )
 from stochflow.fields import parse_field
 from stochflow.grids import Box, mesh_points, trapezoid_weights
@@ -42,16 +41,6 @@ BOX = Box((-8.0,), (8.0,))
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-
-def test_z_score_hand_values():
-    samples = np.array([1.0, 2.0, 3.0, 4.0])
-    se = samples.std(ddof=1) / 2.0
-    assert z_score(samples, 2.0) == pytest.approx((2.5 - 2.0) / se, rel=1e-14)
-    assert z_score(np.array([3.0, 3.0, 3.0]), 3.0) == 0.0
-    assert z_score(np.array([3.0, 3.0, 3.0]), 2.0) == np.inf
-    with pytest.raises(ValueError):
-        z_score(np.array([1.0]), 0.0)
 
 
 def test_phi_helpers_protocol():
