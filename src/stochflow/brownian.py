@@ -5,6 +5,11 @@ so the k-th increment row is a pure function of (seed, realization, k) — indep
 chunking, thread count, or how many labels consume the increments.  All labels of one
 realization share the same increment vector per step; that is what makes the transported
 fields of a single realization consistent with one underlying Wiener path.
+
+A stream need not be drawn in one piece: :meth:`BrownianDriver.streams` gives each
+realization a generator that carries on from one block of steps to the next, so a
+caller can draw the horizon a block at a time into one reused buffer and get the bits
+of a single draw.
 """
 
 from __future__ import annotations
@@ -13,10 +18,30 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["BrownianDriver", "auxiliary_rng"]
 
 _AUX_SALT = 0x9E3779B97F4A7C15  # distinguishes auxiliary draws from path increments
+
+
+class _Key(ISeedSequence):
+    """Hands Philox its key as is: the state ``Philox(key=key)`` starts in.
+
+    Philox asks its seed sequence for two uint64 words and uses them as the key, with a
+    zero counter.  Passing ``key=`` instead builds (and drops) an entropy-seeded
+    sequence, which costs more than the generator itself.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -43,22 +68,42 @@ class BrownianDriver:
         r = self.realization_index if realization_index is None else int(realization_index)
         return self.increments_block([r], num_steps)[0]
 
-    def increments_block(self, realization_indices, num_steps: int) -> np.ndarray:
+    def streams(self, realization_indices) -> list:
+        """One generator per realization, each in the state ``Philox(key=[seed, r])`` starts in.
+
+        Handed to :meth:`increments_block`, each one carries on where the previous
+        block stopped.
+        """
+        seed = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
+        return [
+            np.random.Generator(np.random.Philox(_Key(np.array([seed, r], dtype=np.uint64))))
+            for r in np.asarray(realization_indices, dtype=np.int64).reshape(-1)
+        ]
+
+    def increments_block(
+        self, realization_indices, num_steps: int, streams=None, out=None
+    ) -> np.ndarray:
         """(R, num_steps, n) stacked increments for a chunk of realizations.
 
-        One generator serves the block, re-keyed for each realization r to the state
-        a fresh ``Philox(key=[seed, r])`` starts in: key (seed, r), zero counter.
+        Without ``streams`` each row is the start of that realization's stream.  With
+        ``streams`` (from :meth:`streams`, one per index, in order) each row is the
+        next ``num_steps`` steps of it, so blocks drawn in turn concatenate bit for
+        bit to one draw of their total length.  ``out``: a C-contiguous (R, num_steps,
+        n) array to fill and return, such as the front of a reused buffer; a new array
+        without it.
         """
-        idx = np.asarray(realization_indices, dtype=np.int64)
-        out = np.empty((idx.size, int(num_steps), self.n))
-        seed = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
-        bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        gen = np.random.Generator(bit_gen)
-        fresh = bit_gen.state
-        for row, r in enumerate(idx):
-            fresh["state"]["key"] = np.array([seed, np.uint64(r)], dtype=np.uint64)
-            bit_gen.state = fresh
-            gen.standard_normal(out=out[row])
+        idx = np.asarray(realization_indices, dtype=np.int64).reshape(-1)
+        if streams is None:
+            streams = self.streams(idx)
+        elif len(streams) != idx.size:
+            raise ValueError(f"{len(streams)} streams given for {idx.size} realizations")
+        shape = (idx.size, int(num_steps), self.n)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
+        for rows, gen in zip(out, streams):
+            gen.standard_normal(out=rows)
         return np.multiply(out, np.sqrt(self.dt), out=out)
 
 

@@ -18,11 +18,11 @@ check by labels, dt and horizon (the horizon sets the padded escape box and the
 fold bounds, so only equal horizons share), and gives each group one ``run_chunks``
 pass that stores the union of their times and fields.  Every chunk goes to every
 consumer of the group, cut to that consumer's realization prefix, and is then
-dropped, so memory is bounded by the chunk.  The pass runs when the first check of
-its group comes up, and that check's elapsed time includes it.  Reductions happen
-once per check, in realization order, on the gathered scalars, so the bits are those
-of a scenario that lists the check alone.  A reducer that raises fails its own check
-only.
+dropped, so memory is bounded by the chunk, whose default size comes from the
+pass's working set.  The pass runs when the first check of its group comes up, and
+that check's elapsed time includes it.  Reductions happen once per check, in
+realization order, on the gathered scalars, so the bits are those of a scenario that
+lists the check alone.  A reducer that raises fails its own check only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import __version__
 from .brownian import BrownianDriver, auxiliary_rng
 from .config import ScenarioConfig
 from .convex import get_convex, non_convex_control
-from .engine import DEFAULT_CHUNK_SIZE, escape_margin, run_chunks, simulate_paths, step_indices
+from .engine import chunk_size_for, escape_margin, run_chunks, simulate_paths, step_indices
 from .errors import ConfigError, StochflowError
 from .estimators import (
     _phi_values,
@@ -206,7 +206,7 @@ class RunContext:
     seed: int
     realizations_override: int | None = None
     threads: int = 1
-    chunk_size: int = DEFAULT_CHUNK_SIZE
+    chunk_size: int | None = None  # None: each pass sizes its chunks from its working set
     discards: int = 0
     _weight_cache: dict = field(default_factory=dict)
 
@@ -337,12 +337,15 @@ def _run_pass(ctx: RunContext, group: list) -> None:
     consumer with a smaller budget reads its realization prefix.  Each chunk is
     dropped once every consumer has reduced it.  A consumer whose ``reduce`` raises
     keeps the error for itself; an engine error goes to the whole group.  Every
-    consumer also gets the number of its realizations that are not alive.
+    consumer also gets the number of its realizations that are not alive.  Without
+    an explicit ``ctx.chunk_size`` the pass's working set sizes its chunks
+    (``engine.chunk_size_for``).
     """
     first = group[0]
     store = sorted(set().union(*(c.store for c in group)))
     fields = tuple(sorted(set().union(*(c.fields for c in group))))
     driver = ctx.driver(first.dt)
+    budget = max(c.realizations for c in group)
 
     def worker(indices):
         result = simulate_paths(
@@ -363,10 +366,11 @@ def _run_pass(ctx: RunContext, group: list) -> None:
         return out
 
     try:
-        per_chunk = run_chunks(
-            range(max(c.realizations for c in group)), worker,
-            chunk_size=ctx.chunk_size, threads=ctx.threads,
-        )
+        chunk_size = ctx.chunk_size
+        if chunk_size is None:
+            chunk_size = chunk_size_for(ctx.cs, first.labels, first.dt, first.num_steps,
+                                        len(store), fields, budget, box=ctx.cfg.box)
+        per_chunk = run_chunks(range(budget), worker, chunk_size=chunk_size, threads=ctx.threads)
     except Exception as exc:  # noqa: BLE001 — reported by every check of the group
         for c in group:
             c.error = exc
@@ -1104,7 +1108,7 @@ def run_scenario(
     seed: int | None = None,
     realizations: int | None = None,
     threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = None,
 ) -> RunReport:
     """Execute every configured check, writing CSVs as they finish plus report.json.
 
@@ -1113,8 +1117,11 @@ def run_scenario(
     first of them comes up, so that check's elapsed time includes the pass.  A check
     that raises is recorded as failed with the error message; later checks still
     run.  ``realizations`` overrides every per-check budget (used for quick
-    deterministic replays); ``seed`` overrides the scenario seed.  The report does
-    not depend on ``threads`` or ``chunk_size``.
+    deterministic replays); ``seed`` overrides the scenario seed.  ``chunk_size``
+    fixes the realizations per chunk of every pass; by default each pass splits its
+    realizations into the fewest equal chunks whose working set fits
+    ``engine.CHUNK_BYTES``.  The report does not depend on ``threads`` or
+    ``chunk_size``.
     """
     os.makedirs(out_dir, exist_ok=True)
     ctx = RunContext(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -18,6 +19,7 @@ import yaml
 
 from .coefficients import CoefficientSet, assemble
 from .convex import CONVEX_FUNCTIONS
+from .engine import CHUNK_BYTES, chunk_capacity, realization_bytes
 from .errors import ConfigError
 from .fields import FieldExpr, parse_field
 from .grids import Box, grid_axes
@@ -282,6 +284,13 @@ def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
         "output_times",
         "must be strictly increasing",
     )
+    # One realization of the label grid, with every snapshot field at every output
+    # time, must fit a chunk; the step program's buffers only add to it.
+    one = realization_bytes(math.prod(label_shape), n, len(output_times))
+    if chunk_capacity(one) < 1:
+        raise _err("labels", f"one realization needs {one / 2**20:.1f} MiB of state and "
+                   f"snapshots, more than the {CHUNK_BYTES / 2**20:.0f} MiB working-set "
+                   "budget of a chunk")
 
     realizations = _as_int(raw["realizations"], "realizations")
     _expect(realizations >= 1, "realizations", "must be positive")

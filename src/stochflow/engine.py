@@ -29,12 +29,17 @@ Realizations whose chart leaves the padded integration box, or develops non-fini
 state, are flagged and their rows frozen to the box center so the remaining batch can
 continue without domain errors; consumers must drop flagged realizations.
 
-A snapshot keeps only the fields its caller names (``fields=``), so several checks
+A chunk holds only its working set.  Each realization's increments are drawn
+``INCREMENT_BLOCK_STEPS`` steps at a time into one reused buffer, from a generator
+per realization that carries on from block to block (``BrownianDriver.streams``),
+so the bits are those of one draw of the whole horizon, which is never held.  A
+snapshot keeps only the fields its caller names (``fields=``), so several checks
 can share one pass over a chunk: each realization's rows depend only on its own
 Brownian path, the labels, dt and the number of steps (which sets the padded box and
 the fold bounds), never on the other realizations in the chunk or the times stored.
-``run_chunks`` drives such a pass chunk by chunk, and ``step_indices`` places output
-times on the step grid.
+``run_chunks`` drives such a pass chunk by chunk; ``chunk_size_for`` sizes its
+default chunk so that the working set (``realization_bytes`` per realization) fits
+``CHUNK_BYTES``.  ``step_indices`` places output times on the step grid.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 from .brownian import BrownianDriver
 from .coefficients import CoefficientSet
 from .errors import DimensionMismatch
-from .fields import COLUMN, Program, ProgramCompiler
+from .fields import COLUMN, FIELD, Program, ProgramCompiler
 # Unused here; kept importable because the benchmark's span tracer patches engine.eval_batch.
 from .fields import eval_batch  # noqa: F401
 from .grids import Box, mesh_points
@@ -61,9 +66,27 @@ __all__ = [
     "step_indices",
     "SNAPSHOT_FIELDS",
     "DEFAULT_CHUNK_SIZE",
+    "CHUNK_BYTES",
+    "INCREMENT_BLOCK_STEPS",
+    "STREAM_BYTES",
+    "realization_bytes",
+    "chunk_capacity",
+    "chunk_size_for",
 ]
 
 DEFAULT_CHUNK_SIZE = 4096
+
+# Working-set budget of one chunk of a simulation pass (see chunk_size_for).
+CHUNK_BYTES = 8 * 2**20
+
+# Steps of Brownian increments drawn at a time.  Each block costs one generator
+# call per realization (about 1 us, against about 25 ns per normal drawn), so
+# 128 steps keep the calls under a tenth of the drawing.
+INCREMENT_BLOCK_STEPS = 128
+
+# Memory of one realization's generator (``BrownianDriver.streams``): about 0.8 KiB
+# under tracemalloc, rounded up.
+STREAM_BYTES = 1024
 
 # The per-label arrays a snapshot can keep.
 SNAPSHOT_FIELDS = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
@@ -76,6 +99,53 @@ ESCAPE_MARGIN_SIGMAS = 6.0
 def escape_margin(nu: float, horizon: float) -> float:
     """Padding width around the label box for escape detection."""
     return ESCAPE_MARGIN_SIGMAS * float(np.sqrt(max(2.0 * nu * horizon, 0.0)))
+
+
+def realization_bytes(
+    num_labels: int, n: int, num_stored: int, fields=None, field_buffers: int = 0
+) -> int:
+    """Bytes that one realization adds to the working set of a chunk.
+
+    Per label, one float64 for each state value (X, J, D_sde, log_lambda, log_I), for
+    each of the step program's ``field_buffers`` and for each kept snapshot field
+    (``fields``, default all of them) at each of ``num_stored`` times; plus its row
+    of the increment block and its generator.
+    """
+    kept = SNAPSHOT_FIELDS if fields is None else fields
+    state = n + n * n + 3
+    widths = sum(n if name == "X" else 1 for name in kept)
+    return (8 * (num_labels * (state + field_buffers + widths * num_stored)
+                 + INCREMENT_BLOCK_STEPS * n) + STREAM_BYTES)
+
+
+def chunk_capacity(per_realization: int) -> int:
+    """How many realizations of ``per_realization`` bytes fit the chunk budget."""
+    return CHUNK_BYTES // int(per_realization)
+
+
+def chunk_size_for(
+    cs: CoefficientSet, labels, dt: float, num_steps: int, num_stored: int, fields,
+    realizations: int, box: Box | None = None,
+) -> int:
+    """Default chunk of a pass: no more realizations than fit the chunk budget.
+
+    The arguments are those of the pass's ``simulate_paths`` calls; its step program
+    is compiled here to count the field buffers.  The realizations are split into as
+    few chunks as the budget allows, of equal size up to rounding, so no short last
+    chunk is left over.  At least 1, at most ``realizations``.
+    """
+    box = box if box is not None else cs.box
+    num_labels = _label_points(labels, cs.n)[1].shape[0]
+    horizon = int(num_steps) * float(dt)
+    padded = box.padded(escape_margin(cs.nu, horizon))
+    program, double = _compile_step(
+        cs, float(dt), tuple(zip(padded.lo, padded.hi)), (0.0, horizon)
+    )
+    buffers = program.counts[FIELD] + (cs.n * cs.n if double else 0)
+    per = realization_bytes(num_labels, cs.n, num_stored, fields, buffers)
+    realizations = max(1, int(realizations))
+    chunks = -(-realizations // max(1, chunk_capacity(per)))
+    return -(-realizations // chunks)
 
 
 def step_indices(times, dt: float) -> list[int]:
@@ -232,7 +302,9 @@ class _Stepper:
                     inputs[("J", j, i)] = old[..., j, i]
                     inputs[("J_new", j, i)] = new[..., j, i]
             inputs.update(D=D, logL=logL, logI=logI)
-            self._runs.append(program.bind(inputs, shape))
+            # The two parities never run at once, so they share one set of buffers.
+            share = self._runs[0] if self._runs else None
+            self._runs.append(program.bind(inputs, shape, share))
         self._parity = 0
 
     @property
@@ -246,14 +318,16 @@ class _Stepper:
         self._parity = (self._parity + 1) % len(self._J)
 
 
-def _rows_inside(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Which rows of X (R, L, n) lie in the box [lo, hi] (False wherever X is NaN).
-
-    Two reductions settle the common step: every coordinate within the tightest of
-    the box's axis ranges puts every row inside (NaN fails both comparisons).
+def _all_inside(X: np.ndarray, lo_max: float, hi_min: float) -> bool:
+    """True when every coordinate of X lies in [lo_max, hi_min], the tightest of the
+    box's axis ranges: then every row is inside the box.  Two reductions settle the
+    common step; NaN fails both comparisons.  False says nothing about single rows.
     """
-    if X.min() >= lo.max() and X.max() <= hi.min():
-        return np.ones(X.shape[0], dtype=bool)
+    return bool(X.min() >= lo_max and X.max() <= hi_min)
+
+
+def _rows_inside(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows of X (R, L, n) lie in the box [lo, hi] (False wherever X is NaN)."""
     return ((X >= lo) & (X <= hi)).all(axis=(1, 2))
 
 
@@ -397,8 +471,9 @@ def simulate_paths(
     step indices (0 = initial state) at which snapshots are kept.  ``fields``: the
     names in ``SNAPSHOT_FIELDS`` to keep (default: all of them); the others are None
     in the result.  The flags are judged on the full state whatever is kept.  The step
-    size is ``driver.dt``.  Escaped / non-finite realizations are flagged, frozen to the
-    box center, and carried along so results stay aligned; they are never raised here.
+    size is ``driver.dt``; the increments are drawn a block of steps at a time.
+    Escaped / non-finite realizations are flagged, frozen to the box center every step,
+    and carried along so results stay aligned; they are never raised here.
     """
     n = cs.n
     if driver.n != n:
@@ -443,7 +518,11 @@ def simulate_paths(
     R = r_idx.size
     if R < 1:
         raise ValueError("need at least one realization index")
-    inc = driver.increments_block(r_idx, num_steps)  # (R, K, n)
+    # Each realization's stream, drawn a block of steps at a time into one buffer;
+    # a shorter last block fills the front of it, C-ordered like a full one.
+    streams = driver.streams(r_idx)
+    block = min(num_steps, INCREMENT_BLOCK_STEPS)
+    buffer = np.empty(R * block * n)
 
     X = np.broadcast_to(pts, (R, L, n)).copy()
     J = np.broadcast_to(np.eye(n), (R, L, n, n)).copy()
@@ -492,26 +571,36 @@ def simulate_paths(
     )
     if 0 in slot_of:
         snapshot(slot_of[0])
+    lo_max, hi_min = plo.max(), phi.min()
+    some_dead = not alive.all()
 
     for k in range(num_steps):
-        stepper.step(k * dt, inc[:, k, :])
+        j = k % block
+        if j == 0:
+            steps = min(block, num_steps - k)
+            out = buffer[: R * steps * n].reshape(R, steps, n)
+            inc = driver.increments_block(r_idx, steps, streams, out=out)
+        stepper.step(k * dt, inc[:, j, :])
         J = stepper.J
         # A row inside the (finite) padded box is finite, so only rows that left
         # it need the finiteness test that tells a blow-up from an escape.
-        inside = _rows_inside(X, plo, phi)
-        left = alive & ~inside
-        if left.any():
-            rows = np.flatnonzero(left)
-            fin = np.isfinite(X[rows]).all(axis=(1, 2))
-            nonfinite[rows[~fin]] = True
-            escaped[rows[fin]] = True
-            alive &= inside
-        dead = ~alive
-        if dead.any():
-            freeze(dead)
+        if not _all_inside(X, lo_max, hi_min):
+            inside = _rows_inside(X, plo, phi)
+            left = alive & ~inside
+            if left.any():
+                rows = np.flatnonzero(left)
+                fin = np.isfinite(X[rows]).all(axis=(1, 2))
+                nonfinite[rows[~fin]] = True
+                escaped[rows[fin]] = True
+                alive &= inside
+                some_dead = True
+        # The step moved the dead rows too: put them back every step.
+        if some_dead:
+            freeze(~alive)
         slot = slot_of.get(k + 1)
         if slot is not None:
             snapshot(slot)
+            some_dead = not alive.all()
 
     times = np.array([i * dt for i in store])
     return BatchResult(

@@ -1130,17 +1130,22 @@ class Program:
     counts: dict  # shape class -> number of buffers
     feeds: tuple  # scalar slots that array ops read, through 0-d arrays
 
-    def bind(self, inputs: dict, shape: tuple) -> "BoundProgram":
+    def bind(self, inputs: dict, shape: tuple, share: "BoundProgram | None" = None) -> "BoundProgram":
         """Allocate the buffers for (R, L) = ``shape`` and resolve every operand.
 
         ``inputs`` maps input names to arrays of their shape class; only the inputs
-        that some op reads or writes must be present.
+        that some op reads or writes must be present.  ``share``: a binding of this
+        program for the same shape whose buffers this one reuses instead; the two
+        must never run at once.
         """
         R, L = shape
-        pools = {
-            FIELD: [np.empty((R, L)) for _ in range(self.counts[FIELD])],
-            COLUMN: [np.empty((R, 1)) for _ in range(self.counts[COLUMN])],
-        }
+        if share is not None:
+            pools = share.pools
+        else:
+            pools = {
+                FIELD: [np.empty((R, L)) for _ in range(self.counts[FIELD])],
+                COLUMN: [np.empty((R, 1)) for _ in range(self.counts[COLUMN])],
+            }
         feeds = {s: np.zeros(()) for s in self.feeds}
 
         def ref(slot: int):
@@ -1160,13 +1165,15 @@ class Program:
             if out is not None:
                 operands.append(ref(out))
             calls.append(functools.partial(fn, *operands))
-        return BoundProgram(self, calls, feeds, ref)
+        return BoundProgram(self, calls, feeds, ref, pools)
 
 
 class BoundProgram:
-    """A program bound to its inputs and to buffers that only it uses."""
+    """A program bound to its inputs and to buffers that only it (and the bindings
+    that share them) uses."""
 
-    def __init__(self, program: Program, calls: list, feeds: dict, ref: Callable):
+    def __init__(self, program: Program, calls: list, feeds: dict, ref: Callable, pools: dict):
+        self.pools = pools
         self._program = program
         self._calls = calls
         self._feeds = tuple(feeds.items())

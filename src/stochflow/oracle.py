@@ -328,14 +328,18 @@ def solve_forward(
     K, slots = _steps_and_slots(T, dt, output_times)
     L = assemble_generator(cs, f0.axes)
     F = np.stack([g.values.reshape(-1) for g in initial], axis=1)
+    LF = np.empty(F.shape, order="F")  # L @ F, one column at a time
 
     half_dt = _THETA * dt
     lu = _cn_factor(L, half_dt, f0.n)
+    store = set(slots)
 
     def check(t_now: float) -> None:
-        if not np.all(np.isfinite(F)):
+        # A NaN or an infinity reaches the column minima or the maximum.
+        col_min = F.min(axis=0)
+        if not (np.isfinite(col_min).all() and np.isfinite(F.max())):
             raise BlowUp(f"forward solve produced non-finite values at t={t_now:.6g}")
-        low = min((np.min(F[:, j]) for j, p in enumerate(positive) if p), default=np.inf)
+        low = min((col_min[j] for j, p in enumerate(positive) if p), default=np.inf)
         if low <= 0.0:
             raise PositivityViolation(
                 f"forward solve lost strict positivity at t={t_now:.6g} (min value {low:.3e})"
@@ -345,9 +349,13 @@ def solve_forward(
     try:
         for k in range(K + 1):
             if k > 0:
-                F = lu.solve(F + half_dt * (L @ F))
+                # SuperLU returns F in Fortran order, so each column is contiguous;
+                # a product with the whole stack would copy it to C order first.
+                for j in range(F.shape[1]):
+                    LF[:, j] = L @ F[:, j]
+                F = lu.solve(F + half_dt * LF)
             check(k * dt)
-            if k in slots:
+            if k in store:
                 stored[k] = F
     except (BlowUp, PositivityViolation):
         if len(initial) > 1:

@@ -54,6 +54,38 @@ def test_increments_block_matches_per_realization():
             assert block[row].tobytes() == _fresh_stream(77, r, 25, n, 0.002).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("block", [1, 37, 100])
+def test_blocked_draws_equal_one_draw(n, block):
+    # 100 steps drawn in blocks of 1, of 37 (37 + 37 + 26) or in one block, each
+    # into the front of one reused buffer, from streams that carry on between
+    # blocks: the blocks concatenate to one increments_block draw, bit for bit.
+    R = 4
+    d = BrownianDriver(seed=321, dt=0.003, n=n)
+    indices = [6, 0, 41, 6]
+    whole = d.increments_block(indices, 100)
+    streams = d.streams(indices)
+    buffer = np.empty(R * block * n)
+    parts = []
+    for k in range(0, 100, block):
+        steps = min(block, 100 - k)
+        out = buffer[: R * steps * n].reshape(R, steps, n)
+        part = d.increments_block(indices, steps, streams, out=out)
+        assert np.shares_memory(part, buffer)
+        parts.append(part.copy())
+    assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+    for row, r in enumerate(indices):
+        assert whole[row].tobytes() == _fresh_stream(321, r, 100, n, 0.003).tobytes()
+
+
+def test_increments_block_argument_checks():
+    d = BrownianDriver(seed=3, dt=0.01, n=2)
+    with pytest.raises(ValueError, match="2 streams given for 3"):
+        d.increments_block([0, 1, 2], 5, d.streams([0, 1]))
+    with pytest.raises(ValueError, match="expected"):
+        d.increments_block([0, 1], 5, out=np.empty((2, 4, 2)))
+
+
 def test_increment_moments_match_dt():
     dt = 0.004
     draws = BrownianDriver(seed=31, dt=dt, n=1).increments(200_000).reshape(-1)

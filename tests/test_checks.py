@@ -131,6 +131,34 @@ def test_scenario_output_does_not_depend_on_chunk_size(tmp_path, name):
     assert outputs[0] == outputs[1]
 
 
+def test_working_set_chunks_keep_the_bytes(tmp_path, monkeypatch):
+    # By default each pass sizes its chunks from its working set.  Under a 512 KiB
+    # budget the 65-label pass splits its 200 realizations into five chunks of 40
+    # and the 17-label tracker passes into two of 100; at 2 threads the golden
+    # payload and every CSV equal those of one chunk of 4096 at 1 thread.
+    from stochflow import engine
+
+    cfg = load_config(str(bundled_scenario_path("sine_sigma_1d")))
+    outputs, sizes = [], []
+    real_run_chunks = checks.run_chunks
+
+    def recording(indices, worker, chunk_size, threads):
+        sizes.append((len(indices), chunk_size))
+        return real_run_chunks(indices, worker, chunk_size=chunk_size, threads=threads)
+
+    for budget, kwargs in ((None, dict(chunk_size=4096)), (2**19, dict(threads=2))):
+        if budget is not None:
+            monkeypatch.setattr(engine, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(checks, "run_chunks", recording)
+        out = tmp_path / str(budget)
+        report = run_scenario(cfg, str(out), realizations=200, **kwargs)
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        outputs.append((json.dumps(golden_payload(report), sort_keys=True), csvs))
+    assert (200, 40) in sizes and (200, 100) in sizes
+    assert outputs[0][1]
+    assert outputs[0] == outputs[1]
+
+
 def test_shared_pass_prefixes_match_each_check_run_alone(tmp_path, monkeypatch):
     # conservation simulates 150 realizations in chunks of 37, 37, 37, 37 and 2;
     # roundtrip reads the first 8 and entropy_mc the first 100, which end inside
@@ -178,14 +206,19 @@ def test_failing_consumer_fails_only_its_own_check(tmp_path, monkeypatch):
     assert entropy_mc.passed, entropy_mc.metrics
 
 
+def _short_heat(checks_list):
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw.update(T=0.1, output_times=[0.0, 0.05, 0.1], checks=checks_list)
+    return raw
+
+
 def test_conservation_memory_is_bounded_by_one_chunk(tmp_path):
     # 800 realizations in chunks of 40: each chunk is reduced to per-realization
     # quadratures and dropped, so the tracemalloc peak stays near that of
     # simulating one chunk; keeping every chunk's snapshots needs 20 times that.
     import tracemalloc
 
-    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
-    raw.update(T=0.1, output_times=[0.0, 0.05, 0.1], checks=["conservation"])
+    raw = _short_heat(["conservation"])
     raw["check_params"]["conservation"]["times"] = [0.05, 0.1]
     cfg = loads_config(yaml.safe_dump(raw))
     ctx = RunContext(cfg, cfg.seed)
@@ -202,6 +235,61 @@ def test_conservation_memory_is_bounded_by_one_chunk(tmp_path):
     result = report.results[0]
     assert result.passed, result.metrics
     assert peak <= 2 * one_chunk, (peak, one_chunk)
+
+
+def test_martingale_memory_is_bounded_by_one_chunk(tmp_path):
+    # 800 realizations of 41 probes in chunks of 40: each chunk is reduced to its
+    # martingale samples and dropped, so the tracemalloc peak stays within two
+    # chunks' simulation plus the samples kept (800 x 41 x 2 doubles, once per chunk
+    # and once joined).  Keeping every chunk's snapshots adds 3 times the samples.
+    import tracemalloc
+
+    probes = np.linspace(-1.0, 1.5, 41)
+    raw = _short_heat(["martingale_M"])
+    raw["check_params"]["martingale_M"].update(probe_labels=[probes.tolist()],
+                                               times=[0.05, 0.1])
+    cfg = loads_config(yaml.safe_dump(raw))
+    ctx = RunContext(cfg, cfg.seed)
+    kept = 2 * 800 * probes.size * 2 * 8
+    tracemalloc.start()
+    try:
+        checks.simulate_paths(ctx.cs, probes[:, None], 100, [50, 100], ctx.driver(),
+                              range(40), box=cfg.box, fields=("X", "D_direct", "log_I"))
+        _, one_chunk = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = run_scenario(cfg, str(tmp_path), realizations=800, chunk_size=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = report.results[0]
+    assert result.passed, result.metrics
+    assert peak <= 2 * one_chunk + kept, (peak, one_chunk, kept)
+
+
+def test_tracker_level_memory_is_bounded_by_one_chunk():
+    # One dt level, 800 realizations of 97 labels in chunks of 40: each chunk is
+    # reduced to its two tracker gaps per label and dropped, so the tracemalloc peak
+    # stays within two chunks' simulation plus the gaps kept: two per realization
+    # and label, once per chunk and once joined, and the RMS's squared temporary.
+    # Keeping every chunk's snapshots adds 1.9 MB.
+    import tracemalloc
+
+    cfg = loads_config(yaml.safe_dump(_short_heat(["determinant_consistency"])))
+    labels = cfg.label_axes
+    kept = 5 * 800 * labels[0].size * 8
+    tracemalloc.start()
+    try:
+        ctx = RunContext(cfg, cfg.seed, chunk_size=40)
+        checks.simulate_paths(ctx.cs, labels, 50, [50], ctx.driver(0.002), range(40),
+                              box=cfg.box, fields=("D_direct", "D_sde", "log_lambda"))
+        _, one_chunk = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        level = _tracker_levels(ctx, labels, 0.1, [0.002], 800)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert level["samples"] == 800 * labels[0].size
+    assert peak <= 2 * one_chunk + kept, (peak, one_chunk, kept)
 
 
 def test_jensen_draws_follow_the_run_seed(tmp_path):

@@ -95,6 +95,25 @@ def test_config_error_paths(heat_text, mutate, needle):
         loads_config(mutate(heat_text))
 
 
+def test_a_realization_that_does_not_fit_the_chunk_budget_is_refused(heat_text, monkeypatch):
+    # Decided at load from the labels, the dimension and the output times alone,
+    # without compiling the step program.  heat_identity has 3 output times, so one
+    # realization of L labels takes 8 B x (L x (5 state values + 5 snapshot values
+    # x 3 times) + one 128-step row of increments) + its generator's bytes.
+    from stochflow import engine
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("the step program was compiled at load")
+
+    monkeypatch.setattr(engine, "_compile_step", no_compile)
+    fixed = 8 * engine.INCREMENT_BLOCK_STEPS + engine.STREAM_BYTES
+    largest = (engine.CHUNK_BYTES - fixed) // (8 * (5 + 5 * 3))
+    cfg = loads_config(heat_text.replace("labels: [97]", f"labels: [{largest}]"))
+    assert cfg.label_shape == (largest,)
+    with pytest.raises(ConfigError, match="labels: one realization needs .* MiB"):
+        loads_config(heat_text.replace("labels: [97]", f"labels: [{largest + 1}]"))
+
+
 def test_config_accepts_numbers_for_constant_expressions(heat_text):
     cfg = loads_config(heat_text.replace('V: "0"', "V: 0.3"))
     assert cfg.coefficients.V.is_constant

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import coefficient_sample, make_coeffs
+from stochflow import engine
 from stochflow.brownian import BrownianDriver
 from stochflow.engine import (
     BatchResult,
+    _all_inside,
     _rows_inside,
     escape_margin,
     run_chunks,
@@ -22,6 +24,7 @@ from stochflow.engine import (
 )
 from stochflow.errors import DimensionMismatch
 from stochflow.estimators import constant_phi, exponential_phi, martingale_values
+from stochflow.fields import COLUMN, FIELD
 from stochflow.grids import Box
 from stochflow.inverse import chart_from_batch
 
@@ -419,6 +422,78 @@ def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_
         assert base == threaded
 
 
+@pytest.mark.parametrize("block", [1, 37, 300])
+def test_increment_blocks_do_not_change_the_bits(cs_sine_1d, cs_full_2d, monkeypatch, block):
+    # 300 steps drawn in blocks of 1, of 37 or in one piece, in 1D and in 2D: every
+    # stored array and flag equals that of the default blocks (128, 128 and 44).
+    cases = [
+        (replace(cs_sine_1d, box=Box((-3.0,), (3.0,))), (np.linspace(-1, 1, 5),)),
+        (replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0))),
+         (np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))),
+    ]
+    names = ("X", "D_sde", "log_lambda", "log_I", "D_direct", "alive", "escaped")
+    for cs, labels in cases:
+        brownian = BrownianDriver(seed=41, dt=1e-3, n=cs.n)
+        runs = []
+        for steps in (engine.INCREMENT_BLOCK_STEPS, block):
+            monkeypatch.setattr(engine, "INCREMENT_BLOCK_STEPS", steps)
+            result = simulate_paths(cs, labels, 300, [0, 100, 299, 300], brownian, [3, 0, 8])
+            runs.append([getattr(result, name).tobytes() for name in names])
+            monkeypatch.undo()
+        assert runs[0] == runs[1]
+
+
+def test_simulate_paths_peak_memory_is_its_working_set(cs_full_2d):
+    # 64 realizations of 35 labels over 2,000 steps in 2D.  The tracemalloc peak
+    # stays within what the chunk needs, worked out from array shapes: the state
+    # (X, J, D_sde, log_lambda, log_I), the step program's field buffers and J's
+    # second buffer, the snapshots, one block of increments and the four (R, L)
+    # temporaries of a snapshot's determinant and finiteness tests; plus each
+    # realization's generator and the compiled program's Python objects, measured
+    # on their own.  Drawing the whole horizon up front would add 64 x 2,000 x 2 x
+    # 8 B = 2 MB, and a second set of field buffers for J's other parity 0.47 MB.
+    import tracemalloc
+
+    from stochflow.engine import _compile_step, _Stepper
+
+    cs = replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0)))
+    labels = (np.linspace(-1, 1, 5), np.linspace(-1, 1, 7))
+    R, L, n, K, dt = 64, 35, 2, 2000, 1e-4
+    store = [0, 1000, 2000]
+    brownian = BrownianDriver(seed=12, dt=dt, n=n)
+    padded = cs.box.padded(escape_margin(cs.nu, K * dt))
+    bounds = (tuple(zip(padded.lo, padded.hi)), (0.0, K * dt))
+    program, double = _compile_step(cs, dt, *bounds)
+    assert double
+    state = R * L * (n + n * n + 3) * 8
+    buffers = (R * L * (program.counts[FIELD] + n * n) + R * (program.counts[COLUMN] + n)) * 8
+    snapshots = len(store) * R * L * (n + 4) * 8
+    block = R * engine.INCREMENT_BLOCK_STEPS * n * 8
+    temporaries = 4 * R * L * 8
+    tracemalloc.start()
+    try:
+        streams = brownian.streams(range(R))
+        generators, _ = tracemalloc.get_traced_memory()
+        del streams
+        one = [np.zeros((1, 1, n)), np.zeros((1, 1, n, n)), *(np.zeros((1, 1)) for _ in range(3))]
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        stepper = _Stepper(cs, dt, *one, *bounds)
+        compiled = tracemalloc.get_traced_memory()[1] - base
+        del stepper
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = simulate_paths(cs, labels, K, store, brownian, range(R))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.alive.all()
+    assert R * K * n * 8 > 4 * block
+    arrays = state + buffers + snapshots + block + temporaries
+    assert peak - base <= arrays + generators + compiled, (
+        peak - base, arrays, generators, compiled)
+
+
 def test_point_labels_match_the_grid_columns_bit_for_bit(cs_full_2d):
     # The engine advances each label on its own under the shared noise, so a point
     # set reproduces the matching columns of a tensor-grid run exactly.
@@ -471,9 +546,16 @@ def test_escape_shortcut_gives_the_per_row_flags():
     wide_x2[:, :, 1] *= 9.0  # every row inside, beyond the tightest range
     nan_row = inside.copy()
     nan_row[4, 1, 1] = np.nan
+    tight = (lo.max(), hi.min())
     for X in (inside, one_coordinate, wide_x2, nan_row):
         reference = ((X >= lo) & (X <= hi)).all(axis=(1, 2))
         assert np.array_equal(_rows_inside(X, lo, hi), reference)
+        assert not _all_inside(X, *tight) or reference.all()
+    # The shortcut settles the chunk inside the tightest range; beyond it, and for
+    # a NaN, the per-row test decides.
+    assert _all_inside(inside, *tight)
+    assert not _all_inside(wide_x2, *tight) and _rows_inside(wide_x2, lo, hi).all()
+    assert not _all_inside(nan_row, *tight)
     assert _rows_inside(inside, lo, hi).all()
     assert np.flatnonzero(~_rows_inside(one_coordinate, lo, hi)).tolist() == [2]
     assert np.flatnonzero(~_rows_inside(nan_row, lo, hi)).tolist() == [4]
