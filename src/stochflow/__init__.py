@@ -30,7 +30,7 @@ from .errors import (
     SignalTooNoisy,
     SupportEscape,
 )
-from .fields import FieldExpr, differentiate, eval_batch, evaluate, parse_field
+from .fields import FieldExpr, differentiate, eval_batch, parse_field
 from .grids import Box, grid_axes, mesh_points, multilinear_interp, trapezoid_weights
 from .inverse import (
     ChartStack,

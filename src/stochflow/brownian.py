@@ -48,25 +48,19 @@ class _Key(ISeedSequence):
 class BrownianDriver:
     """Deterministic per-realization Gaussian increment source.
 
-    ``increments(k)`` returns the first k rows of the realization's stream, scaled
-    to variance ``dt`` per component; asking for more steps extends the same stream.
+    Increments are drawn for a chunk of realizations at once
+    (:meth:`increments_block`), scaled to variance ``dt`` per component.
     """
 
     seed: int
     dt: float
     n: int
-    realization_index: int = 0
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    def increments(self, num_steps: int, realization_index: int | None = None) -> np.ndarray:
-        """(num_steps, n) array of N(0, dt) increments for one realization."""
-        r = self.realization_index if realization_index is None else int(realization_index)
-        return self.increments_block([r], num_steps)[0]
 
     def streams(self, realization_indices) -> list:
         """One generator per realization, each in the state ``Philox(key=[seed, r])`` starts in.

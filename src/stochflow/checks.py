@@ -42,7 +42,6 @@ from .convex import get_convex, non_convex_control
 from .engine import chunk_size_for, escape_margin, run_chunks, simulate_paths, step_indices
 from .errors import ConfigError, StochflowError
 from .estimators import (
-    _phi_values,
     collect_psi_samples,
     conserved_quantity_batch,
     constant_phi,
@@ -106,7 +105,12 @@ class CheckResult:
 
 @dataclass(eq=False)
 class RunReport:
-    """All check outcomes of one scenario run."""
+    """All check outcomes of one scenario run.
+
+    ``num_discarded`` adds up the realizations each simulation pass discarded, once
+    per pass however many checks read it; a check's own ``num_discarded`` metric
+    counts the discards within its realization budget.
+    """
 
     scenario: str
     config_hash: str
@@ -207,14 +211,13 @@ class RunContext:
     realizations_override: int | None = None
     threads: int = 1
     chunk_size: int | None = None  # None: each pass sizes its chunks from its working set
-    discards: int = 0
     _weight_cache: dict = field(default_factory=dict)
 
     @property
     def cs(self):
         return self.cfg.coefficients
 
-    def realizations_for(self, check: str, params: dict) -> int:
+    def realizations_for(self, params: dict) -> int:
         if self.realizations_override is not None:
             return int(self.realizations_override)
         return int(params.get("realizations", self.cfg.realizations))
@@ -264,9 +267,6 @@ class RunContext:
             series = solve_adjoint(self.cs, phi_T, cfg.T, cfg.dt, output_times=out_times)
             self._weight_cache[key] = PhiSeries(series)
         return self._weight_cache[key], "adjoint solve"
-
-    def note_discards(self, count: int) -> None:
-        self.discards += int(count)
 
 
 def _times_from(params: dict, key: str, default) -> list:
@@ -330,7 +330,7 @@ class _Plan:
     finish: Callable
 
 
-def _run_pass(ctx: RunContext, group: list) -> None:
+def _run_pass(ctx: RunContext, group: list) -> int:
     """Simulate a group of consumers once, chunk by chunk, and feed every one.
 
     The pass stores the union of their times and fields over the largest budget; a
@@ -339,7 +339,9 @@ def _run_pass(ctx: RunContext, group: list) -> None:
     keeps the error for itself; an engine error goes to the whole group.  Every
     consumer also gets the number of its realizations that are not alive.  Without
     an explicit ``ctx.chunk_size`` the pass's working set sizes its chunks
-    (``engine.chunk_size_for``).
+    (``engine.chunk_size_for``).  Returns the pass's discards: the count of the
+    consumer with the largest budget, whose prefix is the whole pass (0 after an
+    engine error).
     """
     first = group[0]
     store = sorted(set().union(*(c.store for c in group)))
@@ -374,12 +376,13 @@ def _run_pass(ctx: RunContext, group: list) -> None:
     except Exception as exc:  # noqa: BLE001 — reported by every check of the group
         for c in group:
             c.error = exc
-        return
+        return 0
     for i, c in enumerate(group):
         parts = [chunk[i] for chunk in per_chunk if chunk[i] is not None]
         c.discarded = sum(dead for dead, _ in parts)
         c.partials = [p for _, p in parts]
         c.error = next((p for p in c.partials if isinstance(p, Exception)), None)
+    return max(group, key=lambda c: c.realizations).discarded
 
 
 def _passes(consumers) -> dict:
@@ -429,7 +432,6 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
                 worst_fraction = min(worst_fraction, fraction)
                 per_time[t] = max(per_time[t], err)
         dead = mc.discarded
-        ctx.note_discards(dead)
         passed = dead == 0 and worst <= tol and worst_fraction == 1.0
         metrics = {
             "max_abs_error": worst,
@@ -540,13 +542,12 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigError("determinant_consistency: dt levels must halve")
     horizon = float(params.get("horizon", min(cfg.T, 0.5)))
-    realizations = ctx.realizations_for("determinant_consistency", params)
+    realizations = ctx.realizations_for(params)
     consumers = _tracker_consumers(_det_label_axes(cfg), horizon, dt_levels, realizations)
 
     def finish() -> CheckResult:
         levels = [_tracker_gaps(c) for c in consumers]
         dead = sum(lv["num_discarded"] for lv in levels)
-        ctx.note_discards(dead)
 
         gate_dl = _gate_pair(dt_levels, [lv["rms_direct_vs_exp_lambda"] for lv in levels])
         metrics = {
@@ -653,12 +654,12 @@ def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0][:3])
-    realizations = ctx.realizations_for("martingale_M", params)
+    realizations = ctx.realizations_for(params)
     axes = _probe_axes(cfg, params)
     phi, phi_label = ctx.weight(str(params.get("phi", "auto")), times)
 
     probes = np.stack(axes, axis=1)  # (m, n): the diagonal of the per-axis lists
-    refs = _phi_values(phi, probes, 0.0)
+    refs = phi(probes, 0.0)
 
     def reduce(result):
         return [martingale_values(result, phi, t) for t in times]
@@ -667,7 +668,6 @@ def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
 
     def finish() -> CheckResult:
         parts = mc.results()
-        ctx.note_discards(mc.discarded)
         cells = []
         for i, t in enumerate(times):
             values = np.concatenate([p[i] for p in parts], axis=0)
@@ -699,7 +699,7 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
-    realizations = ctx.realizations_for("conservation", params)
+    realizations = ctx.realizations_for(params)
     phi, phi_label = ctx.weight("auto", times)
 
     variants = [("h0", cfg.h0)]
@@ -720,17 +720,11 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
         validate_compact_support(h_expr, axes, "h0")
         validate_compact_support(cfg.rho0 * h_expr, axes, "rho0*h0")
         dens = eval_points(cfg.rho0, labels) * eval_points(h_expr, labels)
-        references.append(float(np.sum(w * dens * _phi_values(phi, labels, 0.0))))
+        references.append(float(np.sum(w * dens * phi(labels, 0.0))))
 
     def reduce(result):
-        alive = result.alive
-        rows = None if alive.all() else np.flatnonzero(alive)
         return [
-            [
-                conserved_quantity_batch(result, phi, cfg.rho0, h_expr, t,
-                                         validate_support=False, rows=rows)
-                for t in times
-            ]
+            [conserved_quantity_batch(result, phi, cfg.rho0, h_expr, t) for t in times]
             for _, h_expr in variants
         ]
 
@@ -738,7 +732,6 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
 
     def finish() -> CheckResult:
         parts = mc.results()
-        ctx.note_discards(mc.discarded)
         cells = []
         for v, ((vname, _), reference) in enumerate(zip(variants, references)):
             stem = "conservation" if vname == "h0" else "conservation.alt"
@@ -790,7 +783,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", list(cfg.output_times))
-    realizations = ctx.realizations_for("entropy_mc", params)
+    realizations = ctx.realizations_for(params)
     h_fun = get_convex(cfg.H_name)
     phi, phi_label = ctx.weight("auto", times)
     axes = _query_axes(cfg, params)
@@ -799,7 +792,6 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
 
     def finish() -> CheckResult:
         samples = join_psi_samples(mc.results())
-        ctx.note_discards(samples.num_discarded)
 
         report, control = entropy_decay_check(
             samples, phi=phi, hs=(h_fun, non_convex_control()), times=times, seed=ctx.seed
@@ -829,7 +821,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
                     "holds": res.holds,
                 })
 
-        frac = samples.num_discarded / max(1, realizations)
+        frac = mc.discarded / max(1, realizations)
         passed = (
             report.verdict_nonincreasing
             and not control.verdict_nonincreasing
@@ -847,7 +839,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
             "weighting": phi_label,
             "H": cfg.H_name,
             "realizations": realizations,
-            "num_discarded": samples.num_discarded,
+            "num_discarded": mc.discarded,
             "values": [float(v) for v in report.values],
             "increments": [float(v) for v in report.increments],
             "num_violations": report.num_violations,
@@ -999,7 +991,7 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     cfg = ctx.cfg
     slack_constant = float(params.get("slack_constant", 2.0))
     oracle_dt = float(params.get("oracle_dt", cfg.dt))
-    realizations = ctx.realizations_for("feynman_kac_vs_oracle", params)
+    realizations = ctx.realizations_for(params)
     times = [t for t in cfg.output_times if t > 0]
     if not times:
         raise ConfigError("feynman_kac_vs_oracle: no positive output times")
@@ -1011,7 +1003,6 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
 
     def finish() -> CheckResult:
         samples = join_psi_samples(mc.results())
-        ctx.note_discards(samples.num_discarded)
 
         oracle_axes = ctx.oracle_axes()
         f0 = grid_field_from_expr(cfg.f0, oracle_axes, t=0.0)
@@ -1022,7 +1013,7 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
         table = []
         passed = True
         for t in times:
-            f_hat, _ = fields_from_samples(samples, t)
+            f_hat = fields_from_samples(samples, t)
             ref_vals = reference.at(t).sample(pts)
             usable = ~f_hat.masked
             frac_usable = float(usable.mean())
@@ -1047,7 +1038,7 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
                 "passed": ok,
             })
 
-        frac = samples.num_discarded / max(1, realizations)
+        frac = mc.discarded / max(1, realizations)
         passed = passed and frac <= MAX_DISCARD_FRACTION
         metrics = {
             "slack_constant": slack_constant,
@@ -1055,7 +1046,7 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
             "engine_dt": cfg.dt,
             "oracle_dx": cfg.oracle_dx,
             "realizations": realizations,
-            "num_discarded": samples.num_discarded,
+            "num_discarded": mc.discarded,
             "times": table,
         }
         return CheckResult("feynman_kac_vs_oracle", passed, 0.0, metrics,
@@ -1120,7 +1111,8 @@ def run_scenario(
     deterministic replays); ``seed`` overrides the scenario seed.  ``chunk_size``
     fixes the realizations per chunk of every pass; by default each pass splits its
     realizations into the fewest equal chunks whose working set fits
-    ``engine.CHUNK_BYTES``.  The report does not depend on ``threads`` or
+    ``engine.CHUNK_BYTES``.  The report, whose ``num_discarded`` counts the
+    realizations each pass discarded once, does not depend on ``threads`` or
     ``chunk_size``.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -1132,6 +1124,7 @@ def run_scenario(
         chunk_size=chunk_size,
     )
     t_start = time.perf_counter()
+    discarded = 0
     plans = []  # (name, plan or the error that stopped planning, seconds spent)
     for name in cfg.checks:
         t0 = time.perf_counter()
@@ -1149,7 +1142,7 @@ def run_scenario(
             for c in plan.consumers:
                 group = passes.pop(c.pass_key(), None)
                 if group is not None:
-                    _run_pass(ctx, group)
+                    discarded += _run_pass(ctx, group)
             try:
                 res = plan.finish()
             except Exception as exc:  # noqa: BLE001 — verdicts must survive bad checks
@@ -1169,7 +1162,7 @@ def run_scenario(
         realizations=ctx.realizations_override if ctx.realizations_override is not None else cfg.realizations,
         threads=ctx.threads,
         elapsed=time.perf_counter() - t_start,
-        num_discarded=ctx.discards,
+        num_discarded=discarded,
         results=results,
     )
     write_json(report_payload(report), os.path.join(out_dir, "report.json"))

@@ -65,7 +65,6 @@ __all__ = [
     "escape_margin",
     "step_indices",
     "SNAPSHOT_FIELDS",
-    "DEFAULT_CHUNK_SIZE",
     "CHUNK_BYTES",
     "INCREMENT_BLOCK_STEPS",
     "STREAM_BYTES",
@@ -73,8 +72,6 @@ __all__ = [
     "chunk_capacity",
     "chunk_size_for",
 ]
-
-DEFAULT_CHUNK_SIZE = 4096
 
 # Working-set budget of one chunk of a simulation pass (see chunk_size_for).
 CHUNK_BYTES = 8 * 2**20
@@ -630,7 +627,7 @@ def simulate_paths(
 def run_chunks(
     realization_indices,
     worker: Callable,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: int,
     threads: int = 1,
 ) -> list:
     """Run ``worker(chunk_of_indices)`` over fixed-size chunks, results in chunk order.

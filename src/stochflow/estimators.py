@@ -14,11 +14,11 @@ Provided here:
     rows at one output time (``inverse.chart_from_batch``,
     ``inverse.feynman_kac_psi_stack``), written in place into the chunk's (R, S, Q)
     outputs; ``join_psi_samples`` joins the samples of consecutive chunks.
-  * ``fields_from_samples``: per-point sample means and errors.
+  * ``fields_from_samples``: per-point sample mean and error of the f field.
   * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
-    realization and label.
-  * ``conserved_quantity_batch``: per-realization label-space quadrature of the
-    tracked integral of motion M * rho0 * h0.
+    alive realization and label.
+  * ``conserved_quantity_batch``: per alive realization, the label-space quadrature
+    of ``martingale_values`` times rho0 * h0 — the tracked integral of motion.
   * ``entropy_martingale_series``: per (realization, time), the spatial quadrature of
     psi_rho * H(psi_f / psi_rho) * phi over the recorded points, whose mean is
     constant in time; an integrand that reaches the grid edge is rejected.
@@ -26,6 +26,9 @@ Provided here:
   * ``entropy_decay_check``: bootstrap-banded monotonicity verdicts for the entropy
     time series of the estimated fields, one per H from one set of draws (the
     grid-solver counterpart is ``oracle.entropy_series``).
+
+A weighting factor phi is called as ``phi(points, t)`` on (Q, n) points and returns
+(Q,) values: ``constant_phi``, ``exponential_phi`` and ``oracle.PhiSeries``.
 """
 
 from __future__ import annotations
@@ -103,10 +106,7 @@ def constant_phi(value: float = 1.0) -> Callable:
     """phi(x, t) = value — the admissible weight when V = 0."""
 
     def phi(points, t):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim <= 1:
-            return float(value)
-        return np.full(pts.shape[0], float(value))
+        return np.full(len(points), float(value))
 
     return phi
 
@@ -115,18 +115,9 @@ def exponential_phi(c: float, T: float) -> Callable:
     """phi(x, t) = exp(c * (T - t)) — the admissible weight when V = c (constant)."""
 
     def phi(points, t):
-        pts = np.asarray(points, dtype=float)
-        val = float(np.exp(c * (T - float(t))))
-        if pts.ndim <= 1:
-            return val
-        return np.full(pts.shape[0], val)
+        return np.full(len(points), float(np.exp(c * (T - float(t)))))
 
     return phi
-
-
-def _phi_values(phi, pts: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate a weight callable at (Q, n) points; a scalar result is broadcast."""
-    return np.broadcast_to(np.asarray(phi(pts, t), dtype=float), (pts.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +202,7 @@ class PsiSamples:
     realization r to time ``times[s]`` at point ``points[q]``, weighted by the
     accumulated exponential factor; ``status[r, s, q]`` is the inversion status
     (0 = resolved).  Realizations that left the padded domain or went non-finite are
-    dropped before this container is built; ``num_discarded`` counts them.
+    dropped before this container is built.
     """
 
     label_axes: tuple
@@ -221,7 +212,6 @@ class PsiSamples:
     psi_f: np.ndarray  # (R, S, Q)
     psi_rho: np.ndarray  # (R, S, Q)
     status: np.ndarray  # (R, S, Q) uint8
-    num_discarded: int
 
     @property
     def num_realizations(self) -> int:
@@ -296,7 +286,6 @@ def collect_psi_samples(
         psi_f=pf,
         psi_rho=pr,
         status=st,
-        num_discarded=simulated.num_realizations - r_alive.size,
     )
 
 
@@ -312,7 +301,6 @@ def join_psi_samples(parts: Sequence[PsiSamples]) -> PsiSamples:
         psi_f=np.concatenate([p.psi_f for p in parts]),
         psi_rho=np.concatenate([p.psi_rho for p in parts]),
         status=np.concatenate([p.status for p in parts]),
-        num_discarded=sum(p.num_discarded for p in parts),
     )
 
 
@@ -332,17 +320,15 @@ def _mc_field_from_arrays(
     return McField(points=pts, t=float(t), mean=mean, variance=variance, count=r, masked=masked)
 
 
-def fields_from_samples(samples: PsiSamples, t: float) -> tuple[McField, McField]:
-    """Per-point means/SEs of the recorded psi pairs at one sampled time."""
+def fields_from_samples(samples: PsiSamples, t: float) -> McField:
+    """Per-point mean and SE of the recorded psi_f at one sampled time: the f field."""
     r = samples.num_realizations
     if r < MIN_REALIZATIONS:
         raise InsufficientRealizations(
             f"{r} realizations available; at least {MIN_REALIZATIONS} required"
         )
     s = samples.time_slot(t)
-    f_hat = _mc_field_from_arrays(samples.points, t, samples.psi_f[:, s, :], samples.status[:, s, :])
-    rho_hat = _mc_field_from_arrays(samples.points, t, samples.psi_rho[:, s, :], samples.status[:, s, :])
-    return f_hat, rho_hat
+    return _mc_field_from_arrays(samples.points, t, samples.psi_f[:, s, :], samples.status[:, s, :])
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +341,15 @@ def _support_mask(values: np.ndarray) -> np.ndarray:
     return np.abs(values) > _SUPPORT_REL_TOL * (1.0 + peak)
 
 
-def _check_phi_reach(phi, x_support: np.ndarray) -> None:
-    """If phi interpolates a stored grid, trajectories must stay well inside it."""
+def _check_phi_reach(phi, x_t: np.ndarray, support: np.ndarray) -> None:
+    """If phi interpolates a stored grid, trajectories must stay well inside it.
+
+    ``x_t`` holds (R, L, n) positions; only the labels in ``support`` are checked.
+    """
     axes = getattr(phi, "axes", None)
-    if axes is None:
+    if axes is None or not support.any():
         return
+    x_support = x_t[:, support, :].reshape(-1, x_t.shape[2])
     for k, ax in enumerate(axes):
         h = float(ax[1] - ax[0])
         lo, hi = float(ax[0]) + 2 * h, float(ax[-1]) - 2 * h
@@ -371,56 +361,35 @@ def _check_phi_reach(phi, x_support: np.ndarray) -> None:
             )
 
 
-def conserved_quantity_batch(
-    result: BatchResult,
-    phi,
-    rho0: FieldExpr,
-    h0: FieldExpr,
-    t: float,
-    validate_support: bool = True,
-    rows=None,
-) -> np.ndarray:
-    """Per-realization conserved-quantity samples from a batch run.
-
-    ``rows``: the realization slots to use (default: all of them); every one must be
-    alive, or ``SupportEscape`` is raised.
-    """
-    axes = result.label_axes
-    if validate_support:
-        # The quadrature only needs the *integrand density* rho0*h0 to vanish near the
-        # label-box edge; rho0 itself may be a strictly positive plateau.
-        validate_compact_support(h0, axes, "h0")
-        validate_compact_support(rho0 * h0, axes, "rho0*h0")
-    rows = slice(None) if rows is None else rows
-    alive = result.alive[rows]
-    if not np.all(alive):
-        raise SupportEscape(
-            f"{int((~alive).sum())} of {alive.size} realizations left the padded domain"
-        )
-    w = trapezoid_weights(axes)
-    labels = result.labels
-    dens = eval_points(rho0, labels) * eval_points(h0, labels)
-    support = _support_mask(dens)
-    s = result.time_slot(t)
-    x_t = result.X[s][rows]  # (R, L, n)
-    if support.any():
-        _check_phi_reach(phi, x_t[:, support, :].reshape(-1, result.n))
-    t_val = float(result.times[s])
-    r_count, l_count = x_t.shape[0], x_t.shape[1]
-    phi_vals = _phi_values(phi, x_t.reshape(-1, result.n), t_val).reshape(r_count, l_count)
-    m = phi_vals * result.D_direct[s][rows] * np.exp(result.log_I[s][rows])
-    return (m * (w * dens)[None, :]).sum(axis=1)
+def _alive_rows(result: BatchResult):
+    """Index of the alive realizations: a slice, so views, when all of them are."""
+    return slice(None) if result.alive.all() else result.alive
 
 
 def martingale_values(result: BatchResult, phi, t: float) -> np.ndarray:
     """phi(X,t) * D_direct * exp(log-weight) for all alive realizations: (R, L)."""
-    alive = result.alive
+    rows = _alive_rows(result)
     s = result.time_slot(t)
-    x_t = result.X[s][alive]
-    r_count, l_count = x_t.shape[0], x_t.shape[1]
-    phi_vals = _phi_values(phi, x_t.reshape(-1, result.n), float(result.times[s]))
-    phi_vals = phi_vals.reshape(r_count, l_count)
-    return phi_vals * result.D_direct[s][alive] * np.exp(result.log_I[s][alive])
+    x_t = result.X[s][rows]
+    phi_vals = phi(x_t.reshape(-1, result.n), float(result.times[s])).reshape(x_t.shape[:2])
+    return phi_vals * result.D_direct[s][rows] * np.exp(result.log_I[s][rows])
+
+
+def conserved_quantity_batch(
+    result: BatchResult, phi, rho0: FieldExpr, h0: FieldExpr, t: float
+) -> np.ndarray:
+    """Per-realization conserved-quantity samples of the alive realizations: (R,).
+
+    The label quadrature of ``martingale_values`` times rho0 * h0, which must vanish
+    near the label-box edge (``validate_compact_support``; rho0 itself may be a
+    strictly positive plateau).
+    """
+    labels = result.labels
+    dens = eval_points(rho0, labels) * eval_points(h0, labels)
+    x_t = result.X[result.time_slot(t)][_alive_rows(result)]
+    _check_phi_reach(phi, x_t, _support_mask(dens))
+    w = trapezoid_weights(result.label_axes)
+    return (martingale_values(result, phi, t) * (w * dens)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +426,7 @@ def entropy_martingale_series(samples: PsiSamples, phi, H: ConvexH) -> np.ndarra
     r_count, s_count, _ = samples.psi_f.shape
     out = np.empty((r_count, s_count))
     for s in range(s_count):
-        phi_vals = _phi_values(phi, samples.points, float(samples.times[s]))
+        phi_vals = phi(samples.points, float(samples.times[s]))
         for r in range(r_count):
             status = samples.status[r, s]
             vals = _entropy_integrand(
@@ -596,7 +565,7 @@ def _decay_reports(samples: PsiSamples, phi, hs: list, times, seed: int) -> list
     mean_rho = safe_rho.mean(axis=0)
     se_rho = safe_rho.std(axis=0, ddof=1) / np.sqrt(r_count)
 
-    phi_grid = np.stack([_phi_values(phi, samples.points, float(t)) for t in ts], axis=0)
+    phi_grid = np.stack([phi(samples.points, float(t)) for t in ts], axis=0)
     usable = ~masked
 
     values = []

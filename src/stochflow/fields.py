@@ -38,7 +38,7 @@ import functools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "FieldExpr",
     "parse_field",
     "differentiate",
-    "evaluate",
     "eval_batch",
     "eval_points",
     "ProgramCompiler",
@@ -643,8 +642,6 @@ class _Parser:
 # Public wrapper
 # ---------------------------------------------------------------------------
 
-Scalar = Union[int, float]
-
 
 @dataclass(frozen=True)
 class FieldExpr:
@@ -656,9 +653,6 @@ class FieldExpr:
 
     root: Node
     dim: int
-
-    def __call__(self, x: Sequence[float] | float, t: float = 0.0) -> float:
-        return evaluate(self, x, t)
 
     def diff(self, variable) -> "FieldExpr":
         return differentiate(self, variable)
@@ -760,20 +754,6 @@ def _variable_index(fe: FieldExpr, variable) -> int:
 def differentiate(fe: FieldExpr, variable) -> FieldExpr:
     """Symbolic partial derivative with respect to ``"x1"``.. / 1-based index / ``"t"``."""
     return FieldExpr(_deriv(fe.root, _variable_index(fe, variable)), fe.dim)
-
-
-def evaluate(fe: FieldExpr, x: Sequence[float] | float, t: float = 0.0) -> float:
-    """Evaluate at a single point; returns a finite float or raises DomainError."""
-    if np.isscalar(x):
-        x = (float(x),)
-    if len(x) != fe.dim:
-        raise ValueError(f"expected {fe.dim} coordinates, got {len(x)}")
-    comps = tuple(float(c) for c in x)
-    out = _eval(fe.root, comps, float(t), {})
-    out = float(out)
-    if not np.isfinite(out):
-        raise DomainError("evaluation produced a non-finite value")
-    return out
 
 
 def eval_batch(fe: FieldExpr, comps: tuple, t: float, memo: dict | None = None):

@@ -125,28 +125,47 @@ def _strides(grid_shape) -> np.ndarray:
     return strides
 
 
-def _corner_sum(flat, base, loc, strides):
+def _corner_sum(flat, base, loc, strides, inv_h=None):
     """Multilinear weights times the values at every cell corner, summed.
 
     ``flat`` holds the grid values with the grid axes flattened to one leading axis,
-    ``base`` the flat index of each query's lower cell corner.
+    ``base`` the flat index of each query's lower cell corner.  Returns ``(values,
+    grads)``: grads, shape ``values.shape + (n,)``, is the derivative along each query
+    coordinate when ``inv_h`` gives the (Q, n) reciprocal cell widths, else None.
     """
     n = loc.shape[1]
     q = base.shape[0]
     value_shape = flat.shape[1:]
     out = np.zeros((q,) + value_shape)
+    grads = None if inv_h is None else np.zeros((q,) + value_shape + (n,))
     extra = (slice(None),) + (None,) * len(value_shape)
     for corner in range(1 << n):
-        w = np.ones(q)
+        factors = []
         off = 0
         for k in range(n):
             if corner >> k & 1:
-                w = w * loc[:, k]
+                factors.append(loc[:, k])
                 off += strides[k]
             else:
-                w = w * (1.0 - loc[:, k])
-        out += w[extra] * flat[base + off]
-    return out
+                factors.append(1.0 - loc[:, k])
+        w = np.ones(q)
+        for f in factors:
+            w = w * f
+        vals_c = flat[base + off]
+        out += w[extra] * vals_c
+        if grads is None:
+            continue
+        for k in range(n):
+            # d/ds_k of the weight: sign * product of the other factors, then chain
+            # rule through s_k = (x_k - node)/h_k.
+            others = np.ones(q)
+            for m in range(n):
+                if m != k:
+                    others = others * factors[m]
+            sign = 1.0 if (corner >> k & 1) else -1.0
+            dw = sign * others * inv_h[:, k]
+            grads[..., k] += dw[extra] * vals_c
+    return out, grads
 
 
 def multilinear_interp(axes, values, pts, out_of_range: str = "error"):
@@ -154,8 +173,7 @@ def multilinear_interp(axes, values, pts, out_of_range: str = "error"):
 
     ``values`` has shape ``grid_shape + value_shape``; ``pts`` is (Q, n).  Returns an
     array of shape ``(Q,) + value_shape``.  ``out_of_range``: "error" raises ValueError,
-    "clamp" extends by the boundary value, "mask" returns ``(result, inside)`` with the
-    clamped result and a boolean in-range mask.
+    "clamp" extends by the boundary value.
     """
     axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
     values = np.asarray(values)
@@ -169,9 +187,7 @@ def multilinear_interp(axes, values, pts, out_of_range: str = "error"):
         raise ValueError(f"query point {bad.tolist()} outside the grid range")
 
     strides = _strides(grid_shape)
-    out = _corner_sum(values.reshape((-1,) + values.shape[n:]), idx @ strides, loc, strides)
-    if out_of_range == "mask":
-        return out, inside
+    out, _ = _corner_sum(values.reshape((-1,) + values.shape[n:]), idx @ strides, loc, strides)
     return out
 
 
@@ -190,56 +206,26 @@ def multilinear_interp_rows(axes, values, rows, pts):
     idx, loc, _ = _locate(axes, pts)
     strides = _strides(grid_shape)
     base = idx @ strides + np.asarray(rows, dtype=np.int64) * int(np.prod(grid_shape))
-    return _corner_sum(values.reshape(-1), base, loc, strides)
+    out, _ = _corner_sum(values.reshape(-1), base, loc, strides)
+    return out
 
 
 def multilinear_interp_with_grad(axes, values, pts):
     """Interpolated values and their gradient with respect to the query coordinates.
 
-    Returns ``(vals, grads, inside)`` with vals ``(Q,) + value_shape`` and grads
-    ``(Q,) + value_shape + (n,)`` — the derivative along each query coordinate (points
-    outside the grid are clamped; their entries are one-sided)."""
+    Returns ``(vals, grads)`` with vals ``(Q,) + value_shape``, the bits of
+    ``multilinear_interp(..., out_of_range="clamp")``, and grads ``(Q,) + value_shape
+    + (n,)`` — the derivative along each query coordinate (points outside the grid
+    are clamped; their entries are one-sided)."""
     axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
     values = np.asarray(values)
     n = len(axes)
     grid_shape = tuple(ax.size for ax in axes)
     if values.shape[:n] != grid_shape:
         raise ValueError(f"values leading shape {values.shape[:n]} != grid shape {grid_shape}")
-    idx, loc, inside = _locate(axes, pts)
-
-    value_shape = values.shape[n:]
-    flat = values.reshape((-1,) + value_shape)
-    strides = _strides(grid_shape)
-    base = idx @ strides
-    inv_h = np.empty((pts.shape[0], n))
+    idx, loc, _ = _locate(axes, pts)
+    inv_h = np.empty(idx.shape)
     for k in range(n):
-        h = axes[k][idx[:, k] + 1] - axes[k][idx[:, k]]
-        inv_h[:, k] = 1.0 / h
-
-    q = pts.shape[0]
-    out = np.zeros((q,) + value_shape)
-    grads = np.zeros((q,) + value_shape + (n,))
-    extra = (slice(None),) + (None,) * len(value_shape)
-    for corner in range(1 << n):
-        factors = np.empty((n, q))
-        off = 0
-        for k in range(n):
-            if corner >> k & 1:
-                factors[k] = loc[:, k]
-                off += strides[k]
-            else:
-                factors[k] = 1.0 - loc[:, k]
-        w = np.prod(factors, axis=0)
-        vals_c = flat[base + off]
-        out += w[extra] * vals_c
-        for k in range(n):
-            # d/ds_k of the weight: sign * product of the other factors, then chain
-            # rule through s_k = (x_k - node)/h_k.
-            others = np.ones(q)
-            for m in range(n):
-                if m != k:
-                    others = others * factors[m]
-            sign = 1.0 if (corner >> k & 1) else -1.0
-            dw = sign * others * inv_h[:, k]
-            grads[..., k] += dw[extra] * vals_c
-    return out, grads, inside
+        inv_h[:, k] = 1.0 / (axes[k][idx[:, k] + 1] - axes[k][idx[:, k]])
+    strides = _strides(grid_shape)
+    return _corner_sum(values.reshape((-1,) + values.shape[n:]), idx @ strides, loc, strides, inv_h)

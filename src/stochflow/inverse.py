@@ -353,7 +353,7 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
         if not active.any():
             break
         ai = a[active]
-        vals, grads, _ = multilinear_interp_with_grad(axes, X, ai)
+        vals, grads = multilinear_interp_with_grad(axes, X, ai)
         f = vals - x[active]
         res = np.max(np.abs(f), axis=1)
         resid[active] = res

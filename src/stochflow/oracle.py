@@ -124,29 +124,9 @@ class GridField:
         """sum(values) * cell volume — the exactly conserved discrete quantity."""
         return float(self.values.sum() * self.cell_volume)
 
-    def sample(self, points, out_of_range: str = "error"):
-        """Multilinear interpolation; accepts a single point or (Q, n) queries.
-
-        In 1D a 1D array is taken as Q separate query points.
-        """
-        pts = np.asarray(points, dtype=float)
-        squeeze = False
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-            squeeze = True
-        elif pts.ndim == 1:
-            if self.n == 1:
-                pts = pts[:, None]
-            else:
-                if pts.size != self.n:
-                    raise DimensionMismatch(f"point has {pts.size} components, expected {self.n}")
-                pts = pts[None, :]
-                squeeze = True
-        res = multilinear_interp(self.axes, self.values, pts, out_of_range=out_of_range)
-        if out_of_range == "mask":
-            vals, inside = res
-            return (float(vals[0]), bool(inside[0])) if squeeze else (vals, inside)
-        return float(res[0]) if squeeze else res
+    def sample(self, points) -> np.ndarray:
+        """Multilinear interpolation at (Q, n) points inside the grid."""
+        return multilinear_interp(self.axes, self.values, points)
 
 
 def grid_field_from_expr(expr: FieldExpr, axes, t: float = 0.0) -> GridField:
@@ -440,33 +420,21 @@ class PhiSeries:
         if self.times.size < 1:
             raise ValueError("empty series")
 
-    def __call__(self, points, t: float):
-        pts = np.asarray(points, dtype=float)
-        n = len(self.axes)
-        squeeze = False
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-            squeeze = True
-        elif pts.ndim == 1 and pts.size == n:
-            pts = pts[None, :]
-            squeeze = True
-        elif pts.ndim == 1:
-            pts = pts[:, None]
+    def __call__(self, points, t: float) -> np.ndarray:
+        """Values at (Q, n) points and time ``t``: shape (Q,)."""
         tt = float(t)
         ts = self.times
         span = max(1.0, float(np.max(np.abs(ts))))
         if tt < ts[0] - 1e-9 * span or tt > ts[-1] + 1e-9 * span:
             raise ValueError(f"time {tt!r} outside the stored range [{ts[0]}, {ts[-1]}]")
         tt = min(max(tt, float(ts[0])), float(ts[-1]))
-        j = int(np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, ts.size - 2)) if ts.size > 1 else 0
         if ts.size == 1:
-            vals = multilinear_interp(self.axes, self.values[0], pts, out_of_range="clamp")
-        else:
-            w = (tt - ts[j]) / (ts[j + 1] - ts[j])
-            lo = multilinear_interp(self.axes, self.values[j], pts, out_of_range="clamp")
-            hi = multilinear_interp(self.axes, self.values[j + 1], pts, out_of_range="clamp")
-            vals = (1.0 - w) * lo + w * hi
-        return float(vals[0]) if squeeze else vals
+            return multilinear_interp(self.axes, self.values[0], points, out_of_range="clamp")
+        j = int(np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, ts.size - 2))
+        w = (tt - ts[j]) / (ts[j + 1] - ts[j])
+        lo = multilinear_interp(self.axes, self.values[j], points, out_of_range="clamp")
+        hi = multilinear_interp(self.axes, self.values[j + 1], points, out_of_range="clamp")
+        return (1.0 - w) * lo + w * hi
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from stochflow.coefficients import assemble
-from stochflow.engine import DEFAULT_CHUNK_SIZE, run_chunks, simulate_paths, step_indices
+from stochflow.engine import run_chunks, simulate_paths, step_indices
 from stochflow.estimators import collect_psi_samples, join_psi_samples
-from stochflow.fields import FieldExpr, eval_batch
+from stochflow.fields import FieldExpr, eval_batch, eval_points
 from stochflow.grids import Box
 
 
@@ -63,7 +63,7 @@ def coefficient_sample(cs, x, t: float = 0.0) -> SimpleNamespace:
 
 
 def collect_psi(cs, label_axes, times, driver, f0, rho0, query_points, realizations: int,
-                box: Box | None = None, chunk_size: int = DEFAULT_CHUNK_SIZE, threads: int = 1):
+                box: Box | None = None, chunk_size: int = 4096, threads: int = 1):
     """ψ samples of realizations ``0 .. realizations-1``, simulated chunk by chunk.
 
     The pipeline of a check's ψ consumer: each chunk stores X and log_I at ``times``
@@ -143,17 +143,20 @@ def random_expr_source(rng: np.random.Generator, dim: int, depth: int = 4, use_t
     return build(depth)
 
 
+def point_value(fe, x, t: float = 0.0) -> float:
+    """A parsed field at one point (a coordinate sequence, or a number in 1D)."""
+    return float(eval_points(fe, np.asarray(x, dtype=float).reshape(1, -1), t)[0])
+
+
 def central_fd(fe, x: np.ndarray, t: float, var_index: int, h: float = 1e-5) -> float:
     """Central finite difference of a parsed field along one coordinate (or t)."""
-    from stochflow.fields import evaluate
-
     if var_index == -1:
-        return (evaluate(fe, x, t + h) - evaluate(fe, x, t - h)) / (2.0 * h)
+        return (point_value(fe, x, t + h) - point_value(fe, x, t - h)) / (2.0 * h)
     xp = np.array(x, dtype=float)
     xm = np.array(x, dtype=float)
     xp[var_index] += h
     xm[var_index] -= h
-    return (evaluate(fe, xp, t) - evaluate(fe, xm, t)) / (2.0 * h)
+    return (point_value(fe, xp, t) - point_value(fe, xm, t)) / (2.0 * h)
 
 
 def derivative_discrepancies(
@@ -170,7 +173,7 @@ def derivative_discrepancies(
     magnitude are re-drawn so the finite-difference reference stays well
     conditioned; expressions are only counted once they yield a usable point.
     """
-    from stochflow.fields import differentiate, evaluate, parse_field
+    from stochflow.fields import differentiate, parse_field
 
     rels: list[float] = []
     while len(rels) < num_exprs:
@@ -190,11 +193,11 @@ def derivative_discrepancies(
             x = rng.uniform(-1.0, 1.0, size=dim)
             t = float(rng.uniform(0.0, 1.0))
             try:
-                vals = [evaluate(fe, x, t)]
+                vals = [point_value(fe, x, t)]
                 cand = []
                 for k, dfe in enumerate(derivs):
                     var = -1 if k == dim else k
-                    sym = evaluate(dfe, x, t)
+                    sym = point_value(dfe, x, t)
                     fd = central_fd(fe, x, t, var)
                     vals.extend([sym, fd])
                     cand.append(abs(sym - fd) / max(1.0, abs(sym)))

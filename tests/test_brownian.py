@@ -7,33 +7,29 @@ from stochflow.brownian import BrownianDriver, auxiliary_rng
 
 
 def test_same_key_reproduces_bitwise():
-    a = BrownianDriver(seed=123, dt=0.01, n=2).increments(50)
-    b = BrownianDriver(seed=123, dt=0.01, n=2).increments(50)
-    assert a.shape == (50, 2)
+    a = BrownianDriver(seed=123, dt=0.01, n=2).increments_block([0], 50)
+    b = BrownianDriver(seed=123, dt=0.01, n=2).increments_block([0], 50)
+    assert a.shape == (1, 50, 2)
     assert np.array_equal(a, b)
 
 
 def test_stream_extension_is_a_prefix():
     # Asking for more steps extends the same stream: the first k rows agree.
     d = BrownianDriver(seed=9, dt=0.001, n=1)
-    short = d.increments(20)
-    long = d.increments(200)
-    assert np.array_equal(short, long[:20])
+    short = d.increments_block([0], 20)
+    long = d.increments_block([0], 200)
+    assert np.array_equal(short, long[:, :20])
 
 
 def test_realizations_are_distinct_streams():
     d = BrownianDriver(seed=5, dt=0.01, n=1)
-    r0 = d.increments(100, realization_index=0)
-    r1 = d.increments(100, realization_index=1)
+    r0, r1 = d.increments_block([0, 1], 100)
     assert not np.allclose(r0, r1)
-    # The constructor's realization index is the default stream.
-    d7 = BrownianDriver(seed=5, dt=0.01, n=1, realization_index=7)
-    assert np.array_equal(d7.increments(10), d.increments(10, realization_index=7))
 
 
 def test_different_seeds_differ():
-    a = BrownianDriver(seed=1, dt=0.01, n=1).increments(100)
-    b = BrownianDriver(seed=2, dt=0.01, n=1).increments(100)
+    a = BrownianDriver(seed=1, dt=0.01, n=1).increments_block([0], 100)
+    b = BrownianDriver(seed=2, dt=0.01, n=1).increments_block([0], 100)
     assert not np.allclose(a, b)
 
 
@@ -50,7 +46,7 @@ def test_increments_block_matches_per_realization():
         block = d.increments_block(indices, 25)
         assert block.shape == (len(indices), 25, n)
         for row, r in enumerate(indices):
-            assert np.array_equal(block[row], d.increments(25, realization_index=r))
+            assert np.array_equal(block[row], d.increments_block([r], 25)[0])
             assert block[row].tobytes() == _fresh_stream(77, r, 25, n, 0.002).tobytes()
 
 
@@ -88,7 +84,7 @@ def test_increments_block_argument_checks():
 
 def test_increment_moments_match_dt():
     dt = 0.004
-    draws = BrownianDriver(seed=31, dt=dt, n=1).increments(200_000).reshape(-1)
+    draws = BrownianDriver(seed=31, dt=dt, n=1).increments_block([0], 200_000).reshape(-1)
     m = draws.mean()
     v = draws.var(ddof=1)
     n = draws.size
@@ -101,7 +97,7 @@ def test_two_component_stream_moments_match_dt():
     # Both components of a 2D stream, pooled: 4-standard-error gates on mean 0 and
     # variance dt.
     dt = 0.01
-    draws = BrownianDriver(seed=11, dt=dt, n=2).increments(100_000).reshape(-1)
+    draws = BrownianDriver(seed=11, dt=dt, n=2).increments_block([0], 100_000).reshape(-1)
     n = draws.size
     assert n == 200_000
     assert abs(draws.mean()) <= 4.0 * np.sqrt(dt / n)
@@ -128,6 +124,6 @@ def test_auxiliary_rng_deterministic_and_tag_sensitive():
 def test_auxiliary_rng_independent_of_path_streams():
     # The salted key space must not collide with realization streams of the
     # same seed.
-    path = BrownianDriver(seed=42, dt=1.0, n=1).increments(16).reshape(-1)
+    path = BrownianDriver(seed=42, dt=1.0, n=1).increments_block([0], 16).reshape(-1)
     aux = auxiliary_rng(42, "bootstrap").standard_normal(16)
     assert not np.allclose(np.sort(path), np.sort(aux))

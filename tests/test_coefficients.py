@@ -10,17 +10,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import coefficient_sample, make_coeffs
+from conftest import coefficient_sample, make_coeffs, point_value
 from stochflow.coefficients import assemble
 from stochflow.errors import DimensionMismatch
-from stochflow.fields import evaluate, parse_field
+from stochflow.fields import parse_field
 from stochflow.grids import Box
 
 _H = 1e-6  # central-difference step for the numeric cross-checks
 
 
 def _num(expr, x, t=0.0):
-    return evaluate(expr, x, t)
+    return point_value(expr, x, t)
 
 
 def _fd(expr, x, k, t=0.0):

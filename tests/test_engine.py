@@ -199,8 +199,8 @@ def test_constant_flow_is_a_rigid_translation(heat_batch):
     # X(t_k) = a + sqrt(2 nu) * W_k, bitwise reproducible from the driver stream
     # when accumulated in the same step order as the engine.
     s2n = np.sqrt(2.0 * cs.nu)
-    for r in range(result.num_realizations):
-        inc = driver.increments(100, realization_index=r)[:, 0]
+    increments = driver.increments_block(result.realization_indices, 100)[:, :, 0]
+    for r, inc in enumerate(increments):
         pos = result.labels[:, 0].copy()
         step_to_slot = {int(i): s for s, i in enumerate(result.time_indices)}
         if 0 in step_to_slot:
@@ -388,7 +388,7 @@ def test_run_chunks_order_and_thread_invariance():
     assert [list(c) for c in out] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
     out4 = run_chunks(range(10), worker, chunk_size=3, threads=4)
     assert all(np.array_equal(a, b) for a, b in zip(out, out4))
-    assert run_chunks([], worker) == []
+    assert run_chunks([], worker, chunk_size=3) == []
 
 
 def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_full_2d):

@@ -1,5 +1,7 @@
 """Monte Carlo estimators: weights, quadratures, field estimates, entropy series."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,11 +47,10 @@ BOX = Box((-8.0,), (8.0,))
 
 def test_phi_helpers_protocol():
     one = constant_phi(2.5)
-    assert one(np.array([0.3]), 0.1) == 2.5
     assert np.array_equal(one(np.zeros((4, 1)), 0.1), np.full(4, 2.5))
     ephi = exponential_phi(0.3, T=1.0)
-    assert ephi(np.array([0.0]), 0.25) == pytest.approx(np.exp(0.3 * 0.75), rel=1e-15)
-    assert np.allclose(ephi(np.zeros((3, 2)), 1.0), 1.0)
+    assert np.array_equal(ephi(np.zeros((1, 1)), 0.25), [np.exp(0.3 * 0.75)])
+    assert np.array_equal(ephi(np.zeros((3, 2)), 1.0), np.ones(3))
 
 
 def test_validate_compact_support():
@@ -174,20 +175,22 @@ def test_conserved_quantity_single_realization_matches_batch():
 
 
 def test_conserved_quantity_support_guards():
-    _, labels, result = _heat_batch()
-    rho0 = parse_field("1", 1)
-    with pytest.raises(ValueError, match="h0"):
-        conserved_quantity_batch(result, constant_phi(1.0), rho0, parse_field("1", 1), 0.1)
-    # escaped realization poisons the batch sample
-    cs_out = make_coeffs("1", U=["3*x1"], nu=0.05, n=1)
-    drv = BrownianDriver(seed=1, dt=0.5, n=1)
-    res_out = simulate_paths(cs_out, (np.linspace(-0.04, 0.04, 5),), 8, [0, 8], drv,
-                             range(4), box=Box((-0.05,), (0.05,)))
-    assert not np.all(res_out.alive)
-    with pytest.raises(SupportEscape):
-        conserved_quantity_batch(res_out, constant_phi(1.0), rho0,
-                                 parse_field("exp(-5000*x1*x1)", 1), 4.0,
-                                 validate_support=False)
+    # Dead realizations are left out: the samples are those of the alive rows.
+    _, _, result = _heat_batch()
+    rho0 = parse_field("1 + 0.2*exp(-x1*x1)", 1)
+    h0 = parse_field("exp(-2*x1*x1)", 1)
+    alive = np.ones(8, dtype=bool)
+    alive[[2, 5]] = False
+    one = constant_phi(1.0)
+    full = conserved_quantity_batch(result, one, rho0, h0, 0.1)
+    part = conserved_quantity_batch(replace(result, alive=alive), one, rho0, h0, 0.1)
+    assert part.tobytes() == full[alive].tobytes()
+
+    # A weight read from a stored grid must not be sampled within 2 cells of its edge.
+    narrow = constant_phi(1.0)
+    narrow.axes = (np.linspace(-0.5, 0.5, 11),)
+    with pytest.raises(SupportEscape, match="2 cells"):
+        conserved_quantity_batch(result, narrow, rho0, h0, 0.1)
 
 
 def test_martingale_values_shape_and_exactness():
@@ -223,14 +226,12 @@ def test_collect_psi_translation_exact_per_realization():
     # recorded value must equal the initial datum at the shifted-back query point,
     # with the shift read off the realization's own Brownian increments.
     samples = _collect(realizations=6)
-    assert samples.num_discarded == 0
     assert np.array_equal(samples.realization_indices, np.arange(6))
     assert samples.psi_f.shape == (6, 2, 9)
     assert np.all(samples.status == 0)
     s2n = np.sqrt(2.0 * 0.05)
     driver = BrownianDriver(seed=909, dt=0.01, n=1)
-    for r in range(6):
-        inc = driver.increments(10, realization_index=r)[:, 0]
+    for r, inc in enumerate(driver.increments_block(range(6), 10)[:, :, 0]):
         for s, (t, k) in enumerate(zip(TIMES, (5, 10))):
             shift = s2n * np.sum(inc[:k])
             expect_f = np.exp(-((QUERY - shift) ** 2))
@@ -275,7 +276,7 @@ def test_collect_psi_peak_memory_is_bounded_by_the_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert samples.num_discarded == 0 and np.all(samples.status == STATUS_OK)
+    assert samples.num_realizations == realizations and np.all(samples.status == STATUS_OK)
     output_bytes = samples.psi_f.nbytes + samples.psi_rho.nbytes + samples.status.nbytes
     # 32 doubles per (block row, query or label): about twice what one block uses.
     allowance = 32 * 8 * _PSI_BLOCK_ROWS * (queries.size + labels.size)
@@ -298,8 +299,8 @@ def test_collect_psi_validation():
 
 def test_fields_from_samples_statistics():
     samples = _collect()
-    f_hat, rho_hat = fields_from_samples(samples, 0.1)
-    assert isinstance(f_hat, McField) and isinstance(rho_hat, McField)
+    f_hat = fields_from_samples(samples, 0.1)
+    assert isinstance(f_hat, McField)
     assert f_hat.count == 120 and not f_hat.masked.any()
     s = samples.time_slot(0.1)
     assert np.array_equal(f_hat.mean, samples.psi_f[:, s, :].mean(axis=0))
@@ -333,9 +334,10 @@ def test_psi_batch_means_match_fields_from_samples():
         (one_f, one_rho), status = feynman_kac_psi_stack(chart, (f0, rho0), QUERY)
         psi_f[r], psi_rho[r] = one_f[0], one_rho[0]
         assert np.all(status == STATUS_OK)
-    f_ref, rho_ref = fields_from_samples(samples, 0.1)
+    f_ref = fields_from_samples(samples, 0.1)
     assert np.array_equal(psi_f.mean(axis=0), f_ref.mean)
-    assert np.array_equal(psi_rho.mean(axis=0), rho_ref.mean)
+    rho_mean = samples.psi_rho[:, samples.time_slot(0.1)].mean(axis=0)
+    assert np.array_equal(psi_rho.mean(axis=0), rho_mean)
     assert np.array_equal(psi_f.var(axis=0, ddof=1), f_ref.variance)
 
 
@@ -402,7 +404,6 @@ def _synthetic_samples(ratios, r_count=120, q_count=21):
         psi_f=psi_f,
         psi_rho=psi_rho,
         status=np.zeros((r_count, s_count, q_count), dtype=np.uint8),
-        num_discarded=0,
     )
 
 

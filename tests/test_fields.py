@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import central_fd, derivative_discrepancies, random_expr_source
+from conftest import central_fd, derivative_discrepancies, point_value, random_expr_source
 from stochflow.errors import DomainError, ExprSyntaxError, UnknownVariableError
 from stochflow.fields import (
     FieldExpr,
     constant_field,
     differentiate,
     eval_batch,
-    evaluate,
+    eval_points,
     parse_field,
 )
 
@@ -40,13 +40,7 @@ from stochflow.fields import (
 )
 def test_parse_and_evaluate(src, point, t, expected):
     fe = parse_field(src, len(point))
-    assert evaluate(fe, point, t) == pytest.approx(expected, rel=1e-14, abs=1e-300)
-
-
-def test_call_protocol_matches_evaluate():
-    fe = parse_field("sin(x1) + t", 1)
-    assert fe((0.3,), 0.2) == evaluate(fe, (0.3,), 0.2)
-    assert fe(0.3, 0.2) == evaluate(fe, 0.3, 0.2)
+    assert point_value(fe, point, t) == pytest.approx(expected, rel=1e-14, abs=1e-300)
 
 
 def test_constant_detection():
@@ -72,7 +66,7 @@ def test_pretty_roundtrip_preserves_semantics():
         for _ in range(3):
             x = rng.uniform(-1.0, 1.0, size=dim)
             t = float(rng.uniform(0.0, 1.0))
-            a, b = evaluate(fe, x, t), evaluate(fe2, x, t)
+            a, b = point_value(fe, x, t), point_value(fe2, x, t)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -82,11 +76,11 @@ def test_operator_overloads_match_parsed_equivalent():
     combo = (2.0 * f + g / (1.0 + f * f) - 3.0) ** 2
     ref = parse_field("(2*x1 + sin(x1)/(1 + x1*x1) - 3)^2", 1)
     for x in (-1.3, 0.0, 0.8, 2.2):
-        assert evaluate(combo, x) == pytest.approx(evaluate(ref, x), rel=1e-14)
+        assert point_value(combo, x) == pytest.approx(point_value(ref, x), rel=1e-14)
     assert isinstance(combo, FieldExpr)
-    assert evaluate(-f, 2.0) == -2.0
-    assert evaluate(1.0 - f, 2.0) == -1.0
-    assert evaluate(6.0 / (f + 1.0), 2.0) == pytest.approx(2.0)
+    assert point_value(-f, 2.0) == -2.0
+    assert point_value(1.0 - f, 2.0) == -1.0
+    assert point_value(6.0 / (f + 1.0), 2.0) == pytest.approx(2.0)
 
 
 def test_eval_batch_broadcasts_arrays():
@@ -136,15 +130,19 @@ def test_parse_dimension_bounds():
 
 
 def test_evaluate_domain_errors():
+    # A domain violation at any point raises; an overflow is the caller's concern.
+    pts = np.array([[1.0], [-1.0]])
     with pytest.raises(DomainError):
-        evaluate(parse_field("log(x1)", 1), -1.0)
+        eval_points(parse_field("log(x1)", 1), pts)
     with pytest.raises(DomainError):
-        evaluate(parse_field("1/x1", 1), 0.0)
+        eval_points(parse_field("1/x1", 1), np.array([[0.0]]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(eval_points(parse_field("exp(x1)", 1), np.array([[1000.0]]))).all()
 
 
 def test_evaluate_arity_mismatch():
     with pytest.raises(ValueError):
-        evaluate(parse_field("x1", 2), (1.0,))
+        eval_points(parse_field("x1", 2), np.array([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def test_diff_closed_forms(src, var, ref):
     rng = np.random.default_rng(11)
     for _ in range(8):
         x = rng.uniform(0.2, 1.5, size=2)
-        assert evaluate(dfe, x) == pytest.approx(ref(x), rel=1e-12)
+        assert point_value(dfe, x) == pytest.approx(ref(x), rel=1e-12)
 
 
 def test_diff_absent_variable_is_zero():
@@ -182,13 +180,13 @@ def test_diff_absent_variable_is_zero():
 def test_diff_time_variable():
     fe = parse_field("t*t * x1", 1)
     dfe = differentiate(fe, "t")
-    assert evaluate(dfe, 2.0, 1.5) == pytest.approx(6.0)
+    assert point_value(dfe, 2.0, 1.5) == pytest.approx(6.0)
 
 
 def test_diff_accepts_index_and_name():
     fe = parse_field("x1 * x2", 2)
-    assert evaluate(differentiate(fe, 1), (3.0, 5.0)) == 5.0
-    assert evaluate(differentiate(fe, "x2"), (3.0, 5.0)) == 3.0
+    assert point_value(differentiate(fe, 1), (3.0, 5.0)) == 5.0
+    assert point_value(differentiate(fe, "x2"), (3.0, 5.0)) == 3.0
     with pytest.raises(ValueError):
         differentiate(fe, 3)
     with pytest.raises(ValueError):
@@ -200,7 +198,7 @@ def test_diff_method_matches_function():
     a = fe.diff("x1")
     b = differentiate(fe, "x1")
     for x in (-1.0, 0.3, 2.0):
-        assert evaluate(a, x) == evaluate(b, x)
+        assert point_value(a, x) == point_value(b, x)
 
 
 def test_random_ast_derivatives_match_central_fd():

@@ -120,10 +120,8 @@ def test_interp_out_of_range_modes():
         multilinear_interp(axes, vals, outside, out_of_range="error")
     clamped = multilinear_interp(axes, vals, outside, out_of_range="clamp")
     assert np.allclose(clamped, [0.0, 2.0])
-    masked_vals, inside = multilinear_interp(axes, vals, outside, out_of_range="mask")
-    assert not inside.any()
-    inside_pt = multilinear_interp(axes, vals, np.array([[0.25]]), out_of_range="mask")
-    assert inside_pt[1].all() and inside_pt[0][0] == pytest.approx(0.5)
+    inside_pt = multilinear_interp(axes, vals, np.array([[0.25]]), out_of_range="clamp")
+    assert inside_pt[0] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -152,14 +150,33 @@ def test_interp_with_grad_exact_on_multilinear():
     vals = (2.0 + pts_grid[:, 0] - 3.0 * pts_grid[:, 1] + 4.0 * pts_grid[:, 0] * pts_grid[:, 1]).reshape(5, 5)
     rng = np.random.default_rng(5)
     q = rng.uniform(-0.99, 0.99, size=(30, 2))
-    out, grad, inside = multilinear_interp_with_grad(axes, vals, q)
+    out, grad = multilinear_interp_with_grad(axes, vals, q)
     ref = 2.0 + q[:, 0] - 3.0 * q[:, 1] + 4.0 * q[:, 0] * q[:, 1]
     gx = 1.0 + 4.0 * q[:, 1]
     gy = -3.0 + 4.0 * q[:, 0]
-    assert inside.all()
     assert np.allclose(out, ref, atol=1e-13)
     assert np.allclose(grad[:, 0], gx, atol=1e-12)
     assert np.allclose(grad[:, 1], gy, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_interp_with_grad_values_are_the_clamped_interpolant(n):
+    # The gradient path shares the corner sum of the plain interpolant: its values
+    # carry the same bits, for points inside and outside the grid, scalar and
+    # vector-valued grids alike.
+    rng = np.random.default_rng(10 + n)
+    axes = tuple(np.sort(rng.uniform(-1.0, 1.0, 5 + k)) for k in range(n))
+    shape = tuple(ax.size for ax in axes)
+    pts = rng.uniform(-1.4, 1.4, size=(60, n))
+    lo = np.array([ax[0] for ax in axes])
+    hi = np.array([ax[-1] for ax in axes])
+    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    assert inside.any() and not inside.all()
+    for values in (rng.normal(size=shape), rng.normal(size=shape + (n,))):
+        out, grad = multilinear_interp_with_grad(axes, values, pts)
+        ref = multilinear_interp(axes, values, pts, out_of_range="clamp")
+        assert out.tobytes() == ref.tobytes()
+        assert grad.shape == (60,) + values.shape[n:] + (n,)
 
 
 def test_interp_dimension_mismatch():

@@ -79,22 +79,21 @@ def test_grid_field_from_expr_matches_direct_evaluation():
 def test_grid_field_sample_shapes_and_modes():
     ax = (np.linspace(0.0, 1.0, 11),)
     gf = GridField(ax, 2.0 * ax[0] + 1.0, 0.0)
-    # scalar in, scalar out; multilinear interpolation is exact on a linear field
-    assert gf.sample(0.234) == pytest.approx(1.468, abs=1e-14)
-    out = gf.sample(np.array([0.0, 0.5, 1.0]))  # 1D array = many queries in 1D
-    assert np.allclose(out, [1.0, 2.0, 3.0], atol=1e-14)
-    with pytest.raises(ValueError):
-        gf.sample(1.5)  # default out_of_range="error"
-    assert gf.sample(1.5, out_of_range="clamp") == pytest.approx(3.0)
-    val, inside = gf.sample(1.5, out_of_range="mask")
-    assert not inside and val == pytest.approx(3.0)  # mask mode still clamps the value
+    # (Q, n) in, (Q,) out; multilinear interpolation is exact on a linear field
+    out = gf.sample(np.array([[0.0], [0.234], [0.5], [1.0]]))
+    assert out.shape == (4,)
+    assert np.allclose(out, [1.0, 1.468, 2.0, 3.0], atol=1e-14)
+    with pytest.raises(ValueError, match="outside the grid"):
+        gf.sample(np.array([[1.5]]))
+    with pytest.raises(ValueError, match="shape"):
+        gf.sample(np.array([0.5]))  # a bare point is not a (Q, n) array
 
     ax2 = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
     x1, x2 = np.meshgrid(ax2[0], ax2[1], indexing="ij")
     gf2 = GridField(ax2, x1 + 10.0 * x2, 0.0)
-    assert gf2.sample([0.25, 0.5]) == pytest.approx(5.25, abs=1e-13)
-    with pytest.raises(DimensionMismatch):
-        gf2.sample([0.25, 0.5, 0.75])
+    assert gf2.sample(np.array([[0.25, 0.5]]))[0] == pytest.approx(5.25, abs=1e-13)
+    with pytest.raises(ValueError, match="shape"):
+        gf2.sample(np.array([[0.25, 0.5, 0.75]]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +416,24 @@ def test_phi_series_time_and_space_interpolation():
     (ser,) = solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
     phi = PhiSeries(ser)
     # exact at nodes and stored times
-    assert phi(ax[0][7], 0.05) == pytest.approx(ser.at(0.05).values[7], abs=1e-15)
+    assert phi(ax[0][[7]][:, None], 0.05)[0] == pytest.approx(ser.at(0.05).values[7], abs=1e-15)
     # between stored times: linear blend of the two bracketing snapshots
-    lo = ser.at(0.0).sample(0.33)
-    hi = ser.at(0.05).sample(0.33)
+    q = np.array([[0.33]])
+    lo = ser.at(0.0).sample(q)
+    hi = ser.at(0.05).sample(q)
     w = 0.02 / 0.05
-    assert phi(0.33, 0.02) == pytest.approx((1 - w) * lo + w * hi, abs=1e-14)
+    assert phi(q, 0.02)[0] == pytest.approx((1 - w) * lo[0] + w * hi[0], abs=1e-14)
     # out-of-domain points clamp to the boundary value
-    assert phi(5.0, 0.1) == pytest.approx(ser.at(0.1).values[-1], abs=1e-15)
-    # vectorized queries match scalar ones
-    pts = np.array([-1.0, 0.0, 1.0])
+    assert phi(np.array([[5.0]]), 0.1)[0] == pytest.approx(ser.at(0.1).values[-1], abs=1e-15)
+    # each query of a batch gets the value it gets alone
+    pts = np.array([[-1.0], [0.0], [1.0]])
     vec = phi(pts, 0.05)
     assert vec.shape == (3,)
-    assert vec[1] == pytest.approx(phi(0.0, 0.05), abs=1e-15)
+    assert vec[1] == pytest.approx(phi(pts[1:2], 0.05)[0], abs=1e-15)
     with pytest.raises(ValueError, match="outside the stored range"):
-        phi(0.0, 0.2)
+        phi(pts, 0.2)
     with pytest.raises(ValueError, match="outside the stored range"):
-        phi(0.0, -0.01)
+        phi(pts, -0.01)
 
 
 def test_phi_series_single_snapshot():
@@ -441,7 +441,7 @@ def test_phi_series_single_snapshot():
     gf = GridField(ax, 2.0 * ax[0], 0.5)
     ser = OracleSeries(times=np.array([0.5]), fields=[gf], dt=0.5)
     phi = PhiSeries(ser)
-    assert phi(0.25, 0.5) == pytest.approx(0.5, abs=1e-14)
+    assert phi(np.array([[0.25]]), 0.5)[0] == pytest.approx(0.5, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
