@@ -61,11 +61,9 @@ def test_golden_payload_strips_timing_and_threads(tmp_path, additive_cfg):
     assert "elapsed_seconds" in full and "threads" in full
 
 
-# diag_sigma_2d is left out: its stored golden predates the minimum-degree ordering
-# of the 2D oracle factorization, which moves martingale_M's mean, se and reference
-# by up to 3.5e-14 relative.  A fresh run takes about 18 s at the golden budget.
 @pytest.mark.parametrize(
-    "name", ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d"]
+    "name",
+    ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d", "diag_sigma_2d"],
 )
 def test_fresh_run_matches_bundled_golden(tmp_path, name):
     # the stored golden was produced at the default seed with a 200-realization
