@@ -10,10 +10,10 @@ and the path representation uses the effective drift
     u_j = U_j - nu d_i(a_ij),           P = V - div U.
 
 :func:`assemble` parses the user's sigma / U / V expressions and symbolically builds
-every derived field the samplers need: first derivatives of sigma and U, a, u, v,
-grad v, div v, P, the column divergences of sigma, and the noise-geometry scalar E
-(the summed 2x2 minors of the sigma gradient).  The drift v is built from the
-expanded identity
+every derived field the samplers and the reference solver read: the first
+derivatives of sigma, a, v, grad v, div v, P, the column divergences of sigma, and
+the noise-geometry scalar E (the summed 2x2 minors of the sigma gradient).  The
+modified drift u is not stored: v is built from the expanded identity
 
     v_j = U_j + nu sum_{k,p} (sigma_kp d_k sigma_jp - d_k sigma_kp sigma_jp),
 
@@ -46,7 +46,6 @@ class CoefficientSet:
     Index conventions (all tuples-of-tuples, row-major):
       sigma[j][p]        sigma_{jp}
       dsigma[k][j][p]    d_k sigma_{jp}
-      dU[k][j]           d_k U_j
       a[i][j]            (sigma sigma^T)_{ij}
       dv[k][j]           d_k v_j
       div_sigma[p]       d_k sigma_{kp} (summed over k)
@@ -58,9 +57,7 @@ class CoefficientSet:
     U: tuple
     V: FieldExpr
     dsigma: tuple
-    dU: tuple
     a: tuple
-    u: tuple
     v: tuple
     dv: tuple
     div_v: FieldExpr
@@ -118,7 +115,6 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         tuple(tuple(differentiate(sig[j][p], k + 1) for p in range(n)) for j in range(n))
         for k in range(n)
     )
-    dU = tuple(tuple(differentiate(Uf[j], k + 1) for j in range(n)) for k in range(n))
 
     # a_ij = sum_p sigma_ip sigma_jp
     a_rows = []
@@ -131,15 +127,6 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
             row.append(acc)
         a_rows.append(tuple(row))
     a = tuple(a_rows)
-
-    # u_j = U_j - nu * sum_i d_i a_ij
-    u = []
-    for j in range(n):
-        div_a_j = differentiate(a[0][j], 1)
-        for i in range(1, n):
-            div_a_j = div_a_j + differentiate(a[i][j], i + 1)
-        u.append(Uf[j] - nu * div_a_j)
-    u = tuple(u)
 
     # v_j = u_j + 2 nu (d_k sigma_jp) sigma_kp, expanded:
     # v_j = U_j + nu sum_{k,p} (sigma_kp d_k sigma_jp - d_k sigma_kp sigma_jp)
@@ -159,9 +146,9 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         div_v = div_v + dv[j][j]
 
     # P = V - div U
-    div_U = dU[0][0]
+    div_U = differentiate(Uf[0], 1)
     for j in range(1, n):
-        div_U = div_U + dU[j][j]
+        div_U = div_U + differentiate(Uf[j], j + 1)
     P = Vf - div_U
 
     # E: sum over p and i<j of det [[d_i sigma_ip, d_i sigma_jp],
@@ -188,9 +175,7 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         U=Uf,
         V=Vf,
         dsigma=dsig,
-        dU=dU,
         a=a,
-        u=u,
         v=v,
         dv=dv,
         div_v=div_v,

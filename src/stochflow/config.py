@@ -5,6 +5,10 @@ initial/terminal data, the label grid and box, time stepping, realization budget
 reference-solver resolution, and the list of enabled checks with optional per-check
 parameters.  Unknown keys anywhere are hard errors (reported with their dotted path),
 so typos cannot silently disable parts of a run.
+
+A loaded :class:`ScenarioConfig` keeps the parsed objects only (the assembled
+coefficient set and the f0 / rho0 / h0 / phi_terminal fields), not the expression
+texts or the YAML mapping; ``hash`` identifies the mapping it came from.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import yaml
@@ -146,20 +150,17 @@ def _parse_expr(text: str, n: int, path: str) -> FieldExpr:
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """Validated scenario description plus parsed runtime objects."""
+    """Validated scenario: parsed fields and run settings, plus the YAML's content hash."""
 
     name: str
-    raw: dict
     hash: str
     n: int
     nu: float
-    sigma: list  # n x n expression strings
-    U: list  # n expression strings
-    V: str
-    f0_text: str
-    rho0_text: str
-    h0_text: str
-    phi_terminal_text: str
+    coefficients: CoefficientSet
+    f0: FieldExpr
+    rho0: FieldExpr
+    h0: FieldExpr
+    phi_terminal: FieldExpr
     H_name: str
     box: Box
     label_shape: tuple
@@ -170,14 +171,7 @@ class ScenarioConfig:
     seed: int
     oracle_dx: float
     checks: tuple
-    check_params: dict = field(default_factory=dict)
-
-    # parsed objects (populated by load)
-    coefficients: CoefficientSet | None = None
-    f0: FieldExpr | None = None
-    rho0: FieldExpr | None = None
-    h0: FieldExpr | None = None
-    phi_terminal: FieldExpr | None = None
+    check_params: dict
 
     @property
     def label_axes(self) -> tuple:
@@ -313,19 +307,31 @@ def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
 
     check_params = _validate_check_params(raw.get("check_params", {}), checks, "check_params")
 
-    cfg = ScenarioConfig(
+    # Parse each coefficient expression on its own first so errors carry the
+    # exact dotted path of the offending entry.
+    for i, row in enumerate(sigma):
+        for j, text in enumerate(row):
+            _parse_expr(text, n, f"sigma[{i}][{j}]")
+    for k, text in enumerate(u_texts):
+        _parse_expr(text, n, f"U[{k}]")
+    _parse_expr(v_text, n, "V")
+    try:
+        coefficients = assemble(sigma, u_texts, v_text, nu=nu, n=n, box=box)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"coefficients do not assemble: {exc}") from None
+
+    return ScenarioConfig(
         name=str(raw.get("name", name)),
-        raw=raw,
         hash=config_hash(raw),
         n=n,
         nu=nu,
-        sigma=sigma,
-        U=u_texts,
-        V=v_text,
-        f0_text=f0_text,
-        rho0_text=rho0_text,
-        h0_text=h0_text,
-        phi_terminal_text=phi_text,
+        coefficients=coefficients,
+        f0=_parse_expr(f0_text, n, "f0"),
+        rho0=_parse_expr(rho0_text, n, "rho0"),
+        h0=_parse_expr(h0_text, n, "h0"),
+        phi_terminal=_parse_expr(phi_text, n, "phi_terminal"),
         H_name=h_name,
         box=box,
         label_shape=label_shape,
@@ -338,26 +344,6 @@ def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
         checks=tuple(checks),
         check_params=check_params,
     )
-
-    # Parse each coefficient expression on its own first so errors carry the
-    # exact dotted path of the offending entry.
-    for i, row in enumerate(sigma):
-        for j, text in enumerate(row):
-            _parse_expr(text, n, f"sigma[{i}][{j}]")
-    for k, text in enumerate(u_texts):
-        _parse_expr(text, n, f"U[{k}]")
-    _parse_expr(v_text, n, "V")
-    try:
-        cfg.coefficients = assemble(sigma, u_texts, v_text, nu=nu, n=n, box=box)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"coefficients do not assemble: {exc}") from None
-    cfg.f0 = _parse_expr(f0_text, n, "f0")
-    cfg.rho0 = _parse_expr(rho0_text, n, "rho0")
-    cfg.h0 = _parse_expr(h0_text, n, "h0")
-    cfg.phi_terminal = _parse_expr(phi_text, n, "phi_terminal")
-    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:

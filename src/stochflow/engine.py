@@ -56,7 +56,7 @@ from .errors import DimensionMismatch
 from .fields import COLUMN, FIELD, Program, ProgramCompiler
 # Unused here; kept importable because the benchmark's span tracer patches engine.eval_batch.
 from .fields import eval_batch  # noqa: F401
-from .grids import Box, mesh_points
+from .grids import Box, mesh_points, stored_time_slot
 
 __all__ = [
     "BatchResult",
@@ -392,10 +392,7 @@ class BatchResult:
 
     def time_slot(self, t: float) -> int:
         """Index into the stored-time axis for time t (must match a stored time)."""
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t!r} is not a stored output time; stored: {self.times.tolist()}")
-        return int(hits[0])
+        return stored_time_slot(self.times, t)
 
     def head(self, count: int) -> "BatchResult":
         """The first ``count`` realizations of the chunk, as views."""
@@ -421,17 +418,9 @@ def _label_points(labels, n: int) -> tuple:
         if not np.all(np.isfinite(pts)):
             raise ValueError("label points contain non-finite entries")
         return None, pts, (pts.shape[0],)
-    if isinstance(labels, np.ndarray) and labels.ndim == 1:
-        if n != 1:
-            raise DimensionMismatch("a single 1D label array is only valid in dimension 1")
-        axes = (labels,)
-    elif isinstance(labels, (tuple, list)):
-        axes = tuple(np.asarray(ax, dtype=float).reshape(-1) for ax in labels)
-    else:
-        raise TypeError(
-            "labels must be a tuple/list of 1D axis arrays, an (L, n) point array, "
-            "or a 1D array when n=1"
-        )
+    if not isinstance(labels, (tuple, list)):
+        raise TypeError("labels must be a tuple/list of 1D axis arrays or an (L, n) point array")
+    axes = tuple(np.asarray(ax, dtype=float).reshape(-1) for ax in labels)
     if len(axes) != n:
         raise DimensionMismatch(f"{len(axes)} label axes given for dimension {n}")
     out = []

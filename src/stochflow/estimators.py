@@ -18,10 +18,9 @@ Provided here:
   * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
     alive realization and label.
   * ``conserved_quantity_batch``: per alive realization, the label-space quadrature
-    of ``martingale_values`` times rho0 * h0 — the tracked integral of motion.
-  * ``entropy_martingale_series``: per (realization, time), the spatial quadrature of
-    psi_rho * H(psi_f / psi_rho) * phi over the recorded points, whose mean is
-    constant in time; an integrand that reaches the grid edge is rejected.
+    of ``martingale_values`` times rho0 * h0 — the tracked integral of motion.  With
+    h0 = H(f0/rho0) it is the entropy martingale of ∫ rho H(f/rho) phi, because
+    f/rho is a passive scalar.
   * ``jensen_check``: the finite-sample convexity inequality, exact up to roundoff.
   * ``entropy_decay_check``: bootstrap-banded monotonicity verdicts for the entropy
     time series of the estimated fields, one per H from one set of draws (the
@@ -54,7 +53,7 @@ from .errors import (
     SupportEscape,
 )
 from .fields import FieldExpr, eval_points
-from .grids import mesh_points, trapezoid_weights
+from .grids import mesh_points, stored_time_slot, trapezoid_weights
 from .inverse import STATUS_OK
 # Unused here; kept importable because the benchmark's span tracer patches
 # estimators.invert_batch.
@@ -77,7 +76,6 @@ __all__ = [
     "fields_from_samples",
     "martingale_values",
     "conserved_quantity_batch",
-    "entropy_martingale_series",
     "jensen_check",
     "entropy_decay_check",
 ]
@@ -85,9 +83,6 @@ __all__ = [
 MIN_REALIZATIONS = 100
 SUPPORT_MARGIN_CELLS = 4
 _SUPPORT_REL_TOL = 1e-10
-# An entropy-martingale integrand above this fraction of its peak within two cells of
-# the quadrature-grid edge means mass has left the grid.
-_ENTROPY_EDGE_TOL = 1e-8
 # Bootstrap draws over realizations, and the confidence level of the entropy bands.
 _BOOTSTRAP_RESAMPLES = 200
 _BAND_LEVEL = 0.95
@@ -140,6 +135,21 @@ def _boundary_ring_mask(shape: tuple, cells: int) -> np.ndarray:
     return mask
 
 
+def _axes_from_points(pts: np.ndarray) -> tuple:
+    """Recover tensor-grid axes from flattened mesh points (C order)."""
+    n = pts.shape[1]
+    axes = []
+    for k in range(n):
+        ax = np.unique(pts[:, k])
+        axes.append(ax)
+    if int(np.prod([a.size for a in axes])) != pts.shape[0]:
+        raise ValueError("query points do not form a tensor grid")
+    rebuilt = mesh_points(tuple(axes))
+    if not np.array_equal(rebuilt, pts):
+        raise ValueError("query points are not in C (row-major) mesh order")
+    return tuple(axes)
+
+
 def validate_compact_support(
     expr: FieldExpr, label_axes, name: str, cells: int = SUPPORT_MARGIN_CELLS
 ) -> None:
@@ -189,10 +199,6 @@ class McField:
         out[self.masked] = np.nan
         return out
 
-    @property
-    def num_masked(self) -> int:
-        return int(self.masked.sum())
-
 
 @dataclass(eq=False)
 class PsiSamples:
@@ -218,10 +224,7 @@ class PsiSamples:
         return int(self.realization_indices.size)
 
     def time_slot(self, t: float) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t!r} not sampled; sampled times: {self.times.tolist()}")
-        return int(hits[0])
+        return stored_time_slot(self.times, t)
 
 
 @dataclass(frozen=True)
@@ -255,11 +258,9 @@ def collect_psi_samples(
     ``join_psi_samples``, do not depend on where the chunks split.
     """
     pts = np.asarray(query_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != simulated.n:
+    if pts.ndim != 2 or pts.shape[1] != simulated.n:
         raise DimensionMismatch(
-            f"query points have dimension {pts.shape[1]}, expected {simulated.n}"
+            f"query points must have shape (Q, {simulated.n}), got {pts.shape}"
         )
     ts = np.array([float(t) for t in times])
     if ts.size == 0:
@@ -390,73 +391,6 @@ def conserved_quantity_batch(
     _check_phi_reach(phi, x_t, _support_mask(dens))
     w = trapezoid_weights(result.label_axes)
     return (martingale_values(result, phi, t) * (w * dens)).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Entropy martingale (x-space quadrature per realization)
-# ---------------------------------------------------------------------------
-
-
-def _entropy_integrand(psi_f, psi_rho, status, phi_vals, H: ConvexH) -> np.ndarray:
-    """psi_rho * H(psi_f / psi_rho) * phi at resolved points, zero elsewhere."""
-    ok = status == STATUS_OK
-    if np.any(psi_rho[ok] <= 0):
-        raise NonPositiveDensity("transported density weight must stay positive")
-    ratio = np.zeros_like(psi_f)
-    ratio[ok] = psi_f[ok] / psi_rho[ok]
-    vals = np.zeros_like(psi_f)
-    vals[ok] = psi_rho[ok] * np.asarray(H(ratio[ok]), dtype=float) * phi_vals[ok]
-    return vals
-
-
-def entropy_martingale_series(samples: PsiSamples, phi, H: ConvexH) -> np.ndarray:
-    """Entropy-functional samples for every (realization, time): shape (R, S).
-
-    Each sample is the quadrature of psi_rho * H(psi_f / psi_rho) * phi over the
-    recorded query points, which must form the flattened mesh of a tensor grid in C
-    order (as produced by ``mesh_points``).  The convex argument is f0/rho0 at the
-    recovered label — the exponential weight cancels in the ratio, so the transported
-    ratio is a passive scalar.  Unresolved points contribute zero (valid when the data
-    are compactly supported); a sample whose integrand within two cells of the grid
-    edge exceeds 1e-8 of its peak raises ``SupportEscape``.
-    """
-    axes = _axes_from_points(samples.points)
-    w = trapezoid_weights(axes)
-    ring = _boundary_ring_mask(tuple(ax.size for ax in axes), 2).reshape(-1)
-    r_count, s_count, _ = samples.psi_f.shape
-    out = np.empty((r_count, s_count))
-    for s in range(s_count):
-        phi_vals = phi(samples.points, float(samples.times[s]))
-        for r in range(r_count):
-            status = samples.status[r, s]
-            vals = _entropy_integrand(
-                samples.psi_f[r, s], samples.psi_rho[r, s], status, phi_vals, H
-            )
-            contrib = np.abs(vals)
-            peak = float(contrib.max())
-            if peak > 0 and float(contrib[ring].max()) > _ENTROPY_EDGE_TOL * peak:
-                raise SupportEscape(
-                    "entropy integrand is non-negligible within 2 cells of the quadrature "
-                    "grid boundary — enlarge the grid or shorten the horizon"
-                )
-            ok = status == STATUS_OK
-            out[r, s] = float(np.sum(w[ok] * vals[ok]))
-    return out
-
-
-def _axes_from_points(pts: np.ndarray) -> tuple:
-    """Recover tensor-grid axes from flattened mesh points (C order)."""
-    n = pts.shape[1]
-    axes = []
-    for k in range(n):
-        ax = np.unique(pts[:, k])
-        axes.append(ax)
-    if int(np.prod([a.size for a in axes])) != pts.shape[0]:
-        raise ValueError("query points do not form a tensor grid")
-    rebuilt = mesh_points(tuple(axes))
-    if not np.array_equal(rebuilt, pts):
-        raise ValueError("query points are not in C (row-major) mesh order")
-    return tuple(axes)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +540,6 @@ def _decay_reports(samples: PsiSamples, phi, hs: list, times, seed: int) -> list
         increments = np.diff(vals)
         boot_inc = np.diff(boot, axis=1)  # (B, S-1)
         lo_inc = np.percentile(boot_inc, 100 * (alpha / 2), axis=0)
-        inc_std = boot_inc.std(axis=0, ddof=1)
         violations = int(np.sum(lo_inc > 0))
         reports.append(EntropyReport(
             times=ts,
@@ -617,12 +550,5 @@ def _decay_reports(samples: PsiSamples, phi, hs: list, times, seed: int) -> list
             max_increment=float(increments.max()) if increments.size else 0.0,
             lower=np.percentile(boot, 100 * (alpha / 2), axis=0),
             upper=np.percentile(boot, 100 * (1 - alpha / 2), axis=0),
-            z_scores=np.divide(
-                increments, inc_std, out=np.zeros_like(increments), where=inc_std > 0
-            ),
-            description=(
-                f"Monte Carlo entropy series with H={H.name}; verdict fails only on "
-                f"increments whose bootstrap {_BAND_LEVEL:.0%} band lies above zero"
-            ),
         ))
     return reports

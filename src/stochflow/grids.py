@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "Box",
     "grid_axes",
+    "stored_time_slot",
     "mesh_points",
     "trapezoid_weights",
     "multilinear_interp",
@@ -47,6 +48,14 @@ class Box:
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
+
+
+def stored_time_slot(times: np.ndarray, t: float) -> int:
+    """Index of the first stored time within 1e-9 * max(1, |t|) of ``t``."""
+    hits = np.nonzero(np.abs(times - t) <= 1e-9 * max(1.0, abs(t)))[0]
+    if hits.size == 0:
+        raise ValueError(f"time {t!r} is not stored; stored times: {times.tolist()}")
+    return int(hits[0])
 
 
 def grid_axes(box: Box, shape) -> tuple[np.ndarray, ...]:

@@ -434,8 +434,6 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
 
 def _query_points(points, n: int, rows: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None] if n == 1 else pts[None, :]
     if pts.ndim not in (2, 3) or pts.shape[-1] != n or (pts.ndim == 3 and pts.shape[0] != rows):
         raise DimensionMismatch(f"query points must have shape (Q, {n}) or ({rows}, Q, {n})")
     return pts
@@ -445,11 +443,11 @@ def invert_batch(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
     """Recover labels for many query positions on every chart of a stack.
 
     ``points`` holds queries shared by every row, shape (Q, n), or one set per row,
-    shape (R, Q, n); a 1D stack also takes a flat vector of shared queries.  Returns
-    ``(labels, status)`` with labels shape (R, Q, n) and status (R, Q); failed entries
-    are NaN with status OUT_OF_CHART (query outside the chart image) or
-    NO_CONVERGENCE (under-resolved chart).  Never raises for individual points.  1D
-    rows are bracketed together; nD rows run damped Newton one row at a time.
+    shape (R, Q, n).  Returns ``(labels, status)`` with labels shape (R, Q, n) and
+    status (R, Q); failed entries are NaN with status OUT_OF_CHART (query outside the
+    chart image) or NO_CONVERGENCE (under-resolved chart).  Never raises for
+    individual points.  1D rows are bracketed together; nD rows run damped Newton
+    one row at a time.
     """
     pts = _query_points(points, stack.n, stack.num_rows)
     if stack.n == 1:

@@ -45,7 +45,7 @@ from .coefficients import CoefficientSet
 from .convex import ConvexH
 from .errors import BlowUp, DimensionMismatch, PositivityViolation
 from .fields import FieldExpr, eval_points
-from .grids import Box, mesh_points, multilinear_interp
+from .grids import Box, mesh_points, multilinear_interp, stored_time_slot
 
 __all__ = [
     "GridField",
@@ -119,10 +119,6 @@ class GridField:
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
-
-    def mass(self) -> float:
-        """sum(values) * cell volume — the exactly conserved discrete quantity."""
-        return float(self.values.sum() * self.cell_volume)
 
     def sample(self, points) -> np.ndarray:
         """Multilinear interpolation at (Q, n) points inside the grid."""
@@ -251,10 +247,7 @@ class OracleSeries:
         return self.fields[0].axes
 
     def at(self, t: float) -> GridField:
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t!r} not stored; stored times: {self.times.tolist()}")
-        return self.fields[int(hits[0])]
+        return self.fields[stored_time_slot(self.times, t)]
 
     def stack(self) -> np.ndarray:
         return np.stack([f.values for f in self.fields], axis=0)
@@ -448,9 +441,9 @@ class EntropyReport:
 
     ``slack`` is the per-increment allowance of a deterministic (oracle) series; an
     increment counts as a violation when it exceeds slack.  ``C_needed`` is the
-    smallest slack constant that would make the verdict pass (same scale unit as
-    ``C_used``).  The slack fields are None and the confidence-band fields filled
-    for the Monte Carlo decay check.
+    smallest slack constant that would make the verdict pass, in units of
+    (dx^2 + dt).  The Monte Carlo decay check leaves both None and fills the
+    bootstrap band ``lower``/``upper`` of the values instead.
     """
 
     times: np.ndarray
@@ -460,13 +453,9 @@ class EntropyReport:
     num_violations: int
     max_increment: float
     slack: float | None = None
-    C_used: float | None = None
     C_needed: float | None = None
-    scale: float | None = None  # the (dx^2 + dt) unit multiplying C
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    z_scores: np.ndarray | None = None
-    description: str = ""
 
 
 def entropy_series(
@@ -516,9 +505,6 @@ def entropy_series(
         slack=float(slack),
         verdict_nonincreasing=num_bad == 0,
         num_violations=num_bad,
-        C_used=float(slack_constant),
         C_needed=float(c_needed),
-        scale=float(scale),
         max_increment=max_inc,
-        description=f"entropy functional with H={H.name}",
     )

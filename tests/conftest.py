@@ -38,7 +38,7 @@ def make_coeffs(
 
 
 _SAMPLED_FIELDS = (
-    "sigma", "dsigma", "U", "dU", "V", "a", "u", "v", "dv", "div_v", "P", "E", "div_sigma",
+    "sigma", "dsigma", "U", "V", "a", "v", "dv", "div_v", "P", "E", "div_sigma",
 )
 
 

@@ -66,14 +66,14 @@ def test_criterion_01_heat_kernel_field_within_4se():
     """Constant-diffusion field estimate matches the closed-form Gaussian."""
     nu, s0 = 0.1, 0.5
     cs = assemble([["1"]], ["0"], "0", nu=nu, n=1)
-    labels = np.linspace(-6.0, 6.0, 25)
+    labels = (np.linspace(-6.0, 6.0, 25),)
     queries = np.linspace(-2.0, 2.0, 41)
     driver = BrownianDriver(seed=11, dt=1e-3, n=1)
     f0 = parse_field("exp(-x1*x1/0.5)", 1)  # Gaussian with spread s0 = 0.5
     rho0 = parse_field("1", 1)
     t0 = time.perf_counter()
     samples = collect_psi(
-        cs, labels, [0.5], driver, f0, rho0, queries, 20000,
+        cs, labels, [0.5], driver, f0, rho0, queries[:, None], 20000,
         box=Box((-6.0,), (6.0,)), threads=1,
     )
     f_hat = fields_from_samples(samples, 0.5)
@@ -81,7 +81,7 @@ def test_criterion_01_heat_kernel_field_within_4se():
 
     assert elapsed < 120.0, f"single-threaded run took {elapsed:.1f}s"
     assert samples.num_realizations == 20000  # none discarded
-    assert f_hat.num_masked == 0
+    assert f_hat.masked.sum() == 0
     var = s0**2 + 2.0 * nu * 0.5
     exact = np.sqrt(s0**2 / var) * np.exp(-(queries**2) / (2.0 * var))
     within = np.abs(f_hat.mean - exact) <= 4.0 * f_hat.se

@@ -23,15 +23,14 @@ from stochflow.estimators import (
     conserved_quantity_batch,
     constant_phi,
     entropy_decay_check,
-    entropy_martingale_series,
     exponential_phi,
     fields_from_samples,
     jensen_check,
     martingale_values,
     validate_compact_support,
 )
-from stochflow.fields import parse_field
-from stochflow.grids import Box, mesh_points, trapezoid_weights
+from stochflow.fields import eval_points, parse_field
+from stochflow.grids import Box, trapezoid_weights
 from stochflow.inverse import STATUS_OK, chart_from_batch, feynman_kac_psi_stack
 
 from conftest import collect_psi, make_coeffs
@@ -208,12 +207,12 @@ def test_martingale_values_shape_and_exactness():
 
 
 TIMES = [0.05, 0.1]
-QUERY = np.linspace(-1.0, 1.0, 9)
+QUERY = np.linspace(-1.0, 1.0, 9)[:, None]  # (Q, 1) query points
 
 
 def _collect(threads=1, chunk_size=4096, realizations=120, seed=909):
     cs = make_coeffs("1", nu=0.05, n=1)
-    labels = np.linspace(-4.0, 4.0, 41)
+    labels = (np.linspace(-4.0, 4.0, 41),)
     driver = BrownianDriver(seed=seed, dt=0.01, n=1)
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*exp(-0.5*x1*x1)", 1)
@@ -234,8 +233,8 @@ def test_collect_psi_translation_exact_per_realization():
     for r, inc in enumerate(driver.increments_block(range(6), 10)[:, :, 0]):
         for s, (t, k) in enumerate(zip(TIMES, (5, 10))):
             shift = s2n * np.sum(inc[:k])
-            expect_f = np.exp(-((QUERY - shift) ** 2))
-            expect_rho = 1.0 + 0.5 * np.exp(-0.5 * (QUERY - shift) ** 2)
+            expect_f = np.exp(-((QUERY[:, 0] - shift) ** 2))
+            expect_rho = 1.0 + 0.5 * np.exp(-0.5 * (QUERY[:, 0] - shift) ** 2)
             assert np.allclose(samples.psi_f[r, s], expect_f, atol=1e-10)
             assert np.allclose(samples.psi_rho[r, s], expect_rho, atol=1e-10)
 
@@ -260,13 +259,13 @@ def test_collect_psi_peak_memory_is_bounded_by_the_block():
     from stochflow.estimators import _PSI_BLOCK_ROWS
 
     cs = make_coeffs("1", nu=0.05, n=1)
-    labels = np.linspace(-4.0, 4.0, 17)
-    queries = np.linspace(-1.0, 1.0, 400)
+    labels = (np.linspace(-4.0, 4.0, 17),)
+    queries = np.linspace(-1.0, 1.0, 400)[:, None]
     realizations = 1000
     driver = BrownianDriver(seed=5, dt=0.01, n=1)
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*exp(-0.5*x1*x1)", 1)
-    snapshot = simulate_paths(cs, (labels,), 10, [10], driver, range(realizations), box=BOX)
+    snapshot = simulate_paths(cs, labels, 10, [10], driver, range(realizations), box=BOX)
     snapshot_bytes = sum(v.nbytes for v in vars(snapshot).values() if isinstance(v, np.ndarray))
     del snapshot
     tracemalloc.start()
@@ -279,18 +278,20 @@ def test_collect_psi_peak_memory_is_bounded_by_the_block():
     assert samples.num_realizations == realizations and np.all(samples.status == STATUS_OK)
     output_bytes = samples.psi_f.nbytes + samples.psi_rho.nbytes + samples.status.nbytes
     # 32 doubles per (block row, query or label): about twice what one block uses.
-    allowance = 32 * 8 * _PSI_BLOCK_ROWS * (queries.size + labels.size)
+    allowance = 32 * 8 * _PSI_BLOCK_ROWS * (queries.size + labels[0].size)
     assert peak <= snapshot_bytes + output_bytes + allowance
 
 
 def test_collect_psi_validation():
     cs = make_coeffs("1", nu=0.05, n=1)
     driver = BrownianDriver(seed=1, dt=0.01, n=1)
-    labels = np.linspace(-2.0, 2.0, 11)
+    labels = (np.linspace(-2.0, 2.0, 11),)
     one = parse_field("1", 1)
     chunk = simulate_paths(cs, labels, 10, [5, 10], driver, range(2), box=BOX)
     with pytest.raises(DimensionMismatch):
         collect_psi_samples(chunk, [0.05], one, one, np.zeros((3, 2)))
+    with pytest.raises(DimensionMismatch):  # a flat vector is not a (Q, 1) point array
+        collect_psi_samples(chunk, [0.05], one, one, QUERY[:, 0])
     with pytest.raises(ValueError, match="step grid"):
         collect_psi(cs, labels, [0.033], driver, one, one, QUERY, 2, box=BOX)
     with pytest.raises(ValueError, match="increasing"):
@@ -306,7 +307,7 @@ def test_fields_from_samples_statistics():
     assert np.array_equal(f_hat.mean, samples.psi_f[:, s, :].mean(axis=0))
     assert np.array_equal(f_hat.variance, samples.psi_f[:, s, :].var(axis=0, ddof=1))
     assert np.allclose(f_hat.se, np.sqrt(f_hat.variance / 120.0))
-    with pytest.raises(ValueError, match="not sampled"):
+    with pytest.raises(ValueError, match="not stored"):
         fields_from_samples(samples, 0.25)
 
 
@@ -327,8 +328,8 @@ def test_psi_batch_means_match_fields_from_samples():
     result = simulate_paths(cs, labels, 10, [0, 5, 10], driver, range(120), box=BOX)
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*exp(-0.5*x1*x1)", 1)
-    psi_f = np.empty((120, QUERY.size))
-    psi_rho = np.empty((120, QUERY.size))
+    psi_f = np.empty((120, len(QUERY)))
+    psi_rho = np.empty((120, len(QUERY)))
     for r in range(120):
         chart = chart_from_batch(result, 0.1, [r])  # a one-row stack
         (one_f, one_rho), status = feynman_kac_psi_stack(chart, (f0, rho0), QUERY)
@@ -352,7 +353,7 @@ def test_mc_field_masking_and_se():
     var = np.array([0.01, 0.04, 0.0, 0.09])
     masked = np.array([False, False, True, False])
     fld = McField(points=pts, t=0.5, mean=mean, variance=var, count=25, masked=masked)
-    assert fld.num_masked == 1
+    assert fld.masked.sum() == 1
     se = fld.se
     assert np.isnan(se[2])
     assert se[0] == pytest.approx(0.1 / 5.0)
@@ -366,27 +367,34 @@ def test_mc_field_masking_and_se():
 # ---------------------------------------------------------------------------
 
 
-def test_entropy_martingale_series_translation_quadrature():
-    cs = make_coeffs("1", nu=0.05, n=1)
-    labels = (np.linspace(-4.0, 4.0, 81),)
-    driver = BrownianDriver(seed=33, dt=0.01, n=1)
-    result = simulate_paths(cs, labels, 10, [10], driver, range(1), box=BOX)
-    shift = float(np.mean(result.X[0, 0, :, 0] - labels[0]))
-    rho0 = parse_field("exp(-4*x1*x1)", 1)
-    f0 = parse_field("0.5*exp(-4*x1*x1)", 1)  # ratio f0/rho0 = 0.5 everywhere
-    qaxes = (np.linspace(-3.0, 3.0, 121),)
-    samples = collect_psi(cs, labels, [0.1], driver, f0, rho0, mesh_points(qaxes), 1, box=BOX)
-    series = entropy_martingale_series(samples, constant_phi(1.0), get_convex("r2"))
-    w = trapezoid_weights(qaxes)
-    expect = 0.25 * float(np.sum(w * np.exp(-4.0 * (qaxes[0] - shift) ** 2)))
-    assert series.shape == (1, 1)
-    assert series[0, 0] == pytest.approx(expect, rel=1e-9)
-    # a slowly decaying integrand trips the boundary guard
-    wide = parse_field("exp(-0.1*x1*x1)", 1)
-    wide_samples = collect_psi(cs, labels, [0.1], driver, wide, wide, mesh_points(qaxes), 1,
-                               box=BOX)
-    with pytest.raises(SupportEscape):
-        entropy_martingale_series(wide_samples, constant_phi(1.0), get_convex("r2"))
+def test_entropy_martingale_is_the_conserved_quadrature_with_h0_of_the_ratio():
+    # f/rho is a passive scalar, so with h0 = H(f0/rho0) the conserved label
+    # quadrature is the entropy martingale  int rho H(f/rho) phi.  sine_sigma_1d's
+    # data with H = r2: rho0*h0 = f0^2/rho0 has compact support, and over 300
+    # realizations the mean stays within 4 SE of its t = 0 value.
+    cs = make_coeffs("1 + 0.5*sin(x1)", nu=0.1, n=1)
+    labels = (np.linspace(-3.0, 3.0, 65),)
+    f0_text, rho0_text = "exp(-x1*x1/0.18)", "(0.05 + exp(-x1*x1/0.5))"
+    rho0 = parse_field(rho0_text, 1)
+    h0 = parse_field(f"({f0_text}/{rho0_text})^2", 1)
+    validate_compact_support(rho0 * h0, labels, "rho0*h0")
+    f0_vals = np.exp(-labels[0] ** 2 / 0.18)
+    rho0_vals = 0.05 + np.exp(-labels[0] ** 2 / 0.5)
+    ratio_entropy = get_convex("r2")(f0_vals / rho0_vals)
+    assert np.allclose(eval_points(h0, labels[0][:, None]), ratio_entropy, rtol=1e-14)
+    reference = float(np.sum(trapezoid_weights(labels) * rho0_vals * ratio_entropy))
+
+    driver = BrownianDriver(seed=2, dt=0.002, n=1)
+    result = simulate_paths(cs, labels, 500, [0, 250, 500], driver, range(300),
+                            box=Box((-3.0,), (3.0,)))
+    one = constant_phi(1.0)
+    assert np.allclose(conserved_quantity_batch(result, one, rho0, h0, 0.0), reference,
+                       rtol=1e-12)
+    for t in (0.5, 1.0):
+        q = conserved_quantity_batch(result, one, rho0, h0, t)
+        assert q.shape == (300,) and np.ptp(q) > 0  # a genuinely random quadrature
+        z = (q.mean() - reference) / (q.std(ddof=1) / np.sqrt(q.size))
+        assert abs(z) <= 4.0, f"t={t}: z={z}"
 
 
 def _synthetic_samples(ratios, r_count=120, q_count=21):
@@ -405,27 +413,6 @@ def _synthetic_samples(ratios, r_count=120, q_count=21):
         psi_rho=psi_rho,
         status=np.zeros((r_count, s_count, q_count), dtype=np.uint8),
     )
-
-
-def test_entropy_martingale_series_hand_values():
-    samples = _synthetic_samples([2.0, 1.5, 1.0])
-    # Within two cells of the grid edge the density is 1e-12, so the integrand
-    # there stays below the edge guard's 1e-8 of its peak.
-    edge = np.zeros(21, dtype=bool)
-    edge[:2] = edge[-2:] = True
-    dens = np.where(edge, 1e-12, 1.0)
-    samples.psi_rho[:] = dens
-    samples.psi_f *= dens
-    series = entropy_martingale_series(samples, constant_phi(1.0), get_convex("r2"))
-    assert series.shape == (120, 3)
-    # the value is H(ratio) times the quadrature of the density
-    mass = float(np.sum(trapezoid_weights((samples.points[:, 0],)) * dens))
-    assert np.allclose(series[:, 0], 4.0 * mass, rtol=1e-12)
-    assert np.allclose(series[:, 1], 2.25 * mass, rtol=1e-12)
-    assert np.allclose(series[:, 2], 1.0 * mass, rtol=1e-12)
-    # a flat integrand reaches the edge: the sample is rejected
-    with pytest.raises(SupportEscape):
-        entropy_martingale_series(_synthetic_samples([2.0]), constant_phi(1.0), get_convex("r2"))
 
 
 def test_entropy_decay_check_monte_carlo_verdicts():

@@ -266,9 +266,11 @@ def test_invert_batch_shape_validation(heat_run):
     chart = chart_from_batch(heat_run, 0.1, [0])
     with pytest.raises(DimensionMismatch):
         invert_batch(chart, np.zeros((4, 2)))
-    # 1D charts accept a flat vector of query positions.
-    labels, status = invert_batch(chart, chart.X[0, 10:13, 0])
+    # Queries are (Q, n) points, also on 1D charts; a flat vector is refused.
+    labels, status = invert_batch(chart, chart.X[0, 10:13])
     assert labels.shape == (1, 3, 1) and status.shape == (1, 3)
+    with pytest.raises(DimensionMismatch):
+        invert_batch(chart, chart.X[0, 10:13, 0])
     # Per-row query sets need one set per row.
     with pytest.raises(DimensionMismatch):
         invert_batch(chart, np.zeros((2, 3, 1)))
@@ -393,7 +395,7 @@ def test_stacked_bracket_tolerance_edges():
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     for r in range(2):
         x = np.array([lo[r] - tol[r], hi[r] + tol[r], lo[r] - 4 * tol[r], hi[r] + 4 * tol[r]])
-        labels, status = invert_batch(stack, x)
+        labels, status = invert_batch(stack, x[:, None])
         assert status[r].tolist() == [STATUS_OK, STATUS_OK, STATUS_OUT_OF_CHART, STATUS_OUT_OF_CHART]
         assert labels[r, :2, 0].tolist() == [-1.0, 1.0]
         assert np.isnan(labels[r, 2:]).all()
@@ -433,7 +435,8 @@ def test_mixed_stack_matches_the_single_chart_path():
     assert stack.degenerate_cells[1].any() and stack.degenerate_cells[4].all()
     assert stack.degenerate_cells[2].any()
     x = np.concatenate([rows.reshape(-1), np.linspace(-4.0, 4.0, 57), [np.nan]])
-    labels, status = invert_batch(stack, x)
+    pts = x[:, None]
+    labels, status = invert_batch(stack, pts)
     assert labels.shape == (rows.shape[0], x.size, 1) and status.shape == (rows.shape[0], x.size)
     seen = set()
     for r in range(rows.shape[0]):
@@ -441,7 +444,7 @@ def test_mixed_stack_matches_the_single_chart_path():
         assert np.array_equal(status[r], ref_status)
         assert np.array_equal(labels[r, :, 0], ref_labels, equal_nan=True)
         assert labels[r, :, 0].tobytes() == ref_labels.tobytes()
-        one_labels, one_status = _invert_one(_one_row(ax, X, log_I, r, 0.5), x)
+        one_labels, one_status = _invert_one(_one_row(ax, X, log_I, r, 0.5), pts)
         assert one_labels.tobytes() == labels[r].tobytes()
         assert np.array_equal(one_status, status[r])
         seen.update(status[r].tolist())
@@ -451,12 +454,12 @@ def test_mixed_stack_matches_the_single_chart_path():
     # psi on the stack is the one-row psi, row by row, for every field.
     f0 = parse_field("exp(-x1*x1)", 1)
     rho0 = parse_field("1 + 0.5*x1*x1", 1)
-    (vf, vr), st = feynman_kac_psi_stack(stack, (f0, rho0), x)
+    (vf, vr), st = feynman_kac_psi_stack(stack, (f0, rho0), pts)
     assert np.array_equal(st, status)
     for r in range(rows.shape[0]):
         one = _one_row(ax, X, log_I, r, 0.5)
-        one_f, _ = _psi_one(one, f0, x)
-        one_r, _ = _psi_one(one, rho0, x)
+        one_f, _ = _psi_one(one, f0, pts)
+        one_r, _ = _psi_one(one, rho0, pts)
         assert vf[r].tobytes() == one_f.tobytes()
         assert vr[r].tobytes() == one_r.tobytes()
 
@@ -473,7 +476,7 @@ def test_chart_stack_rows_equal_single_charts():
     slots = np.nonzero(result.alive)[0]
     assert result.degenerate[slots].any() and not result.degenerate[slots].all()
     stack = chart_from_batch(result, result.times[-1], slots)
-    x = np.linspace(-6.0, 6.0, 49)
+    x = np.linspace(-6.0, 6.0, 49)[:, None]
     labels, status = invert_batch(stack, x)
     for i, slot in enumerate(slots):
         chart = chart_from_batch(result, result.times[-1], [int(slot)])

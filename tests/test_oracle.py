@@ -46,7 +46,7 @@ def test_grid_field_properties_and_mass():
     assert gf.spacing == pytest.approx((0.1, 0.1))
     assert gf.cell_volume == pytest.approx(0.01)
     # mass is the plain node sum times the cell volume
-    assert gf.mass() == pytest.approx(3.0 * 11 * 21 * 0.01)
+    assert gf.values.sum() * gf.cell_volume == pytest.approx(3.0 * 11 * 21 * 0.01)
     assert gf.box.lo == (0.0, -1.0) and gf.box.hi == (1.0, 1.0)
     assert gf.t == 0.25
 
@@ -122,7 +122,7 @@ def test_forward_conserves_mass_with_variable_coefficients():
     ax = (np.linspace(-4.0, 4.0, 201),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     (ser,) = solve_forward(cs, [f0], T=0.2, dt=1e-3, output_times=[0.0, 0.1, 0.2])
-    masses = [f.mass() for f in ser.fields]
+    masses = [f.values.sum() * f.cell_volume for f in ser.fields]
     assert max(abs(m - masses[0]) for m in masses) < 1e-12
 
 
@@ -474,12 +474,12 @@ def test_entropy_series_hand_computed_values():
     assert np.allclose(rep.values, expected, rtol=1e-14)
     assert rep.verdict_nonincreasing and rep.num_violations == 0
     assert rep.C_needed == 0.0
-    assert rep.scale == pytest.approx(0.1**2 + 0.1)
-    assert rep.slack == pytest.approx(rep.scale)
+    # the slack is C * (dx^2 + dt), with dx = dt = 0.1
+    assert rep.slack == pytest.approx(0.1**2 + 0.1)
     assert rep.max_increment < 0.0
     assert rep.increments.shape == (3,)
     # confidence-band fields stay empty for deterministic series
-    assert rep.lower is None and rep.upper is None and rep.z_scores is None
+    assert rep.lower is None and rep.upper is None
 
 
 def test_entropy_series_flags_growth():
@@ -493,7 +493,7 @@ def test_entropy_series_flags_growth():
     assert not rep.verdict_nonincreasing
     assert rep.num_violations == 1
     assert rep.max_increment == pytest.approx(3.3, rel=1e-12)
-    assert rep.C_needed == pytest.approx(3.3 / rep.scale, rel=1e-12)
+    assert rep.C_needed == pytest.approx(3.3 / (0.1**2 + 0.1), rel=1e-12)
     # a big enough slack constant flips the verdict, C_needed tells us the threshold
     rep2 = entropy_series(f_ser, rho_ser, phi_ser, get_convex("r2"),
                           slack_constant=rep.C_needed * 1.01)
