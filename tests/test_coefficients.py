@@ -72,6 +72,22 @@ def test_dsigma_matches_finite_differences(cs2, points2):
                     assert sym == pytest.approx(ref, abs=1e-7)
 
 
+def test_modified_drift_u_subtracts_divergence_of_a(cs2, points2):
+    # u_j = U_j - nu * sum_i d_i a_ij, with the divergence done numerically on a.
+    # u is not stored: it is what v leaves after the noise-gradient correction,
+    # here taken symbolically from the assembled v, sigma and dsigma.
+    n = cs2.n
+    for x in points2[:6]:
+        for j in range(n):
+            u_j = cs2.v[j]
+            for k in range(n):
+                for p in range(n):
+                    u_j = u_j - 2.0 * cs2.nu * (cs2.sigma[k][p] * cs2.dsigma[k][j][p])
+            div_a_j = sum(_fd(cs2.a[i][j], x, i) for i in range(n))
+            ref = _num(cs2.U[j], x) - cs2.nu * div_a_j
+            assert _num(u_j, x) == pytest.approx(ref, abs=1e-7)
+
+
 def test_sde_drift_v_adds_noise_gradient_correction(cs2, points2):
     # v_j = u_j + 2 nu sum_{k,p} sigma_kp d_k sigma_jp with the modified drift
     # u_j = U_j - nu sum_i d_i a_ij; both divergence and gradients done numerically.

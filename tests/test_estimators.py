@@ -367,6 +367,57 @@ def test_mc_field_masking_and_se():
 # ---------------------------------------------------------------------------
 
 
+def test_entropy_martingale_series_translation_quadrature():
+    # Under a pure translation X_t = label + shift (D = 1, no killing), the
+    # entropy martingale int rho_t H(f_t/rho_t) phi dx, taken in label space with
+    # h0 = H(f0/rho0), is 0.25 * int rho0(x - shift) phi(x) dx for a ratio of 0.5.
+    cs = make_coeffs("1", nu=0.05, n=1)
+    labels = (np.linspace(-4.0, 4.0, 81),)
+    driver = BrownianDriver(seed=33, dt=0.01, n=1)
+    result = simulate_paths(cs, labels, 10, [0, 10], driver, range(1), box=BOX)
+    shift = float(np.mean(result.X[1, 0, :, 0] - labels[0]))
+    assert np.allclose(result.X[1, 0, :, 0] - labels[0], shift, atol=1e-12)
+    rho0 = parse_field("exp(-4*x1*x1)", 1)
+    f0_text, rho0_text = "0.5*exp(-4*x1*x1)", "exp(-4*x1*x1)"  # ratio 0.5 everywhere
+    h0 = parse_field(f"({f0_text}/{rho0_text})^2", 1)  # H = r2
+    validate_compact_support(rho0 * h0, labels, "rho0*h0")
+
+    def phi(points, t):
+        return np.exp(-points[:, 0] ** 2)
+
+    series = conserved_quantity_batch(result, phi, rho0, h0, 0.1)
+    # int exp(-4 (x - s)^2) exp(-x^2) dx = sqrt(pi/5) exp(-4 s^2 / 5)
+    expect = 0.25 * np.sqrt(np.pi / 5.0) * np.exp(-0.8 * shift**2)
+    assert series.shape == (1,)
+    assert series[0] == pytest.approx(expect, rel=1e-9)
+    # a slowly decaying integrand trips the boundary guard
+    wide = parse_field("exp(-0.1*x1*x1)", 1)
+    with pytest.raises(ValueError, match="does not vanish"):
+        validate_compact_support(wide * h0, labels, "rho0*h0")
+
+
+def test_entropy_martingale_series_hand_values():
+    # f0 = c * rho0 gives h0 = H(c) everywhere, so the entropy martingale is
+    # H(c) times the quadrature of rho0 at every time and in every realization.
+    cs = make_coeffs("1", nu=0.05, n=1)
+    labels = (np.linspace(-4.0, 4.0, 81),)
+    driver = BrownianDriver(seed=7, dt=0.01, n=1)
+    result = simulate_paths(cs, labels, 10, [0, 5, 10], driver, range(120), box=BOX)
+    rho0_text = "exp(-4*x1*x1)"
+    rho0 = parse_field(rho0_text, 1)
+    mass = float(np.sum(trapezoid_weights(labels) * np.exp(-4.0 * labels[0] ** 2)))
+    for c, hand in ((2.0, 4.0), (1.5, 2.25), (1.0, 1.0)):
+        h0 = parse_field(f"({c}*{rho0_text}/{rho0_text})^2", 1)  # H = r2
+        for t in (0.0, 0.05, 0.1):
+            series = conserved_quantity_batch(result, constant_phi(1.0), rho0, h0, t)
+            assert series.shape == (120,)
+            assert np.allclose(series, hand * mass, rtol=1e-12)
+    # a flat integrand reaches the edge: the data is rejected
+    flat = parse_field("(2*1/1)^2", 1)
+    with pytest.raises(ValueError, match="does not vanish"):
+        validate_compact_support(flat, labels, "rho0*h0")
+
+
 def test_entropy_martingale_is_the_conserved_quadrature_with_h0_of_the_ratio():
     # f/rho is a passive scalar, so with h0 = H(f0/rho0) the conserved label
     # quadrature is the entropy martingale  int rho H(f/rho) phi.  sine_sigma_1d's
