@@ -43,7 +43,6 @@ from .oracle import (
     EntropyReport,
     GridField,
     OracleSeries,
-    PhiSeries,
     assemble_generator,
     entropy_series,
     grid_field_from_expr,

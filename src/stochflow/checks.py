@@ -44,7 +44,6 @@ from .errors import ConfigError, StochflowError
 from .estimators import (
     collect_psi_samples,
     conserved_quantity_batch,
-    constant_phi,
     entropy_decay_check,
     exponential_phi,
     fields_from_samples,
@@ -56,15 +55,7 @@ from .estimators import (
 from .fields import eval_points, parse_field
 from .grids import Box, grid_axes, mesh_points, trapezoid_weights
 from .inverse import STATUS_OK, chart_from_batch, roundtrip_error
-from .oracle import (
-    GridField,
-    OracleSeries,
-    PhiSeries,
-    entropy_series,
-    grid_field_from_expr,
-    solve_adjoint,
-    solve_forward,
-)
+from .oracle import entropy_series, grid_field_from_expr, solve_adjoint, solve_forward
 
 __all__ = [
     "CheckResult",
@@ -252,9 +243,7 @@ class RunContext:
                     "martingale_M: phi 'trivial' needs a constant V coefficient"
                 )
             c = v_expr.constant_value
-            if c == 0.0:
-                return constant_phi(1.0), "constant 1"
-            return exponential_phi(c, cfg.T), f"exp({c:g}*(T-t))"
+            return exponential_phi(c, cfg.T), "constant 1" if c == 0.0 else f"exp({c:g}*(T-t))"
         if kind != "adjoint":
             raise ConfigError(f"unknown weighting kind {kind!r} (use trivial/adjoint/auto)")
 
@@ -264,8 +253,8 @@ class RunContext:
             axes = self.oracle_axes(cfg.box.padded(pad))
             phi_T = grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T)
             out_times = sorted({0.0, cfg.T, *(float(t) for t in times)})
-            series = solve_adjoint(self.cs, phi_T, cfg.T, cfg.dt, output_times=out_times)
-            self._weight_cache[key] = PhiSeries(series)
+            self._weight_cache[key] = solve_adjoint(self.cs, phi_T, cfg.T, cfg.dt,
+                                                    output_times=out_times)
         return self._weight_cache[key], "adjoint solve"
 
 
@@ -811,14 +800,15 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
                 f_s = samples.psi_f[ok_rows, s, qi]
                 if np.any(rho_s <= 0):
                     continue
-                res = jensen_check(rho_s, f_s, h_fun)
-                jensen_ok = jensen_ok and res.holds
+                res = jensen_check(rho_s[None], f_s[None], h_fun)
+                holds = bool(res.holds[0])
+                jensen_ok = jensen_ok and holds
                 jensen_cells.append({
                     "t": float(t),
                     "point": [float(v) for v in pts[qi]],
-                    "lhs": res.lhs,
-                    "rhs": res.rhs,
-                    "holds": res.holds,
+                    "lhs": float(res.lhs[0]),
+                    "rhs": float(res.rhs[0]),
+                    "holds": holds,
                 })
 
         frac = mc.discarded / max(1, realizations)
@@ -882,18 +872,15 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
     f_series, rho_series = solve_forward(
         ctx.cs, [f0, rho0], cfg.T, oracle_dt, output_times=times, require_positive=[False, True]
     )
-    if ctx.cs.V.is_constant:  # the closed-form weight, sampled on the grid
+    if ctx.cs.V.is_constant:  # the closed-form weight
         phi, phi_label = ctx.weight("trivial", times)
-        pts = mesh_points(axes)
-        phi_fields = [GridField(axes, phi(pts, t).reshape(f0.shape), t) for t in times]
-        phi_series = OracleSeries(times=np.asarray(times), fields=phi_fields, dt=0.0)
     else:
         phi_T = grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T)
-        phi_series = solve_adjoint(ctx.cs, phi_T, cfg.T, oracle_dt, output_times=times)
+        phi = solve_adjoint(ctx.cs, phi_T, cfg.T, oracle_dt, output_times=times)
         phi_label = "adjoint solve"
 
-    report = entropy_series(f_series, rho_series, phi_series, h_fun, slack_constant=slack_constant)
-    control = entropy_series(f_series, rho_series, phi_series, non_convex_control(),
+    report = entropy_series(f_series, rho_series, phi, h_fun, slack_constant=slack_constant)
+    control = entropy_series(f_series, rho_series, phi, non_convex_control(),
                              slack_constant=slack_constant)
 
     hard_limit = 1e-8

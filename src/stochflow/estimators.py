@@ -21,13 +21,16 @@ Provided here:
     of ``martingale_values`` times rho0 * h0 — the tracked integral of motion.  With
     h0 = H(f0/rho0) it is the entropy martingale of ∫ rho H(f/rho) phi, because
     f/rho is a passive scalar.
-  * ``jensen_check``: the finite-sample convexity inequality, exact up to roundoff.
+  * ``jensen_check``: the finite-sample convexity inequality for a stack of sample
+    sets, exact up to roundoff.
   * ``entropy_decay_check``: bootstrap-banded monotonicity verdicts for the entropy
     time series of the estimated fields, one per H from one set of draws (the
     grid-solver counterpart is ``oracle.entropy_series``).
 
 A weighting factor phi is called as ``phi(points, t)`` on (Q, n) points and returns
-(Q,) values: ``constant_phi``, ``exponential_phi`` and ``oracle.PhiSeries``.
+(Q,) values: ``exponential_phi`` (the closed form for a constant V; exactly 1 when
+V = 0) and an ``oracle.OracleSeries``, such as an adjoint solve, read multilinearly
+in space and time.  ``oracle.entropy_series`` takes the same callable.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ __all__ = [
     "PsiSamples",
     "JensenResult",
     "MIN_REALIZATIONS",
-    "constant_phi",
     "exponential_phi",
     "validate_compact_support",
     "collect_psi_samples",
@@ -97,17 +99,11 @@ _PSI_BLOCK_ROWS = 64
 # ---------------------------------------------------------------------------
 
 
-def constant_phi(value: float = 1.0) -> Callable:
-    """phi(x, t) = value — the admissible weight when V = 0."""
-
-    def phi(points, t):
-        return np.full(len(points), float(value))
-
-    return phi
-
-
 def exponential_phi(c: float, T: float) -> Callable:
-    """phi(x, t) = exp(c * (T - t)) — the admissible weight when V = c (constant)."""
+    """phi(x, t) = exp(c * (T - t)) — the admissible weight when V = c (constant).
+
+    With c = 0 it is exactly 1 at every time.
+    """
 
     def phi(points, t):
         return np.full(len(points), float(np.exp(c * (T - float(t)))))
@@ -182,7 +178,6 @@ class McField:
     """Per-point sample mean and spread of a Monte Carlo field estimate."""
 
     points: np.ndarray  # (Q, n)
-    t: float
     mean: np.ndarray  # (Q,)
     variance: np.ndarray  # (Q,) sample variance, ddof = 1
     count: int  # realizations averaged
@@ -229,12 +224,12 @@ class PsiSamples:
 
 @dataclass(frozen=True)
 class JensenResult:
-    """Outcome of the finite-sample convexity inequality (arrays for a stack of sets)."""
+    """Outcome of the finite-sample convexity inequality: one entry per sample set."""
 
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    slack: float | np.ndarray
-    holds: bool | np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
     num_samples: int
 
 
@@ -310,15 +305,13 @@ def join_psi_samples(parts: Sequence[PsiSamples]) -> PsiSamples:
 # ---------------------------------------------------------------------------
 
 
-def _mc_field_from_arrays(
-    pts: np.ndarray, t: float, values: np.ndarray, status: np.ndarray
-) -> McField:
+def _mc_field_from_arrays(pts: np.ndarray, values: np.ndarray, status: np.ndarray) -> McField:
     r = values.shape[0]
     masked = np.any(status != STATUS_OK, axis=0)
     safe = np.where(masked[None, :], 0.0, values)
     mean = np.where(masked, np.nan, safe.mean(axis=0))
     variance = np.where(masked, 0.0, safe.var(axis=0, ddof=1))
-    return McField(points=pts, t=float(t), mean=mean, variance=variance, count=r, masked=masked)
+    return McField(points=pts, mean=mean, variance=variance, count=r, masked=masked)
 
 
 def fields_from_samples(samples: PsiSamples, t: float) -> McField:
@@ -329,7 +322,7 @@ def fields_from_samples(samples: PsiSamples, t: float) -> McField:
             f"{r} realizations available; at least {MIN_REALIZATIONS} required"
         )
     s = samples.time_slot(t)
-    return _mc_field_from_arrays(samples.points, t, samples.psi_f[:, s, :], samples.status[:, s, :])
+    return _mc_field_from_arrays(samples.points, samples.psi_f[:, s, :], samples.status[:, s, :])
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +398,14 @@ def jensen_check(psi_rho, psi_f, H: ConvexH, slack: float = 1e-12) -> JensenResu
     H(mean(v)) <= mean(g * H(v / g)) exactly (a finite convex combination), so the
     verdict must hold up to floating-point slack for every positive sample set.
 
-    The samples lie along the last axis.  A 1D pair gives one result of scalars; a
-    stack of sets, shape (num_sets, num_samples), gives arrays of shape (num_sets,).
+    The inputs are stacks of sets, shape (num_sets, num_samples), with the samples
+    along the last axis; every field of the result has shape (num_sets,).  One set is
+    a one-row stack.
     """
     rho = np.asarray(psi_rho, dtype=float)
     f = np.asarray(psi_f, dtype=float)
-    if rho.ndim == 0 or rho.shape != f.shape or rho.shape[-1] == 0:
-        raise ValueError("psi_rho and psi_f must be equal-length nonempty samples")
+    if rho.ndim != 2 or rho.shape != f.shape or rho.shape[1] == 0:
+        raise ValueError("psi_rho and psi_f must be equal nonempty (num_sets, num_samples) stacks")
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)) or not np.all(np.isfinite(f)):
         raise NonPositiveDensity("density weights must be finite and strictly positive")
     mean_rho = rho.mean(axis=-1, keepdims=True)
@@ -423,10 +417,7 @@ def jensen_check(psi_rho, psi_f, H: ConvexH, slack: float = 1e-12) -> JensenResu
     rhs = np.mean(g * np.asarray(H(v / g), dtype=float), axis=-1)
     tol = slack * np.maximum(1.0, np.abs(rhs))
     holds = lhs <= rhs + tol
-    if rho.ndim == 1:
-        return JensenResult(lhs=float(lhs), rhs=float(rhs), slack=float(tol),
-                            holds=bool(holds), num_samples=rho.size)
-    return JensenResult(lhs=lhs, rhs=rhs, slack=tol, holds=holds, num_samples=rho.shape[-1])
+    return JensenResult(lhs=lhs, rhs=rhs, slack=tol, holds=holds, num_samples=rho.shape[1])
 
 
 # ---------------------------------------------------------------------------

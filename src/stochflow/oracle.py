@@ -26,9 +26,10 @@ that nearly halves the L+U fill, and with it the cost of every step.  On 1D grid
 the matrix is tridiagonal, so there is no fill to save, and the default ordering
 is kept (the step costs the same, and the 1D results keep their bits).
 ``solve_forward`` marches every field that shares the generator (data and density)
-through that one factorization, as the columns of one stack.  The
-entropy functional of a solution triple is evaluated with the plain node sum times
-the cell volume, matching the conservative stencil's invariant.
+through that one factorization, as the columns of one stack.  Both solves return an
+``OracleSeries``, which is also a space-time weight phi.  The entropy functional of
+a solution pair and a weight is evaluated with the plain node sum times the cell
+volume, matching the conservative stencil's invariant.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "GridField",
     "OracleSeries",
     "EntropyReport",
-    "PhiSeries",
     "grid_field_from_expr",
     "assemble_generator",
     "solve_forward",
@@ -82,11 +82,10 @@ def _check_uniform_axes(axes) -> tuple[np.ndarray, ...]:
 
 @dataclass(eq=False)
 class GridField:
-    """Scalar values on a uniform node-centered tensor grid at one time."""
+    """Scalar values on a uniform node-centered tensor grid."""
 
     axes: tuple
     values: np.ndarray
-    t: float
 
     def __post_init__(self):
         self.axes = _check_uniform_axes(self.axes)
@@ -130,7 +129,7 @@ def grid_field_from_expr(expr: FieldExpr, axes, t: float = 0.0) -> GridField:
     if expr.dim != len(axes):
         raise DimensionMismatch(f"expression dimension {expr.dim} != grid dimension {len(axes)}")
     values = eval_points(expr, mesh_points(axes), t).reshape(tuple(ax.size for ax in axes))
-    return GridField(axes, values, t)
+    return GridField(axes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +235,36 @@ def _cn_factor(M: sp.csr_matrix, half_dt: float, dim: int):
 
 @dataclass(eq=False)
 class OracleSeries:
-    """Solution snapshots at increasing times, plus the solver step used."""
+    """Solution snapshots on one grid at increasing times, plus the solver step used.
 
+    Called as ``series(points, t)``, a series is a weighting factor phi: multilinear
+    in space and time.  Spatial queries outside the grid are clamped to the boundary
+    value; times must lie within the stored range (up to roundoff).
+    """
+
+    axes: tuple
     times: np.ndarray
-    fields: list
+    values: np.ndarray  # (S,) + grid shape
     dt: float
 
-    @property
-    def axes(self) -> tuple:
-        return self.fields[0].axes
-
     def at(self, t: float) -> GridField:
-        return self.fields[stored_time_slot(self.times, t)]
+        return GridField(self.axes, self.values[stored_time_slot(self.times, t)])
 
-    def stack(self) -> np.ndarray:
-        return np.stack([f.values for f in self.fields], axis=0)
+    def __call__(self, points, t: float) -> np.ndarray:
+        """Values at (Q, n) points and time ``t``: shape (Q,)."""
+        tt = float(t)
+        ts = self.times
+        span = max(1.0, float(np.max(np.abs(ts))))
+        if tt < ts[0] - 1e-9 * span or tt > ts[-1] + 1e-9 * span:
+            raise ValueError(f"time {tt!r} outside the stored range [{ts[0]}, {ts[-1]}]")
+        tt = min(max(tt, float(ts[0])), float(ts[-1]))
+        if ts.size == 1:
+            return multilinear_interp(self.axes, self.values[0], points, out_of_range="clamp")
+        j = int(np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, ts.size - 2))
+        w = (tt - ts[j]) / (ts[j + 1] - ts[j])
+        lo = multilinear_interp(self.axes, self.values[j], points, out_of_range="clamp")
+        hi = multilinear_interp(self.axes, self.values[j + 1], points, out_of_range="clamp")
+        return (1.0 - w) * lo + w * hi
 
 
 def _steps_and_slots(T: float, dt: float, output_times):
@@ -305,7 +319,8 @@ def solve_forward(
 
     half_dt = _THETA * dt
     lu = _cn_factor(L, half_dt, f0.n)
-    store = set(slots)
+    slot_of = {i: s for s, i in enumerate(slots)}
+    stored = np.empty((F.shape[1], len(slots), F.shape[0]))  # field, slot, node
 
     def check(t_now: float) -> None:
         # A NaN or an infinity reaches the column minima or the maximum.
@@ -318,7 +333,6 @@ def solve_forward(
                 f"forward solve lost strict positivity at t={t_now:.6g} (min value {low:.3e})"
             )
 
-    stored = {}  # step -> (N, m) stack; a step makes a new stack, never edits one
     try:
         for k in range(K + 1):
             if k > 0:
@@ -328,19 +342,16 @@ def solve_forward(
                     LF[:, j] = L @ F[:, j]
                 F = lu.solve(F + half_dt * LF)
             check(k * dt)
-            if k in store:
-                stored[k] = F
+            if k in slot_of:
+                stored[:, slot_of[k]] = F.T
     except (BlowUp, PositivityViolation):
         if len(initial) > 1:
             for g, p in zip(initial, positive):
                 solve_forward(cs, [g], T, dt, output_times, [p])
         raise
     times = np.array([i * dt for i in slots])
-    series = [
-        [GridField(f0.axes, stored[i][:, c].reshape(f0.shape).copy(), i * dt) for i in slots]
-        for c in range(len(initial))
-    ]
-    return [OracleSeries(times=times.copy(), fields=fields, dt=dt) for fields in series]
+    shape = (len(slots),) + f0.shape
+    return [OracleSeries(f0.axes, times.copy(), values.reshape(shape), dt) for values in stored]
 
 
 def solve_adjoint(
@@ -370,11 +381,11 @@ def solve_adjoint(
     shape = phi_T.shape
     phi = phi_T.values.reshape(-1).copy()
     slot_of = {i: s for s, i in enumerate(slots)}
-    fields: list[GridField | None] = [None] * len(slots)
+    values = np.empty((len(slots),) + shape)
     worst_undershoot = 0.0
 
     if K in slot_of:
-        fields[slot_of[K]] = GridField(phi_T.axes, phi.reshape(shape).copy(), K * dt)
+        values[slot_of[K]] = phi.reshape(shape)
     for k in range(K - 1, -1, -1):
         y = lu.solve(phi)
         phi = y + half_dt * (lt @ y)
@@ -385,53 +396,17 @@ def solve_adjoint(
             worst_undershoot = max(worst_undershoot, -mn)
             np.clip(phi, 0.0, None, out=phi)
         if k in slot_of:
-            fields[slot_of[k]] = GridField(phi_T.axes, phi.reshape(shape).copy(), k * dt)
+            values[slot_of[k]] = phi.reshape(shape)
     if worst_undershoot > 1e-12:
         warnings.warn(
             f"adjoint solution undershot zero by {worst_undershoot:.3e} and was clipped",
             stacklevel=2,
         )
-    return OracleSeries(times=np.array([i * dt for i in slots]), fields=fields, dt=dt)
+    return OracleSeries(phi_T.axes, np.array([i * dt for i in slots]), values, dt)
 
 
 # ---------------------------------------------------------------------------
-# Space-time evaluation of a stored series (for weighting factors along paths)
-# ---------------------------------------------------------------------------
-
-
-class PhiSeries:
-    """Callable (points, t) view of a stored series: multilinear in space and time.
-
-    Spatial queries outside the grid are clamped to the boundary value; times must lie
-    within the stored range (up to roundoff).
-    """
-
-    def __init__(self, series: OracleSeries):
-        self.axes = series.axes
-        self.times = np.asarray(series.times, dtype=float)
-        self.values = series.stack()  # (S,) + grid shape
-        if self.times.size < 1:
-            raise ValueError("empty series")
-
-    def __call__(self, points, t: float) -> np.ndarray:
-        """Values at (Q, n) points and time ``t``: shape (Q,)."""
-        tt = float(t)
-        ts = self.times
-        span = max(1.0, float(np.max(np.abs(ts))))
-        if tt < ts[0] - 1e-9 * span or tt > ts[-1] + 1e-9 * span:
-            raise ValueError(f"time {tt!r} outside the stored range [{ts[0]}, {ts[-1]}]")
-        tt = min(max(tt, float(ts[0])), float(ts[-1]))
-        if ts.size == 1:
-            return multilinear_interp(self.axes, self.values[0], points, out_of_range="clamp")
-        j = int(np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, ts.size - 2))
-        w = (tt - ts[j]) / (ts[j + 1] - ts[j])
-        lo = multilinear_interp(self.axes, self.values[j], points, out_of_range="clamp")
-        hi = multilinear_interp(self.axes, self.values[j + 1], points, out_of_range="clamp")
-        return (1.0 - w) * lo + w * hi
-
-
-# ---------------------------------------------------------------------------
-# Entropy functional of a solution triple
+# Entropy functional of a solution pair and a weight
 # ---------------------------------------------------------------------------
 
 
@@ -461,38 +436,39 @@ class EntropyReport:
 def entropy_series(
     f_series: OracleSeries,
     rho_series: OracleSeries,
-    phi_series: OracleSeries,
+    phi,
     H: ConvexH,
     slack_constant: float = 1.0,
 ) -> EntropyReport:
     """Entropy functional G(t) = sum_nodes H(f/rho) * phi * rho * cell_volume.
 
+    ``phi(points, t)`` is read at the grid nodes and at the stored times of
+    ``f_series``; an ``OracleSeries`` on the same grid and times gives its own values.
     The verdict allows per-increment growth up to slack_constant * (dx^2 + dt) —
     discretization error of the underlying solves; C_needed reports the smallest
     constant that would pass.
     """
     ts = f_series.times
-    for other in (rho_series, phi_series):
-        if other.times.shape != ts.shape or np.max(np.abs(other.times - ts)) > 1e-9:
-            raise ValueError("entropy series inputs must share identical stored times")
-        for ax_a, ax_b in zip(other.axes, f_series.axes):
-            if ax_a.shape != ax_b.shape or np.max(np.abs(ax_a - ax_b)) > 1e-12:
-                raise ValueError("entropy series inputs must share the same grid")
-    gf = f_series.fields[0]
+    if rho_series.times.shape != ts.shape or np.max(np.abs(rho_series.times - ts)) > 1e-9:
+        raise ValueError("entropy series inputs must share identical stored times")
+    for ax_a, ax_b in zip(rho_series.axes, f_series.axes):
+        if ax_a.shape != ax_b.shape or np.max(np.abs(ax_a - ax_b)) > 1e-12:
+            raise ValueError("entropy series inputs must share the same grid")
+    gf = f_series.at(ts[0])
     vol = gf.cell_volume
+    pts = mesh_points(gf.axes)
     values = np.empty(ts.size)
-    for s in range(ts.size):
-        f = f_series.fields[s].values
-        rho = rho_series.fields[s].values
-        phi = phi_series.fields[s].values
+    for s, t in enumerate(ts):
+        f = f_series.values[s]
+        rho = rho_series.values[s]
         if np.min(rho) <= 0.0:
             raise PositivityViolation(
-                f"density is not strictly positive at t={ts[s]:.6g} (min {np.min(rho):.3e})"
+                f"density is not strictly positive at t={t:.6g} (min {np.min(rho):.3e})"
             )
-        values[s] = float(np.sum(H(f / rho) * phi * rho) * vol)
+        values[s] = float(np.sum(H(f / rho) * phi(pts, t).reshape(gf.shape) * rho) * vol)
     increments = np.diff(values)
     dx2 = max(h * h for h in gf.spacing)
-    dt = max(f_series.dt, rho_series.dt, phi_series.dt)
+    dt = max(f_series.dt, rho_series.dt)
     scale = dx2 + dt
     slack = slack_constant * scale
     num_bad = int(np.sum(increments > slack))

@@ -160,10 +160,10 @@ def test_criterion_05_convexity_inequality_exactness(runs_single_thread):
     violations = 0
     for _ in range(1000):
         size = int(rng.integers(2, 65))
-        rho = rng.uniform(0.05, 4.0, size=size)
-        f = rho * rng.uniform(0.0, 3.0, size=size)
+        rho = rng.uniform(0.05, 4.0, size=(1, size))
+        f = rho * rng.uniform(0.0, 3.0, size=(1, size))
         for H in functions:
-            if not jensen_check(rho, f, H, slack=1e-12).holds:
+            if not jensen_check(rho, f, H, slack=1e-12).holds[0]:
                 violations += 1
     elapsed = time.perf_counter() - t0
     assert violations == 0

@@ -18,8 +18,10 @@ from stochflow.checks import (
     run_scenario,
 )
 from stochflow.config import bundled_scenario_path, load_config, loads_config
+from stochflow.convex import get_convex
 from stochflow.engine import step_indices
 from stochflow.estimators import martingale_values
+from stochflow.oracle import grid_field_from_expr, solve_adjoint, solve_forward
 
 
 @pytest.fixture(scope="module")
@@ -530,3 +532,32 @@ def test_discards_are_counted_per_check(tmp_path, monkeypatch, chunk_size):
             continue
         assert not result.passed
         assert result.metrics["max_abs_z"] <= result.metrics["z_limit"], result.metrics
+
+
+def test_entropy_oracle_weights_by_the_adjoint_solve_when_v_varies(tmp_path):
+    # No bundled scenario has a non-constant V, so none reaches the adjoint branch.
+    # On a coarse 1D copy of heat_identity with V = 0.1*exp(-x1^2), every value is
+    # the node sum of H(f/rho) * phi * rho * cell_volume over the forward and
+    # adjoint arrays, bit for bit: the series is read at its own nodes and times.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw.update(V="0.1*exp(-x1*x1)", oracle_dx=0.1, checks=["entropy_oracle"])
+    raw["check_params"] = {"entropy_oracle": {"oracle_dt": 0.001}}
+    cfg = loads_config(yaml.safe_dump(raw))
+    (result,) = run_scenario(cfg, str(tmp_path)).results
+    assert result.metrics["weighting"] == "adjoint solve"
+    assert result.passed, result.metrics
+
+    axes = RunContext(cfg, cfg.seed).oracle_axes()
+    times = [cfg.T * i / 10.0 for i in range(11)]
+    initial = [grid_field_from_expr(cfg.f0, axes), grid_field_from_expr(cfg.rho0, axes)]
+    f_ser, rho_ser = solve_forward(cfg.coefficients, initial, cfg.T, 0.001,
+                                   output_times=times, require_positive=[False, True])
+    phi_T = grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T)
+    phi_ser = solve_adjoint(cfg.coefficients, phi_T, cfg.T, 0.001, output_times=times)
+    H, vol = get_convex(cfg.H_name), initial[0].cell_volume
+    expected = [
+        float(np.sum(H(f / rho) * phi * rho) * vol)
+        for f, rho, phi in zip(f_ser.values, rho_ser.values, phi_ser.values)
+    ]
+    assert np.any(phi_ser.values != 1.0)
+    assert result.metrics["values"] == expected

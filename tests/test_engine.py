@@ -23,7 +23,7 @@ from stochflow.engine import (
     simulate_paths,
 )
 from stochflow.errors import DimensionMismatch
-from stochflow.estimators import constant_phi, exponential_phi, martingale_values
+from stochflow.estimators import exponential_phi, martingale_values
 from stochflow.fields import COLUMN, FIELD
 from stochflow.grids import Box
 from stochflow.inverse import chart_from_batch
@@ -357,7 +357,7 @@ def test_martingale_sample_is_exactly_one_for_constant_flow():
     cs = make_coeffs("1", nu=0.1, n=1, box=Box((-6.0,), (6.0,)))
     driver = BrownianDriver(seed=13, dt=1e-3, n=1)
     result = simulate_paths(cs, (np.linspace(-1, 1, 5),), 100, [100], driver, [0])
-    vals = martingale_values(result, constant_phi(1.0), 0.1)
+    vals = martingale_values(result, exponential_phi(0.0, T=1.0), 0.1)
     assert vals.shape == (1, 5)
     assert np.all(vals == 1.0)  # D_direct = 1 and log_I = 0 exactly
 

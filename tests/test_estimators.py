@@ -21,7 +21,6 @@ from stochflow.estimators import (
     PsiSamples,
     collect_psi_samples,
     conserved_quantity_batch,
-    constant_phi,
     entropy_decay_check,
     exponential_phi,
     fields_from_samples,
@@ -32,11 +31,13 @@ from stochflow.estimators import (
 from stochflow.fields import eval_points, parse_field
 from stochflow.grids import Box, trapezoid_weights
 from stochflow.inverse import STATUS_OK, chart_from_batch, feynman_kac_psi_stack
+from stochflow.oracle import OracleSeries
 
 from conftest import collect_psi, make_coeffs
 
 
 BOX = Box((-8.0,), (8.0,))
+PHI_ONE = exponential_phi(0.0, T=1.0)  # the weight of V = 0: exactly 1
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,8 @@ BOX = Box((-8.0,), (8.0,))
 
 
 def test_phi_helpers_protocol():
-    one = constant_phi(2.5)
-    assert np.array_equal(one(np.zeros((4, 1)), 0.1), np.full(4, 2.5))
+    for t in (0.0, 0.35, 1.0, 1.5):  # exactly 1 at every time, past T too
+        assert np.array_equal(PHI_ONE(np.zeros((4, 1)), t), np.ones(4))
     ephi = exponential_phi(0.3, T=1.0)
     assert np.array_equal(ephi(np.zeros((1, 1)), 0.25), [np.exp(0.3 * 0.75)])
     assert np.array_equal(ephi(np.zeros((3, 2)), 1.0), np.ones(3))
@@ -69,11 +70,11 @@ def test_validate_compact_support():
 
 def test_jensen_equality_when_data_proportional():
     rng = np.random.default_rng(11)
-    rho = rng.uniform(0.2, 3.0, size=200)
+    rho = rng.uniform(0.2, 3.0, size=(1, 200))
     res = jensen_check(rho, 1.7 * rho, get_convex("r2"))
     # f = c * rho collapses the inequality to an identity
-    assert res.holds
-    assert res.lhs == pytest.approx(res.rhs, rel=1e-13)
+    assert res.holds.shape == (1,) and res.holds[0]
+    assert res.lhs[0] == pytest.approx(res.rhs[0], rel=1e-13)
     assert res.num_samples == 200
 
 
@@ -82,15 +83,15 @@ def test_jensen_holds_for_random_positive_samples():
     for name in ("r2", "abs_smooth", "rlogr", "pos_part_sq"):
         H = get_convex(name)
         for _ in range(25):
-            rho = rng.uniform(0.05, 4.0, size=rng.integers(2, 64))
-            f = rho * rng.uniform(0.0, 3.0, size=rho.size)
+            rho = rng.uniform(0.05, 4.0, size=(1, rng.integers(2, 64)))
+            f = rho * rng.uniform(0.0, 3.0, size=rho.shape)
             res = jensen_check(rho, f, H)
-            assert res.holds, f"{name}: lhs={res.lhs} rhs={res.rhs}"
+            assert res.holds[0], f"{name}: lhs={res.lhs} rhs={res.rhs}"
 
 
 def test_jensen_stack_equals_one_check_per_set():
     # A (num_sets, num_samples) stack reduces over the last axis; each row gives the
-    # bits of the 1D call on that row.
+    # bits of that row checked alone as a one-row stack.
     rng = np.random.default_rng(13)
     for name in ("r2", "abs_smooth", "rlogr", "pos_part_sq"):
         H = get_convex(name)
@@ -99,22 +100,24 @@ def test_jensen_stack_equals_one_check_per_set():
         stacked = jensen_check(rho, f, H)
         assert stacked.lhs.shape == stacked.holds.shape == (40,)
         assert stacked.num_samples == 64
-        rows = [jensen_check(r, g, H) for r, g in zip(rho, f)]
+        rows = [jensen_check(r[None], g[None], H) for r, g in zip(rho, f)]
         for field in ("lhs", "rhs", "slack", "holds"):
-            one_by_one = np.array([getattr(r, field) for r in rows])
+            one_by_one = np.concatenate([getattr(r, field) for r in rows])
             assert getattr(stacked, field).tobytes() == one_by_one.tobytes(), (name, field)
-        assert isinstance(rows[0].lhs, float) and isinstance(rows[0].holds, bool)
+        assert rows[0].lhs.shape == rows[0].holds.shape == (1,)
 
 
 def test_jensen_input_validation():
     with pytest.raises(NonPositiveDensity):
-        jensen_check(np.array([1.0, -0.5]), np.array([1.0, 1.0]), get_convex("r2"))
+        jensen_check(np.array([[1.0, -0.5]]), np.array([[1.0, 1.0]]), get_convex("r2"))
     with pytest.raises(NonPositiveDensity):
-        jensen_check(np.array([1.0, np.inf]), np.array([1.0, 1.0]), get_convex("r2"))
+        jensen_check(np.array([[1.0, np.inf]]), np.array([[1.0, 1.0]]), get_convex("r2"))
     with pytest.raises(ValueError):
-        jensen_check(np.array([1.0, 2.0]), np.array([1.0]), get_convex("r2"))
+        jensen_check(np.array([[1.0, 2.0]]), np.array([[1.0]]), get_convex("r2"))
     with pytest.raises(ValueError):
-        jensen_check(np.array([]), np.array([]), get_convex("r2"))
+        jensen_check(np.empty((1, 0)), np.empty((1, 0)), get_convex("r2"))
+    with pytest.raises(ValueError, match="stacks"):  # one set is a one-row stack
+        jensen_check(np.array([1.0, 2.0]), np.array([1.0, 1.0]), get_convex("r2"))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +144,7 @@ def test_conserved_quantity_translation_is_exact():
     dens = (1.0 + 0.2 * np.exp(-labels[0] ** 2)) * np.exp(-2.0 * labels[0] ** 2)
     expect = float(np.sum(w * dens))
     for t in (0.0, 0.05, 0.1):
-        q = conserved_quantity_batch(result, constant_phi(1.0), rho0, h0, t)
+        q = conserved_quantity_batch(result, PHI_ONE, rho0, h0, t)
         assert q.shape == (8,)
         assert np.all(q == expect), f"t={t}"
 
@@ -165,10 +168,10 @@ def test_conserved_quantity_single_realization_matches_batch():
     cs, labels, result = _heat_batch()
     rho0 = parse_field("1 + 0.2*exp(-x1*x1)", 1)
     h0 = parse_field("exp(-2*x1*x1)", 1)
-    batch = conserved_quantity_batch(result, constant_phi(1.0), rho0, h0, 0.1)
+    batch = conserved_quantity_batch(result, PHI_ONE, rho0, h0, 0.1)
     driver = BrownianDriver(seed=505, dt=0.01, n=1)
     alone = simulate_paths(cs, labels, 10, [10], driver, [3], box=BOX)
-    single = conserved_quantity_batch(alone, constant_phi(1.0), rho0, h0, 0.1)
+    single = conserved_quantity_batch(alone, PHI_ONE, rho0, h0, 0.1)
     assert single.shape == (1,)
     assert single[0] == batch[3]
 
@@ -180,25 +183,23 @@ def test_conserved_quantity_support_guards():
     h0 = parse_field("exp(-2*x1*x1)", 1)
     alive = np.ones(8, dtype=bool)
     alive[[2, 5]] = False
-    one = constant_phi(1.0)
-    full = conserved_quantity_batch(result, one, rho0, h0, 0.1)
-    part = conserved_quantity_batch(replace(result, alive=alive), one, rho0, h0, 0.1)
+    full = conserved_quantity_batch(result, PHI_ONE, rho0, h0, 0.1)
+    part = conserved_quantity_batch(replace(result, alive=alive), PHI_ONE, rho0, h0, 0.1)
     assert part.tobytes() == full[alive].tobytes()
 
     # A weight read from a stored grid must not be sampled within 2 cells of its edge.
-    narrow = constant_phi(1.0)
-    narrow.axes = (np.linspace(-0.5, 0.5, 11),)
+    narrow = OracleSeries((np.linspace(-0.5, 0.5, 11),), np.array([0.0, 0.1]), np.ones((2, 11)), 0.1)
     with pytest.raises(SupportEscape, match="2 cells"):
         conserved_quantity_batch(result, narrow, rho0, h0, 0.1)
 
 
 def test_martingale_values_shape_and_exactness():
     _, labels, result = _heat_batch()
-    vals = martingale_values(result, constant_phi(1.0), 0.05)
+    vals = martingale_values(result, PHI_ONE, 0.05)
     assert vals.shape == (8, 81)
     assert np.all(vals == 1.0)  # phi=1, unit determinant, zero log-weight
     with pytest.raises(ValueError, match="stored"):
-        martingale_values(result, constant_phi(1.0), 0.033)
+        martingale_values(result, PHI_ONE, 0.033)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +353,13 @@ def test_mc_field_masking_and_se():
     mean = np.array([1.0, 2.0, np.nan, 4.0])
     var = np.array([0.01, 0.04, 0.0, 0.09])
     masked = np.array([False, False, True, False])
-    fld = McField(points=pts, t=0.5, mean=mean, variance=var, count=25, masked=masked)
+    fld = McField(points=pts, mean=mean, variance=var, count=25, masked=masked)
     assert fld.masked.sum() == 1
     se = fld.se
     assert np.isnan(se[2])
     assert se[0] == pytest.approx(0.1 / 5.0)
     with pytest.raises(ValueError):
-        McField(points=pts, t=0.0, mean=mean, variance=np.array([-1.0, 0, 0, 0]),
+        McField(points=pts, mean=mean, variance=np.array([-1.0, 0, 0, 0]),
                 count=25, masked=np.zeros(4, dtype=bool))
 
 
@@ -409,7 +410,7 @@ def test_entropy_martingale_series_hand_values():
     for c, hand in ((2.0, 4.0), (1.5, 2.25), (1.0, 1.0)):
         h0 = parse_field(f"({c}*{rho0_text}/{rho0_text})^2", 1)  # H = r2
         for t in (0.0, 0.05, 0.1):
-            series = conserved_quantity_batch(result, constant_phi(1.0), rho0, h0, t)
+            series = conserved_quantity_batch(result, PHI_ONE, rho0, h0, t)
             assert series.shape == (120,)
             assert np.allclose(series, hand * mass, rtol=1e-12)
     # a flat integrand reaches the edge: the data is rejected
@@ -438,11 +439,10 @@ def test_entropy_martingale_is_the_conserved_quadrature_with_h0_of_the_ratio():
     driver = BrownianDriver(seed=2, dt=0.002, n=1)
     result = simulate_paths(cs, labels, 500, [0, 250, 500], driver, range(300),
                             box=Box((-3.0,), (3.0,)))
-    one = constant_phi(1.0)
-    assert np.allclose(conserved_quantity_batch(result, one, rho0, h0, 0.0), reference,
+    assert np.allclose(conserved_quantity_batch(result, PHI_ONE, rho0, h0, 0.0), reference,
                        rtol=1e-12)
     for t in (0.5, 1.0):
-        q = conserved_quantity_batch(result, one, rho0, h0, t)
+        q = conserved_quantity_batch(result, PHI_ONE, rho0, h0, t)
         assert q.shape == (300,) and np.ptp(q) > 0  # a genuinely random quadrature
         z = (q.mean() - reference) / (q.std(ddof=1) / np.sqrt(q.size))
         assert abs(z) <= 4.0, f"t={t}: z={z}"
@@ -468,14 +468,14 @@ def _synthetic_samples(ratios, r_count=120, q_count=21):
 
 def test_entropy_decay_check_monte_carlo_verdicts():
     decreasing = _synthetic_samples([2.0, 1.5, 1.2, 1.1])
-    (rep,) = entropy_decay_check(decreasing, phi=constant_phi(1.0), hs=[get_convex("r2")])
+    (rep,) = entropy_decay_check(decreasing, phi=PHI_ONE, hs=[get_convex("r2")])
     assert rep.verdict_nonincreasing and rep.num_violations == 0
     assert np.allclose(rep.values, [4.0, 2.25, 1.44, 1.21], rtol=1e-12)
     assert rep.lower is not None and rep.upper is not None
     assert np.all(rep.lower <= rep.values + 1e-12)
     assert np.all(rep.values <= rep.upper + 1e-12)
     growing = _synthetic_samples([1.0, 1.0, 1.5])
-    (rep2,) = entropy_decay_check(growing, phi=constant_phi(1.0), hs=[get_convex("r2")])
+    (rep2,) = entropy_decay_check(growing, phi=PHI_ONE, hs=[get_convex("r2")])
     assert not rep2.verdict_nonincreasing
     assert rep2.num_violations >= 1
     assert rep2.max_increment == pytest.approx(1.25, rel=1e-12)
@@ -487,7 +487,7 @@ def test_entropy_decay_check_noisy_density_rejected():
     samples.psi_rho[:, :, :] = 0.01
     samples.psi_rho[0, :, :] = 100.0
     with pytest.raises(SignalTooNoisy):
-        entropy_decay_check(samples, phi=constant_phi(1.0), hs=[get_convex("r2")])
+        entropy_decay_check(samples, phi=PHI_ONE, hs=[get_convex("r2")])
 
 
 def _report_bytes(rep):
@@ -499,10 +499,10 @@ def test_entropy_decay_check_gives_each_h_the_report_of_its_own_call():
     # spread the data so that the bootstrap bands are not points
     samples.psi_f *= np.random.default_rng(3).uniform(0.5, 1.5, samples.psi_f.shape)
     hs = [get_convex("r2"), non_convex_control(), get_convex("abs_smooth")]
-    joint = entropy_decay_check(samples, phi=constant_phi(1.0), hs=hs, seed=5)
+    joint = entropy_decay_check(samples, phi=PHI_ONE, hs=hs, seed=5)
     assert len(joint) == 3
     for rep, H in zip(joint, hs):
-        (alone,) = entropy_decay_check(samples, phi=constant_phi(1.0), hs=[H], seed=5)
+        (alone,) = entropy_decay_check(samples, phi=PHI_ONE, hs=[H], seed=5)
         assert _report_bytes(rep) == _report_bytes(alone)
     assert np.all(joint[0].upper > joint[0].lower)
     assert joint[0].verdict_nonincreasing and not joint[1].verdict_nonincreasing
@@ -520,10 +520,10 @@ def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
 
     def raised(hs):
         with pytest.raises((SignalTooNoisy, ValueError)) as info:
-            entropy_decay_check(samples, phi=constant_phi(1.0), hs=hs)
+            entropy_decay_check(samples, phi=PHI_ONE, hs=hs)
         return type(info.value), str(info.value)
 
-    entropy_decay_check(samples, phi=constant_phi(1.0), hs=[r2])
+    entropy_decay_check(samples, phi=PHI_ONE, hs=[r2])
     assert raised([abs_smooth])[0] is SignalTooNoisy
     assert raised([r2, abs_smooth]) == raised([abs_smooth, r2]) == raised([abs_smooth])
     # One realization's large negative datum keeps the mean data at point 15
@@ -540,4 +540,4 @@ def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
 def test_entropy_decay_check_requires_min_realizations():
     small = _synthetic_samples([1.5, 1.2], r_count=40)
     with pytest.raises(InsufficientRealizations):
-        entropy_decay_check(small, phi=constant_phi(1.0), hs=[get_convex("r2")])
+        entropy_decay_check(small, phi=PHI_ONE, hs=[get_convex("r2")])

@@ -18,11 +18,12 @@ from stochflow.errors import (
     DimensionMismatch,
     PositivityViolation,
 )
+from stochflow.estimators import exponential_phi
 from stochflow.fields import parse_field
+from stochflow.grids import mesh_points
 from stochflow.oracle import (
     GridField,
     OracleSeries,
-    PhiSeries,
     entropy_series,
     grid_field_from_expr,
     solve_adjoint,
@@ -40,7 +41,7 @@ from conftest import make_coeffs
 def test_grid_field_properties_and_mass():
     ax = (np.linspace(0.0, 1.0, 11), np.linspace(-1.0, 1.0, 21))
     vals = np.full((11, 21), 3.0)
-    gf = GridField(ax, vals, 0.25)
+    gf = GridField(ax, vals)
     assert gf.n == 2
     assert gf.shape == (11, 21)
     assert gf.spacing == pytest.approx((0.1, 0.1))
@@ -48,23 +49,22 @@ def test_grid_field_properties_and_mass():
     # mass is the plain node sum times the cell volume
     assert gf.values.sum() * gf.cell_volume == pytest.approx(3.0 * 11 * 21 * 0.01)
     assert gf.box.lo == (0.0, -1.0) and gf.box.hi == (1.0, 1.0)
-    assert gf.t == 0.25
 
 
 def test_grid_field_validation():
     ax1 = (np.linspace(0.0, 1.0, 11),)
     with pytest.raises(ValueError):
-        GridField(ax1, np.zeros(10), 0.0)  # shape mismatch
+        GridField(ax1, np.zeros(10))  # shape mismatch
     bad = np.zeros(11)
     bad[3] = np.nan
     with pytest.raises(ValueError):
-        GridField(ax1, bad, 0.0)  # non-finite values
+        GridField(ax1, bad)  # non-finite values
     nonuniform = (np.array([0.0, 0.1, 0.3, 0.6]),)
     with pytest.raises(ValueError):
-        GridField(nonuniform, np.zeros(4), 0.0)
+        GridField(nonuniform, np.zeros(4))
     ax3 = tuple(np.linspace(0.0, 1.0, 5) for _ in range(3))
     with pytest.raises(DimensionMismatch):
-        GridField(ax3, np.zeros((5, 5, 5)), 0.0)
+        GridField(ax3, np.zeros((5, 5, 5)))
 
 
 def test_grid_field_from_expr_matches_direct_evaluation():
@@ -73,12 +73,11 @@ def test_grid_field_from_expr_matches_direct_evaluation():
     gf = grid_field_from_expr(fe, ax, t=0.5)
     x1, x2 = np.meshgrid(ax[0], ax[1], indexing="ij")
     assert np.allclose(gf.values, np.sin(x1) * np.cos(x2) + 0.5, rtol=0, atol=1e-15)
-    assert gf.t == 0.5
 
 
 def test_grid_field_sample_shapes_and_modes():
     ax = (np.linspace(0.0, 1.0, 11),)
-    gf = GridField(ax, 2.0 * ax[0] + 1.0, 0.0)
+    gf = GridField(ax, 2.0 * ax[0] + 1.0)
     # (Q, n) in, (Q,) out; multilinear interpolation is exact on a linear field
     out = gf.sample(np.array([[0.0], [0.234], [0.5], [1.0]]))
     assert out.shape == (4,)
@@ -90,7 +89,7 @@ def test_grid_field_sample_shapes_and_modes():
 
     ax2 = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
     x1, x2 = np.meshgrid(ax2[0], ax2[1], indexing="ij")
-    gf2 = GridField(ax2, x1 + 10.0 * x2, 0.0)
+    gf2 = GridField(ax2, x1 + 10.0 * x2)
     assert gf2.sample(np.array([[0.25, 0.5]]))[0] == pytest.approx(5.25, abs=1e-13)
     with pytest.raises(ValueError, match="shape"):
         gf2.sample(np.array([[0.25, 0.5, 0.75]]))
@@ -122,7 +121,7 @@ def test_forward_conserves_mass_with_variable_coefficients():
     ax = (np.linspace(-4.0, 4.0, 201),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     (ser,) = solve_forward(cs, [f0], T=0.2, dt=1e-3, output_times=[0.0, 0.1, 0.2])
-    masses = [f.values.sum() * f.cell_volume for f in ser.fields]
+    masses = [values.sum() * f0.cell_volume for values in ser.values]
     assert max(abs(m - masses[0]) for m in masses) < 1e-12
 
 
@@ -142,7 +141,7 @@ def test_forward_require_positive():
     ax = (np.linspace(-6.0, 6.0, 121),)
     bump = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     # strictly positive data stays positive through the heat solve
-    (ser,) = solve_forward(cs, [GridField(bump.axes, bump.values + 0.1, bump.t)], T=0.1,
+    (ser,) = solve_forward(cs, [GridField(bump.axes, bump.values + 0.1)], T=0.1,
                            dt=1e-3, output_times=[0.1], require_positive=[True])
     assert np.min(ser.at(0.1).values) > 0.0
     signed = grid_field_from_expr(parse_field("sin(x1)", 1), ax)
@@ -173,9 +172,9 @@ def test_forward_default_output_stores_every_step():
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     (ser,) = solve_forward(cs, [f0], T=0.05, dt=0.01)
     assert np.allclose(ser.times, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05], atol=1e-12)
-    assert ser.stack().shape == (6, 21)
+    assert ser.values.shape == (6, 21)
     # slot 0 is the initial data itself
-    assert np.array_equal(ser.fields[0].values, f0.values)
+    assert np.array_equal(ser.values[0], f0.values)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def test_adjoint_forward_discrete_duality():
     phi_T = grid_field_from_expr(parse_field("1 + exp(-x1*x1)", 1), ax, t=0.2)
     aser = solve_adjoint(cs, phi_T, T=0.2, dt=1e-3, output_times=times)
     assert np.allclose(aser.times, times, atol=1e-12)
-    pairings = [float(np.sum(f.values * p.values)) for f, p in zip(fser.fields, aser.fields)]
+    pairings = [float(np.sum(f * p)) for f, p in zip(fser.values, aser.values)]
     spread = (max(pairings) - min(pairings)) / abs(pairings[0])
     assert spread < 1e-12, f"duality pairing drifted by {spread:.3e}"
 
@@ -285,11 +284,11 @@ def test_2d_series_match_a_colamd_march():
     T = steps * dt
     L = oracle.assemble_generator(cs, phi_T.axes)
     shape = (steps + 1,) + phi_T.shape
-    adj = solve_adjoint(cs, phi_T, T=T, dt=dt).stack()[::-1].reshape(steps + 1, -1)
+    adj = solve_adjoint(cs, phi_T, T=T, dt=dt).values[::-1].reshape(steps + 1, -1)
     ref = _colamd_march(L, phi_T.values.reshape(-1), 0.5 * dt, steps, adjoint=True)
     assert np.max(np.abs(adj - ref)) <= 1e-12 * np.max(np.abs(ref))
-    f0 = GridField(phi_T.axes, phi_T.values, 0.0)
-    fwd = solve_forward(cs, [f0], T=T, dt=dt)[0].stack().reshape(shape[0], -1)
+    f0 = GridField(phi_T.axes, phi_T.values)
+    fwd = solve_forward(cs, [f0], T=T, dt=dt)[0].values.reshape(shape[0], -1)
     ref = _colamd_march(L, f0.values.reshape(-1), 0.5 * dt, steps, adjoint=False)
     assert np.max(np.abs(fwd - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -298,7 +297,7 @@ def test_1d_forward_series_keeps_the_default_ordering_bits():
     cs = make_coeffs("1 + 0.5*sin(x1)", U=["0.1*cos(x1)"], V="0.3", nu=0.1, n=1)
     ax = (np.linspace(-4.0, 4.0, 201),)
     f0 = grid_field_from_expr(parse_field("exp(-(x1-0.5)*(x1-0.5))", 1), ax)
-    got = solve_forward(cs, [f0], T=0.1, dt=1e-3)[0].stack()
+    got = solve_forward(cs, [f0], T=0.1, dt=1e-3)[0].values
     ref = _colamd_march(oracle.assemble_generator(cs, ax), f0.values.copy(), 0.5e-3, 100,
                         adjoint=False)
     assert got.tobytes() == ref.tobytes()
@@ -362,7 +361,7 @@ def test_joint_march_gives_each_field_the_bits_of_a_lone_march(name):
     assert len(joint) == len(initial)
     for g, ser in zip(initial, joint):
         ref = _one_vector_march(cs, g, T=0.2, dt=1e-3)
-        assert ser.stack().reshape(ref.shape).tobytes() == ref.tobytes()
+        assert ser.values.reshape(ref.shape).tobytes() == ref.tobytes()
         assert np.array_equal(ser.times, joint[0].times)
 
 
@@ -387,7 +386,7 @@ def test_joint_march_raises_the_first_failing_field_error():
     assert error([bump, signed], [False, True]) == alone_bump
     assert error([signed, bump], [True, False]) == alone_signed
     # a field that never fails (zero stays zero) lets the next field's error through
-    zero = GridField(ax, np.zeros(241), 0.0)
+    zero = GridField(ax, np.zeros(241))
     assert error([zero, bump, signed], [False, False, True]) == alone_bump
     assert error([zero, signed, bump], [False, True, False]) == alone_signed
     with pytest.raises(ValueError, match="one require_positive flag per field"):
@@ -404,7 +403,8 @@ def test_oracle_series_at_lookup_errors():
     ax = (np.linspace(-1.0, 1.0, 21),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     (ser,) = solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
-    assert ser.at(0.05).t == pytest.approx(0.05)
+    assert np.array_equal(ser.at(0.05).values, ser.values[1])
+    assert ser.at(0.05).axes[0].tobytes() == ax[0].tobytes()
     with pytest.raises(ValueError, match="not stored"):
         ser.at(0.07)
 
@@ -414,7 +414,7 @@ def test_phi_series_time_and_space_interpolation():
     ax = (np.linspace(-2.0, 2.0, 41),)
     f0 = grid_field_from_expr(parse_field("exp(-x1*x1)", 1), ax)
     (ser,) = solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.0, 0.05, 0.1])
-    phi = PhiSeries(ser)
+    phi = ser  # a series is read as a weight by calling it
     # exact at nodes and stored times
     assert phi(ax[0][[7]][:, None], 0.05)[0] == pytest.approx(ser.at(0.05).values[7], abs=1e-15)
     # between stored times: linear blend of the two bracketing snapshots
@@ -438,10 +438,34 @@ def test_phi_series_time_and_space_interpolation():
 
 def test_phi_series_single_snapshot():
     ax = (np.linspace(0.0, 1.0, 11),)
-    gf = GridField(ax, 2.0 * ax[0], 0.5)
-    ser = OracleSeries(times=np.array([0.5]), fields=[gf], dt=0.5)
-    phi = PhiSeries(ser)
+    phi = OracleSeries(ax, np.array([0.5]), (2.0 * ax[0])[None], dt=0.5)
     assert phi(np.array([[0.25]]), 0.5)[0] == pytest.approx(0.5, abs=1e-14)
+
+
+_SERIES_AS_PHI = {
+    # variable diffusion, drift and growth on 401 nodes
+    "1d": ("1 + 0.5*sin(x1)", ["0.1*cos(x1)"], "0.3*exp(-x1*x1)", (np.linspace(-4.0, 4.0, 401),),
+           "1 + 0.5*exp(-(x1-0.5)*(x1-0.5))"),
+    # a full sigma, so the generator has cross terms, on 61 x 61 nodes
+    "2d": ([["1 + 0.3*sin(x2)", "0.4"], ["0", "1"]], ["0.2", "0"], "0.2*exp(-x1*x1)",
+           (np.linspace(-3.0, 3.0, 61), np.linspace(-2.0, 2.0, 61)), "1 + 0.5*exp(-x1*x1 - x2*x2)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_AS_PHI))
+def test_series_read_at_its_nodes_and_stored_times_gives_its_values(name):
+    # Called at the grid nodes and at a stored time, a series returns that slot's
+    # values bit for bit: the time weight is exactly 0 or 1 and the multilinear
+    # interpolant is exact at nodes.  entropy_series relies on it.
+    sigma, U, V, ax, terminal = _SERIES_AS_PHI[name]
+    cs = make_coeffs(sigma, U=U, V=V, nu=0.1, n=len(ax))
+    phi_T = grid_field_from_expr(parse_field(terminal, len(ax)), ax, t=0.1)
+    times = [0.01 * i for i in range(11)]
+    ser = solve_adjoint(cs, phi_T, T=0.1, dt=0.01, output_times=times)
+    assert ser.values.shape == (11,) + phi_T.shape
+    pts = mesh_points(ax)
+    for s, t in enumerate(ser.times):
+        assert ser(pts, t).reshape(phi_T.shape).tobytes() == ser.values[s].tobytes(), t
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +474,9 @@ def test_phi_series_single_snapshot():
 
 
 def _const_series(axes, values_per_time, times, dt):
-    fields = [
-        GridField(axes, np.full(tuple(a.size for a in axes), v), t)
-        for v, t in zip(values_per_time, times)
-    ]
-    return OracleSeries(times=np.asarray(times, dtype=float), fields=fields, dt=dt)
+    shape = tuple(a.size for a in axes)
+    values = np.stack([np.full(shape, float(v)) for v in values_per_time])
+    return OracleSeries(axes, np.asarray(times, dtype=float), values, dt)
 
 
 def test_entropy_series_hand_computed_values():
@@ -529,7 +551,7 @@ def test_entropy_series_on_heat_solve_decays():
     (fser,) = solve_forward(cs, [f0], T=0.2, dt=2e-3, output_times=times)
     (rser,) = solve_forward(cs, [rho0], T=0.2, dt=2e-3, output_times=times,
                             require_positive=[True])
-    pser = _const_series(ax, [1.0] * len(times), times, 2e-3)
+    pser = exponential_phi(0.0, T=0.2)  # the closed-form weight of V = 0: exactly 1
     rep = entropy_series(fser, rser, pser, get_convex("r2"), slack_constant=1.0)
     assert rep.verdict_nonincreasing
     assert np.all(np.diff(rep.values) < 0.0)  # strictly decreasing here
