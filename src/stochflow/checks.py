@@ -490,8 +490,13 @@ _COINCIDENT_RMS = 1e-13
 
 
 def _gate_pair(dts, gaps) -> dict:
-    """Halving-ratio and fitted-order gates for one tracker pair across dt levels."""
+    """Halving-ratio and fitted-order gates for one tracker pair across dt levels.
+
+    A non-finite gap at any level fails the pair.
+    """
     gaps = [float(g) for g in gaps]
+    if not np.isfinite(gaps).all():
+        return {"regime": "non_finite", "gaps": gaps, "passed": False}
     if max(gaps) < _COINCIDENT_RMS:
         return {"regime": "coincident", "gaps": gaps, "passed": True}
     ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
@@ -550,7 +555,8 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
 
         if cfg.n == 1:
             # Shared scalar recurrence: the direct pair must coincide to roundoff.
-            max_gap = max(lv["max_direct_vs_sde"] for lv in levels)
+            # np.max, unlike max, returns a NaN wherever it stands.
+            max_gap = float(np.max([lv["max_direct_vs_sde"] for lv in levels]))
             metrics["pair_direct_vs_sde"] = {
                 "regime": "identical_recurrence",
                 "max_abs_gap": max_gap,

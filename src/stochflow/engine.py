@@ -25,9 +25,18 @@ box and the time in [0, num_steps*dt], and folds what provably vanishes there: f
 coefficient is a constant exact zero.  That makes trivial cases (identity sigma, zero
 drift) nearly free.  A value that may overflow or fail a domain check is never folded.
 
-Realizations whose chart leaves the padded integration box, or develops non-finite
-state, are flagged and their rows frozen to the box center so the remaining batch can
-continue without domain errors; consumers must drop flagged realizations.
+A pass advances only the state its snapshot fields need (``_advanced_state``): X and
+``log_I`` always, ``J`` only for ``D_direct``, ``D_sde`` and ``log_lambda`` only when
+kept.  The step program then holds only the writes into that state, and the
+compiler's liveness pass drops the coefficient subtrees that only the rest would read.
+
+Realizations whose chart leaves the padded integration box, or whose ``log_I``
+turns non-finite at a stored time, are flagged and their rows frozen to the box
+center so the remaining batch can continue without domain errors; consumers must drop
+flagged realizations.  The flags are judged on X every step and on ``log_I`` at the
+stored times, never on the trackers, so they depend only on the path, the labels,
+dt and the number of steps.  A tracker that overflows is stored as it is, for its
+consumer's gate to fail.
 
 A chunk holds only its working set.  Each realization's increments are drawn
 ``INCREMENT_BLOCK_STEPS`` steps at a time into one reused buffer, from a generator
@@ -88,6 +97,9 @@ STREAM_BYTES = 1024
 # The per-label arrays a snapshot can keep.
 SNAPSHOT_FIELDS = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
 
+# The state a step can advance.
+_STATE = ("X", "J", "D_sde", "log_lambda", "log_I")
+
 # Number of diffusive standard deviations sqrt(2*nu*T) added around the label box to
 # form the integration domain; leaving it counts as an escape.
 ESCAPE_MARGIN_SIGMAS = 6.0
@@ -98,18 +110,28 @@ def escape_margin(nu: float, horizon: float) -> float:
     return ESCAPE_MARGIN_SIGMAS * float(np.sqrt(max(2.0 * nu * horizon, 0.0)))
 
 
+def _advanced_state(fields=None) -> tuple:
+    """The state a pass keeping the snapshot ``fields`` (default all) advances.
+
+    X and log_I always; J only for D_direct; D_sde and log_lambda only when kept.
+    """
+    kept = SNAPSHOT_FIELDS if fields is None else fields
+    need = {"X", "log_I", *kept, *(("J",) if "D_direct" in kept else ())}
+    return tuple(name for name in _STATE if name in need)
+
+
 def realization_bytes(
     num_labels: int, n: int, num_stored: int, fields=None, field_buffers: int = 0
 ) -> int:
     """Bytes that one realization adds to the working set of a chunk.
 
-    Per label, one float64 for each state value (X, J, D_sde, log_lambda, log_I), for
+    Per label, one float64 for each advanced state value (``_advanced_state``), for
     each of the step program's ``field_buffers`` and for each kept snapshot field
     (``fields``, default all of them) at each of ``num_stored`` times; plus its row
     of the increment block and its generator.
     """
     kept = SNAPSHOT_FIELDS if fields is None else fields
-    state = n + n * n + 3
+    state = sum({"X": n, "J": n * n}.get(name, 1) for name in _advanced_state(kept))
     widths = sum(n if name == "X" else 1 for name in kept)
     return (8 * (num_labels * (state + field_buffers + widths * num_stored)
                  + INCREMENT_BLOCK_STEPS * n) + STREAM_BYTES)
@@ -136,7 +158,7 @@ def chunk_size_for(
     horizon = int(num_steps) * float(dt)
     padded = box.padded(escape_margin(cs.nu, horizon))
     program, double = _compile_step(
-        cs, float(dt), tuple(zip(padded.lo, padded.hi)), (0.0, horizon)
+        cs, float(dt), tuple(zip(padded.lo, padded.hi)), (0.0, horizon), _advanced_state(fields)
     )
     buffers = program.counts[FIELD] + (cs.n * cs.n if double else 0)
     per = realization_bytes(num_labels, cs.n, num_stored, fields, buffers)
@@ -166,9 +188,10 @@ def step_indices(times, dt: float) -> list[int]:
 
 
 def _compile_step(
-    cs: CoefficientSet, dt: float, coord_bounds, time_bounds
+    cs: CoefficientSet, dt: float, coord_bounds, time_bounds, state=_STATE
 ) -> tuple[Program, bool]:
-    """One Euler–Maruyama step of the full state as a straight-line program.
+    """One Euler–Maruyama step of the ``state`` (default all of it) as a straight-line
+    program.
 
     Left-endpoint evaluation: every coefficient is read at the pre-step position and
     time.  The state is updated in place, so each write is emitted after every read
@@ -178,7 +201,10 @@ def _compile_step(
     compiles to a constant exact zero, decided here once.  The caller promises that
     every step starts with the coordinates in ``coord_bounds`` and the time in
     ``time_bounds``; the compiler folds to zero only what is provably zero there
-    (``fields.ProgramCompiler``).  Returns the program and whether J needs a second
+    (``fields.ProgramCompiler``).  Only the names in ``state`` are written; X and
+    log_I must be among them.  Every coefficient is still compiled, so its domain
+    checks stay whatever is advanced, and ``build`` drops the ops that only the
+    writes left out would read.  Returns the program and whether J needs a second
     buffer: for n > 1, row j of the new J reads the old rows k.
     """
     n = cs.n
@@ -210,17 +236,19 @@ def _compile_step(
                 gs = f(cs.dsigma[k][j][p])
                 if not b.is_zero(gs):
                     M[j][k] = add_term(M[j][k], noise(gs, p))
-    double = n > 1 and any(m is not None for row in M for m in row)
-    target = J_new if double else J
-    for j in range(n):
-        for i in range(n):
-            terms = [b.mul(M[j][k], J[k][i]) for k in range(n) if M[j][k] is not None]
-            if double and not terms:
-                b.write(target[j][i], "copy", J[j][i])
-            acc = J[j][i]
-            for term in terms:
-                b.write(target[j][i], "add", acc, term)
-                acc = target[j][i]
+    double = False
+    if "J" in state:
+        double = n > 1 and any(m is not None for row in M for m in row)
+        target = J_new if double else J
+        for j in range(n):
+            for i in range(n):
+                terms = [b.mul(M[j][k], J[k][i]) for k in range(n) if M[j][k] is not None]
+                if double and not terms:
+                    b.write(target[j][i], "copy", J[j][i])
+                acc = J[j][i]
+                for term in terms:
+                    b.write(target[j][i], "add", acc, term)
+                    acc = target[j][i]
 
     # --- determinant trackers -------------------------------------------------
     drift = None  # div v + 2*nu*E
@@ -236,7 +264,7 @@ def _compile_step(
         if not b.is_zero(ds):
             noise_sum = add_term(noise_sum, noise(ds, p))
             sumsq = add_term(sumsq, b.mul(ds, ds))
-    if drift is not None or noise_sum is not None:
+    if "D_sde" in state and (drift is not None or noise_sum is not None):
         factor = ONE
         if drift is not None:
             factor = b.add(factor, b.mul(drift, DT))
@@ -250,7 +278,7 @@ def _compile_step(
         lam_inc = add_term(lam_inc, b.mul(b.const(-cs.nu * dt), sumsq))
     if noise_sum is not None:
         lam_inc = add_term(lam_inc, noise_sum)
-    if lam_inc is not None:
+    if "log_lambda" in state and lam_inc is not None:
         b.write(logL, "add", logL, lam_inc)
     p_val = f(cs.P)
     if not b.is_zero(p_val):
@@ -274,7 +302,8 @@ def _compile_step(
 class _Stepper:
     """Advances one batch of state arrays in place, one Euler–Maruyama step at a time.
 
-    X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L).  The step program is
+    X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L).  J, D and logL may be None:
+    the stepper then leaves them out of the state it advances.  The step program is
     compiled per stepper and its buffers belong to it alone, so concurrent
     simulations share nothing.  ``J`` names the current tangent buffer, which
     alternates when the update needs two.  ``coord_bounds`` and ``time_bounds``
@@ -284,9 +313,11 @@ class _Stepper:
     def __init__(
         self, cs: CoefficientSet, dt: float, X, J, D, logL, logI, coord_bounds, time_bounds
     ):
-        program, double = _compile_step(cs, dt, coord_bounds, time_bounds)
+        arrays = {"X": X, "J": J, "D_sde": D, "log_lambda": logL, "log_I": logI}
+        state = tuple(name for name in _STATE if arrays[name] is not None)
+        program, double = _compile_step(cs, dt, coord_bounds, time_bounds, state)
         n = cs.n
-        shape = D.shape
+        shape = logI.shape
         self._dW = np.empty((n, shape[0], 1))
         self._J = [J, np.empty_like(J)] if double else [J]
         self._runs = []
@@ -294,10 +325,11 @@ class _Stepper:
             old, new = self._J[parity], self._J[-1 - parity]
             inputs = {("x", k): X[..., k] for k in range(n)}
             inputs.update({("dW", p): self._dW[p] for p in range(n)})
-            for j in range(n):
-                for i in range(n):
-                    inputs[("J", j, i)] = old[..., j, i]
-                    inputs[("J_new", j, i)] = new[..., j, i]
+            if J is not None:
+                for j in range(n):
+                    for i in range(n):
+                        inputs[("J", j, i)] = old[..., j, i]
+                        inputs[("J_new", j, i)] = new[..., j, i]
             inputs.update(D=D, logL=logL, logI=logI)
             # The two parities never run at once, so they share one set of buffers.
             share = self._runs[0] if self._runs else None
@@ -354,8 +386,6 @@ class BatchResult:
     ``label_shape`` is (L,), and no chart can be built from the result.  ``alive`` marks
     realizations that stayed finite and inside the padded box for the whole run;
     consumers must discard the rest (``escaped`` / ``nonfinite`` say why).
-    ``degenerate`` flags realizations whose direct determinant was <= 0 at some stored
-    time while still alive — a sign the step size is too coarse.
     """
 
     label_axes: tuple | None  # tuple of 1D arrays; None for a point set
@@ -374,7 +404,6 @@ class BatchResult:
     alive: np.ndarray  # (R,) bool
     escaped: np.ndarray  # (R,) bool
     nonfinite: np.ndarray  # (R,) bool
-    degenerate: np.ndarray  # (R,) bool
     box: Box  # label box
     padded_box: Box  # escape-detection box
 
@@ -402,7 +431,7 @@ class BatchResult:
         }
         per_realization = {
             name: getattr(self, name)[:count]
-            for name in ("realization_indices", "alive", "escaped", "nonfinite", "degenerate")
+            for name in ("realization_indices", "alive", "escaped", "nonfinite")
         }
         return replace(self, **per_time, **per_realization)
 
@@ -452,14 +481,16 @@ def simulate_paths(
     ``labels``: tuple of per-axis 1D arrays (rectangular label grid), or an (L, n)
     array of label points.  Every label is advanced independently of the others under
     the shared noise, so a point set gives the same bits as the matching columns of a
-    grid that contains those points; only the alive/escaped/nonfinite/degenerate flags
-    differ, as they are judged over the labels simulated.  ``store_indices``:
-    step indices (0 = initial state) at which snapshots are kept.  ``fields``: the
-    names in ``SNAPSHOT_FIELDS`` to keep (default: all of them); the others are None
-    in the result.  The flags are judged on the full state whatever is kept.  The step
-    size is ``driver.dt``; the increments are drawn a block of steps at a time.
-    Escaped / non-finite realizations are flagged, frozen to the box center every step,
-    and carried along so results stay aligned; they are never raised here.
+    grid that contains those points; only the alive/escaped/nonfinite flags differ, as
+    they are judged over the labels simulated.  ``store_indices``: step indices (0 =
+    initial state) at which snapshots are kept.  ``fields``: the names in
+    ``SNAPSHOT_FIELDS`` to keep (default: all of them); the others are None in the
+    result, and only the state they need is advanced.  The flags are judged on X every
+    step and on log_I at the stored times, whatever is kept; a non-finite tracker is
+    stored as it is.  The step size is ``driver.dt``; the increments are drawn a block
+    of steps at a time.  Escaped / non-finite realizations are flagged, frozen to the
+    box center every step, and carried along so results stay aligned; they are never
+    raised here.
     """
     n = cs.n
     if driver.n != n:
@@ -510,41 +541,34 @@ def simulate_paths(
     block = min(num_steps, INCREMENT_BLOCK_STEPS)
     buffer = np.empty(R * block * n)
 
+    state = _advanced_state(kept)
     X = np.broadcast_to(pts, (R, L, n)).copy()
-    J = np.broadcast_to(np.eye(n), (R, L, n, n)).copy()
-    D = np.ones((R, L))
-    logL = np.zeros((R, L))
+    J = np.broadcast_to(np.eye(n), (R, L, n, n)).copy() if "J" in state else None
+    D = np.ones((R, L)) if "D_sde" in state else None
+    logL = np.zeros((R, L)) if "log_lambda" in state else None
     logI = np.zeros((R, L))
     alive = np.ones(R, dtype=bool)
     escaped = np.zeros(R, dtype=bool)
     nonfinite = np.zeros(R, dtype=bool)
-    degenerate = np.zeros(R, dtype=bool)
 
     snaps = {name: np.empty((S, R, L, n) if name == "X" else (S, R, L)) for name in kept}
 
     def freeze(dead_mask: np.ndarray) -> None:
         X[dead_mask] = center
-        J[dead_mask] = np.eye(n)
-        D[dead_mask] = 1.0
-        logL[dead_mask] = 0.0
         logI[dead_mask] = 0.0
+        if J is not None:
+            J[dead_mask] = np.eye(n)
+        if D is not None:
+            D[dead_mask] = 1.0
+        if logL is not None:
+            logL[dead_mask] = 0.0
 
     def snapshot(slot: int) -> None:
-        dd = _det_stack(J)
-        live = {"X": X, "D_sde": D, "log_lambda": logL, "log_I": logI, "D_direct": dd}
+        live = {"X": X, "D_sde": D, "log_lambda": logL, "log_I": logI}
         for name, arr in snaps.items():
-            arr[slot] = live[name]
-        # Judge tracker health only on live realizations.
-        bad_det = alive & np.any(dd <= 0.0, axis=1)
-        if bad_det.any():
-            degenerate[bad_det] = True
-        fin = (
-            np.isfinite(J).all(axis=(1, 2, 3))
-            & np.isfinite(D).all(axis=1)
-            & np.isfinite(logL).all(axis=1)
-            & np.isfinite(logI).all(axis=1)
-        )
-        bad_fin = alive & ~fin
+            arr[slot] = _det_stack(J) if name == "D_direct" else live[name]
+        # X is inside the box, so finite, after every step; log_I is judged here.
+        bad_fin = alive & ~np.isfinite(logI).all(axis=1)
         if bad_fin.any():
             nonfinite[bad_fin] = True
             alive[bad_fin] = False
@@ -602,7 +626,6 @@ def simulate_paths(
         alive=alive,
         escaped=escaped,
         nonfinite=nonfinite,
-        degenerate=degenerate,
         box=box,
         padded_box=padded,
     )

@@ -282,6 +282,8 @@ def _steps_and_slots(T: float, dt: float, output_times):
             if i < 0 or i > K or abs(i * dt - float(t)) > 1e-9 * max(1.0, abs(float(t))):
                 raise ValueError(f"output time {t!r} does not lie on the step grid")
             idx.append(i)
+        if not idx:
+            raise ValueError("output_times must name at least one time")
         idx = sorted(set(idx))
     return K, idx
 

@@ -38,6 +38,16 @@ def _one_check(name: str, check: str, **params):
     return loads_config(yaml.safe_dump(raw))
 
 
+def _reduced_diag_sigma_2d():
+    """diag_sigma_2d on 17 x 17 labels, a 0.1 oracle grid, tracker passes to 0.25 and
+    martingale cells at 0.2 and 0.5: at 100 realizations a few seconds, not twelve."""
+    raw = yaml.safe_load(open(str(bundled_scenario_path("diag_sigma_2d"))))
+    raw.update(labels=[17, 17], oracle_dx=0.1)
+    raw["check_params"]["determinant_consistency"]["horizon"] = 0.25
+    raw["check_params"]["martingale_M"]["times"] = [0.2, 0.5]
+    return loads_config(yaml.safe_dump(raw))
+
+
 def test_run_scenario_report_contents(tmp_path, additive_cfg):
     report = run_scenario(additive_cfg, str(tmp_path), seed=7, realizations=150, threads=2)
     assert report.scenario == "additive_linear_1d"
@@ -114,17 +124,22 @@ def test_every_check_result_does_not_depend_on_chunk_size(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d"]
+    "name",
+    ["additive_linear_1d", "heat_identity", "sine_sigma_fk_1d", "sine_sigma_1d", "diag_sigma_2d"],
 )
 def test_scenario_output_does_not_depend_on_chunk_size(tmp_path, name):
     # The golden budget in one chunk or in chunks of 37: the checks that share a
     # pass read chunk-cut realization prefixes, and the golden payload and every
-    # CSV keep their bytes.
-    cfg = load_config(str(bundled_scenario_path(name)))
+    # CSV keep their bytes.  In 2D a reduced copy at 100 realizations (chunks of
+    # 37, 37 and 26) stands in for the bundled file.
+    if name == "diag_sigma_2d":
+        cfg, realizations = _reduced_diag_sigma_2d(), 100
+    else:
+        cfg, realizations = load_config(str(bundled_scenario_path(name))), 200
     outputs = []
     for size in (4096, 37):
         out = tmp_path / str(size)
-        report = run_scenario(cfg, str(out), realizations=200, chunk_size=size)
+        report = run_scenario(cfg, str(out), realizations=realizations, chunk_size=size)
         csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
         outputs.append((json.dumps(golden_payload(report), sort_keys=True), csvs))
     assert outputs[0][1]
@@ -461,6 +476,34 @@ def test_z_table_hand_values():
     assert table[0]["z"] == np.inf and max_abs_z == np.inf and not passed
     with pytest.raises(ValueError, match="at least two samples"):
         checks._z_table([({"t": 0.0}, "s", np.array([1.0]), 0.0)], 0, 1)
+
+
+@pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
+def test_a_non_finite_tracker_gap_fails_the_pair(position):
+    # Python's max skips a NaN that is not first: max([1e-20, nan]) is 1e-20, which
+    # would read as coincident.  A NaN or an infinite gap at any level fails.
+    dts = [0.002, 0.001, 0.0005]
+    assert checks._gate_pair(dts, [1e-20] * 3)["passed"]
+    for value in (np.nan, np.inf):
+        gaps = [1e-20] * 3
+        gaps[position] = value
+        gate = checks._gate_pair(dts, gaps)
+        assert gate["regime"] == "non_finite" and not gate["passed"], gate
+
+
+def test_an_overflowing_tracker_fails_determinant_consistency(tmp_path):
+    # d sigma = 1e200*cos(1e300*x1) turns the trackers NaN while X stays in the box:
+    # no realization is discarded, and both tracker pairs fail on the NaN gaps.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("additive_linear_1d"))))
+    raw.update(sigma=[["1 + 1e-100*sin(1e300*x1)"]], checks=["determinant_consistency"])
+    with np.errstate(all="ignore"):
+        (result,) = run_scenario(loads_config(yaml.safe_dump(raw)), str(tmp_path),
+                                 realizations=20).results
+    assert "error" not in result.metrics and not result.passed
+    assert result.metrics["num_discarded"] == 0
+    assert result.metrics["pair_direct_vs_exp_lambda"]["regime"] == "non_finite"
+    direct_vs_sde = result.metrics["pair_direct_vs_sde"]
+    assert np.isnan(direct_vs_sde["max_abs_gap"]) and not direct_vs_sde["passed"]
 
 
 @pytest.mark.parametrize(

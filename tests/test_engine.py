@@ -19,6 +19,7 @@ from stochflow.engine import (
     _all_inside,
     _rows_inside,
     escape_margin,
+    realization_bytes,
     run_chunks,
     simulate_paths,
 )
@@ -170,6 +171,43 @@ def test_nonfinite_realizations_are_flagged_not_raised():
     assert np.all(result.D_direct[-1] == 1.0)
 
 
+def test_a_tracker_overflow_does_not_discard_the_realization():
+    # d sigma = 1e200*cos(1e300*x1) turns the tangent and both trackers NaN in the
+    # first step, while sigma = 1 + 1e-100*sin(1e300*x1) keeps X inside the box.
+    # The flags read X and log_I only, so a pass that keeps X and log_I advances
+    # the same bits as the full one and both keep every realization; the full run
+    # stores the non-finite trackers for their consumers to fail on.
+    cs = make_coeffs("1 + 1e-100*sin(1e300*x1)", V="-0.5*x1*x1", nu=0.05, n=1,
+                     box=Box((-1.0,), (1.0,)))
+    driver = BrownianDriver(seed=3, dt=1e-3, n=1)
+    labels = (np.linspace(-0.5, 0.5, 5),)
+    store = [0, 1, 25, 50]
+    with np.errstate(all="ignore"):
+        full = simulate_paths(cs, labels, 50, store, driver, range(6))
+        lean = simulate_paths(cs, labels, 50, store, driver, range(6), fields=("X", "log_I"))
+    for result in (full, lean):
+        assert result.alive.all() and not (result.escaped | result.nonfinite).any()
+    assert lean.X.tobytes() == full.X.tobytes()
+    assert lean.log_I.tobytes() == full.log_I.tobytes()
+    assert np.isfinite(full.log_I).all() and (full.log_I[-1] != 0.0).all()
+    for name in ("D_direct", "D_sde", "log_lambda"):
+        assert not np.isfinite(getattr(full, name)[1:]).any(), name
+        assert getattr(lean, name) is None
+
+
+def test_a_non_finite_log_weight_is_flagged_at_a_stored_time():
+    # V = exp(800*x1) overflows at x1 = 0.95 inside the box: log_I turns infinite
+    # in the first step, and the stored time after it flags the realization
+    # non-finite, whatever else is kept.
+    cs = make_coeffs("1", V="exp(800*x1)", nu=0.01, n=1, box=Box((-1.0,), (1.0,)))
+    driver = BrownianDriver(seed=3, dt=1e-3, n=1)
+    for fields in (None, ("X", "log_I"), ("D_sde",)):
+        with np.errstate(all="ignore"):
+            result = simulate_paths(cs, (np.array([0.0, 0.95]),), 10, [0, 5, 10], driver,
+                                    range(4), fields=fields)
+        assert np.all(result.nonfinite & ~result.escaped & ~result.alive), fields
+
+
 # ---------------------------------------------------------------------------
 # Batched simulation on the constant-coefficient flow (exactly known law)
 # ---------------------------------------------------------------------------
@@ -304,15 +342,16 @@ def test_escaped_realizations_are_flagged_not_raised():
 
 def test_degenerate_determinant_flagging():
     # Coarse steps with strong noise gradients drive the one-step tangent
-    # multiplier negative for some realizations; those must be flagged.
+    # multiplier negative for some realizations: their direct determinant shows it,
+    # and they stay alive, since the flags never read the trackers.
     cs = make_coeffs("1 + 0.9*sin(3*x1)", nu=0.5, n=1, box=Box((-30.0,), (30.0,)))
     driver = BrownianDriver(seed=5, dt=0.5, n=1)
     result = simulate_paths(
         cs, (np.linspace(-1, 1, 5),), num_steps=4, store_indices=[4],
         driver=driver, realization_indices=range(64),
     )
-    flagged = result.degenerate & result.alive
-    assert flagged.any()
+    flagged = np.any(result.D_direct[-1] <= 0.0, axis=1) & result.alive
+    assert flagged.any() and not flagged.all()
     assert np.all(result.D_direct[-1, flagged].min(axis=1) <= 0.0)
 
 
@@ -395,7 +434,7 @@ def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_
     # Every array and flag of the result, in 1D and in 2D (double-buffered J), for
     # chunk 24 against chunk 5 and 1 thread against 4: the per-call step buffers
     # must not leak between chunks or threads.
-    per_realization = ("alive", "escaped", "nonfinite", "degenerate")
+    per_realization = ("alive", "escaped", "nonfinite")
     per_snapshot = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
     cases = [
         (replace(cs_sine_1d, box=Box((-3.0,), (3.0,))), (np.linspace(-1, 1, 5),)),
@@ -508,7 +547,7 @@ def test_point_labels_match_the_grid_columns_bit_for_bit(cs_full_2d):
     assert point.label_shape == (3,)
     assert point.labels.tobytes() == pts.tobytes()
     assert grid.alive.all()
-    for name in ("alive", "escaped", "nonfinite", "degenerate", "realization_indices"):
+    for name in ("alive", "escaped", "nonfinite", "realization_indices"):
         assert getattr(point, name).tobytes() == getattr(grid, name).tobytes(), name
     for name in ("X", "D_sde", "log_lambda", "log_I", "D_direct"):
         assert getattr(point, name).tobytes() == getattr(grid, name)[:, :, cols].tobytes(), name
@@ -528,6 +567,18 @@ def test_point_labels_validation(cs_full_2d):
         simulate_paths(cs, np.array([[0.0, np.nan]]), 10, [10], driver, [0])
     with pytest.raises(ValueError, match="outside the label box"):
         simulate_paths(cs, np.array([[0.0, 2.0]]), 10, [10], driver, [0])
+
+
+def test_realization_bytes_counts_the_advanced_state():
+    # Per label, one float64 per advanced state value, field buffer and kept
+    # snapshot value; plus a row of the increment block and a generator.  X and
+    # log_I are always advanced, J (n*n) only for D_direct, the trackers when kept.
+    assert realization_bytes(81, 1, 3, ("X", "log_I"), 4) == 8 * (81 * 12 + 128) + 1024
+    assert realization_bytes(81, 1, 3, None, 8) == 8 * (81 * 28 + 128) + 1024
+    assert realization_bytes(1089, 2, 3, ("X", "D_direct", "log_I"), 9) == (
+        8 * (1089 * 28 + 256) + 1024)
+    assert realization_bytes(17, 1, 1, ("D_direct", "D_sde", "log_lambda"), 4) == (
+        8 * (17 * 12 + 128) + 1024)
 
 
 def test_escape_margin_formula():
@@ -575,7 +626,7 @@ def test_fields_and_stored_times_do_not_change_the_kept_bits(cs_full_2d):
             assert getattr(lean, name)[[2, 3]].tobytes() == getattr(full, name).tobytes(), name
         else:
             assert getattr(lean, name) is None, name
-    for name in ("alive", "escaped", "nonfinite", "degenerate", "realization_indices"):
+    for name in ("alive", "escaped", "nonfinite", "realization_indices"):
         assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
     head = lean.head(5)
     assert head.num_realizations == 5 and head.D_direct is None

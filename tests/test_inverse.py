@@ -313,7 +313,7 @@ def test_folded_chart_statuses_and_defining_relation():
         cs, (np.linspace(-1, 1, 5),), num_steps=4, store_indices=[4],
         driver=driver, realization_indices=range(64),
     )
-    folded = np.nonzero(result.alive & result.degenerate)[0]
+    folded = np.nonzero(result.alive & np.any(result.D_direct[-1] <= 0.0, axis=1))[0]
     assert folded.size > 0
     checked_ok = 0
     for slot in folded[:4]:
@@ -474,7 +474,8 @@ def test_chart_stack_rows_equal_single_charts():
         driver=driver, realization_indices=range(64),
     )
     slots = np.nonzero(result.alive)[0]
-    assert result.degenerate[slots].any() and not result.degenerate[slots].all()
+    degenerate = np.any(result.D_direct[-1] <= 0.0, axis=1)
+    assert degenerate[slots].any() and not degenerate[slots].all()
     stack = chart_from_batch(result, result.times[-1], slots)
     x = np.linspace(-6.0, 6.0, 49)[:, None]
     labels, status = invert_batch(stack, x)

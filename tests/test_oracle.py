@@ -166,6 +166,18 @@ def test_forward_time_grid_validation():
         solve_forward(cs2, [f0], T=0.1, dt=0.01)
 
 
+@pytest.mark.parametrize("times", [[], np.array([])], ids=["list", "array"])
+def test_empty_output_times_are_refused(times):
+    # Both solvers refuse to store nothing, before any assembly or step.
+    cs = make_coeffs("1", nu=0.1, n=1)
+    ax = (np.linspace(-1.0, 1.0, 21),)
+    f0 = grid_field_from_expr(parse_field("1", 1), ax)
+    with pytest.raises(ValueError, match="output_times"):
+        solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=times)
+    with pytest.raises(ValueError, match="output_times"):
+        solve_adjoint(cs, f0, T=0.1, dt=0.01, output_times=times)
+
+
 def test_forward_default_output_stores_every_step():
     cs = make_coeffs("1", nu=0.1, n=1)
     ax = (np.linspace(-1.0, 1.0, 21),)

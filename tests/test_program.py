@@ -15,7 +15,7 @@ from stochflow.brownian import BrownianDriver
 from stochflow.config import bundled_scenario_path, bundled_scenarios, load_config
 from stochflow.engine import _compile_step, escape_margin, simulate_paths
 from stochflow.errors import DomainError
-from stochflow.fields import FieldExpr, ProgramCompiler, eval_batch, parse_field
+from stochflow.fields import FIELD, FieldExpr, ProgramCompiler, eval_batch, parse_field
 from stochflow.grids import Box
 
 
@@ -211,6 +211,29 @@ def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
     assert all(compiler.is_zero(compiler.field(fe)) for fe in zeros)
     program, _ = _compile_step(cs, cfg.dt, bounds, time_bounds)
     assert len(program.ops) <= max_ops
+
+
+@pytest.mark.parametrize(
+    "name, state, ops, buffers",
+    [
+        ("sine_sigma_fk_1d", None, 30, 8),
+        ("sine_sigma_fk_1d", ("X", "log_I"), 15, 4),
+        ("diag_sigma_2d", None, 54, 10),
+        ("diag_sigma_2d", ("X", "log_I"), 17, 4),
+        ("heat_identity", None, 2, 0),
+        ("heat_identity", ("X", "log_I"), 2, 0),
+        ("sine_sigma_1d", None, 18, 4),
+        ("sine_sigma_1d", ("X", "J", "log_I"), 12, 3),
+    ],
+)
+def test_the_step_program_writes_only_the_advanced_state(name, state, ops, buffers):
+    # Without the tangent and tracker writes the liveness pass drops the sigma
+    # derivatives, the noise divergences and every product that only they read.
+    cfg = load_config(str(bundled_scenario_path(name)))
+    bounds, time_bounds = _padded_bounds(cfg)
+    args = (cfg.coefficients, cfg.dt, bounds, time_bounds) + ((state,) if state else ())
+    program, _ = _compile_step(*args)
+    assert (len(program.ops), program.counts[FIELD]) == (ops, buffers)
 
 
 def test_a_value_that_may_overflow_is_not_folded():
