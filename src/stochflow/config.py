@@ -115,6 +115,11 @@ _REQUIRED = frozenset(
 )
 
 
+# PyYAML's safe loader on libyaml's scanner when PyYAML was built with it: the same
+# constructor and resolver as ``yaml.safe_load``, so the same mapping.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _err(path: str, msg: str) -> ConfigError:
     return ConfigError(f"{path}: {msg}")
 
@@ -204,7 +209,7 @@ def _validate_check_params(raw_params, checks, path: str) -> dict:
 def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
     """Parse and validate a scenario config from YAML text."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     _expect(isinstance(raw, dict), "<top>", "config must be a mapping")
@@ -307,16 +312,16 @@ def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
 
     check_params = _validate_check_params(raw.get("check_params", {}), checks, "check_params")
 
-    # Parse each coefficient expression on its own first so errors carry the
-    # exact dotted path of the offending entry.
-    for i, row in enumerate(sigma):
-        for j, text in enumerate(row):
-            _parse_expr(text, n, f"sigma[{i}][{j}]")
-    for k, text in enumerate(u_texts):
-        _parse_expr(text, n, f"U[{k}]")
-    _parse_expr(v_text, n, "V")
+    # Parse each coefficient expression on its own so errors carry the exact dotted
+    # path of the offending entry; assemble takes the parsed fields as they are.
+    sigma_fields = [
+        [_parse_expr(text, n, f"sigma[{i}][{j}]") for j, text in enumerate(row)]
+        for i, row in enumerate(sigma)
+    ]
+    u_fields = [_parse_expr(text, n, f"U[{k}]") for k, text in enumerate(u_texts)]
+    v_field = _parse_expr(v_text, n, "V")
     try:
-        coefficients = assemble(sigma, u_texts, v_text, nu=nu, n=n, box=box)
+        coefficients = assemble(sigma_fields, u_fields, v_field, nu=nu, n=n, box=box)
     except ConfigError:
         raise
     except Exception as exc:

@@ -486,43 +486,28 @@ def _pp(node: Node, min_prec: int) -> str:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 _INT_RE = re.compile(r"\d+\Z")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    span: SourceSpan
+# A token is a plain tuple (kind, text, start) with kind num | name | op | end; its
+# span [start, start + len(text)) is built only when an error reports it.
+def _span(tok: tuple) -> SourceSpan:
+    return SourceSpan(tok[2], tok[2] + len(tok[1]))
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple]:
     tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace manually to locate the bad char
-            stripped = pos
-            while stripped < n and source[stripped].isspace():
-                stripped += 1
-            if stripped >= n:
-                break
-            raise ExprSyntaxError(
-                f"unexpected character {source[stripped]!r}",
-                SourceSpan(stripped, stripped + 1),
-            )
-        for kind in ("num", "name", "op"):
-            text = m.group(kind)
-            if text is not None:
-                tokens.append(_Token(kind, text, SourceSpan(m.end() - len(text), m.end())))
-                break
-        pos = m.end()
-    tokens.append(_Token("end", "", SourceSpan(n, n)))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        tok = (kind, m[kind], m.start(kind))
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {tok[1]!r}", _span(tok))
+        tokens.append(tok)
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -533,98 +518,99 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
+    def expect_op(self, op: str) -> tuple:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.span)
+        if tok[0] != "op" or tok[1] != op:
+            raise ExprSyntaxError(f"expected {op!r}", _span(tok))
         return self.advance()
 
     def parse(self) -> Node:
         tok = self.peek()
-        if tok.kind == "end":
-            raise ExprSyntaxError("empty expression", tok.span)
+        if tok[0] == "end":
+            raise ExprSyntaxError("empty expression", _span(tok))
         node = self.expr()
         tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.span)
+        if tok[0] != "end":
+            raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", _span(tok))
         return node
 
     def expr(self) -> Node:
         node = self.term()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                node = add(node, rhs) if tok.text == "+" else sub(node, rhs)
+                node = add(node, rhs) if text == "+" else sub(node, rhs)
             else:
                 return node
 
     def term(self) -> Node:
         node = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = mul(node, rhs) if tok.text == "*" else div(node, rhs)
+                node = mul(node, rhs) if text == "*" else div(node, rhs)
             else:
                 return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
             self.advance()
             return neg(self.unary())
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
             self.advance()
             sign = 1
             tok = self.peek()
-            if tok.kind == "op" and tok.text == "-":
+            if tok[0] == "op" and tok[1] == "-":
                 self.advance()
                 sign = -1
                 tok = self.peek()
-            if tok.kind != "num" or not _INT_RE.match(tok.text):
-                raise ExprSyntaxError("exponent must be an integer literal", tok.span)
+            if tok[0] != "num" or not _INT_RE.match(tok[1]):
+                raise ExprSyntaxError("exponent must be an integer literal", _span(tok))
             self.advance()
-            return power(base, sign * int(tok.text))
+            return power(base, sign * int(tok[1]))
         return base
 
     def atom(self) -> Node:
         tok = self.advance()
-        if tok.kind == "num":
-            return const(float(tok.text))
-        if tok.kind == "name":
+        kind, text, _ = tok
+        if kind == "num":
+            return const(float(text))
+        if kind == "name":
             nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.span)
+            if nxt[0] == "op" and nxt[1] == "(":
+                if text not in FUNCTIONS:
+                    raise ExprSyntaxError(f"unknown function {text!r}", _span(tok))
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return call(tok.text, arg)
+                return call(text, arg)
             return self._variable(tok)
-        if tok.kind == "op" and tok.text == "(":
+        if kind == "op" and text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.span)
+        raise ExprSyntaxError(f"unexpected token {text!r}", _span(tok))
 
-    def _variable(self, tok: _Token) -> Node:
-        name = tok.text
+    def _variable(self, tok: tuple) -> Node:
+        name = tok[1]
         if name == "t":
             return T_VAR
         m = re.fullmatch(r"x([1-9]\d*)", name)
@@ -633,9 +619,9 @@ class _Parser:
             if 1 <= k <= self.dim:
                 return var(k - 1, name)
             raise UnknownVariableError(
-                f"variable {name!r} is out of range for dimension {self.dim}", tok.span
+                f"variable {name!r} is out of range for dimension {self.dim}", _span(tok)
             )
-        raise UnknownVariableError(f"unknown variable {name!r}", tok.span)
+        raise UnknownVariableError(f"unknown variable {name!r}", _span(tok))
 
 
 # ---------------------------------------------------------------------------

@@ -312,15 +312,19 @@ def _nearest_node(flat_X: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     The squared distance is summed axis by axis over blocks of queries, so the table
     is (block, L) rather than (Q, L, n); its bits are those of
-    ``((x[:, None, :] - flat_X[None]) ** 2).sum(axis=2)``.
+    ``((x[:, None, :] - flat_X[None]) ** 2).sum(axis=2)``.  Every block writes into
+    the same two (block, L) buffers.
     """
     cols = [np.ascontiguousarray(flat_X[:, k]) for k in range(flat_X.shape[1])]
     nearest = np.empty(x.shape[0], dtype=np.intp)
+    d2_buf = np.empty((min(_SEED_BLOCK_QUERIES, x.shape[0]), flat_X.shape[0]))
+    term_buf = np.empty_like(d2_buf)
     for b0 in range(0, x.shape[0], _SEED_BLOCK_QUERIES):
         xb = x[b0 : b0 + _SEED_BLOCK_QUERIES]
-        d2 = np.square(xb[:, :1] - cols[0])
+        d2, term = d2_buf[: xb.shape[0]], term_buf[: xb.shape[0]]
+        np.square(np.subtract(xb[:, :1], cols[0], out=d2), out=d2)
         for k in range(1, len(cols)):
-            d2 += np.square(xb[:, k : k + 1] - cols[k])
+            d2 += np.square(np.subtract(xb[:, k : k + 1], cols[k], out=term), out=term)
         nearest[b0 : b0 + xb.shape[0]] = np.argmin(d2, axis=1)
     return nearest
 

@@ -1,12 +1,18 @@
 """Scenario configuration loading, hashing, and the command-line entry point."""
 
+import dataclasses
 import json
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
+from stochflow import coefficients as coefficients_module
+from stochflow import config as config_module
 from stochflow.cli import main
+from stochflow.coefficients import CoefficientSet, assemble
 from stochflow.config import (
     bundled_scenario_path,
     bundled_scenarios,
@@ -15,6 +21,7 @@ from stochflow.config import (
     loads_config,
 )
 from stochflow.errors import ConfigError
+from stochflow.fields import FieldExpr, parse_field
 
 
 BUNDLED = [
@@ -93,6 +100,79 @@ def test_every_bundled_scenario_loads():
 def test_config_error_paths(heat_text, mutate, needle):
     with pytest.raises(ConfigError, match=needle.replace("[", r"\[").replace(".", r"\.")):
         loads_config(mutate(heat_text))
+
+
+def _bundled_text(name):
+    return open(str(bundled_scenario_path(name))).read()
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("name", BUNDLED)
+def test_libyaml_and_python_safe_loaders_agree(name):
+    text = _bundled_text(name)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_loaded_hash_equals_the_golden_config_hash(name):
+    golden = resources.files("stochflow").joinpath("scenarios", "golden", f"{name}.json")
+    assert loads_config(_bundled_text(name)).hash == json.loads(golden.read_text())["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.replace("labels: [97]", "labels: [97"),
+        lambda s: s.replace("  lo: [-6.0]", "\tlo: [-6.0]"),
+    ],
+    ids=["unclosed-bracket", "tab-indentation"],
+)
+def test_malformed_yaml_is_a_config_error(heat_text, mutate):
+    text = mutate(heat_text)
+    assert text != heat_text
+    with pytest.raises(ConfigError) as info:
+        loads_config(text)
+    assert str(info.value).startswith("config is not valid YAML")
+
+
+@pytest.mark.parametrize("name, parses", [("diag_sigma_2d", 11), ("heat_identity", 7)])
+def test_each_expression_is_parsed_once_per_load(name, parses, monkeypatch):
+    # sigma, U and V once each, then f0, rho0, h0 and phi_terminal.
+    calls = []
+
+    def counting(source, dimension):
+        calls.append(source)
+        return parse_field(source, dimension)
+
+    monkeypatch.setattr(config_module, "parse_field", counting)
+    monkeypatch.setattr(coefficients_module, "parse_field", counting)
+    loads_config(_bundled_text(name))
+    assert len(calls) == parses
+
+
+def test_a_sigma_entry_that_does_not_parse_is_named():
+    row = '["1 + 0.3*sin(x1)*cos(x2)", "0"]'
+    text = _bundled_text("diag_sigma_2d").replace(row, row.replace('"0"', '"0 +"'))
+    with pytest.raises(ConfigError, match=r"^sigma\[0\]\[1\]: expression does not parse"):
+        loads_config(text)
+
+
+def _roots(value):
+    if isinstance(value, FieldExpr):
+        return [value.root]
+    return [root for item in value for root in _roots(item)]
+
+
+@pytest.mark.parametrize("name", ["diag_sigma_2d", "sine_sigma_fk_1d"])
+def test_loaded_coefficients_share_the_roots_assembled_from_text(name):
+    raw = yaml.safe_load(_bundled_text(name))
+    cfg = loads_config(_bundled_text(name))
+    ref = assemble(raw["sigma"], raw["U"], raw["V"], nu=raw["nu"], n=cfg.n, box=cfg.box)
+    for field in dataclasses.fields(CoefficientSet):
+        if field.name in ("n", "nu", "box"):
+            continue
+        got, want = _roots(getattr(cfg.coefficients, field.name)), _roots(getattr(ref, field.name))
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), field.name
 
 
 def test_a_realization_that_does_not_fit_the_chunk_budget_is_refused(heat_text, monkeypatch):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import central_fd, derivative_discrepancies, point_value, random_expr_source
-from stochflow.errors import DomainError, ExprSyntaxError, UnknownVariableError
+from stochflow.errors import DomainError, ExprError, ExprSyntaxError, UnknownVariableError
 from stochflow.fields import (
     FieldExpr,
+    _tokenize,
     constant_field,
     differentiate,
     eval_batch,
@@ -120,6 +121,63 @@ def test_eval_batch_arity_mismatch():
 def test_parse_errors(src, exc):
     with pytest.raises(exc):
         parse_field(src, 2)
+
+
+@pytest.mark.parametrize(
+    "src, exc, message, start, end",
+    [
+        ("x1 +", ExprSyntaxError, "unexpected token ''", 4, 4),
+        ("(x1", ExprSyntaxError, "expected ')'", 3, 3),
+        ("2x1", ExprSyntaxError, "unexpected trailing input 'x1'", 1, 3),
+        ("x1^2.5", ExprSyntaxError, "exponent must be an integer literal", 3, 6),
+        ("x1^x1", ExprSyntaxError, "exponent must be an integer literal", 3, 5),
+        ("foo(x1)", ExprSyntaxError, "unknown function 'foo'", 0, 3),
+        ("x3", UnknownVariableError, "variable 'x3' is out of range for dimension 2", 0, 2),
+        ("y + 1", UnknownVariableError, "unknown variable 'y'", 0, 1),
+        ("1 +* 2", ExprSyntaxError, "unexpected token '*'", 3, 4),
+        ("x1 $ 2", ExprSyntaxError, "unexpected character '$'", 3, 4),
+    ],
+)
+def test_parse_error_class_message_and_span(src, exc, message, start, end):
+    with pytest.raises(ExprError) as info:
+        parse_field(src, 2)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+    assert (info.value.span.start, info.value.span.end) == (start, end)
+
+
+def _token_view(tok):
+    """(kind, text, start, end) of one token, whether it is a record or a plain tuple."""
+    if isinstance(tok, tuple):
+        kind, text, start = tok
+        return kind, text, start, start + len(text)
+    return tok.kind, tok.text, tok.span.start, tok.span.end
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        (
+            "1 + 0.3*sin(x1)*cos(x2)",
+            [
+                ("num", "1", 0, 1), ("op", "+", 2, 3), ("num", "0.3", 4, 7), ("op", "*", 7, 8),
+                ("name", "sin", 8, 11), ("op", "(", 11, 12), ("name", "x1", 12, 14),
+                ("op", ")", 14, 15), ("op", "*", 15, 16), ("name", "cos", 16, 19),
+                ("op", "(", 19, 20), ("name", "x2", 20, 22), ("op", ")", 22, 23),
+                ("end", "", 23, 23),
+            ],
+        ),
+        (
+            "2.5e-3*x1^2",
+            [
+                ("num", "2.5e-3", 0, 6), ("op", "*", 6, 7), ("name", "x1", 7, 9),
+                ("op", "^", 9, 10), ("num", "2", 10, 11), ("end", "", 11, 11),
+            ],
+        ),
+    ],
+)
+def test_tokens_kind_text_and_span(src, expected):
+    assert [_token_view(tok) for tok in _tokenize(src)] == expected
 
 
 def test_parse_dimension_bounds():

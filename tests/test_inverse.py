@@ -601,3 +601,19 @@ def test_blocked_seed_matches_brute_force_argmin(n):
     tie[1, 0], tie[2, 0], tie[3, 1] = 1.0, -1.0, 1.0
     assert _nearest_node(tie[1:], np.zeros((1, n)))[0] == 0
     assert _nearest_node(tie[[3, 2, 1]], np.zeros((1, n)))[0] == 0
+
+
+def test_seeds_on_a_chart_with_planted_ties_take_the_first_node():
+    # A 33 x 33 grid with dyadic spacing and 31 x 31 queries at cell centres: each
+    # query is exactly equidistant from its cell's four corners, and the first of
+    # them in row-major order is the lower-left one.  961 queries also leave a
+    # short last block of 961 - 3 * 256 = 193.
+    ax = np.linspace(-1.0, 1.0, 33)
+    X = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    mid = 0.5 * (ax[:-2] + ax[1:-1])
+    x = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert x.shape[0] == 961 and x.shape[0] % _SEED_BLOCK_QUERIES
+    seeds = _nearest_node(X, x)
+    assert np.array_equal(seeds, ((x[:, None] - X[None]) ** 2).sum(2).argmin(1))
+    i, j = np.meshgrid(np.arange(31), np.arange(31), indexing="ij")
+    assert np.array_equal(seeds, (33 * i + j).ravel())
