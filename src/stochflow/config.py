@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -131,6 +132,7 @@ def _expect(cond: bool, path: str, msg: str) -> None:
 
 def _as_float(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
+    _expect(abs(value) <= sys.float_info.max, path, "must be finite")  # refuses nan too
     return float(value)
 
 
@@ -269,6 +271,7 @@ def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
     dt = _as_float(raw["dt"], "dt")
     _expect(dt > 0, "dt", "must be positive")
     steps = t_final / dt
+    _expect(math.isfinite(steps), "dt", "T/dt is not a finite number of steps")
     _expect(abs(round(steps) - steps) <= 1e-9 * max(1.0, steps), "dt", "T must be an integer multiple of dt")
 
     times_raw = raw["output_times"]

@@ -392,7 +392,6 @@ class BatchResult:
     labels: np.ndarray  # (L, n)
     label_shape: tuple
     times: np.ndarray  # (S,)
-    time_indices: np.ndarray  # (S,) step indices
     dt: float
     num_steps: int
     realization_indices: np.ndarray  # (R,)
@@ -405,7 +404,6 @@ class BatchResult:
     escaped: np.ndarray  # (R,) bool
     nonfinite: np.ndarray  # (R,) bool
     box: Box  # label box
-    padded_box: Box  # escape-detection box
 
     @property
     def num_realizations(self) -> int:
@@ -618,7 +616,6 @@ def simulate_paths(
         labels=pts,
         label_shape=label_shape,
         times=times,
-        time_indices=np.array(store, dtype=np.int64),
         dt=dt,
         num_steps=num_steps,
         realization_indices=r_idx,
@@ -627,7 +624,6 @@ def simulate_paths(
         escaped=escaped,
         nonfinite=nonfinite,
         box=box,
-        padded_box=padded,
     )
 
 

@@ -230,7 +230,6 @@ class JensenResult:
     rhs: np.ndarray
     slack: np.ndarray
     holds: np.ndarray
-    num_samples: int
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,7 @@ def jensen_check(psi_rho, psi_f, H: ConvexH, slack: float = 1e-12) -> JensenResu
     rhs = np.mean(g * np.asarray(H(v / g), dtype=float), axis=-1)
     tol = slack * np.maximum(1.0, np.abs(rhs))
     holds = lhs <= rhs + tol
-    return JensenResult(lhs=lhs, rhs=rhs, slack=tol, holds=holds, num_samples=rho.shape[1])
+    return JensenResult(lhs=lhs, rhs=rhs, slack=tol, holds=holds)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ Variables are ``x1`` .. ``x3`` (up to the declared dimension) and ``t``; functio
 ``sin``, ``cos``, ``exp``, ``log``, ``tanh``; powers take integer exponents only, so
 symbolic derivatives stay inside the language.
 
-Trees are immutable and hash-consed: constructing the same shape twice returns the same
-object, which makes structural equality an identity check and lets evaluation share
-subtrees across many fields evaluated at the same points.  Constant subtrees are folded
-at construction; the trees are not otherwise rewritten, except that additive and
-multiplicative identities with a literal 0/1 operand are dropped (``u*1 -> u``,
-``u+0 -> u``) so derivative output stays readable.  ``0*u`` stays in the tree: ``u``
-may overflow or fail a domain check, and only a bound on ``u`` can rule that out.
+Trees are immutable and hash-consed, built of one node type with a ``tag``, a ``param``
+and ``children``: constructing the same shape twice returns the same object, which makes
+structural equality an identity check and lets evaluation share subtrees across many
+fields evaluated at the same points.  Constant subtrees are folded at construction; the
+trees are not otherwise rewritten, except that additive and multiplicative identities
+with a literal 0/1 operand are dropped (``u*1 -> u``, ``u+0 -> u``) so derivative output
+stays readable.  ``0*u`` stays in the tree: ``u`` may overflow or fail a domain check,
+and only a bound on ``u`` can rule that out.
 
 Evaluation is numpy-aware: variable slots may hold floats or same-shaped arrays.
 :func:`eval_batch` walks a tree once per call.  For repeated evaluation, as in every
@@ -35,6 +36,7 @@ sign of a zero.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 import threading
 from dataclasses import dataclass
@@ -83,171 +85,84 @@ _INTERN: dict = {}
 _INTERN_LOCK = threading.Lock()
 
 
-def _intern(key, build):
+class Node:
+    """One node of an expression tree.
+
+    ``tag`` is one of const, var, neg, add, sub, mul, div, pow and call.  ``param``
+    holds a constant's value, a variable's 0-based index (-1 for ``t``), a power's
+    exponent or a call's function name, and is None otherwise.  ``children`` holds
+    the operands.  Nodes are interned, so structurally equal trees are the same
+    object and compare (and hash) by identity.
+    """
+
+    __slots__ = ("tag", "param", "children")
+
+    def __init__(self, tag: str, param, children: tuple):
+        self.tag = tag
+        self.param = param
+        self.children = children
+
+
+def _node(tag: str, param=None, *children: Node) -> Node:
+    key = (tag, param, children)  # children hash and compare by identity
     node = _INTERN.get(key)
     if node is None:
         with _INTERN_LOCK:
             node = _INTERN.get(key)
             if node is None:
-                node = build()
-                _INTERN[key] = node
+                node = _INTERN[key] = Node(tag, param, children)
     return node
 
 
-class Node:
-    __slots__ = ()
-    param = None  # the exponent of a power, the function name of a call
-
-    # identity-based equality/hash: interning guarantees structurally equal
-    # trees are the same object.
-
-
-class Const(Node):
-    __slots__ = ("value",)
-    tag = "const"
-    children = ()
-
-    def __init__(self, value: float):
-        self.value = value
-
-
-class Var(Node):
-    __slots__ = ("index", "name")
-    tag = "var"
-    children = ()
-
-    def __init__(self, index: int, name: str):
-        self.index = index  # 0-based coordinate index; -1 means time
-        self.name = name
-
-
-class Neg(Node):
-    __slots__ = ("child",)
-    tag = "neg"
-
-    def __init__(self, child: Node):
-        self.child = child
-
-    @property
-    def children(self) -> tuple:
-        return (self.child,)
-
-
-class _Bin(Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self) -> tuple:
-        return (self.left, self.right)
-
-
-class Add(_Bin):
-    __slots__ = ()
-    tag = "add"
-
-
-class Sub(_Bin):
-    __slots__ = ()
-    tag = "sub"
-
-
-class Mul(_Bin):
-    __slots__ = ()
-    tag = "mul"
-
-
-class Div(_Bin):
-    __slots__ = ()
-    tag = "div"
-
-
-class Pow(Node):
-    __slots__ = ("base", "exponent")
-    tag = "pow"
-
-    def __init__(self, base: Node, exponent: int):
-        self.base = base
-        self.exponent = exponent
-
-    @property
-    def children(self) -> tuple:
-        return (self.base,)
-
-    @property
-    def param(self) -> int:
-        return self.exponent
-
-
-class Call(Node):
-    __slots__ = ("fn", "child")
-    tag = "call"
-
-    def __init__(self, fn: str, child: Node):
-        self.fn = fn
-        self.child = child
-
-    @property
-    def children(self) -> tuple:
-        return (self.child,)
-
-    @property
-    def param(self) -> str:
-        return self.fn
-
-
-def const(value: float) -> Const:
+def const(value: float) -> Node:
     value = float(value)
     if value == 0.0:
         value = 0.0  # normalize -0.0
-    return _intern(("c", value), lambda: Const(value))
+    return _node("const", value)
 
 
-def var(index: int, name: str) -> Var:
-    return _intern(("v", index), lambda: Var(index, name))
+def var(index: int) -> Node:
+    return _node("var", index)
 
 
 ZERO = const(0.0)
 ONE = const(1.0)
-T_VAR = var(-1, "t")
+T_VAR = var(-1)
 
 
 def neg(u: Node) -> Node:
-    if isinstance(u, Const):
-        return const(-u.value)
-    return _intern(("n", id(u)), lambda: Neg(u))
+    if u.tag == "const":
+        return const(-u.param)
+    return _node("neg", None, u)
 
 
 def add(l: Node, r: Node) -> Node:
-    if isinstance(l, Const) and isinstance(r, Const):
-        v = l.value + r.value
+    if l.tag == "const" and r.tag == "const":
+        v = l.param + r.param
         if np.isfinite(v):
             return const(v)
     if l is ZERO:
         return r
     if r is ZERO:
         return l
-    return _intern(("a", id(l), id(r)), lambda: Add(l, r))
+    return _node("add", None, l, r)
 
 
 def sub(l: Node, r: Node) -> Node:
-    if isinstance(l, Const) and isinstance(r, Const):
-        v = l.value - r.value
+    if l.tag == "const" and r.tag == "const":
+        v = l.param - r.param
         if np.isfinite(v):
             return const(v)
     if r is ZERO:
         return l
     if l is ZERO:
         return neg(r)
-    return _intern(("s", id(l), id(r)), lambda: Sub(l, r))
+    return _node("sub", None, l, r)
 
 
 def mul(l: Node, r: Node) -> Node:
-    if isinstance(l, Const) and isinstance(r, Const):
-        v = l.value * r.value
+    if l.tag == "const" and r.tag == "const":
+        v = l.param * r.param
         if np.isfinite(v):
             return const(v)
     if l is ONE:
@@ -256,41 +171,41 @@ def mul(l: Node, r: Node) -> Node:
         return l
     # NOTE: 0*u is deliberately not folded away: u may carry a domain
     # restriction (log, division) that folding would silently erase.
-    return _intern(("m", id(l), id(r)), lambda: Mul(l, r))
+    return _node("mul", None, l, r)
 
 
 def div(l: Node, r: Node) -> Node:
-    if isinstance(l, Const) and isinstance(r, Const) and r.value != 0.0:
-        v = l.value / r.value
+    if l.tag == "const" and r.tag == "const" and r.param != 0.0:
+        v = l.param / r.param
         if np.isfinite(v):
             return const(v)
     if r is ONE:
         return l
-    return _intern(("d", id(l), id(r)), lambda: Div(l, r))
+    return _node("div", None, l, r)
 
 
 def power(base: Node, exponent: int) -> Node:
-    exponent = int(exponent)
+    exponent = operator.index(exponent)  # refuses 2.5 rather than truncating it
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and (base.value != 0.0 or exponent > 0):
-        v = float(base.value) ** exponent
+    if base.tag == "const" and (base.param != 0.0 or exponent > 0):
+        v = base.param**exponent
         if np.isfinite(v):
             return const(v)
-    return _intern(("p", id(base), exponent), lambda: Pow(base, exponent))
+    return _node("pow", exponent, base)
 
 
 def call(fn: str, child: Node) -> Node:
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
-    if isinstance(child, Const):
+    if child.tag == "const":
         with np.errstate(all="ignore"):
-            v = float(FUNCTIONS[fn](child.value))
+            v = float(FUNCTIONS[fn](child.param))
         if np.isfinite(v):
             return const(v)
-    return _intern(("f", fn, id(child)), lambda: Call(fn, child))
+    return _node("call", fn, child)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +261,9 @@ def _eval(node: Node, comps: tuple, tval, memo: dict):
         return found
     tag = node.tag
     if tag == "const":
-        out = node.value
+        out = node.param
     elif tag == "var":
-        out = tval if node.index < 0 else comps[node.index]
+        out = tval if node.param < 0 else comps[node.param]
     else:
         out = _apply(tag, node.param, *[_eval(c, comps, tval, memo) for c in node.children])
     memo[id(node)] = out
@@ -361,70 +276,56 @@ def _eval(node: Node, comps: tuple, tval, memo: dict):
 
 
 def _deriv(node: Node, index: int) -> Node:
-    """Derivative of ``node`` with respect to coordinate ``index`` (-1 for time)."""
+    """Derivative of ``node`` with respect to coordinate ``index`` (-1 for time).
+
+    The constructors of ``neg``, ``add`` and ``sub`` already fold a zero operand; a
+    zero derivative is tested here only where a constructor keeps it (``0*u``, ``0/u``).
+    """
     tag = node.tag
     if tag == "const":
         return ZERO
     if tag == "var":
-        return ONE if node.index == index else ZERO
+        return ONE if node.param == index else ZERO
     if tag == "neg":
-        d = _deriv(node.child, index)
-        return ZERO if d is ZERO else neg(d)
+        return neg(_deriv(node.children[0], index))
     if tag == "add":
-        dl = _deriv(node.left, index)
-        dr = _deriv(node.right, index)
-        if dl is ZERO:
-            return dr
-        if dr is ZERO:
-            return dl
-        return add(dl, dr)
+        l, r = node.children
+        return add(_deriv(l, index), _deriv(r, index))
     if tag == "sub":
-        dl = _deriv(node.left, index)
-        dr = _deriv(node.right, index)
-        if dr is ZERO:
-            return dl
-        if dl is ZERO:
-            return neg(dr)
-        return sub(dl, dr)
+        l, r = node.children
+        return sub(_deriv(l, index), _deriv(r, index))
     if tag == "mul":
-        dl = _deriv(node.left, index)
-        dr = _deriv(node.right, index)
-        terms = []
-        if dl is not ZERO:
-            terms.append(mul(dl, node.right))
-        if dr is not ZERO:
-            terms.append(mul(node.left, dr))
-        if not terms:
-            return ZERO
-        if len(terms) == 1:
-            return terms[0]
-        return add(terms[0], terms[1])
-    if tag == "div":
-        dl = _deriv(node.left, index)
-        dr = _deriv(node.right, index)
-        if dr is ZERO:
-            return ZERO if dl is ZERO else div(dl, node.right)
+        l, r = node.children
+        dl = _deriv(l, index)
+        dr = _deriv(r, index)
         if dl is ZERO:
-            return neg(div(mul(node.left, dr), power(node.right, 2)))
-        return div(sub(mul(dl, node.right), mul(node.left, dr)), power(node.right, 2))
-    if tag == "pow":
-        db = _deriv(node.base, index)
-        if db is ZERO:
-            return ZERO
-        factor = mul(const(node.exponent), power(node.base, node.exponent - 1))
-        return mul(factor, db)
-    # call
-    d = _deriv(node.child, index)
+            return ZERO if dr is ZERO else mul(l, dr)
+        if dr is ZERO:
+            return mul(dl, r)
+        return add(mul(dl, r), mul(l, dr))
+    if tag == "div":
+        l, r = node.children
+        dl = _deriv(l, index)
+        dr = _deriv(r, index)
+        if dr is ZERO:
+            return ZERO if dl is ZERO else div(dl, r)
+        if dl is ZERO:
+            return neg(div(mul(l, dr), power(r, 2)))
+        return div(sub(mul(dl, r), mul(l, dr)), power(r, 2))
+    (u,) = node.children
+    d = _deriv(u, index)
     if d is ZERO:
         return ZERO
-    u = node.child
-    if node.fn == "sin":
+    param = node.param
+    if tag == "pow":
+        outer = mul(const(param), power(u, param - 1))
+    elif param == "sin":
         outer = call("cos", u)
-    elif node.fn == "cos":
+    elif param == "cos":
         outer = neg(call("sin", u))
-    elif node.fn == "exp":
+    elif param == "exp":
         outer = call("exp", u)
-    elif node.fn == "log":
+    elif param == "log":
         return div(d, u)
     else:  # tanh
         outer = sub(ONE, power(call("tanh", u), 2))
@@ -436,6 +337,7 @@ def _deriv(node: Node, index: int) -> Node:
 # ---------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_INFIX = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
 
 def _prec(node: Node) -> int:
@@ -448,33 +350,27 @@ def _prec(node: Node) -> int:
         return _PREC_UNARY
     if tag == "pow":
         return _PREC_POW
-    if tag == "const" and node.value < 0:
+    if tag == "const" and node.param < 0:
         return _PREC_UNARY  # prints with a leading minus
     return _PREC_ATOM
 
 
 def _pp(node: Node, min_prec: int) -> str:
-    tag = node.tag
+    tag, param, children = node.tag, node.param, node.children
+    prec = _prec(node)
     if tag == "const":
-        v = node.value
-        text = repr(int(v)) if float(v).is_integer() and abs(v) < 1e16 else repr(v)
+        text = repr(int(param)) if param.is_integer() and abs(param) < 1e16 else repr(param)
     elif tag == "var":
-        text = node.name
+        text = "t" if param < 0 else f"x{param + 1}"
     elif tag == "neg":
-        text = "-" + _pp(node.child, _PREC_UNARY)
-    elif tag == "add":
-        text = _pp(node.left, _PREC_ADD) + " + " + _pp(node.right, _PREC_ADD + 1)
-    elif tag == "sub":
-        text = _pp(node.left, _PREC_ADD) + " - " + _pp(node.right, _PREC_ADD + 1)
-    elif tag == "mul":
-        text = _pp(node.left, _PREC_MUL) + "*" + _pp(node.right, _PREC_MUL + 1)
-    elif tag == "div":
-        text = _pp(node.left, _PREC_MUL) + "/" + _pp(node.right, _PREC_MUL + 1)
+        text = "-" + _pp(children[0], _PREC_UNARY)
     elif tag == "pow":
-        text = _pp(node.base, _PREC_ATOM) + "^" + str(node.exponent)
+        text = _pp(children[0], _PREC_ATOM) + "^" + str(param)
+    elif tag == "call":
+        return param + "(" + _pp(children[0], 0) + ")"
     else:
-        return node.fn + "(" + _pp(node.child, 0) + ")"
-    if _prec(node) < min_prec:
+        text = _pp(children[0], prec) + _INFIX[tag] + _pp(children[1], prec + 1)
+    if prec < min_prec:
         return "(" + text + ")"
     return text
 
@@ -617,7 +513,7 @@ class _Parser:
         if m:
             k = int(m.group(1))
             if 1 <= k <= self.dim:
-                return var(k - 1, name)
+                return var(k - 1)
             raise UnknownVariableError(
                 f"variable {name!r} is out of range for dimension {self.dim}", _span(tok)
             )
@@ -651,13 +547,13 @@ class FieldExpr:
 
     @property
     def is_constant(self) -> bool:
-        return isinstance(self.root, Const)
+        return self.root.tag == "const"
 
     @property
     def constant_value(self) -> float:
-        if not isinstance(self.root, Const):
+        if self.root.tag != "const":
             raise ValueError("field is not constant")
-        return self.root.value
+        return self.root.param
 
     def depends_on_time(self) -> bool:
         return _mentions_time(self.root)
@@ -703,7 +599,7 @@ class FieldExpr:
 
 def _mentions_time(node: Node) -> bool:
     if node.tag == "var":
-        return node.index < 0
+        return node.param < 0
     return any(_mentions_time(c) for c in node.children)
 
 
@@ -731,7 +627,7 @@ def _variable_index(fe: FieldExpr, variable) -> int:
             raise ValueError(f"unknown variable {variable!r}")
         k = int(m.group(1))
     else:
-        k = int(variable)
+        k = operator.index(variable)  # refuses 1.7 rather than truncating it
     if not (1 <= k <= fe.dim):
         raise ValueError(f"variable index {k} out of range for dimension {fe.dim}")
     return k - 1
@@ -926,9 +822,9 @@ class ProgramCompiler:
         slot = self._nodes.get(id(node))
         if slot is None:
             if node.tag == "const":
-                slot = self.const(node.value)
+                slot = self.const(node.param)
             elif node.tag == "var":
-                slot = self.time if node.index < 0 else self.coords[node.index]
+                slot = self.time if node.param < 0 else self.coords[node.param]
             else:
                 slot = self.op(node.tag, *[self._node(c) for c in node.children], param=node.param)
             self._nodes[id(node)] = slot

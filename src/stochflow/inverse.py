@@ -84,7 +84,6 @@ class ChartStack:
     (advisory).  Immutable after construction; all queries are pure and reentrant.
     """
 
-    t: float
     label_axes: tuple
     X: np.ndarray
     log_I: np.ndarray
@@ -192,7 +191,6 @@ def _build_stack(label_axes, X, log_I, t: float) -> ChartStack:
         )
     flatX = X.reshape(rows, -1, n)
     return ChartStack(
-        t=float(t),
         label_axes=tuple(label_axes),
         X=X,
         log_I=log_I,

@@ -119,6 +119,33 @@ def test_loaded_hash_equals_the_golden_config_hash(name):
     assert loads_config(_bundled_text(name)).hash == json.loads(golden.read_text())["config_hash"]
 
 
+_NON_FINITE = [
+    ("T: 0.5", "T: .inf", "T: must be finite"),
+    ("dt: 0.001", "dt: 1.0e-320", "dt: T/dt is not a finite number of steps"),
+    ("nu: 0.1", "nu: .inf", "nu: must be finite"),
+    ("nu: 0.1", "nu: .nan", "nu: must be finite"),
+    ("oracle_dx: 0.02", "oracle_dx: .inf", "oracle_dx: must be finite"),
+    ("  lo: [-6.0]", "  lo: [-.inf]", "box.lo[0]: must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    _NON_FINITE,
+    ids=["T-inf", "dt-subnormal", "nu-inf", "nu-nan", "oracle_dx-inf", "box-lo-inf"],
+)
+def test_a_non_finite_number_is_a_config_error(heat_text, tmp_path, capsys, old, new, message):
+    text = heat_text.replace(old, new)
+    assert text != heat_text
+    with pytest.raises(ConfigError) as info:
+        loads_config(text)
+    assert str(info.value) == message
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -240,7 +240,7 @@ def test_constant_flow_is_a_rigid_translation(heat_batch):
     increments = driver.increments_block(result.realization_indices, 100)[:, :, 0]
     for r, inc in enumerate(increments):
         pos = result.labels[:, 0].copy()
-        step_to_slot = {int(i): s for s, i in enumerate(result.time_indices)}
+        step_to_slot = {round(t / result.dt): s for s, t in enumerate(result.times)}
         if 0 in step_to_slot:
             assert np.array_equal(result.X[step_to_slot[0], r, :, 0], pos)
         for k in range(100):

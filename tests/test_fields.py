@@ -251,6 +251,20 @@ def test_diff_accepts_index_and_name():
         differentiate(fe, "z")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda fe: fe**2.5,
+        lambda fe: fe**-0.5,
+        lambda fe: differentiate(fe, 1.7),
+    ],
+    ids=["power-2.5", "power-minus-0.5", "variable-1.7"],
+)
+def test_a_non_integral_exponent_or_variable_index_is_refused(build):
+    with pytest.raises(TypeError):
+        build(parse_field("x1", 1))
+
+
 def test_diff_method_matches_function():
     fe = parse_field("cos(x1) * x1", 1)
     a = fe.diff("x1")
@@ -274,3 +288,148 @@ def test_central_fd_helper_on_known_function():
     assert fd == pytest.approx(3 * 0.7**2 + 0.3, rel=1e-9)
     fd_t = central_fd(fe, np.array([0.7]), 0.3, -1)
     assert fd_t == pytest.approx(0.7, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The trees differentiation builds, pinned by interned identity
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "src, var, expected",
+    [
+        ("3", "x1", "0"),
+        ("x1", "x1", "1"),
+        ("x2", "x1", "0"),
+        ("t*x1", "t", "x1"),
+        # neg
+        ("-sin(x1)", "x1", "-cos(x1)"),
+        ("-x2", "x1", "0"),
+        # add: one zero side, both, none
+        ("x2 + sin(x1)", "x1", "cos(x1)"),
+        ("sin(x1) + x2", "x1", "cos(x1)"),
+        ("sin(x1) + x1", "x1", "cos(x1) + 1"),
+        ("x2 + x2", "x1", "0"),
+        # sub: a zero left side negates the right
+        ("x2 - x1", "x1", "-1"),
+        ("x2 - sin(x1)", "x1", "-cos(x1)"),
+        ("sin(x1) - x2", "x1", "cos(x1)"),
+        ("sin(x1) - x1", "x1", "cos(x1) - 1"),
+        ("x2 - x2", "x1", "0"),
+        # mul: each side zero, neither, both
+        ("x2*sin(x1)", "x1", "x2*cos(x1)"),
+        ("sin(x1)*x2", "x1", "cos(x1)*x2"),
+        ("x1*sin(x1)", "x1", "sin(x1) + x1*cos(x1)"),
+        ("x2*x2", "x1", "0"),
+        # div: zero divisor derivative, zero dividend derivative, neither, both
+        ("sin(x1)/x2", "x1", "cos(x1)/x2"),
+        ("1/x1", "x1", "-(1/x1^2)"),
+        ("x1/(1 + x1)", "x1", "(1 + x1 - x1)/(1 + x1)^2"),
+        ("x2/x2", "x1", "0"),
+        # pow
+        ("x1^3", "x1", "3*x1^2"),
+        ("x1^-2", "x1", "-2*x1^-3"),
+        ("sin(x1)^2", "x1", "2*sin(x1)*cos(x1)"),
+        ("x2^3", "x1", "0"),
+        # calls
+        ("sin(x1)", "x1", "cos(x1)"),
+        ("cos(x1)", "x1", "-sin(x1)"),
+        ("exp(x1)", "x1", "exp(x1)"),
+        ("log(x1)", "x1", "1/x1"),
+        ("log(x1^2)", "x1", "2*x1/x1^2"),
+        ("tanh(x1)", "x1", "1 - tanh(x1)^2"),
+        ("sin(2*x1)", "x1", "cos(2*x1)*2"),
+        ("exp(x2)", "x1", "0"),
+    ],
+)
+def test_derivative_is_the_interned_tree_of_its_closed_form(src, var, expected):
+    got = differentiate(parse_field(src, 2), var)
+    assert got.root is parse_field(expected, 2).root, got.pretty()
+    assert got.pretty() == expected
+
+
+def test_zero_times_a_field_stays_a_product():
+    # u may fail a domain check, so 0*u is not folded to 0, and neither is its derivative.
+    fe = parse_field("0*log(x1)", 1)
+    assert fe.root.tag == "mul" and fe.pretty() == "0*log(x1)"
+    d = differentiate(fe, "x1")
+    assert d.root.tag == "mul" and d.pretty() == "0*(1/x1)"
+    with pytest.raises(DomainError):
+        point_value(d, 0.0)
+
+
+_ASSEMBLED_TEXT = {
+    "sine_sigma_1d": {
+        "v": ("0.1*((1 + 0.5*sin(x1))*(0.5*cos(x1)) - 0.5*cos(x1)*(1 + 0.5*sin(x1)))",),
+        "dv": ((
+            "0.1*(0.5*cos(x1)*(0.5*cos(x1)) + (1 + 0.5*sin(x1))*(0.5*-sin(x1)) - "
+            "(0.5*-sin(x1)*(1 + 0.5*sin(x1)) + 0.5*cos(x1)*(0.5*cos(x1))))",
+        ),),
+        "div_v": (
+            "0.1*(0.5*cos(x1)*(0.5*cos(x1)) + (1 + 0.5*sin(x1))*(0.5*-sin(x1)) - "
+            "(0.5*-sin(x1)*(1 + 0.5*sin(x1)) + 0.5*cos(x1)*(0.5*cos(x1))))"
+        ),
+        "E": "0",
+        "div_sigma": ("0.5*cos(x1)",),
+    },
+    "diag_sigma_2d": {
+        "v": (
+            "0.1*((1 + 0.3*sin(x1)*cos(x2))*(0.3*cos(x1)*cos(x2)) - 0.3*cos(x1)*cos(x2)*"
+            "(1 + 0.3*sin(x1)*cos(x2)) + (0*(0.3*sin(x1)*-sin(x2)) - 0*(1 + 0.3*sin(x1)*cos(x2))) + "
+            "((1 + 0.3*cos(x1)*sin(x2))*0 - 0.3*cos(x1)*cos(x2)*0))",
+            "0.1*((1 + 0.3*sin(x1)*cos(x2))*0 - 0.3*cos(x1)*cos(x2)*0 + (0*(0.3*-sin(x1)*sin(x2)) - "
+            "0*(1 + 0.3*cos(x1)*sin(x2))) + ((1 + 0.3*cos(x1)*sin(x2))*(0.3*cos(x1)*cos(x2)) - "
+            "0.3*cos(x1)*cos(x2)*(1 + 0.3*cos(x1)*sin(x2))))",
+        ),
+        "dv": (
+            (
+                "0.1*(0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2)) + (1 + 0.3*sin(x1)*cos(x2))*"
+                "(0.3*-sin(x1)*cos(x2)) - (0.3*-sin(x1)*cos(x2)*(1 + 0.3*sin(x1)*cos(x2)) + "
+                "0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2))) + (0*(0.3*cos(x1)*-sin(x2)) - "
+                "0*(0.3*cos(x1)*cos(x2))) + (0.3*-sin(x1)*sin(x2)*0 - 0.3*-sin(x1)*cos(x2)*0))",
+                "0.1*(0.3*cos(x1)*cos(x2)*0 - 0.3*-sin(x1)*cos(x2)*0 + (0*(0.3*-cos(x1)*sin(x2)) - "
+                "0*(0.3*-sin(x1)*sin(x2))) + (0.3*-sin(x1)*sin(x2)*(0.3*cos(x1)*cos(x2)) + "
+                "(1 + 0.3*cos(x1)*sin(x2))*(0.3*-sin(x1)*cos(x2)) - (0.3*-sin(x1)*cos(x2)*"
+                "(1 + 0.3*cos(x1)*sin(x2)) + 0.3*cos(x1)*cos(x2)*(0.3*-sin(x1)*sin(x2)))))",
+            ),
+            (
+                "0.1*(0.3*sin(x1)*-sin(x2)*(0.3*cos(x1)*cos(x2)) + (1 + 0.3*sin(x1)*cos(x2))*"
+                "(0.3*cos(x1)*-sin(x2)) - (0.3*cos(x1)*-sin(x2)*(1 + 0.3*sin(x1)*cos(x2)) + "
+                "0.3*cos(x1)*cos(x2)*(0.3*sin(x1)*-sin(x2))) + (0*(0.3*sin(x1)*-cos(x2)) - "
+                "0*(0.3*sin(x1)*-sin(x2))) + (0.3*cos(x1)*cos(x2)*0 - 0.3*cos(x1)*-sin(x2)*0))",
+                "0.1*(0.3*sin(x1)*-sin(x2)*0 - 0.3*cos(x1)*-sin(x2)*0 + (0*(0.3*-sin(x1)*cos(x2)) - "
+                "0*(0.3*cos(x1)*cos(x2))) + (0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2)) + "
+                "(1 + 0.3*cos(x1)*sin(x2))*(0.3*cos(x1)*-sin(x2)) - (0.3*cos(x1)*-sin(x2)*"
+                "(1 + 0.3*cos(x1)*sin(x2)) + 0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2)))))",
+            ),
+        ),
+        "div_v": (
+            "0.1*(0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2)) + (1 + 0.3*sin(x1)*cos(x2))*"
+            "(0.3*-sin(x1)*cos(x2)) - (0.3*-sin(x1)*cos(x2)*(1 + 0.3*sin(x1)*cos(x2)) + "
+            "0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2))) + (0*(0.3*cos(x1)*-sin(x2)) - "
+            "0*(0.3*cos(x1)*cos(x2))) + (0.3*-sin(x1)*sin(x2)*0 - 0.3*-sin(x1)*cos(x2)*0)) + "
+            "0.1*(0.3*sin(x1)*-sin(x2)*0 - 0.3*cos(x1)*-sin(x2)*0 + (0*(0.3*-sin(x1)*cos(x2)) - "
+            "0*(0.3*cos(x1)*cos(x2))) + (0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2)) + "
+            "(1 + 0.3*cos(x1)*sin(x2))*(0.3*cos(x1)*-sin(x2)) - (0.3*cos(x1)*-sin(x2)*"
+            "(1 + 0.3*cos(x1)*sin(x2)) + 0.3*cos(x1)*cos(x2)*(0.3*cos(x1)*cos(x2)))))"
+        ),
+        "E": (
+            "0.3*cos(x1)*cos(x2)*0 - 0*(0.3*sin(x1)*-sin(x2)) + "
+            "(0*(0.3*cos(x1)*cos(x2)) - 0.3*-sin(x1)*sin(x2)*0)"
+        ),
+        "div_sigma": ("0.3*cos(x1)*cos(x2)", "0.3*cos(x1)*cos(x2)"),
+    },
+}
+
+
+def _texts(value):
+    return value.pretty() if isinstance(value, FieldExpr) else tuple(_texts(v) for v in value)
+
+
+@pytest.mark.parametrize("name", sorted(_ASSEMBLED_TEXT))
+def test_assembled_derivative_fields_print_as_recorded(name):
+    from stochflow.config import bundled_scenario_path, load_config
+
+    cs = load_config(str(bundled_scenario_path(name))).coefficients
+    for key, text in _ASSEMBLED_TEXT[name].items():
+        assert _texts(getattr(cs, key)) == text, key

@@ -70,7 +70,7 @@ def heat_run():
 
 def test_identity_chart_at_time_zero(heat_run):
     chart = chart_from_batch(heat_run, 0.0, [0])
-    assert chart.t == 0.0 and chart.num_rows == 1
+    assert chart.num_rows == 1
     assert np.allclose(chart.X[0, :, 0], heat_run.labels[:, 0])
     labels, status = _invert_one(chart, np.array([[-1.3], [0.0], [2.1]]))
     assert np.all(status == STATUS_OK)
