@@ -208,10 +208,10 @@ class RunContext:
     def cs(self):
         return self.cfg.coefficients
 
-    def realizations_for(self, params: dict) -> int:
+    def realizations_for(self, check: str, params: dict) -> int:
         if self.realizations_override is not None:
             return int(self.realizations_override)
-        return int(params.get("realizations", self.cfg.realizations))
+        return _count(check, params, "realizations", self.cfg.realizations)
 
     def driver(self, dt: float | None = None) -> BrownianDriver:
         return BrownianDriver(seed=self.seed, dt=self.cfg.dt if dt is None else float(dt), n=self.cfg.n)
@@ -256,6 +256,14 @@ class RunContext:
             self._weight_cache[key] = solve_adjoint(self.cs, phi_T, cfg.T, cfg.dt,
                                                     output_times=out_times)
         return self._weight_cache[key], "adjoint solve"
+
+
+def _count(check: str, params: dict, key: str, default: int, minimum: int = 1) -> int:
+    """``params[key]`` (``default`` when absent) as an integer of at least ``minimum``."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{check}.{key}: must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _times_from(params: dict, key: str, default) -> list:
@@ -404,7 +412,7 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
         errors = []
         if rows.size:
             for t in times:
-                rt = roundtrip_error(chart_from_batch(result, t, rows), interior_only=True)
+                rt = roundtrip_error(chart_from_batch(result, t, rows))
                 errors.append((float(t), float(rt["max_abs_error"].max()),
                                float(rt["resolved_fraction"].min())))
         return errors
@@ -532,11 +540,13 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
     dt_levels = [float(v) for v in params.get("dt_levels", [0.002, 0.001, 0.0005])]
     if len(dt_levels) < 2:
         raise ConfigError("determinant_consistency: need at least two dt levels")
+    if not all(dt > 0 for dt in dt_levels):
+        raise ConfigError(f"determinant_consistency: dt levels must be positive, got {dt_levels}")
     for a, b in zip(dt_levels, dt_levels[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigError("determinant_consistency: dt levels must halve")
     horizon = float(params.get("horizon", min(cfg.T, 0.5)))
-    realizations = ctx.realizations_for(params)
+    realizations = ctx.realizations_for("determinant_consistency", params)
     consumers = _tracker_consumers(_det_label_axes(cfg), horizon, dt_levels, realizations)
 
     def finish() -> CheckResult:
@@ -649,7 +659,7 @@ def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0][:3])
-    realizations = ctx.realizations_for(params)
+    realizations = ctx.realizations_for("martingale_M", params)
     axes = _probe_axes(cfg, params)
     phi, phi_label = ctx.weight(str(params.get("phi", "auto")), times)
 
@@ -694,7 +704,7 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
-    realizations = ctx.realizations_for(params)
+    realizations = ctx.realizations_for("conservation", params)
     phi, phi_label = ctx.weight("auto", times)
 
     variants = [("h0", cfg.h0)]
@@ -748,8 +758,8 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
     return _Plan([mc], finish)
 
 
-def _query_axes(cfg: ScenarioConfig, params: dict, default_nodes: int = 41) -> tuple:
-    nodes = int(params.get("query_nodes", default_nodes))
+def _query_axes(cfg: ScenarioConfig, check: str, params: dict, default_nodes: int = 41) -> tuple:
+    nodes = _count(check, params, "query_nodes", default_nodes)
     spans = [hi - lo for lo, hi in zip(cfg.box.lo, cfg.box.hi)]
     margin = float(params.get("query_margin", 0.15 * min(spans)))
     lo = [l + margin for l in cfg.box.lo]
@@ -778,10 +788,10 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     """
     cfg = ctx.cfg
     times = _times_from(params, "times", list(cfg.output_times))
-    realizations = ctx.realizations_for(params)
+    realizations = ctx.realizations_for("entropy_mc", params)
     h_fun = get_convex(cfg.H_name)
     phi, phi_label = ctx.weight("auto", times)
-    axes = _query_axes(cfg, params)
+    axes = _query_axes(cfg, "entropy_mc", params)
     pts = mesh_points(axes)
     mc = _psi_consumer(ctx, times, realizations, pts)
 
@@ -824,13 +834,8 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
             and jensen_ok
             and frac <= MAX_DISCARD_FRACTION
         )
-        se = None
-        if report.lower is not None and report.upper is not None:
-            se = (report.upper - report.lower) / (2.0 * 1.959963984540054)
-        rows = [
-            (float(t), float(v), float(se[i]) if se is not None else 0.0)
-            for i, (t, v) in enumerate(zip(report.times, report.values))
-        ]
+        se = (report.upper - report.lower) / (2.0 * 1.959963984540054)
+        rows = [(float(t), float(v), float(e)) for t, v, e in zip(report.times, report.values, se)]
         metrics = {
             "weighting": phi_label,
             "H": cfg.H_name,
@@ -839,8 +844,8 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
             "values": [float(v) for v in report.values],
             "increments": [float(v) for v in report.increments],
             "num_violations": report.num_violations,
-            "band_lower": [float(v) for v in report.lower] if report.lower is not None else None,
-            "band_upper": [float(v) for v in report.upper] if report.upper is not None else None,
+            "band_lower": [float(v) for v in report.lower],
+            "band_upper": [float(v) for v in report.upper],
             "control_num_violations": control.num_violations,
             "control_fails": not control.verdict_nonincreasing,
             "jensen_on_samples": jensen_cells,
@@ -865,10 +870,10 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
         times = _times_from(params, "times", None)
     else:
         times = [cfg.T * i / 10.0 for i in range(11)]
-    for t in times:
-        i = round(t / oracle_dt)
-        if abs(i * oracle_dt - t) > 1e-9 * max(1.0, t):
-            raise ConfigError(f"entropy_oracle: time {t} is not on the oracle_dt grid")
+    try:
+        step_indices(times, oracle_dt)
+    except ValueError as exc:
+        raise ConfigError(f"entropy_oracle: {exc}") from None
     slack_constant = float(params.get("slack_constant", 1.0))
     h_fun = get_convex(cfg.H_name)
 
@@ -925,8 +930,9 @@ def check_jensen(ctx: RunContext, params: dict) -> CheckResult:
     identity for finite convex combinations, so the pass bar is zero violations.
     """
     cfg = ctx.cfg
-    num_sets = int(params.get("num_sets", 1000))
-    num_samples = int(params.get("num_samples", 64))
+    num_sets = _count("jensen", params, "num_sets", 1000)
+    # One sample makes the inequality an identity.
+    num_samples = _count("jensen", params, "num_samples", 64, minimum=2)
     rng = auxiliary_rng(ctx.seed, "jensen")
     names = ["r2", "abs_smooth", "rlogr"]
     if cfg.H_name not in names:
@@ -984,12 +990,12 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     cfg = ctx.cfg
     slack_constant = float(params.get("slack_constant", 2.0))
     oracle_dt = float(params.get("oracle_dt", cfg.dt))
-    realizations = ctx.realizations_for(params)
+    realizations = ctx.realizations_for("feynman_kac_vs_oracle", params)
     times = [t for t in cfg.output_times if t > 0]
     if not times:
         raise ConfigError("feynman_kac_vs_oracle: no positive output times")
 
-    axes = _query_axes(cfg, params, default_nodes=51)
+    axes = _query_axes(cfg, "feynman_kac_vs_oracle", params, default_nodes=51)
     pts = mesh_points(axes)
     w = trapezoid_weights(axes)
     mc = _psi_consumer(ctx, times, realizations, pts)
@@ -1184,7 +1190,8 @@ def convergence_study(
         raise ConfigError("convergence study needs at least 2 levels")
     params = cfg.params_for("determinant_consistency")
     horizon = float(params.get("horizon", min(cfg.T, 0.5)))
-    budget = int(realizations if realizations is not None else params.get("realizations", 512))
+    budget = (int(realizations) if realizations is not None
+              else _count("determinant_consistency", params, "realizations", 512))
     ctx = RunContext(
         cfg=cfg,
         seed=cfg.seed if seed is None else int(seed),

@@ -157,11 +157,10 @@ def chunk_size_for(
     num_labels = _label_points(labels, cs.n)[1].shape[0]
     horizon = int(num_steps) * float(dt)
     padded = box.padded(escape_margin(cs.nu, horizon))
-    program, double = _compile_step(
+    program = _compile_step(
         cs, float(dt), tuple(zip(padded.lo, padded.hi)), (0.0, horizon), _advanced_state(fields)
     )
-    buffers = program.counts[FIELD] + (cs.n * cs.n if double else 0)
-    per = realization_bytes(num_labels, cs.n, num_stored, fields, buffers)
+    per = realization_bytes(num_labels, cs.n, num_stored, fields, program.counts[FIELD])
     realizations = max(1, int(realizations))
     chunks = -(-realizations // max(1, chunk_capacity(per)))
     return -(-realizations // chunks)
@@ -170,8 +169,11 @@ def chunk_size_for(
 def step_indices(times, dt: float) -> list[int]:
     """Step index i of every time t = i*dt, in the given order.
 
-    Raises ValueError for a time that is negative or off the dt step grid.
+    Raises ValueError for a step dt that is not positive and for a time that is
+    negative or off the dt step grid.
     """
+    if not dt > 0:
+        raise ValueError(f"the step dt={dt!r} must be positive")
     idx = []
     for t in times:
         t = float(t)
@@ -189,30 +191,29 @@ def step_indices(times, dt: float) -> list[int]:
 
 def _compile_step(
     cs: CoefficientSet, dt: float, coord_bounds, time_bounds, state=_STATE
-) -> tuple[Program, bool]:
+) -> Program:
     """One Euler–Maruyama step of the ``state`` (default all of it) as a straight-line
     program.
 
     Left-endpoint evaluation: every coefficient is read at the pre-step position and
     time.  The state is updated in place, so each write is emitted after every read
-    of the value it overwrites; the positions, which every coefficient reads, are
-    written last.  The floating-point operations and their order are those of the
-    plain update formulas, term by term; a term is skipped only when its coefficient
-    compiles to a constant exact zero, decided here once.  The caller promises that
-    every step starts with the coordinates in ``coord_bounds`` and the time in
-    ``time_bounds``; the compiler folds to zero only what is provably zero there
-    (``fields.ProgramCompiler``).  Only the names in ``state`` are written; X and
-    log_I must be among them.  Every coefficient is still compiled, so its domain
-    checks stay whatever is advanced, and ``build`` drops the ops that only the
-    writes left out would read.  Returns the program and whether J needs a second
-    buffer: for n > 1, row j of the new J reads the old rows k.
+    of the value it overwrites: column i of the new J reads only column i of the old
+    one, and J[j][i] is written once every product that reads it is computed; the
+    positions, which every coefficient reads, are written last.  The floating-point
+    operations and their order are those of the plain update formulas, term by term;
+    a term is skipped only when its coefficient compiles to a constant exact zero,
+    decided here once.  The caller promises that every step starts with the
+    coordinates in ``coord_bounds`` and the time in ``time_bounds``; the compiler
+    folds to zero only what is provably zero there (``fields.ProgramCompiler``).
+    Only the names in ``state`` are written; X and log_I must be among them.  Every
+    coefficient is still compiled, so its domain checks stay whatever is advanced,
+    and ``build`` drops the ops that only the writes left out would read.
     """
     n = cs.n
     b = ProgramCompiler(n, coord_bounds, time_bounds)
     f = b.field
     dW = [b.input(("dW", p), COLUMN) for p in range(n)]
     J = [[b.input(("J", j, i)) for i in range(n)] for j in range(n)]
-    J_new = [[b.input(("J_new", j, i)) for i in range(n)] for j in range(n)]
     D, logL, logI = b.input("D"), b.input("logL"), b.input("logI")
     X = b.coords
     DT = b.const(dt)
@@ -236,19 +237,18 @@ def _compile_step(
                 gs = f(cs.dsigma[k][j][p])
                 if not b.is_zero(gs):
                     M[j][k] = add_term(M[j][k], noise(gs, p))
-    double = False
     if "J" in state:
-        double = n > 1 and any(m is not None for row in M for m in row)
-        target = J_new if double else J
-        for j in range(n):
-            for i in range(n):
-                terms = [b.mul(M[j][k], J[k][i]) for k in range(n) if M[j][k] is not None]
-                if double and not terms:
-                    b.write(target[j][i], "copy", J[j][i])
-                acc = J[j][i]
-                for term in terms:
-                    b.write(target[j][i], "add", acc, term)
-                    acc = target[j][i]
+        for i in range(n):
+            # Row j's terms and every product that reads J[j][i], then row j's writes:
+            # fewer products are live at once than if the whole column came first.
+            product = {}
+            for j in range(n):
+                for l, k in [(j, k) for k in range(n)] + [(l, j) for l in range(n)]:
+                    if M[l][k] is not None and (l, k) not in product:
+                        product[l, k] = b.mul(M[l][k], J[k][i])
+                for k in range(n):
+                    if M[j][k] is not None:
+                        b.write(J[j][i], "add", J[j][i], product[j, k])
 
     # --- determinant trackers -------------------------------------------------
     drift = None  # div v + 2*nu*E
@@ -296,7 +296,7 @@ def _compile_step(
                 x_terms.append((j, noise(s, p)))
     for j, term in x_terms:
         b.write(X[j], "add", X[j], term)
-    return b.build(), double
+    return b.build()
 
 
 class _Stepper:
@@ -305,9 +305,8 @@ class _Stepper:
     X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L).  J, D and logL may be None:
     the stepper then leaves them out of the state it advances.  The step program is
     compiled per stepper and its buffers belong to it alone, so concurrent
-    simulations share nothing.  ``J`` names the current tangent buffer, which
-    alternates when the update needs two.  ``coord_bounds`` and ``time_bounds``
-    must hold at the start of every step (see :func:`_compile_step`).
+    simulations share nothing.  ``coord_bounds`` and ``time_bounds`` must hold at the
+    start of every step (see :func:`_compile_step`).
     """
 
     def __init__(
@@ -315,36 +314,20 @@ class _Stepper:
     ):
         arrays = {"X": X, "J": J, "D_sde": D, "log_lambda": logL, "log_I": logI}
         state = tuple(name for name in _STATE if arrays[name] is not None)
-        program, double = _compile_step(cs, dt, coord_bounds, time_bounds, state)
+        program = _compile_step(cs, dt, coord_bounds, time_bounds, state)
         n = cs.n
-        shape = logI.shape
-        self._dW = np.empty((n, shape[0], 1))
-        self._J = [J, np.empty_like(J)] if double else [J]
-        self._runs = []
-        for parity in range(len(self._J)):
-            old, new = self._J[parity], self._J[-1 - parity]
-            inputs = {("x", k): X[..., k] for k in range(n)}
-            inputs.update({("dW", p): self._dW[p] for p in range(n)})
-            if J is not None:
-                for j in range(n):
-                    for i in range(n):
-                        inputs[("J", j, i)] = old[..., j, i]
-                        inputs[("J_new", j, i)] = new[..., j, i]
-            inputs.update(D=D, logL=logL, logI=logI)
-            # The two parities never run at once, so they share one set of buffers.
-            share = self._runs[0] if self._runs else None
-            self._runs.append(program.bind(inputs, shape, share))
-        self._parity = 0
-
-    @property
-    def J(self) -> np.ndarray:
-        return self._J[self._parity]
+        self._dW = np.empty((n, logI.shape[0], 1))
+        inputs = {("x", k): X[..., k] for k in range(n)}
+        inputs.update({("dW", p): self._dW[p] for p in range(n)})
+        if J is not None:
+            inputs.update({("J", j, i): J[..., j, i] for j in range(n) for i in range(n)})
+        inputs.update(D=D, logL=logL, logI=logI)
+        self._run = program.bind(inputs, logI.shape)
 
     def step(self, t: float, dW: np.ndarray) -> None:
         """Advance by one step from time ``t`` with increments ``dW`` of shape (R, n)."""
         np.copyto(self._dW[..., 0], dW.T)
-        self._runs[self._parity].run(t)
-        self._parity = (self._parity + 1) % len(self._J)
+        self._run.run(t)
 
 
 def _all_inside(X: np.ndarray, lo_max: float, hi_min: float) -> bool:
@@ -589,7 +572,6 @@ def simulate_paths(
             out = buffer[: R * steps * n].reshape(R, steps, n)
             inc = driver.increments_block(r_idx, steps, streams, out=out)
         stepper.step(k * dt, inc[:, j, :])
-        J = stepper.J
         # A row inside the (finite) padded box is finite, so only rows that left
         # it need the finiteness test that tells a blow-up from an escape.
         if not _all_inside(X, lo_max, hi_min):

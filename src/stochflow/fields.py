@@ -739,10 +739,6 @@ def _proves(check, bounds) -> bool:
     return lo > 0.0 or hi < 0.0
 
 
-def _copy(src, out) -> None:
-    np.copyto(out, src)
-
-
 class ProgramCompiler:
     """Compiles field DAGs and arithmetic on them into one straight-line program.
 
@@ -886,7 +882,7 @@ class ProgramCompiler:
     # -- in-place writes -----------------------------------------------------
 
     def write(self, target: int, tag: str, *args: int) -> None:
-        """``target = tag(*args)`` into the input ``target``; ``"copy"`` copies one slot.
+        """``target = tag(*args)`` into the input ``target``.
 
         A write is not value-numbered: emit it after every read of the old value.
         """
@@ -901,9 +897,7 @@ class ProgramCompiler:
             self._check(_check_power_base, args[0])
         elif tag == "call" and param == "log":
             self._check(_check_log_argument, args[0])
-        if tag == "copy":
-            fn = _copy
-        elif tag == "call":
+        if tag == "call":
             fn = FUNCTIONS[param]
         elif tag == "pow":
             fn = _POWER_UFUNCS.get(param)
@@ -992,22 +986,17 @@ class Program:
     counts: dict  # shape class -> number of buffers
     feeds: tuple  # scalar slots that array ops read, through 0-d arrays
 
-    def bind(self, inputs: dict, shape: tuple, share: "BoundProgram | None" = None) -> "BoundProgram":
+    def bind(self, inputs: dict, shape: tuple) -> "BoundProgram":
         """Allocate the buffers for (R, L) = ``shape`` and resolve every operand.
 
         ``inputs`` maps input names to arrays of their shape class; only the inputs
-        that some op reads or writes must be present.  ``share``: a binding of this
-        program for the same shape whose buffers this one reuses instead; the two
-        must never run at once.
+        that some op reads or writes must be present.
         """
         R, L = shape
-        if share is not None:
-            pools = share.pools
-        else:
-            pools = {
-                FIELD: [np.empty((R, L)) for _ in range(self.counts[FIELD])],
-                COLUMN: [np.empty((R, 1)) for _ in range(self.counts[COLUMN])],
-            }
+        pools = {
+            FIELD: [np.empty((R, L)) for _ in range(self.counts[FIELD])],
+            COLUMN: [np.empty((R, 1)) for _ in range(self.counts[COLUMN])],
+        }
         feeds = {s: np.zeros(()) for s in self.feeds}
 
         def ref(slot: int):
@@ -1027,15 +1016,13 @@ class Program:
             if out is not None:
                 operands.append(ref(out))
             calls.append(functools.partial(fn, *operands))
-        return BoundProgram(self, calls, feeds, ref, pools)
+        return BoundProgram(self, calls, feeds, ref)
 
 
 class BoundProgram:
-    """A program bound to its inputs and to buffers that only it (and the bindings
-    that share them) uses."""
+    """A program bound to its inputs and to buffers that only it uses."""
 
-    def __init__(self, program: Program, calls: list, feeds: dict, ref: Callable, pools: dict):
-        self.pools = pools
+    def __init__(self, program: Program, calls: list, feeds: dict, ref: Callable):
         self._program = program
         self._calls = calls
         self._feeds = tuple(feeds.items())

@@ -462,20 +462,21 @@ def invert_batch(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
     return labels, status
 
 
-def roundtrip_error(stack: ChartStack, interior_only: bool = True) -> dict:
+def roundtrip_error(stack: ChartStack) -> dict:
     """Forward-then-inverse defect over grid labels, per row: max |A(X(a)) - a|.
 
     Each row inverts its own stored positions.  Boundary labels can legitimately fail
-    to re-invert (their image may be covered only by cells outside the grid), so by
-    default only interior labels count.  Returns per-row arrays ``max_abs_error``
-    (inf for a row that resolves no query) and ``resolved_fraction``, and
-    ``num_queries``, the number of labels each row inverts.
+    to re-invert (their image may be covered only by cells outside the grid), so only
+    interior labels count, or every label of a grid with an axis of at most 2 nodes.
+    Returns per-row arrays ``max_abs_error`` (inf for a row that resolves no query)
+    and ``resolved_fraction``, and ``num_queries``, the number of labels each row
+    inverts.
     """
     shape = stack.label_shape
     n = stack.n
     labels = np.stack(np.meshgrid(*stack.label_axes, indexing="ij"), axis=-1).reshape(-1, n)
     mask = np.ones(labels.shape[0], dtype=bool)
-    if interior_only and all(s > 2 for s in shape):
+    if all(s > 2 for s in shape):
         grid_mask = np.zeros(shape, dtype=bool)
         grid_mask[(slice(1, -1),) * n] = True
         mask = grid_mask.reshape(-1)

@@ -334,6 +334,51 @@ def test_dt_levels_must_divide_the_horizon(tmp_path):
         convergence_study(loads_config(yaml.safe_dump(raw)), levels=3)
 
 
+@pytest.mark.parametrize(
+    "check, key, value",
+    [
+        ("jensen", "num_sets", 0),  # would pass with no set checked
+        ("jensen", "num_sets", 2.9),  # would run 2 sets
+        ("jensen", "num_samples", 1),  # one sample makes the inequality an identity
+        ("martingale_M", "realizations", 0),  # would abort on an empty concatenation
+        ("conservation", "realizations", "100"),
+        ("entropy_mc", "query_nodes", 2.7),  # would be cut to 2 nodes
+        ("determinant_consistency", "realizations", -1),
+    ],
+)
+def test_a_count_that_is_not_an_integer_in_range_is_a_config_error(tmp_path, check, key, value):
+    cfg = _one_check("additive_linear_1d", check, **{key: value})
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5).results
+    assert not result.passed
+    assert result.metrics["error"].startswith(
+        f"ConfigError: {check}.{key}: must be an integer >= "), result.metrics
+
+
+def test_the_smallest_jensen_counts_run(tmp_path):
+    cfg = _one_check("additive_linear_1d", "jensen", num_sets=1, num_samples=2)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5).results
+    assert result.passed, result.metrics
+    assert result.metrics["total_checks"] == len(result.metrics["functions"])
+
+
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        ("entropy_oracle", {"oracle_dt": 0}),
+        ("entropy_oracle", {"oracle_dt": -0.001}),
+        ("determinant_consistency", {"dt_levels": [0.002, 0.0]}),
+        ("determinant_consistency", {"dt_levels": [-0.002, -0.001]}),
+    ],
+)
+def test_a_step_that_is_not_positive_is_a_config_error(tmp_path, check, params):
+    # Refused by name before any division by the step.
+    cfg = _one_check("additive_linear_1d", check, **params)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5).results
+    assert not result.passed
+    assert result.metrics["error"].startswith(f"ConfigError: {check}: "), result.metrics
+    assert "must be positive" in result.metrics["error"]
+
+
 def test_failing_check_is_captured_not_raised(tmp_path):
     # non-compact h0 makes the conservation quadrature invalid; the check must
     # record the error and fail while later checks still run

@@ -6,6 +6,7 @@ match it; the statistical tests use the exactly known law of the
 constant-coefficient flow.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -431,7 +432,7 @@ def test_run_chunks_order_and_thread_invariance():
 
 
 def test_simulation_is_bit_identical_across_chunking_and_threads(cs_sine_1d, cs_full_2d):
-    # Every array and flag of the result, in 1D and in 2D (double-buffered J), for
+    # Every array and flag of the result, in 1D and in 2D (a J whose rows mix), for
     # chunk 24 against chunk 5 and 1 thread against 4: the per-call step buffers
     # must not leak between chunks or threads.
     per_realization = ("alive", "escaped", "nonfinite")
@@ -485,12 +486,12 @@ def test_increment_blocks_do_not_change_the_bits(cs_sine_1d, cs_full_2d, monkeyp
 def test_simulate_paths_peak_memory_is_its_working_set(cs_full_2d):
     # 64 realizations of 35 labels over 2,000 steps in 2D.  The tracemalloc peak
     # stays within what the chunk needs, worked out from array shapes: the state
-    # (X, J, D_sde, log_lambda, log_I), the step program's field buffers and J's
-    # second buffer, the snapshots, one block of increments and the four (R, L)
-    # temporaries of a snapshot's determinant and finiteness tests; plus each
-    # realization's generator and the compiled program's Python objects, measured
-    # on their own.  Drawing the whole horizon up front would add 64 x 2,000 x 2 x
-    # 8 B = 2 MB, and a second set of field buffers for J's other parity 0.47 MB.
+    # (X, J, D_sde, log_lambda, log_I), the step program's field buffers, the
+    # snapshots, one block of increments and the four (R, L) temporaries of a
+    # snapshot's determinant and finiteness tests; plus each realization's generator
+    # and the compiled program's Python objects, measured on their own.  Drawing the
+    # whole horizon up front would add 64 x 2,000 x 2 x 8 B = 2 MB, and a second copy
+    # of J 72 kB.
     import tracemalloc
 
     from stochflow.engine import _compile_step, _Stepper
@@ -502,10 +503,9 @@ def test_simulate_paths_peak_memory_is_its_working_set(cs_full_2d):
     brownian = BrownianDriver(seed=12, dt=dt, n=n)
     padded = cs.box.padded(escape_margin(cs.nu, K * dt))
     bounds = (tuple(zip(padded.lo, padded.hi)), (0.0, K * dt))
-    program, double = _compile_step(cs, dt, *bounds)
-    assert double
+    program = _compile_step(cs, dt, *bounds)
     state = R * L * (n + n * n + 3) * 8
-    buffers = (R * L * (program.counts[FIELD] + n * n) + R * (program.counts[COLUMN] + n)) * 8
+    buffers = (R * L * program.counts[FIELD] + R * (program.counts[COLUMN] + n)) * 8
     snapshots = len(store) * R * L * (n + 4) * 8
     block = R * engine.INCREMENT_BLOCK_STEPS * n * 8
     temporaries = 4 * R * L * 8
@@ -635,3 +635,33 @@ def test_fields_and_stored_times_do_not_change_the_kept_bits(cs_full_2d):
     assert head.alive.tobytes() == lean.alive[:5].tobytes()
     with pytest.raises(ValueError, match="unknown snapshot fields"):
         simulate_paths(cs, axes, 10, [10], brownian, [0], fields=("X", "J"))
+
+
+@pytest.mark.parametrize(
+    "fields, digest",
+    [
+        (None, "a5a514c9f6cb616c40a4e63949f203188f0f292cd618d47f3dd12fa901b8231f"),
+        (("X", "D_direct", "log_I"),
+         "6eafe9706cd0bba26bde7f60962aceab6abf7556703f3b8b701d5e8378b24ce0"),
+    ],
+)
+def test_full_2d_run_keeps_its_recorded_bits(cs_full_2d, fields, digest):
+    # Every snapshot field and flag of a 2D run with a full sigma, whose tangent
+    # update mixes the rows of J, hashed over 400 steps.  The order in which the
+    # step program emits its ops may change; these bits may not.
+    cs = replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0)))
+    axes = (np.linspace(-1, 1, 3), np.linspace(-1, 1, 4))
+    brownian = BrownianDriver(seed=29, dt=1e-3, n=2)
+    result = simulate_paths(cs, axes, 400, [0, 150, 400], brownian, range(9), fields=fields)
+    assert result.alive.all()
+    h = hashlib.sha256()
+    for name in (*engine.SNAPSHOT_FIELDS, "alive", "escaped", "nonfinite"):
+        value = getattr(result, name)
+        h.update(b"None" if value is None else value.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_step_indices_refuses_a_step_that_is_not_positive(dt):
+    with pytest.raises(ValueError, match="must be positive"):
+        engine.step_indices([0.0, 0.1], dt)

@@ -276,12 +276,10 @@ def test_invert_batch_shape_validation(heat_run):
         invert_batch(chart, np.zeros((2, 3, 1)))
 
 
-def test_roundtrip_includes_boundary_when_asked(heat_run):
+def test_roundtrip_counts_only_interior_labels(heat_run):
+    # 25 labels, of which the two end nodes are left out.
     chart = chart_from_batch(heat_run, 0.1, [0])
-    interior = roundtrip_error(chart, interior_only=True)
-    full = roundtrip_error(chart, interior_only=False)
-    assert full["num_queries"] == 25
-    assert interior["num_queries"] == 23
+    assert roundtrip_error(chart)["num_queries"] == 23
 
 
 def test_orientation_reversed_chart_rejects_all_queries():

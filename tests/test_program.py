@@ -209,7 +209,7 @@ def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
     compiler = ProgramCompiler(cs.n, bounds, time_bounds)
     zeros = [*cs.v, *(cs.dv[k][j] for k in range(cs.n) for j in range(cs.n)), cs.div_v, cs.E]
     assert all(compiler.is_zero(compiler.field(fe)) for fe in zeros)
-    program, _ = _compile_step(cs, cfg.dt, bounds, time_bounds)
+    program = _compile_step(cs, cfg.dt, bounds, time_bounds)
     assert len(program.ops) <= max_ops
 
 
@@ -224,6 +224,7 @@ def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
         ("heat_identity", ("X", "log_I"), 2, 0),
         ("sine_sigma_1d", None, 18, 4),
         ("sine_sigma_1d", ("X", "J", "log_I"), 12, 3),
+        ("diag_sigma_2d", ("X", "J", "log_I"), 46, 9),
     ],
 )
 def test_the_step_program_writes_only_the_advanced_state(name, state, ops, buffers):
@@ -232,7 +233,7 @@ def test_the_step_program_writes_only_the_advanced_state(name, state, ops, buffe
     cfg = load_config(str(bundled_scenario_path(name)))
     bounds, time_bounds = _padded_bounds(cfg)
     args = (cfg.coefficients, cfg.dt, bounds, time_bounds) + ((state,) if state else ())
-    program, _ = _compile_step(*args)
+    program = _compile_step(*args)
     assert (len(program.ops), program.counts[FIELD]) == (ops, buffers)
 
 
