@@ -396,15 +396,18 @@ def _passes(consumers) -> dict:
 
 
 def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
-    """Invert the flow map at every stored time and measure max |A(X(a,t)) - a|.
+    """Invert the flow map at every positive output time and measure max |A(X(a,t)) - a|
+    against a fixed 1e-6.
 
     Interior labels only: boundary labels may map outside the covered cell complex.
     A handful of realizations suffices — the defect is a per-path property of the
     inversion, not a statistic.
     """
     cfg = ctx.cfg
-    tol = float(params.get("tolerance", 1e-6))
-    times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
+    tol = 1e-6
+    times = [t for t in cfg.output_times if t > 0]
+    if not times:
+        raise ConfigError("roundtrip: no positive output times")
     num_real = 8
 
     def reduce(result):
@@ -859,22 +862,19 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
 def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
     """Grid-solver entropy decay: the series must be nonincreasing to within 1e-8.
 
-    Solves the forward equation for the data and the density, builds the weighting
-    series (closed form for constant V, backward solve otherwise), and evaluates the
-    weighted relative-entropy functional on the common grid.  The non-convex control
+    Solves the forward equation for the data and the density at 11 evenly spaced
+    times, builds the weighting series (closed form for constant V, backward solve
+    otherwise), and evaluates the weighted relative-entropy functional on the common
+    grid, with slack constant 1 in the reported slack.  The non-convex control
     -r^2 must violate monotonicity, guarding against a vacuous verdict.
     """
     cfg = ctx.cfg
     oracle_dt = float(params.get("oracle_dt", min(cfg.dt, 2e-4)))
-    if "times" in params:
-        times = _times_from(params, "times", None)
-    else:
-        times = [cfg.T * i / 10.0 for i in range(11)]
+    times = [cfg.T * i / 10.0 for i in range(11)]
     try:
         step_indices(times, oracle_dt)
     except ValueError as exc:
         raise ConfigError(f"entropy_oracle: {exc}") from None
-    slack_constant = float(params.get("slack_constant", 1.0))
     h_fun = get_convex(cfg.H_name)
 
     axes = ctx.oracle_axes()
@@ -890,9 +890,8 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
         phi = solve_adjoint(ctx.cs, phi_T, cfg.T, oracle_dt, output_times=times)
         phi_label = "adjoint solve"
 
-    report = entropy_series(f_series, rho_series, phi, h_fun, slack_constant=slack_constant)
-    control = entropy_series(f_series, rho_series, phi, non_convex_control(),
-                             slack_constant=slack_constant)
+    report = entropy_series(f_series, rho_series, phi, h_fun)
+    control = entropy_series(f_series, rho_series, phi, non_convex_control())
 
     hard_limit = 1e-8
     max_inc = float(report.max_increment)
@@ -994,6 +993,10 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     times = [t for t in cfg.output_times if t > 0]
     if not times:
         raise ConfigError("feynman_kac_vs_oracle: no positive output times")
+    try:
+        step_indices([*times, cfg.T], oracle_dt)
+    except ValueError as exc:
+        raise ConfigError(f"feynman_kac_vs_oracle: {exc}") from None
 
     axes = _query_axes(cfg, "feynman_kac_vs_oracle", params, default_nodes=51)
     pts = mesh_points(axes)

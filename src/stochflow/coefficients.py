@@ -91,8 +91,8 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
     scalar.  ``nu`` must be positive.
     """
     n = int(n)
-    if not (1 <= n <= F.MAX_DIMENSION):
-        raise DimensionMismatch(f"dimension must be 1..{F.MAX_DIMENSION}, got {n}")
+    if n not in (1, 2):
+        raise DimensionMismatch(f"dimension must be 1 or 2, got {n}")
     nu = float(nu)
     if not (nu > 0.0):
         raise ValueError(f"nu must be positive, got {nu}")

@@ -57,12 +57,12 @@ STATISTICAL_CHECKS = frozenset(
 )
 
 _CHECK_PARAM_KEYS: dict[str, frozenset] = {
-    "roundtrip": frozenset({"tolerance", "times"}),
+    "roundtrip": frozenset(),
     "determinant_consistency": frozenset({"dt_levels", "realizations", "horizon"}),
     "martingale_M": frozenset({"phi", "probe_labels", "times", "realizations"}),
     "conservation": frozenset({"times", "realizations", "h0_alt"}),
     "entropy_mc": frozenset({"times", "realizations", "query_nodes", "query_margin"}),
-    "entropy_oracle": frozenset({"oracle_dt", "slack_constant", "times"}),
+    "entropy_oracle": frozenset({"oracle_dt"}),
     "jensen": frozenset({"num_sets", "num_samples"}),
     "feynman_kac_vs_oracle": frozenset({"slack_constant", "oracle_dt", "query_margin"}),
 }
@@ -203,7 +203,7 @@ def _validate_check_params(raw_params, checks, path: str) -> dict:
         _expect(isinstance(params, dict), cpath, "expected a mapping of parameters")
         allowed = _CHECK_PARAM_KEYS[cname]
         for key in params:
-            _expect(key in allowed, f"{cpath}.{key}", f"unknown parameter; allowed: {', '.join(sorted(allowed))}")
+            _expect(key in allowed, f"{cpath}.{key}", f"unknown parameter; allowed: {', '.join(sorted(allowed)) or 'none'}")
         out[cname] = dict(params)
     return out
 
@@ -222,7 +222,7 @@ def loads_config(text: str, name: str = "<config>") -> ScenarioConfig:
         _expect(key in raw, key, "required key is missing")
 
     n = _as_int(raw["dimension"], "dimension")
-    _expect(n in (1, 2, 3), "dimension", "must be 1, 2, or 3")
+    _expect(n in (1, 2), "dimension", "must be 1 or 2")
     nu = _as_float(raw["nu"], "nu")
     _expect(nu > 0, "nu", "must be positive")
 

@@ -344,13 +344,10 @@ def _rows_inside(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _det_stack(J: np.ndarray) -> np.ndarray:
-    """Determinant over the last two axes, cheap closed forms for n <= 2."""
-    n = J.shape[-1]
-    if n == 1:
+    """Determinant over the last two axes of a 1x1 or 2x2 stack, in closed form."""
+    if J.shape[-1] == 1:
         return J[..., 0, 0].copy()
-    if n == 2:
-        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    return np.linalg.det(J)
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
 # ---------------------------------------------------------------------------

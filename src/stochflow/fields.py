@@ -28,7 +28,7 @@ into a straight-line program: shared subtrees are numbered once (``a*b`` and ``b
 included), constants and time-only subtrees become scalars, and every array operation
 writes into a reused buffer, with the same bits as :func:`eval_batch`.  Given bounds on
 the coordinates and on time, the compiler also encloses every value in an interval
-(Moore 1966) and folds ``a - a``, ``-a + a`` and ``a*0`` to 0 and ``a + 0`` to ``a``
+(Moore 1966) and folds ``a - a`` and ``a*0`` to 0 and ``a + 0`` to ``a``
 wherever ``a`` is provably finite; such a fold changes no value, except possibly the
 sign of a zero.
 """
@@ -753,10 +753,10 @@ class ProgramCompiler:
 
     ``coord_bounds`` (one ``(lo, hi)`` per coordinate) and ``time_bounds`` promise
     that every run sees coordinates and a time inside them.  From them each slot gets
-    an interval enclosure, and :meth:`op` folds ``a - a``, ``-a + a``, ``a*0`` and
-    ``0*a`` to the constant 0 and ``a + 0``, ``a - 0`` to ``a`` when ``a`` has a
-    finite enclosure, so an overflow or a failed check is never folded away.  A
-    domain check is left out only when the enclosure of its operand proves it passes.
+    an interval enclosure, and :meth:`op` folds ``a - a``, ``a*0`` and ``0*a`` to the
+    constant 0 and ``a + 0``, ``a - 0`` to ``a`` when ``a`` has a finite enclosure, so
+    an overflow or a failed check is never folded away.  A domain check is left out
+    only when the enclosure of its operand proves it passes.
     Without bounds only constants have enclosures, and nothing but constants folds.
     """
 
@@ -768,7 +768,6 @@ class ProgramCompiler:
         self._name: dict = {}  # input slot -> name
         self._keys: dict = {}  # value number -> slot
         self._nodes: dict = {}  # id(node) -> slot
-        self._negated: dict = {}  # slot of -a -> slot of a
         self._scalar_ops: list = []  # (slot, fn, argument slots)
         self._ops: list = []  # (fn, argument slots, out slot or None for a check)
         self.time = self._new("scalar", 0)
@@ -851,9 +850,6 @@ class ProgramCompiler:
         finite = self._bounds  # a finite enclosure, or None
         if tag == "sub" and a == b and finite[a]:
             return self.const(0.0)
-        if tag == "add" and (self._negated.get(a) == b or self._negated.get(b) == a):
-            if finite[a] and finite[b]:
-                return self.const(0.0)
         if tag == "mul":
             if (self.is_zero(a) and finite[b]) or (self.is_zero(b) and finite[a]):
                 return self.const(0.0)
@@ -875,8 +871,6 @@ class ProgramCompiler:
         else:
             slot = self._new("scalar", 0, bounds)
             self._scalar_ops.append((slot, functools.partial(_apply, tag, param), args))
-        if tag == "neg":
-            self._negated[slot] = args[0]
         return slot
 
     # -- in-place writes -----------------------------------------------------
@@ -950,8 +944,6 @@ class ProgramCompiler:
                     index = counts[shape]
                     counts[shape] += 1
                 buffers[out] = (shape, index)
-                if out not in last:
-                    free[shape].append(index)
             for a in set(args):
                 if last[a] == i and a in buffers:
                     free[buffers[a][0]].append(buffers[a][1])

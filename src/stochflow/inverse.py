@@ -10,7 +10,7 @@ degenerate and excluded.  Inversion is geometric:
   interpolant within the cell exactly (one Newton step, zero residual); the monotone
   rows of a stack are bracketed together by one vectorized binary search, folded rows
   by a scan of their cells;
-- dimensions 2-3: damped Newton on the interpolant, one chart at a time, seeded from
+- dimension 2: damped Newton on the interpolant, one chart at a time, seeded from
   the label whose stored image is nearest to the query (a distance table built axis by
   axis over blocks of queries), iterates projected into the label box.
 
@@ -154,21 +154,14 @@ def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     closed-form singular values, with s_max^2 = (S + sqrt(S^2 - 4 det^2)) / 2 for the
     squared Frobenius norm S and s_min = |det| / s_max.
     """
-    n = jacs.shape[-1]
-    if n == 1:
+    if jacs.shape[-1] == 1:
         dets = jacs[..., 0, 0]
-        ratios = np.where(dets != 0.0, 1.0, np.inf)
-    elif n == 2:
-        dets = jacs[..., 0, 0] * jacs[..., 1, 1] - jacs[..., 0, 1] * jacs[..., 1, 0]
-        frob = np.sum(jacs * jacs, axis=(-2, -1))
-        smax_sq = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0 * dets * dets, 0.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(dets != 0.0, smax_sq / np.abs(dets), np.inf)
-    else:
-        dets = np.linalg.det(jacs)
-        sv = np.linalg.svd(jacs, compute_uv=False)
-        with np.errstate(divide="ignore"):
-            ratios = np.where(sv[..., -1] > 0, sv[..., 0] / sv[..., -1], np.inf)
+        return dets, np.where(dets != 0.0, 1.0, np.inf)
+    dets = jacs[..., 0, 0] * jacs[..., 1, 1] - jacs[..., 0, 1] * jacs[..., 1, 0]
+    frob = np.sum(jacs * jacs, axis=(-2, -1))
+    smax_sq = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0 * dets * dets, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(dets != 0.0, smax_sq / np.abs(dets), np.inf)
     return dets, ratios
 
 
@@ -287,21 +280,14 @@ def _invert_rows_1d(stack: ChartStack, x: np.ndarray):
 
 
 def _solve_newton_steps(jac: np.ndarray, rhs: np.ndarray):
-    """Per-row solve of jac @ step = rhs; rows with near-singular jac marked False."""
-    n = jac.shape[-1]
-    if n == 2:
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        good = np.abs(det) > 1e-14
-        step = np.zeros_like(rhs)
-        d = np.where(good, det, 1.0)
-        step[:, 0] = (jac[:, 1, 1] * rhs[:, 0] - jac[:, 0, 1] * rhs[:, 1]) / d
-        step[:, 1] = (-jac[:, 1, 0] * rhs[:, 0] + jac[:, 0, 0] * rhs[:, 1]) / d
-        return step, good
-    det = np.linalg.det(jac)
+    """Per-row solve of the 2x2 systems jac @ step = rhs; rows with near-singular jac
+    marked False."""
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     good = np.abs(det) > 1e-14
     step = np.zeros_like(rhs)
-    if good.any():
-        step[good] = np.linalg.solve(jac[good], rhs[good])
+    d = np.where(good, det, 1.0)
+    step[:, 0] = (jac[:, 1, 1] * rhs[:, 0] - jac[:, 0, 1] * rhs[:, 1]) / d
+    step[:, 1] = (-jac[:, 1, 0] * rhs[:, 0] + jac[:, 0, 0] * rhs[:, 1]) / d
     return step, good
 
 
@@ -328,7 +314,7 @@ def _nearest_node(flat_X: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
-    """Damped Newton for the queries ``x`` on row ``r`` of an nD stack."""
+    """Damped Newton for the queries ``x`` on row ``r`` of a 2D stack."""
     n = stack.n
     axes = stack.label_axes
     X = stack.X[r]
@@ -448,7 +434,7 @@ def invert_batch(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
     shape (R, Q, n).  Returns ``(labels, status)`` with labels shape (R, Q, n) and
     status (R, Q); failed entries are NaN with status OUT_OF_CHART (query outside the
     chart image) or NO_CONVERGENCE (under-resolved chart).  Never raises for
-    individual points.  1D rows are bracketed together; nD rows run damped Newton
+    individual points.  1D rows are bracketed together; 2D rows run damped Newton
     one row at a time.
     """
     pts = _query_points(points, stack.n, stack.num_rows)

@@ -1,5 +1,6 @@
 """Scenario check runner: reports, goldens, error capture, convergence study."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -221,6 +222,64 @@ def test_failing_consumer_fails_only_its_own_check(tmp_path, monkeypatch):
     assert entropy_mc.passed, entropy_mc.metrics
 
 
+def test_an_engine_error_fails_every_check_of_its_pass(tmp_path, monkeypatch):
+    # conservation and entropy_mc share the label-grid pass; martingale_M simulates
+    # its probes in a pass of its own and jensen simulates nothing.  Every 7th
+    # realization comes back not alive, and the label-grid pass raises on its second
+    # chunk: both of its checks report that error, martingale_M and jensen still run,
+    # and the report counts the discards of martingale_M's pass alone.
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw["checks"] = ["conservation", "entropy_mc", "martingale_M", "jensen"]
+    real_simulate = checks.simulate_paths
+
+    def failing(*args, realization_indices, **kwargs):
+        if not isinstance(args[1], np.ndarray) and realization_indices[0] > 0:
+            raise FloatingPointError("step overflowed")
+        result = real_simulate(*args, realization_indices=realization_indices, **kwargs)
+        result.alive[result.realization_indices % 7 == 0] = False
+        return result
+
+    monkeypatch.setattr(checks, "simulate_paths", failing)
+    budget = 140
+    report = run_scenario(loads_config(yaml.safe_dump(raw)), str(tmp_path),
+                          realizations=budget, chunk_size=37)
+    conservation, entropy_mc, martingale, jensen = report.results
+    for result in (conservation, entropy_mc):
+        assert not result.passed
+        assert result.metrics == {"error": "FloatingPointError: step overflowed"}
+        assert result.notes == "check aborted by error"
+    assert martingale.metrics["num_discarded"] == -(-budget // 7)
+    assert jensen.passed, jensen.metrics
+    assert report.num_discarded == -(-budget // 7)
+    # martingale_M fails on its discard fraction alone.
+    assert not martingale.passed
+    assert martingale.metrics["max_abs_z"] <= martingale.metrics["z_limit"]
+
+
+def test_feynman_kac_fails_when_fewer_than_half_the_points_are_usable(tmp_path, monkeypatch):
+    # The estimate at t = 0.25 masks 60% of the query points: that time fails without
+    # an L2 figure, and the check fails with it, while t = 0.5 is measured as usual.
+    real_fields = checks.fields_from_samples
+
+    def masking(samples, t):
+        est = real_fields(samples, t)
+        if t != 0.25:
+            return est
+        masked = est.masked.copy()
+        masked[: int(0.6 * masked.size)] = True
+        return dataclasses.replace(est, masked=masked)
+
+    monkeypatch.setattr(checks, "fields_from_samples", masking)
+    cfg = _one_check("heat_identity", "feynman_kac_vs_oracle")
+    (result,) = run_scenario(cfg, str(tmp_path), realizations=150).results
+    assert not result.passed
+    early, late = result.metrics["times"]
+    assert early["t"] == 0.25 and early["usable_fraction"] < 0.5
+    assert early["passed"] is False and "l2" not in early
+    assert late["t"] == 0.5 and late["passed"] and "l2" in late
+    assert [row[0] for row in result.series["feynman_kac_vs_oracle"]] == [0.5]
+
+
 def _short_heat(checks_list):
     raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
     raw.update(T=0.1, output_times=[0.0, 0.05, 0.1], checks=checks_list)
@@ -377,6 +436,33 @@ def test_a_step_that_is_not_positive_is_a_config_error(tmp_path, check, params):
     assert not result.passed
     assert result.metrics["error"].startswith(f"ConfigError: {check}: "), result.metrics
     assert "must be positive" in result.metrics["error"]
+
+
+@pytest.mark.parametrize(
+    "oracle_dt, message",
+    [(0, "must be positive"), (0.0007, "does not lie on the dt=0.0007 step grid")],
+)
+def test_feynman_kac_oracle_step_is_checked_before_simulating(tmp_path, monkeypatch,
+                                                              oracle_dt, message):
+    # The output times 0.25 and 0.5 must lie on the oracle's step grid; a step that
+    # does not fit aborts the check at planning, before its Monte Carlo pass.
+    calls = []
+    monkeypatch.setattr(checks, "run_chunks", lambda *a, **k: calls.append(a))
+    cfg = _one_check("additive_linear_1d", "feynman_kac_vs_oracle", oracle_dt=oracle_dt)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=300).results
+    assert not result.passed
+    assert result.metrics["error"].startswith("ConfigError: feynman_kac_vs_oracle: ")
+    assert message in result.metrics["error"], result.metrics
+    assert calls == []
+
+
+def test_checks_at_the_positive_output_times_need_one(tmp_path):
+    raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
+    raw.update(output_times=[0.0], checks=["roundtrip", "feynman_kac_vs_oracle"])
+    report = run_scenario(loads_config(yaml.safe_dump(raw)), str(tmp_path), realizations=150)
+    for result in report.results:
+        assert result.metrics == {
+            "error": f"ConfigError: {result.name}: no positive output times"}
 
 
 def test_failing_check_is_captured_not_raised(tmp_path):

@@ -208,6 +208,8 @@ def test_assemble_accepts_field_expr_inputs():
         dict(sigma=[["1", "0"]], U=["0"], V="0", nu=0.1, n=1),  # non-square sigma
         dict(sigma=[["1"]], U=["0", "0"], V="0", nu=0.1, n=1),  # wrong U length
         dict(sigma=[["1"]], U=["0"], V="0", nu=0.1, n=5),  # dimension out of range
+        dict(sigma=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], U=["0"] * 3, V="0",
+             nu=0.1, n=3),  # the solver works on R^1 and R^2 only
     ],
 )
 def test_assemble_shape_validation(kwargs):

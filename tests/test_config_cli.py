@@ -84,6 +84,22 @@ def test_every_bundled_scenario_loads():
             "output_times",
         ),
         (lambda s: s.replace("realizations: 2000", "realizations: 50"), "realizations"),
+        (
+            lambda s: s + "  roundtrip:\n    tolerance: 0.001\n",
+            "check_params.roundtrip.tolerance: unknown parameter",
+        ),
+        (
+            lambda s: s + "  roundtrip:\n    times: [0.25]\n",
+            "check_params.roundtrip.times: unknown parameter",
+        ),
+        (
+            lambda s: s.replace("    oracle_dt: 0.0002", "    oracle_dt: 0.0002\n    times: [0.0, 0.5]"),
+            "check_params.entropy_oracle.times: unknown parameter",
+        ),
+        (
+            lambda s: s.replace("    oracle_dt: 0.0002", "    oracle_dt: 0.0002\n    slack_constant: 5.0"),
+            "check_params.entropy_oracle.slack_constant: unknown parameter",
+        ),
     ],
     ids=[
         "unknown-key",
@@ -95,6 +111,10 @@ def test_every_bundled_scenario_loads():
         "unknown-check-param",
         "unsorted-output-times",
         "too-few-realizations",
+        "roundtrip-tolerance",
+        "roundtrip-times",
+        "entropy-oracle-times",
+        "entropy-oracle-slack-constant",
     ],
 )
 def test_config_error_paths(heat_text, mutate, needle):
@@ -144,6 +164,22 @@ def test_a_non_finite_number_is_a_config_error(heat_text, tmp_path, capsys, old,
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_three_dimensional_scenario_is_a_config_error(heat_text, tmp_path, capsys):
+    # The solver and its finite-difference oracle work on R^1 and R^2 only.
+    raw = yaml.safe_load(heat_text)
+    raw.update(dimension=3, sigma=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               U=["0", "0", "0"], box={"lo": [-6.0] * 3, "hi": [6.0] * 3}, labels=[9, 9, 9],
+               checks=["jensen"], check_params={})
+    text = yaml.safe_dump(raw)
+    with pytest.raises(ConfigError) as info:
+        loads_config(text)
+    assert str(info.value) == "dimension: must be 1 or 2"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "config error: dimension: must be 1 or 2\n"
 
 
 @pytest.mark.parametrize(

@@ -615,3 +615,47 @@ def test_seeds_on_a_chart_with_planted_ties_take_the_first_node():
     assert np.array_equal(seeds, ((x[:, None] - X[None]) ** 2).sum(2).argmin(1))
     i, j = np.meshgrid(np.arange(31), np.arange(31), indexing="ij")
     assert np.array_equal(seeds, (33 * i + j).ravel())
+
+
+def _hand_chart(ax, X):
+    """A one-row 2D stack of the stored positions X, (size, size, 2), at t = 0.5."""
+    return _build_stack((ax, ax), X[None], np.zeros((1,) + X.shape[:2]), 0.5)
+
+
+def test_a_query_outside_a_rotated_chart_is_out_of_chart():
+    # X = R a for a 45-degree rotation R: the image of the label square is a diamond
+    # whose bounding box holds (1.2, 1.2), but its preimage R^T x = (1.2*sqrt(2), 0)
+    # lies outside the labels.  Newton presses against the edge a1 = 1, cannot reduce
+    # the residual there, and the query comes back out of the chart, not stalled.
+    ax = np.linspace(-1.0, 1.0, 5)
+    c = np.cos(np.pi / 4)
+    R = np.array([[c, -c], [c, c]])
+    chart = _hand_chart(ax, np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1) @ R.T)
+    assert not chart.degenerate_cells.any()
+    assert np.all(chart.image_lo[0] < 1.2) and np.all(chart.image_hi[0] > 1.2)
+    labels, status = _invert_one(chart, np.array([[1.2, 1.2], [0.3, 0.2]]))
+    assert status.tolist() == [STATUS_OUT_OF_CHART, STATUS_OK]
+    assert np.isnan(labels[0]).all()
+    assert np.allclose(labels[1], R.T @ [0.3, 0.2], atol=1e-8)
+
+
+def test_queries_in_cells_with_a_collapsed_corner_do_not_converge():
+    # Integer labels on [-2, 2]^2 mapped to themselves, except that node (0, 0) is
+    # moved onto the image of node (1, 0).  The cells [0, 1] x [0, 1] and
+    # [0, 1] x [-1, 0] then have a zero corner Jacobian determinant.
+    ax = np.linspace(-2.0, 2.0, 5)
+    X = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    X[2, 2] = X[3, 2]
+    with pytest.warns(UserWarning, match="under-resolved"):
+        chart = _hand_chart(ax, X)
+    assert np.argwhere(chart.degenerate_cells[0]).tolist() == [[2, 1], [2, 2]]
+    # (0.8, 0.6) is the image of label (2/3, 0.6) in cell [0, 1] x [0, 1]: Newton from
+    # the seed (1, 1) converges there, and the degenerate cell rejects it.  (0.9, 0.05)
+    # seeds at the collapsed node (0, 0), the first of the two nodes whose image is
+    # nearest, where the interpolant's Jacobian is singular.  Both stay interior.
+    labels, status = _invert_one(chart, np.array([[0.8, 0.6], [0.9, 0.05], [-1.5, 0.5]]))
+    assert status.tolist() == [STATUS_NO_CONVERGENCE, STATUS_NO_CONVERGENCE, STATUS_OK]
+    assert np.isnan(labels[:2]).all()
+    assert np.allclose(labels[2], [-1.5, 0.5], atol=1e-8)
+    # Alone, the singular query leaves Newton no query to step.
+    assert _invert_one(chart, np.array([[0.9, 0.05]]))[1].tolist() == [STATUS_NO_CONVERGENCE]
