@@ -12,8 +12,9 @@ consumers, each naming the labels, dt, times, realization budget and snapshot fi
 it reads, with a reducer that turns one chunk into per-realization scalars (the
 roundtrip errors of the first 8 realizations, conserved quadratures, martingale
 samples, tracker gaps, ψ rows).  A reducer returns only that payload: the pass counts
-the realizations of the consumer's prefix that are not alive in ``discarded``, which
-a check's ``finish()`` reads.  ``run_scenario`` groups the consumers of every
+the realizations of the consumer's prefix that are not alive in ``discarded``, from
+which ``run_scenario`` alone writes a check's discard metrics and applies the discard
+gate (``_gate_discards``).  ``run_scenario`` groups the consumers of every
 check by labels, dt and horizon (the horizon sets the padded escape box and the
 fold bounds, so only equal horizons share), and gives each group one ``run_chunks``
 pass that stores the union of their times and fields.  Every chunk goes to every
@@ -431,14 +432,11 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
                 worst = max(worst, err)
                 worst_fraction = min(worst_fraction, fraction)
                 per_time[t] = max(per_time[t], err)
-        dead = mc.discarded
-        passed = dead == 0 and worst <= tol and worst_fraction == 1.0
+        passed = worst <= tol and worst_fraction == 1.0
         metrics = {
             "max_abs_error": worst,
             "tolerance": tol,
             "min_resolved_fraction": worst_fraction,
-            "realizations": num_real,
-            "num_discarded": dead,
         }
         rows = [(t, per_time[float(t)], 0.0) for t in times]
         return CheckResult("roundtrip", passed, 0.0, metrics, {"roundtrip": rows})
@@ -449,8 +447,10 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
 def _tracker_consumers(labels, horizon: float, dts, realizations: int) -> list:
     """One pass per step size over ``labels`` to the horizon, reading the trackers."""
     for dt in dts:
-        if abs(round(horizon / dt) * dt - horizon) > 1e-9:
-            raise ConfigError(f"horizon {horizon} is not a multiple of dt {dt}")
+        steps = round(horizon / dt)
+        if steps < 1 or abs(steps * dt - horizon) > 1e-9:
+            raise ConfigError(f"determinant_consistency: horizon {horizon} is not a "
+                              f"multiple k * {dt} with a whole k >= 1")
 
     def reduce(result):
         s = result.time_slot(horizon)
@@ -554,14 +554,10 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
 
     def finish() -> CheckResult:
         levels = [_tracker_gaps(c) for c in consumers]
-        dead = sum(lv["num_discarded"] for lv in levels)
-
         gate_dl = _gate_pair(dt_levels, [lv["rms_direct_vs_exp_lambda"] for lv in levels])
         metrics = {
             "dt_levels": dt_levels,
             "horizon": horizon,
-            "realizations": realizations,
-            "num_discarded": dead,
             "pair_direct_vs_exp_lambda": gate_dl,
         }
         passed = gate_dl["passed"]
@@ -580,11 +576,6 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
             gate_ds = _gate_pair(dt_levels, [lv["rms_direct_vs_sde"] for lv in levels])
             metrics["pair_direct_vs_sde"] = gate_ds
             passed = passed and gate_ds["passed"]
-
-        frac = dead / max(1, realizations * len(dt_levels))
-        if frac > MAX_DISCARD_FRACTION:
-            passed = False
-            metrics["discard_fraction"] = frac
 
         series = {
             "determinant_consistency.exp_lambda": [
@@ -623,14 +614,13 @@ def _probe_axes(cfg: ScenarioConfig, params: dict) -> tuple:
     return tuple(axes)
 
 
-def _z_table(cells, discarded: int, realizations: int) -> tuple:
+def _z_table(cells) -> tuple:
     """The z-gate of martingale_M and conservation: (table, series, max |z|, passed).
 
     ``cells`` lists (row, series stem, samples, reference) in table order.  Each row
     gets the sample mean, its standard error, the reference and z = (mean - reference)
     / se; with se = 0, z is 0 when the mean equals the reference and inf otherwise.
-    The check passes when max |z| <= 4, which NaN and inf fail, and at most
-    ``MAX_DISCARD_FRACTION`` of the realizations were discarded.
+    The check passes when max |z| <= 4, which NaN and inf fail.
     """
     table, series = [], {}
     for row, stem, samples, reference in cells:
@@ -645,8 +635,7 @@ def _z_table(cells, discarded: int, realizations: int) -> tuple:
         table.append({**row, "mean": mean, "se": se, "reference": reference, "z": z})
         series.setdefault(stem, []).append((row["t"], mean, se))
     max_abs_z = float(np.max(np.abs([row["z"] for row in table])))
-    passed = max_abs_z <= _Z_LIMIT and discarded / max(1, realizations) <= MAX_DISCARD_FRACTION
-    return table, series, max_abs_z, passed
+    return table, series, max_abs_z, max_abs_z <= _Z_LIMIT
 
 
 def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
@@ -682,11 +671,9 @@ def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
             for j, probe in enumerate(probes):
                 row = {"t": float(t), "label": [float(v) for v in probe]}
                 cells.append((row, f"martingale_M.probe{j}", values[:, j], float(refs[j])))
-        table, series, max_abs_z, passed = _z_table(cells, mc.discarded, realizations)
+        table, series, max_abs_z, passed = _z_table(cells)
         metrics = {
             "weighting": phi_label,
-            "realizations": realizations,
-            "num_discarded": mc.discarded,
             "max_abs_z": max_abs_z,
             "z_limit": _Z_LIMIT,
             "cells": table,
@@ -746,11 +733,9 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
             for i, t in enumerate(times):
                 samples = np.concatenate([p[v][i] for p in parts])
                 cells.append(({"profile": vname, "t": float(t)}, stem, samples, reference))
-        table, series, max_abs_z, passed = _z_table(cells, mc.discarded, realizations)
+        table, series, max_abs_z, passed = _z_table(cells)
         metrics = {
             "weighting": phi_label,
-            "realizations": realizations,
-            "num_discarded": mc.discarded,
             "max_abs_z": max_abs_z,
             "z_limit": _Z_LIMIT,
             "fraction_abs_z_above_2": float(np.mean([abs(row["z"]) > 2.0 for row in table])),
@@ -802,7 +787,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
         samples = join_psi_samples(mc.results())
 
         report, control = entropy_decay_check(
-            samples, phi=phi, hs=(h_fun, non_convex_control()), times=times, seed=ctx.seed
+            samples, phi=phi, hs=(h_fun, non_convex_control()), seed=ctx.seed
         )
 
         # Per-point convexity on the raw samples at a few interior quadrature points:
@@ -830,20 +815,12 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
                     "holds": holds,
                 })
 
-        frac = mc.discarded / max(1, realizations)
-        passed = (
-            report.verdict_nonincreasing
-            and not control.verdict_nonincreasing
-            and jensen_ok
-            and frac <= MAX_DISCARD_FRACTION
-        )
+        passed = report.verdict_nonincreasing and not control.verdict_nonincreasing and jensen_ok
         se = (report.upper - report.lower) / (2.0 * 1.959963984540054)
         rows = [(float(t), float(v), float(e)) for t, v, e in zip(report.times, report.values, se)]
         metrics = {
             "weighting": phi_label,
             "H": cfg.H_name,
-            "realizations": realizations,
-            "num_discarded": mc.discarded,
             "values": [float(v) for v in report.values],
             "increments": [float(v) for v in report.increments],
             "num_violations": report.num_violations,
@@ -987,7 +964,10 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     loosening it per-scenario would turn the gate into a tautology.
     """
     cfg = ctx.cfg
-    slack_constant = float(params.get("slack_constant", 2.0))
+    slack_constant = 2.0  # C, frozen
+    if params.get("slack_constant", slack_constant) != slack_constant:
+        raise ConfigError("feynman_kac_vs_oracle.slack_constant: C is frozen at 2.0, "
+                          f"got {params['slack_constant']!r}")
     oracle_dt = float(params.get("oracle_dt", cfg.dt))
     realizations = ctx.realizations_for("feynman_kac_vs_oracle", params)
     times = [t for t in cfg.output_times if t > 0]
@@ -1040,15 +1020,11 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
                 "passed": ok,
             })
 
-        frac = mc.discarded / max(1, realizations)
-        passed = passed and frac <= MAX_DISCARD_FRACTION
         metrics = {
             "slack_constant": slack_constant,
             "oracle_dt": oracle_dt,
             "engine_dt": cfg.dt,
             "oracle_dx": cfg.oracle_dx,
-            "realizations": realizations,
-            "num_discarded": mc.discarded,
             "times": table,
         }
         return CheckResult("feynman_kac_vs_oracle", passed, 0.0, metrics,
@@ -1093,6 +1069,18 @@ def _aborted(name: str, exc: Exception) -> CheckResult:
         {},
         notes="check aborted by error",
     )
+
+
+def _gate_discards(res: CheckResult, consumers: list) -> None:
+    """Write a check's ``realizations`` (a consumer's budget) and ``num_discarded`` (the
+    sum over its consumers); fail it when over MAX_DISCARD_FRACTION were discarded."""
+    if not consumers:
+        return
+    dead = sum(c.discarded for c in consumers)
+    res.metrics["realizations"] = consumers[0].realizations
+    res.metrics["num_discarded"] = dead
+    if dead / sum(c.realizations for c in consumers) > MAX_DISCARD_FRACTION:
+        res.passed = False
 
 
 def run_scenario(
@@ -1149,6 +1137,8 @@ def run_scenario(
                 res = plan.finish()
             except Exception as exc:  # noqa: BLE001 — verdicts must survive bad checks
                 res = _aborted(name, exc)
+            else:
+                _gate_discards(res, plan.consumers)
         else:
             res = _aborted(name, plan)
         res.elapsed = planning + time.perf_counter() - t0

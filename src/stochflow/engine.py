@@ -25,14 +25,14 @@ box and the time in [0, num_steps*dt], and folds what provably vanishes there: f
 coefficient is a constant exact zero.  That makes trivial cases (identity sigma, zero
 drift) nearly free.  A value that may overflow or fail a domain check is never folded.
 
-A pass advances only the state its snapshot fields need (``_advanced_state``): X and
-``log_I`` always, ``J`` only for ``D_direct``, ``D_sde`` and ``log_lambda`` only when
-kept.  The step program then holds only the writes into that state, and the
-compiler's liveness pass drops the coefficient subtrees that only the rest would read.
+The state is one mapping keyed by the ``_STATE`` names, which the step program's
+inputs share.  A pass advances only what its snapshot fields need (``_advanced_state``):
+X and ``log_I`` always, ``J`` only for ``D_direct``, each tracker only when kept; the
+compiler's liveness pass then drops the coefficient subtrees only the rest would read.
 
 Realizations whose chart leaves the padded integration box, or whose ``log_I``
-turns non-finite at a stored time, are flagged and their rows frozen to the box
-center so the remaining batch can continue without domain errors; consumers must drop
+turns non-finite at a stored time, are flagged and their rows reset (X to the box
+center) so the remaining batch can continue without domain errors; consumers must drop
 flagged realizations.  The flags are judged on X every step and on ``log_I`` at the
 stored times, never on the trackers, so they depend only on the path, the labels,
 dt and the number of steps.  A tracker that overflows is stored as it is, for its
@@ -53,6 +53,7 @@ default chunk so that the working set (``realization_bytes`` per realization) fi
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -100,6 +101,12 @@ SNAPSHOT_FIELDS = ("X", "D_sde", "log_lambda", "log_I", "D_direct")
 # The state a step can advance.
 _STATE = ("X", "J", "D_sde", "log_lambda", "log_I")
 
+
+def _label_shape(name: str, n: int) -> tuple:
+    """Per-label shape of a state or snapshot value: X is (n,), J is (n, n), the rest scalars."""
+    return {"X": (n,), "J": (n, n)}.get(name, ())
+
+
 # Number of diffusive standard deviations sqrt(2*nu*T) added around the label box to
 # form the integration domain; leaving it counts as an escape.
 ESCAPE_MARGIN_SIGMAS = 6.0
@@ -131,8 +138,8 @@ def realization_bytes(
     of the increment block and its generator.
     """
     kept = SNAPSHOT_FIELDS if fields is None else fields
-    state = sum({"X": n, "J": n * n}.get(name, 1) for name in _advanced_state(kept))
-    widths = sum(n if name == "X" else 1 for name in kept)
+    state = sum(math.prod(_label_shape(name, n)) for name in _advanced_state(kept))
+    widths = sum(math.prod(_label_shape(name, n)) for name in kept)
     return (8 * (num_labels * (state + field_buffers + widths * num_stored)
                  + INCREMENT_BLOCK_STEPS * n) + STREAM_BYTES)
 
@@ -214,7 +221,7 @@ def _compile_step(
     f = b.field
     dW = [b.input(("dW", p), COLUMN) for p in range(n)]
     J = [[b.input(("J", j, i)) for i in range(n)] for j in range(n)]
-    D, logL, logI = b.input("D"), b.input("logL"), b.input("logI")
+    D, logL, logI = b.input("D_sde"), b.input("log_lambda"), b.input("log_I")
     X = b.coords
     DT = b.const(dt)
     ONE = b.const(1.0)
@@ -297,37 +304,6 @@ def _compile_step(
     for j, term in x_terms:
         b.write(X[j], "add", X[j], term)
     return b.build()
-
-
-class _Stepper:
-    """Advances one batch of state arrays in place, one Euler–Maruyama step at a time.
-
-    X: (R, L, n); J: (R, L, n, n); D, logL, logI: (R, L).  J, D and logL may be None:
-    the stepper then leaves them out of the state it advances.  The step program is
-    compiled per stepper and its buffers belong to it alone, so concurrent
-    simulations share nothing.  ``coord_bounds`` and ``time_bounds`` must hold at the
-    start of every step (see :func:`_compile_step`).
-    """
-
-    def __init__(
-        self, cs: CoefficientSet, dt: float, X, J, D, logL, logI, coord_bounds, time_bounds
-    ):
-        arrays = {"X": X, "J": J, "D_sde": D, "log_lambda": logL, "log_I": logI}
-        state = tuple(name for name in _STATE if arrays[name] is not None)
-        program = _compile_step(cs, dt, coord_bounds, time_bounds, state)
-        n = cs.n
-        self._dW = np.empty((n, logI.shape[0], 1))
-        inputs = {("x", k): X[..., k] for k in range(n)}
-        inputs.update({("dW", p): self._dW[p] for p in range(n)})
-        if J is not None:
-            inputs.update({("J", j, i): J[..., j, i] for j in range(n) for i in range(n)})
-        inputs.update(D=D, logL=logL, logI=logI)
-        self._run = program.bind(inputs, logI.shape)
-
-    def step(self, t: float, dW: np.ndarray) -> None:
-        """Advance by one step from time ``t`` with increments ``dW`` of shape (R, n)."""
-        np.copyto(self._dW[..., 0], dW.T)
-        self._run.run(t)
 
 
 def _all_inside(X: np.ndarray, lo_max: float, hi_min: float) -> bool:
@@ -495,7 +471,6 @@ def simulate_paths(
     padded = box.padded(escape_margin(cs.nu, horizon))
     plo = np.asarray(padded.lo)
     phi = np.asarray(padded.hi)
-    center = np.array(box.center)
 
     store = sorted({int(i) for i in store_indices})
     if not store:
@@ -519,44 +494,49 @@ def simulate_paths(
     block = min(num_steps, INCREMENT_BLOCK_STEPS)
     buffer = np.empty(R * block * n)
 
-    state = _advanced_state(kept)
-    X = np.broadcast_to(pts, (R, L, n)).copy()
-    J = np.broadcast_to(np.eye(n), (R, L, n, n)).copy() if "J" in state else None
-    D = np.ones((R, L)) if "D_sde" in state else None
-    logL = np.zeros((R, L)) if "log_lambda" in state else None
-    logI = np.zeros((R, L))
+    # The advanced state, from the start values (X from the labels).  np.zeros keeps
+    # the pages of a value that starts at 0 out of memory until a step writes them;
+    # log_I stays 0 for the whole run when the growth coefficient is 0.  A dropped
+    # realization's rows are reset to the start values.
+    start = {"X": np.array(box.center), "J": np.eye(n), "D_sde": 1.0,
+             "log_lambda": 0.0, "log_I": 0.0}
+    state = {name: np.zeros((R, L) + _label_shape(name, n)) for name in _advanced_state(kept)}
+    X, log_I = state["X"], state["log_I"]
     alive = np.ones(R, dtype=bool)
     escaped = np.zeros(R, dtype=bool)
     nonfinite = np.zeros(R, dtype=bool)
 
-    snaps = {name: np.empty((S, R, L, n) if name == "X" else (S, R, L)) for name in kept}
+    snaps = {name: np.empty((S, R, L) + _label_shape(name, n)) for name in kept}
 
-    def freeze(dead_mask: np.ndarray) -> None:
-        X[dead_mask] = center
-        logI[dead_mask] = 0.0
-        if J is not None:
-            J[dead_mask] = np.eye(n)
-        if D is not None:
-            D[dead_mask] = 1.0
-        if logL is not None:
-            logL[dead_mask] = 0.0
+    def reset(rows) -> None:
+        for name, arr in state.items():
+            arr[rows] = start[name]
+
+    for name, arr in state.items():
+        if np.any(start[name]):
+            arr[...] = start[name]
+    X[...] = pts
 
     def snapshot(slot: int) -> None:
-        live = {"X": X, "D_sde": D, "log_lambda": logL, "log_I": logI}
         for name, arr in snaps.items():
-            arr[slot] = _det_stack(J) if name == "D_direct" else live[name]
+            arr[slot] = _det_stack(state["J"]) if name == "D_direct" else state[name]
         # X is inside the box, so finite, after every step; log_I is judged here.
-        bad_fin = alive & ~np.isfinite(logI).all(axis=1)
+        bad_fin = alive & ~np.isfinite(log_I).all(axis=1)
         if bad_fin.any():
             nonfinite[bad_fin] = True
             alive[bad_fin] = False
-            freeze(~alive)
+            reset(~alive)
 
     # Every step starts with each row inside the padded box or frozen at the box
     # center, at a time in [0, horizon]: the bounds the step program may fold under.
-    stepper = _Stepper(
-        cs, dt, X, J, D, logL, logI, tuple(zip(plo, phi)), (0.0, horizon)
-    )
+    program = _compile_step(cs, dt, tuple(zip(plo, phi)), (0.0, horizon), tuple(state))
+    dW = np.empty((n, R, 1))
+    inputs = {("x", k): X[..., k] for k in range(n)}
+    inputs.update({("dW", p): dW[p] for p in range(n)})
+    if "J" in state:
+        inputs.update({("J", j, i): state["J"][..., j, i] for j in range(n) for i in range(n)})
+    inputs.update({name: arr for name, arr in state.items() if arr.ndim == 2})
+    step = program.bind(inputs, (R, L)).run
     if 0 in slot_of:
         snapshot(slot_of[0])
     lo_max, hi_min = plo.max(), phi.min()
@@ -568,7 +548,8 @@ def simulate_paths(
             steps = min(block, num_steps - k)
             out = buffer[: R * steps * n].reshape(R, steps, n)
             inc = driver.increments_block(r_idx, steps, streams, out=out)
-        stepper.step(k * dt, inc[:, j, :])
+        np.copyto(dW[..., 0], inc[:, j, :].T)
+        step(k * dt)
         # A row inside the (finite) padded box is finite, so only rows that left
         # it need the finiteness test that tells a blow-up from an escape.
         if not _all_inside(X, lo_max, hi_min):
@@ -583,7 +564,7 @@ def simulate_paths(
                 some_dead = True
         # The step moved the dead rows too: put them back every step.
         if some_dead:
-            freeze(~alive)
+            reset(~alive)
         slot = slot_of.get(k + 1)
         if slot is not None:
             snapshot(slot)

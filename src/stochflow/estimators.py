@@ -439,15 +439,15 @@ def entropy_decay_check(
     samples: PsiSamples,
     phi,
     hs: Sequence[ConvexH],
-    times=None,
     seed: int = 0,
 ) -> list[EntropyReport]:
     """Monotonicity verdicts for the entropy series of the estimated fields, one per H.
 
-    The series is built from per-point sample means, and each increment gets a
-    bootstrap confidence band (200 draws over realizations); the verdict fails only
-    where an increment's 95% band lies above zero.  Every H reads the same draws,
-    and each draw's means are computed once for all of them.  The reports, and the
+    The series is built from per-point sample means at every time of ``samples``,
+    and each increment gets a bootstrap confidence band (200 draws over
+    realizations); the verdict fails only where an increment's 95% band lies above
+    zero.  Every H reads the same draws, and each draw's means are computed once for
+    all of them.  The reports, and the
     error raised, are those of one call per H in the given order.
 
     Raises SignalTooNoisy when the estimated density does not dominate its own
@@ -455,36 +455,28 @@ def entropy_decay_check(
     """
     hs = list(hs)
     try:
-        return _decay_reports(samples, phi, hs, times, seed)
+        return _decay_reports(samples, phi, hs, seed)
     except (StochflowError, ValueError):
         if len(hs) > 1:
             for H in hs:
-                _decay_reports(samples, phi, [H], times, seed)
+                _decay_reports(samples, phi, [H], seed)
         raise
 
 
-def _decay_reports(samples: PsiSamples, phi, hs: list, times, seed: int) -> list[EntropyReport]:
+def _decay_reports(samples: PsiSamples, phi, hs: list, seed: int) -> list[EntropyReport]:
     r_count = samples.num_realizations
     if r_count < MIN_REALIZATIONS:
         raise InsufficientRealizations(
             f"{r_count} realizations available; at least {MIN_REALIZATIONS} required"
         )
-    if times is None:
-        times = samples.times
-    slots = [samples.time_slot(t) for t in times]
-    ts = np.asarray([float(t) for t in times])
-
+    ts = samples.times
     axes = _axes_from_points(samples.points)
     weights = trapezoid_weights(axes)
-    s_count = len(slots)
+    s_count = ts.size
 
-    # np.take keeps the (R, S, Q) arrays C-ordered, so a draw gathers whole rows.
-    psi_f = np.take(samples.psi_f, slots, axis=1)
-    psi_rho = np.take(samples.psi_rho, slots, axis=1)
-    masked = np.any(np.take(samples.status, slots, axis=1) != STATUS_OK, axis=0)  # (S, Q)
-
-    safe_f = np.where(masked[None, :, :], 0.0, np.nan_to_num(psi_f, nan=0.0))
-    safe_rho = np.where(masked[None, :, :], 0.0, np.nan_to_num(psi_rho, nan=0.0))
+    masked = np.any(samples.status != STATUS_OK, axis=0)  # (S, Q)
+    safe_f = np.where(masked[None, :, :], 0.0, np.nan_to_num(samples.psi_f, nan=0.0))
+    safe_rho = np.where(masked[None, :, :], 0.0, np.nan_to_num(samples.psi_rho, nan=0.0))
     mean_f = safe_f.mean(axis=0)
     mean_rho = safe_rho.mean(axis=0)
     se_rho = safe_rho.std(axis=0, ddof=1) / np.sqrt(r_count)

@@ -336,7 +336,7 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
         a[active] = flat_labels[_nearest_node(X.reshape(-1, n), x[active])]
     a[~active] = np.nan
 
-    resid = np.full(q, np.inf)
+    singular = np.zeros(q, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
@@ -344,7 +344,6 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
         vals, grads = multilinear_interp_with_grad(axes, X, ai)
         f = vals - x[active]
         res = np.max(np.abs(f), axis=1)
-        resid[active] = res
         conv = res <= scale[active]
         if conv.any():
             idx_active = np.nonzero(active)[0]
@@ -359,8 +358,8 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
         step, good = _solve_newton_steps(grads, -f)
         idx_active = np.nonzero(active)[0]
         if not good.all():
-            # Singular interpolant Jacobian: cannot proceed for these queries.
-            status[idx_active[~good]] = STATUS_NO_CONVERGENCE
+            # Singular interpolant Jacobian: these queries stop as NO_CONVERGENCE.
+            singular[idx_active[~good]] = True
             active[idx_active[~good]] = False
             ai, f, res, step = ai[good], f[good], res[good], step[good]
             idx_active = idx_active[good]
@@ -393,9 +392,9 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
             cur[still] = cand
         a[idx_active] = cur
 
-    # Classify unresolved queries: pressed against the label-box boundary means the
-    # query is outside the chart image; stalled in the interior means under-resolution.
-    unresolved = status == STATUS_NO_CONVERGENCE
+    # Classify stalled queries: pressed against the label-box boundary means the query
+    # is outside the chart image; stalled in the interior means under-resolution.
+    unresolved = (status == STATUS_NO_CONVERGENCE) & ~singular
     if unresolved.any():
         au = a[unresolved]
         edge = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))

@@ -393,6 +393,42 @@ def test_dt_levels_must_divide_the_horizon(tmp_path):
         convergence_study(loads_config(yaml.safe_dump(raw)), levels=3)
 
 
+@pytest.mark.parametrize("horizon", [0, 1e-12])
+def test_a_horizon_shorter_than_one_step_is_a_config_error(tmp_path, monkeypatch, horizon):
+    # A horizon that rounds to zero steps would simulate one step and read step 0,
+    # where every tracker gap is 0: the check would pass in the coincident regime.
+    # It is refused at planning, before any pass, and so is the convergence study.
+    from stochflow.errors import ConfigError
+
+    calls = []
+    monkeypatch.setattr(checks, "run_chunks", lambda *a, **k: calls.append(a))
+    cfg = _one_check("sine_sigma_1d", "determinant_consistency", horizon=horizon)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=20).results
+    assert not result.passed
+    assert result.metrics["error"].startswith("ConfigError: determinant_consistency: ")
+    assert "with a whole k >= 1" in result.metrics["error"], result.metrics
+    with pytest.raises(ConfigError, match="with a whole k >= 1"):
+        convergence_study(cfg, levels=2, realizations=20)
+    assert calls == []
+
+
+def test_the_feynman_kac_slack_constant_is_frozen(tmp_path, monkeypatch):
+    # Every scenario sets C = 2.0, which keeps its config hash; any other value would
+    # loosen or tighten a calibrated gate and is refused before the Monte Carlo pass.
+    calls = []
+    monkeypatch.setattr(checks, "run_chunks", lambda *a, **k: calls.append(a))
+    cfg = _one_check("additive_linear_1d", "feynman_kac_vs_oracle", slack_constant=5.0)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=300).results
+    assert not result.passed
+    assert result.metrics["error"].startswith(
+        "ConfigError: feynman_kac_vs_oracle.slack_constant: "), result.metrics
+    assert calls == []
+    monkeypatch.undo()
+    cfg = _one_check("additive_linear_1d", "feynman_kac_vs_oracle", slack_constant=2.0)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=300).results
+    assert "error" not in result.metrics and result.metrics["slack_constant"] == 2.0
+
+
 @pytest.mark.parametrize(
     "check, key, value",
     [
@@ -595,18 +631,18 @@ def test_martingale_M_simulates_only_its_probes(tmp_path, monkeypatch):
 def test_z_table_hand_values():
     samples = np.array([1.0, 2.0, 3.0, 4.0])
     se = samples.std(ddof=1) / 2.0
-    (row,), series, max_abs_z, passed = checks._z_table([({"t": 0.5}, "s", samples, 2.0)], 0, 4)
+    (row,), series, max_abs_z, passed = checks._z_table([({"t": 0.5}, "s", samples, 2.0)])
     assert row["z"] == pytest.approx((2.5 - 2.0) / se, rel=1e-14)
     assert (row["mean"], row["reference"]) == (2.5, 2.0)
     assert series == {"s": [(0.5, 2.5, row["se"])]}
     assert max_abs_z == abs(row["z"]) and passed
 
     flat = np.array([3.0, 3.0, 3.0])
-    assert checks._z_table([({"t": 0.0}, "s", flat, 3.0)], 0, 3)[0][0]["z"] == 0.0
-    table, _, max_abs_z, passed = checks._z_table([({"t": 0.0}, "s", flat, 2.0)], 0, 3)
+    assert checks._z_table([({"t": 0.0}, "s", flat, 3.0)])[0][0]["z"] == 0.0
+    table, _, max_abs_z, passed = checks._z_table([({"t": 0.0}, "s", flat, 2.0)])
     assert table[0]["z"] == np.inf and max_abs_z == np.inf and not passed
     with pytest.raises(ValueError, match="at least two samples"):
-        checks._z_table([({"t": 0.0}, "s", np.array([1.0]), 0.0)], 0, 1)
+        checks._z_table([({"t": 0.0}, "s", np.array([1.0]), 0.0)])
 
 
 @pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
@@ -668,12 +704,13 @@ def test_a_nan_sample_fails_the_z_gate(tmp_path, monkeypatch, check, target):
 @pytest.mark.parametrize("chunk_size", [4096, 37])
 def test_discards_are_counted_per_check(tmp_path, monkeypatch, chunk_size):
     # Every realization whose index is a multiple of 7 comes back not alive.  Each
-    # check counts the killed realizations within its own budget (per dt level for
-    # the tracker check), the report counts those of each pass once, and the
-    # z-gates fail on the discard fraction alone.
+    # Monte Carlo check counts the killed realizations within its own budget (per dt
+    # level for the tracker check) and fails on the discard fraction, the z-gates on
+    # it alone; the report counts those of each pass once.  jensen simulates nothing:
+    # it passes and gets neither count.
     raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
     raw["checks"] = ["roundtrip", "determinant_consistency", "martingale_M", "conservation",
-                     "entropy_mc", "feynman_kac_vs_oracle"]
+                     "entropy_mc", "feynman_kac_vs_oracle", "jensen"]
     real_simulate = checks.simulate_paths
 
     def killing(*args, **kwargs):
@@ -695,17 +732,20 @@ def test_discards_are_counted_per_check(tmp_path, monkeypatch, chunk_size):
         "entropy_mc": killed,
         "feynman_kac_vs_oracle": killed,
     }
-    found = {r.name: r.metrics.get("num_discarded", r.metrics) for r in report.results}
+    *monte_carlo, jensen = report.results
+    found = {r.name: r.metrics.get("num_discarded", r.metrics) for r in monte_carlo}
     assert found == expected
     # Passes: the label grid that roundtrip, conservation, entropy_mc and
     # feynman_kac_vs_oracle share (140 realizations), one per tracker dt level, and
     # martingale_M's probes.
     assert report.num_discarded == killed + levels * killed + killed
-    for result in report.results:
-        if result.name not in ("martingale_M", "conservation"):
-            continue
-        assert not result.passed
-        assert result.metrics["max_abs_z"] <= result.metrics["z_limit"], result.metrics
+    for result in monte_carlo:
+        assert not result.passed, result.name
+        assert result.metrics["realizations"] == (8 if result.name == "roundtrip" else budget)
+        if result.name in ("martingale_M", "conservation"):
+            assert result.metrics["max_abs_z"] <= result.metrics["z_limit"], result.metrics
+    assert jensen.passed, jensen.metrics
+    assert not {"realizations", "num_discarded"} & set(jensen.metrics)
 
 
 def test_entropy_oracle_weights_by_the_adjoint_solve_when_v_varies(tmp_path):

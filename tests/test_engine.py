@@ -494,7 +494,7 @@ def test_simulate_paths_peak_memory_is_its_working_set(cs_full_2d):
     # of J 72 kB.
     import tracemalloc
 
-    from stochflow.engine import _compile_step, _Stepper
+    from stochflow.engine import _compile_step
 
     cs = replace(cs_full_2d, box=Box((-3.0, -3.0), (3.0, 3.0)))
     labels = (np.linspace(-1, 1, 5), np.linspace(-1, 1, 7))
@@ -514,12 +514,12 @@ def test_simulate_paths_peak_memory_is_its_working_set(cs_full_2d):
         streams = brownian.streams(range(R))
         generators, _ = tracemalloc.get_traced_memory()
         del streams
-        one = [np.zeros((1, 1, n)), np.zeros((1, 1, n, n)), *(np.zeros((1, 1)) for _ in range(3))]
+        one = {name: np.zeros((1, 1)) for name in program.names.values()}
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
-        stepper = _Stepper(cs, dt, *one, *bounds)
+        bound = _compile_step(cs, dt, *bounds).bind(one, (1, 1))
         compiled = tracemalloc.get_traced_memory()[1] - base
-        del stepper
+        del bound
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
         result = simulate_paths(cs, labels, K, store, brownian, range(R))

@@ -659,3 +659,18 @@ def test_queries_in_cells_with_a_collapsed_corner_do_not_converge():
     assert np.allclose(labels[2], [-1.5, 0.5], atol=1e-8)
     # Alone, the singular query leaves Newton no query to step.
     assert _invert_one(chart, np.array([[0.9, 0.05]]))[1].tolist() == [STATUS_NO_CONVERGENCE]
+
+
+def test_a_singular_stop_on_the_label_box_edge_does_not_converge():
+    # A 3x3 chart of [-1, 1]^2 mapped to itself, except that node (1, 1) is moved
+    # onto node (1, 0).  (0.99, 0.001) lies in the image of the collapsed cell
+    # [0, 1] x [0, 1]; Newton stops there at the edge a1 = 1, where the interpolant's
+    # Jacobian is singular.  That is a singular stop, not a query outside the
+    # chart, so the on-edge rule leaves it NO_CONVERGENCE, as it does (0.5, 0.25).
+    ax = np.linspace(-1.0, 1.0, 3)
+    X = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    X[2, 2] = X[2, 1]
+    with pytest.warns(UserWarning, match="under-resolved"):
+        chart = _hand_chart(ax, X)
+    _, status = _invert_one(chart, np.array([[0.99, 0.001], [0.5, 0.25]]))
+    assert status.tolist() == [STATUS_NO_CONVERGENCE, STATUS_NO_CONVERGENCE]
