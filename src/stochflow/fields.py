@@ -914,8 +914,8 @@ class ProgramCompiler:
 
         Only live array ops are kept: a domain check, a write into an input, and an
         op whose value an output or a kept op reads.  A buffer returns to its pool
-        after the last op that reads it, and an op's output never shares a buffer
-        with its own operands.
+        at the last op that reads it, so that op's output may take it: an
+        elementwise ufunc whose ``out=`` is one of its inputs gives the same bits.
         """
         live = set(outputs)
         ops = []
@@ -936,6 +936,9 @@ class ProgramCompiler:
         counts = {FIELD: 0, COLUMN: 0}
         buffers: dict = {}  # array slot -> (shape class, buffer index)
         for i, (_, args, out) in enumerate(ops):
+            for a in set(args):
+                if last[a] == i and a in buffers:
+                    free[buffers[a][0]].append(buffers[a][1])
             if out is not None and self._kind[out] == "array":
                 shape = self._shape[out]
                 if free[shape]:
@@ -944,9 +947,6 @@ class ProgramCompiler:
                     index = counts[shape]
                     counts[shape] += 1
                 buffers[out] = (shape, index)
-            for a in set(args):
-                if last[a] == i and a in buffers:
-                    free[buffers[a][0]].append(buffers[a][1])
         read = {a for _, args, _ in ops for a in args}
         return Program(
             kinds=tuple(self._kind),

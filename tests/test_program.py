@@ -216,14 +216,14 @@ def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
 @pytest.mark.parametrize(
     "name, state, ops, buffers",
     [
-        ("sine_sigma_fk_1d", None, 30, 8),
-        ("sine_sigma_fk_1d", ("X", "log_I"), 15, 4),
+        ("sine_sigma_fk_1d", None, 30, 7),
+        ("sine_sigma_fk_1d", ("X", "log_I"), 15, 3),
         ("diag_sigma_2d", None, 54, 10),
-        ("diag_sigma_2d", ("X", "log_I"), 17, 4),
+        ("diag_sigma_2d", ("X", "log_I"), 17, 3),
         ("heat_identity", None, 2, 0),
         ("heat_identity", ("X", "log_I"), 2, 0),
         ("sine_sigma_1d", None, 18, 4),
-        ("sine_sigma_1d", ("X", "J", "log_I"), 12, 3),
+        ("sine_sigma_1d", ("X", "J", "log_I"), 12, 2),
         ("diag_sigma_2d", ("X", "J", "log_I"), 46, 9),
     ],
 )
