@@ -110,9 +110,10 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         raise DimensionMismatch(f"U must have {n} components")
     Uf = tuple(_as_field(e, n) for e in U)
     Vf = _as_field(V, n)
+    memo: dict = {}  # one derivative per (subtree, variable) across every field below
 
     dsig = tuple(
-        tuple(tuple(differentiate(sig[j][p], k + 1) for p in range(n)) for j in range(n))
+        tuple(tuple(differentiate(sig[j][p], k + 1, memo) for p in range(n)) for j in range(n))
         for k in range(n)
     )
 
@@ -140,15 +141,15 @@ def assemble(sigma, U, V, nu: float, n: int, box: Box | None = None) -> Coeffici
         v.append(Uf[j] + nu * corr)
     v = tuple(v)
 
-    dv = tuple(tuple(differentiate(v[j], k + 1) for j in range(n)) for k in range(n))
+    dv = tuple(tuple(differentiate(v[j], k + 1, memo) for j in range(n)) for k in range(n))
     div_v = dv[0][0]
     for j in range(1, n):
         div_v = div_v + dv[j][j]
 
     # P = V - div U
-    div_U = differentiate(Uf[0], 1)
+    div_U = differentiate(Uf[0], 1, memo)
     for j in range(1, n):
-        div_U = div_U + differentiate(Uf[j], j + 1)
+        div_U = div_U + differentiate(Uf[j], j + 1, memo)
     P = Vf - div_U
 
     # E: sum over p and i<j of det [[d_i sigma_ip, d_i sigma_jp],

@@ -275,29 +275,39 @@ def _eval(node: Node, comps: tuple, tval, memo: dict):
 # ---------------------------------------------------------------------------
 
 
-def _deriv(node: Node, index: int) -> Node:
+def _deriv(node: Node, index: int, memo: dict) -> Node:
     """Derivative of ``node`` with respect to coordinate ``index`` (-1 for time).
 
-    The constructors of ``neg``, ``add`` and ``sub`` already fold a zero operand; a
-    zero derivative is tested here only where a constructor keeps it (``0*u``, ``0/u``).
+    ``memo`` maps ``(node, index)`` to a derivative already taken, so a subtree that
+    many fields share is differentiated once; nodes are interned, so a memoized
+    derivative is the very object a fresh one would be.  The constructors of
+    ``neg``, ``add`` and ``sub`` already fold a zero operand; a zero derivative is
+    tested here only where a constructor keeps it (``0*u``, ``0/u``).
     """
+    found = memo.get((node, index))
+    if found is None:
+        found = memo[node, index] = _derive(node, index, memo)
+    return found
+
+
+def _derive(node: Node, index: int, memo: dict) -> Node:
     tag = node.tag
     if tag == "const":
         return ZERO
     if tag == "var":
         return ONE if node.param == index else ZERO
     if tag == "neg":
-        return neg(_deriv(node.children[0], index))
+        return neg(_deriv(node.children[0], index, memo))
     if tag == "add":
         l, r = node.children
-        return add(_deriv(l, index), _deriv(r, index))
+        return add(_deriv(l, index, memo), _deriv(r, index, memo))
     if tag == "sub":
         l, r = node.children
-        return sub(_deriv(l, index), _deriv(r, index))
+        return sub(_deriv(l, index, memo), _deriv(r, index, memo))
     if tag == "mul":
         l, r = node.children
-        dl = _deriv(l, index)
-        dr = _deriv(r, index)
+        dl = _deriv(l, index, memo)
+        dr = _deriv(r, index, memo)
         if dl is ZERO:
             return ZERO if dr is ZERO else mul(l, dr)
         if dr is ZERO:
@@ -305,15 +315,15 @@ def _deriv(node: Node, index: int) -> Node:
         return add(mul(dl, r), mul(l, dr))
     if tag == "div":
         l, r = node.children
-        dl = _deriv(l, index)
-        dr = _deriv(r, index)
+        dl = _deriv(l, index, memo)
+        dr = _deriv(r, index, memo)
         if dr is ZERO:
             return ZERO if dl is ZERO else div(dl, r)
         if dl is ZERO:
             return neg(div(mul(l, dr), power(r, 2)))
         return div(sub(mul(dl, r), mul(l, dr)), power(r, 2))
     (u,) = node.children
-    d = _deriv(u, index)
+    d = _deriv(u, index, memo)
     if d is ZERO:
         return ZERO
     param = node.param
@@ -633,9 +643,14 @@ def _variable_index(fe: FieldExpr, variable) -> int:
     return k - 1
 
 
-def differentiate(fe: FieldExpr, variable) -> FieldExpr:
-    """Symbolic partial derivative with respect to ``"x1"``.. / 1-based index / ``"t"``."""
-    return FieldExpr(_deriv(fe.root, _variable_index(fe, variable)), fe.dim)
+def differentiate(fe: FieldExpr, variable, memo: dict | None = None) -> FieldExpr:
+    """Symbolic partial derivative with respect to ``"x1"``.. / 1-based index / ``"t"``.
+
+    Passing one ``memo`` dict to the calls that differentiate fields with common
+    subtrees takes each subtree's derivative once.
+    """
+    root = _deriv(fe.root, _variable_index(fe, variable), {} if memo is None else memo)
+    return FieldExpr(root, fe.dim)
 
 
 def eval_batch(fe: FieldExpr, comps: tuple, t: float, memo: dict | None = None):

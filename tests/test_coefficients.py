@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import coefficient_sample, make_coeffs, point_value
+from stochflow import fields
 from stochflow.coefficients import assemble
+from stochflow.config import bundled_scenario_path, load_config
 from stochflow.errors import DimensionMismatch
 from stochflow.fields import parse_field
 from stochflow.grids import Box
@@ -234,3 +236,32 @@ def test_box_replacement_and_time_dependence(cs2):
     assert not cs2.depends_on_time()
     cs_t = make_coeffs("1 + 0.1*t", n=1)
     assert cs_t.depends_on_time()
+
+
+def _assembled_counting_derivatives(monkeypatch, memoize: bool):
+    """diag_sigma_2d's coefficients and the number of ``_deriv`` calls they took."""
+    calls = []
+    derive = fields._deriv
+
+    def counted(node, index, memo):
+        calls.append(index)
+        return derive(node, index, memo if memoize else {})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "_deriv", counted)
+        cs = load_config(str(bundled_scenario_path("diag_sigma_2d"))).coefficients
+    return cs, len(calls)
+
+
+def test_assemble_takes_each_shared_derivative_once(monkeypatch):
+    memoized, few = _assembled_counting_derivatives(monkeypatch, memoize=True)
+    fresh, many = _assembled_counting_derivatives(monkeypatch, memoize=False)
+    assert few < many
+    n = fresh.n
+    pairs = [(memoized.dv[k][j], fresh.dv[k][j]) for k in range(n) for j in range(n)]
+    pairs += [
+        (memoized.dsigma[k][j][p], fresh.dsigma[k][j][p])
+        for k in range(n) for j in range(n) for p in range(n)
+    ]
+    pairs += list(zip(memoized.div_sigma, fresh.div_sigma))
+    assert all(a.root is b.root for a, b in pairs)
