@@ -640,9 +640,9 @@ def test_fields_and_stored_times_do_not_change_the_kept_bits(cs_full_2d):
 @pytest.mark.parametrize(
     "fields, digest",
     [
-        (None, "a5a514c9f6cb616c40a4e63949f203188f0f292cd618d47f3dd12fa901b8231f"),
+        (None, "392a9c2f8fef56576c65d4293be92b900f7e6f548a86e76a73681ad25c22389d"),
         (("X", "D_direct", "log_I"),
-         "6eafe9706cd0bba26bde7f60962aceab6abf7556703f3b8b701d5e8378b24ce0"),
+         "faeaaf6314ecf67b0f2cea79805017ff70ba02f530e101d3722c0f599fd04a23"),
     ],
 )
 def test_full_2d_run_keeps_its_recorded_bits(cs_full_2d, fields, digest):

@@ -6,6 +6,7 @@ import pytest
 from conftest import central_fd, derivative_discrepancies, point_value, random_expr_source
 from stochflow.errors import DomainError, ExprError, ExprSyntaxError, UnknownVariableError
 from stochflow.fields import (
+    FUNCTIONS,
     FieldExpr,
     _tokenize,
     constant_field,
@@ -433,3 +434,44 @@ def test_assembled_derivative_fields_print_as_recorded(name):
     cs = load_config(str(bundled_scenario_path(name))).coefficients
     for key, text in _ASSEMBLED_TEXT[name].items():
         assert _texts(getattr(cs, key)) == text, key
+
+
+# ---------------------------------------------------------------------------
+# sin and cos through the tangent of the half angle
+# ---------------------------------------------------------------------------
+
+
+def _half_angle_points(uniform: int):
+    """Uniform points on [-8, 8], then k*pi/2 for k = -8..8 and both neighbours of each."""
+    poles = np.arange(-8, 9) * (np.pi / 2)
+    edges = [poles, np.nextafter(poles, -np.inf), np.nextafter(poles, np.inf)]
+    return np.concatenate([np.random.default_rng(24).uniform(-8.0, 8.0, uniform), *edges])
+
+
+@pytest.mark.parametrize("name, reference", [("sin", np.sin), ("cos", np.cos)])
+def test_half_angle_sin_and_cos_are_within_two_ulps_of_one(name, reference):
+    x = _half_angle_points(10**6)
+    value = FUNCTIONS[name](x)
+    assert np.max(np.abs(value - reference(x))) <= 2.0**-51
+    # The compiler encloses every sin and cos in [-1, 1].
+    assert np.max(np.abs(value)) <= 1.0
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_half_angle_bits_do_not_depend_on_the_array_layout(name):
+    # A lone float, a 0-d array, a strided coordinate view and chunks of any size
+    # give the same bits, so neither the evaluator nor the chunk size changes a payload.
+    fn = FUNCTIONS[name]
+    x = _half_angle_points(13)
+    expected = fn(x).tobytes()
+    column = np.stack([x, -x], axis=1)[:, 0]
+    assert not column.flags.contiguous
+    layouts = [
+        np.array([fn(float(v)) for v in x]),
+        np.array([fn(np.array(v)) for v in x]),
+        fn(column),
+    ]
+    for size in range(1, 8):
+        layouts.append(np.concatenate([fn(x[i : i + size]) for i in range(0, x.size, size)]))
+    for got in layouts:
+        assert got.tobytes() == expected

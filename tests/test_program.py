@@ -95,7 +95,7 @@ def test_commutative_operands_share_a_slot_and_time_only_nodes_are_scalars():
     ba = compiler.field(parse_field("1 + sin(x2)*x1", 2))
     assert ab == ba
     before = len(compiler.build(outputs=[ab]).ops)
-    assert before == 3
+    assert before == 9  # the 7 ops of sin's half-angle formula, x1*sin and + 1
     scalar = compiler.field(parse_field("cos(t)*2 + t", 2))
     program = compiler.build(outputs=[ab, scalar])
     assert len(program.ops) == before  # no array op for a time-only field
@@ -199,7 +199,7 @@ def test_folded_program_equals_eval_batch_on_hand_made_fields():
     )
 
 
-@pytest.mark.parametrize("name, max_ops", [("diag_sigma_2d", 54), ("sine_sigma_1d", 18)])
+@pytest.mark.parametrize("name, max_ops", [("diag_sigma_2d", 68), ("sine_sigma_1d", 25)])
 def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
     # For a 1D or diagonal sigma with U = 0, v, its gradient, div v and E are
     # exactly 0 on the padded box, so the step reads none of them.
@@ -216,15 +216,15 @@ def test_noise_induced_drift_and_E_fold_to_zero(name, max_ops):
 @pytest.mark.parametrize(
     "name, state, ops, buffers",
     [
-        ("sine_sigma_fk_1d", None, 30, 7),
-        ("sine_sigma_fk_1d", ("X", "log_I"), 15, 3),
-        ("diag_sigma_2d", None, 54, 10),
-        ("diag_sigma_2d", ("X", "log_I"), 17, 3),
+        ("sine_sigma_fk_1d", None, 37, 7),
+        ("sine_sigma_fk_1d", ("X", "log_I"), 22, 3),
+        ("diag_sigma_2d", None, 68, 10),
+        ("diag_sigma_2d", ("X", "log_I"), 31, 5),
         ("heat_identity", None, 2, 0),
         ("heat_identity", ("X", "log_I"), 2, 0),
-        ("sine_sigma_1d", None, 18, 4),
-        ("sine_sigma_1d", ("X", "J", "log_I"), 12, 2),
-        ("diag_sigma_2d", ("X", "J", "log_I"), 46, 9),
+        ("sine_sigma_1d", None, 25, 4),
+        ("sine_sigma_1d", ("X", "J", "log_I"), 19, 3),
+        ("diag_sigma_2d", ("X", "J", "log_I"), 60, 9),
     ],
 )
 def test_the_step_program_writes_only_the_advanced_state(name, state, ops, buffers):
@@ -235,6 +235,18 @@ def test_the_step_program_writes_only_the_advanced_state(name, state, ops, buffe
     args = (cfg.coefficients, cfg.dt, bounds, time_bounds) + ((state,) if state else ())
     program = _compile_step(*args)
     assert (len(program.ops), program.counts[FIELD]) == (ops, buffers)
+    # sin and cos of one argument share one tan of the half angle.
+    fns = [fn for fn, _, _ in program.ops]
+    assert np.sin not in fns and np.cos not in fns
+    assert fns.count(np.tan) == len(_trig_arguments(engine_fields(cfg.coefficients)))
+
+
+def _trig_arguments(fields) -> set:
+    """The distinct arguments of sin and cos in ``fields``."""
+    nodes = {}
+    for fe in fields:
+        _subtrees(fe.root, nodes)
+    return {id(n.children[0]) for n in nodes.values() if n.tag == "call" and n.param in ("sin", "cos")}
 
 
 def test_a_value_that_may_overflow_is_not_folded():
