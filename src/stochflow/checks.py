@@ -13,8 +13,8 @@ it reads, with a reducer that turns one chunk into per-realization scalars (the
 roundtrip errors of the first 8 realizations, conserved quadratures, martingale
 samples, tracker gaps, ψ rows).  A reducer returns only that payload: the pass counts
 the realizations of the consumer's prefix that are not alive in ``discarded``, from
-which ``run_scenario`` alone writes a check's discard metrics and applies the discard
-gate (``_gate_discards``).  ``run_scenario`` groups the consumers of every
+which ``_gate_discards`` alone writes a check's discard metrics and applies the
+discard gate.  ``run_scenario`` groups the consumers of every
 check by labels, dt and horizon (the horizon sets the padded escape box and the
 fold bounds, so only equal horizons share), and gives each group one ``run_chunks``
 pass that stores the union of their times and fields.  Every chunk goes to every
@@ -24,6 +24,8 @@ pass's working set.  The pass runs when the first check of its group comes up, a
 that check's elapsed time includes it.  Reductions happen once per check, in
 realization order, on the gathered scalars, so the bits are those of a scenario that
 lists the check alone.  A reducer that raises fails its own check only.
+``convergence_study`` runs determinant_consistency's plan the same way over more dt
+levels.
 """
 
 from __future__ import annotations
@@ -210,8 +212,9 @@ class RunContext:
         return self.cfg.coefficients
 
     def realizations_for(self, check: str, params: dict) -> int:
+        """The check's budget: the override, else ``params``, else the scenario's."""
         if self.realizations_override is not None:
-            return int(self.realizations_override)
+            params = {"realizations": self.realizations_override}
         return _count(check, params, "realizations", self.cfg.realizations)
 
     def driver(self, dt: float | None = None) -> BrownianDriver:
@@ -444,25 +447,6 @@ def _plan_roundtrip(ctx: RunContext, params: dict) -> _Plan:
     return _Plan([mc], finish)
 
 
-def _tracker_consumers(labels, horizon: float, dts, realizations: int) -> list:
-    """One pass per step size over ``labels`` to the horizon, reading the trackers."""
-    for dt in dts:
-        steps = round(horizon / dt)
-        if steps < 1 or abs(steps * dt - horizon) > 1e-9:
-            raise ConfigError(f"determinant_consistency: horizon {horizon} is not a "
-                              f"multiple k * {dt} with a whole k >= 1")
-
-    def reduce(result):
-        s = result.time_slot(horizon)
-        alive = result.alive
-        d = result.D_direct[s][alive].reshape(-1)
-        exp_lambda = np.exp(result.log_lambda[s][alive]).reshape(-1)
-        return d - result.D_sde[s][alive].reshape(-1), d - exp_lambda
-
-    fields = ("D_direct", "D_sde", "log_lambda")
-    return [_Consumer(labels, float(dt), [horizon], realizations, fields, reduce) for dt in dts]
-
-
 def _tracker_gaps(consumer: _Consumer) -> dict:
     """RMS gaps among the determinant trackers at the horizon, one step size."""
     # Every chunk's gaps are gathered before reducing, so the sums do not depend on
@@ -482,21 +466,6 @@ def _tracker_gaps(consumer: _Consumer) -> dict:
     }
 
 
-def _tracker_levels(ctx: RunContext, labels, horizon: float, dts, realizations: int) -> list:
-    """``_tracker_gaps`` at each step size; the horizon must be a multiple of every one."""
-    consumers = _tracker_consumers(labels, horizon, dts, realizations)
-    for group in _passes(consumers).values():
-        _run_pass(ctx, group)
-    return [_tracker_gaps(c) for c in consumers]
-
-
-def _fit_order(dts, gaps) -> float:
-    """Slope of log2(gap) against log2(dt) — the observed convergence order."""
-    x = np.log2(np.asarray(dts, dtype=float))
-    y = np.log2(np.asarray(gaps, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
-
-
 _COINCIDENT_RMS = 1e-13
 
 
@@ -511,7 +480,8 @@ def _gate_pair(dts, gaps) -> dict:
     if max(gaps) < _COINCIDENT_RMS:
         return {"regime": "coincident", "gaps": gaps, "passed": True}
     ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
-    order = _fit_order(dts, gaps)
+    # The observed convergence order: the slope of log2(gap) against log2(dt).
+    order = float(np.polyfit(np.log2(dts), np.log2(gaps), 1)[0])
     ratios_ok = all(1.2 <= r <= 2.8 for r in ratios)
     order_ok = order >= 0.4
     return {
@@ -521,12 +491,6 @@ def _gate_pair(dts, gaps) -> dict:
         "order": order,
         "passed": bool(ratios_ok and order_ok),
     }
-
-
-def _det_label_axes(cfg: ScenarioConfig) -> tuple:
-    # Tracker gaps are per-path statistics; a thinned uniform grid keeps the runtime
-    # proportionate without touching the verdict.
-    return grid_axes(cfg.box, tuple(min(s, 17) for s in cfg.label_shape))
 
 
 def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
@@ -550,7 +514,27 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
             raise ConfigError("determinant_consistency: dt levels must halve")
     horizon = float(params.get("horizon", min(cfg.T, 0.5)))
     realizations = ctx.realizations_for("determinant_consistency", params)
-    consumers = _tracker_consumers(_det_label_axes(cfg), horizon, dt_levels, realizations)
+    for dt in dt_levels:
+        try:
+            (steps,) = step_indices([horizon], dt)
+        except ValueError:
+            steps = 0
+        if steps < 1:
+            raise ConfigError(f"determinant_consistency: horizon {horizon} is not a "
+                              f"multiple k * {dt} with a whole k >= 1")
+
+    def reduce(result):
+        s = result.time_slot(horizon)
+        alive = result.alive
+        d = result.D_direct[s][alive].reshape(-1)
+        exp_lambda = np.exp(result.log_lambda[s][alive]).reshape(-1)
+        return d - result.D_sde[s][alive].reshape(-1), d - exp_lambda
+
+    # Tracker gaps are per-path statistics; a thinned uniform grid keeps the runtime
+    # proportionate without touching the verdict.
+    labels = grid_axes(cfg.box, tuple(min(s, 17) for s in cfg.label_shape))
+    fields = ("D_direct", "D_sde", "log_lambda")
+    consumers = [_Consumer(labels, dt, [horizon], realizations, fields, reduce) for dt in dt_levels]
 
     def finish() -> CheckResult:
         levels = [_tracker_gaps(c) for c in consumers]
@@ -747,7 +731,7 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
 
 
 def _query_axes(cfg: ScenarioConfig, check: str, params: dict, default_nodes: int = 41) -> tuple:
-    nodes = _count(check, params, "query_nodes", default_nodes)
+    nodes = _count(check, params, "query_nodes", default_nodes, minimum=2)
     spans = [hi - lo for lo, hi in zip(cfg.box.lo, cfg.box.hi)]
     margin = float(params.get("query_margin", 0.15 * min(spans)))
     lo = [l + margin for l in cfg.box.lo]
@@ -1173,39 +1157,41 @@ def convergence_study(
     threads: int = 1,
     seed: int | None = None,
 ) -> dict:
-    """Tracker-gap refinement: halve dt ``levels`` times and fit the decay order.
+    """Tracker-gap refinement: determinant_consistency's plan at dt, dt/2, ...
 
-    Returns the dt table, the RMS gap between the compounded determinant and the
-    exponential divergence tracker at each level, and the fitted order (slope of
-    log2 gap against log2 dt).
+    Runs the check's own plan, with the scenario's parameters, over ``levels`` step
+    sizes dt / 2**l from the scenario's dt, at a budget of ``realizations``, else the
+    check's ``realizations`` parameter, else 512; a budget below 1 is a ConfigError.
+    Returns the dt table, the check's two RMS gap series (the compounded determinant
+    against the exponential divergence tracker and against the direct SDE solution),
+    and the fitted order of the first (slope of log2 gap against log2 dt), which is
+    NaN where the gaps coincide to roundoff.
     """
     if levels < 2:
         raise ConfigError("convergence study needs at least 2 levels")
-    params = cfg.params_for("determinant_consistency")
-    horizon = float(params.get("horizon", min(cfg.T, 0.5)))
-    budget = (int(realizations) if realizations is not None
-              else _count("determinant_consistency", params, "realizations", 512))
     ctx = RunContext(
         cfg=cfg,
         seed=cfg.seed if seed is None else int(seed),
-        realizations_override=None,
+        realizations_override=realizations,
         threads=max(1, int(threads)),
     )
-    labels = _det_label_axes(cfg)
     dts = [cfg.dt / (2 ** l) for l in range(levels)]
-    stats = _tracker_levels(ctx, labels, horizon, dts, budget)
-    gaps_dl = [lv["rms_direct_vs_exp_lambda"] for lv in stats]
-    gaps_ds = [lv["rms_direct_vs_sde"] for lv in stats]
-    order = _fit_order(dts, gaps_dl) if max(gaps_dl) >= _COINCIDENT_RMS else float("nan")
+    params = {"realizations": 512, **cfg.params_for("determinant_consistency"), "dt_levels": dts}
+    plan = _plan_determinant_consistency(ctx, params)
+    for group in _passes(plan.consumers).values():
+        _run_pass(ctx, group)
+    res = plan.finish()
+    _gate_discards(res, plan.consumers)
+    metrics, series = res.metrics, res.series
     return {
         "scenario": cfg.name,
         "config_hash": cfg.hash,
-        "horizon": horizon,
-        "realizations": budget,
+        "horizon": metrics["horizon"],
+        "realizations": metrics["realizations"],
         "levels": levels,
-        "dt": dts,
-        "gap_direct_vs_exp_lambda": gaps_dl,
-        "gap_direct_vs_sde": gaps_ds,
-        "fitted_order": order,
-        "num_discarded": sum(lv["num_discarded"] for lv in stats),
+        "dt": metrics["dt_levels"],
+        "gap_direct_vs_exp_lambda": [g for _, g, _ in series["determinant_consistency.exp_lambda"]],
+        "gap_direct_vs_sde": [g for _, g, _ in series["determinant_consistency.sde"]],
+        "fitted_order": metrics["pair_direct_vs_exp_lambda"].get("order", float("nan")),
+        "num_discarded": metrics["num_discarded"],
     }

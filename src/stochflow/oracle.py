@@ -44,6 +44,7 @@ from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientSet
 from .convex import ConvexH
+from .engine import step_indices
 from .errors import BlowUp, DimensionMismatch, PositivityViolation
 from .fields import FieldExpr, eval_points
 from .grids import Box, mesh_points, multilinear_interp, stored_time_slot
@@ -268,24 +269,18 @@ class OracleSeries:
 
 
 def _steps_and_slots(T: float, dt: float, output_times):
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
-    K = int(round(T / dt))
-    if K < 1 or abs(K * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"horizon {T} is not an integer multiple of dt={dt}")
+    """The step count T/dt and the sorted distinct steps of the output times (every
+    step when there are none), placed by ``engine.step_indices``."""
+    K, *idx = step_indices([T, *(() if output_times is None else output_times)], dt)
+    if K < 1:
+        raise ValueError(f"horizon {T} is shorter than one step of dt={dt}")
     if output_times is None:
-        idx = list(range(K + 1))
-    else:
-        idx = []
-        for t in output_times:
-            i = int(round(float(t) / dt))
-            if i < 0 or i > K or abs(i * dt - float(t)) > 1e-9 * max(1.0, abs(float(t))):
-                raise ValueError(f"output time {t!r} does not lie on the step grid")
-            idx.append(i)
-        if not idx:
-            raise ValueError("output_times must name at least one time")
-        idx = sorted(set(idx))
-    return K, idx
+        return K, list(range(K + 1))
+    if not idx:
+        raise ValueError("output_times must name at least one time")
+    if max(idx) > K:
+        raise ValueError(f"an output time lies past the horizon {T}")
+    return K, sorted(set(idx))
 
 
 def solve_forward(

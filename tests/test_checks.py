@@ -10,9 +10,7 @@ import yaml
 from stochflow import checks
 from stochflow.checks import (
     RunContext,
-    _det_label_axes,
     _jsonable,
-    _tracker_levels,
     convergence_study,
     golden_payload,
     report_payload,
@@ -89,19 +87,55 @@ def test_fresh_run_matches_bundled_golden(tmp_path, name):
     report = run_scenario(cfg, str(tmp_path), realizations=200, threads=2)
     golden_file = resources.files(stochflow.scenarios) / "golden" / f"{name}.json"
     stored = json.loads(golden_file.read_text())
-    assert golden_payload(report) == stored
+    assert golden_payload(report) == stored, _numpy_build()
+
+
+def _numpy_build() -> str:
+    """numpy's version and whether it dispatches its AVX512 loops: the goldens' bits
+    hold for one CPU and numpy build."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    avx512 = [t for t in __cpu_dispatch__
+              if __cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]
+    loops = f"dispatched ({', '.join(avx512)})" if avx512 else "not dispatched"
+    return f"numpy {np.__version__}, AVX512 loops {loops}"
+
+
+def _run_tracker_consumers(ctx, consumers) -> list:
+    """Run the tracker consumers of a determinant_consistency plan; their gaps."""
+    for group in checks._passes(consumers).values():
+        checks._run_pass(ctx, group)
+    return [checks._tracker_gaps(c) for c in consumers]
 
 
 def test_tracker_gaps_do_not_depend_on_chunk_size(additive_cfg):
     # 100 realizations in one chunk of 4096 or in chunks of 37, 37 and 26: the
     # gaps are reduced once over all chunks, so every float agrees bit for bit.
-    labels = _det_label_axes(additive_cfg)
-    gaps = [
-        _tracker_levels(RunContext(additive_cfg, 5, chunk_size=size), labels, 0.5, [0.002], 100)[0]
-        for size in (4096, 37)
-    ]
-    assert gaps[0]["samples"] == 100 * labels[0].size
+    params = {"dt_levels": [0.002, 0.001], "horizon": 0.5, "realizations": 100}
+    gaps = []
+    for size in (4096, 37):
+        ctx = RunContext(additive_cfg, 5, chunk_size=size)
+        plan = checks._plan_determinant_consistency(ctx, params)
+        gaps.append(_run_tracker_consumers(ctx, plan.consumers))
+    labels = plan.consumers[0].labels
+    assert gaps[0][0]["samples"] == 100 * labels[0].size
     assert gaps[0] == gaps[1]
+
+
+def test_the_convergence_study_reads_the_checks_own_series(tmp_path, additive_cfg):
+    # The study runs determinant_consistency's plan: at the same budget and the
+    # check's dt levels, its gaps are the bits of the series a scenario run writes.
+    assert additive_cfg.params_for("determinant_consistency")["dt_levels"] == [
+        additive_cfg.dt / 2 ** l for l in range(3)]
+    study = convergence_study(additive_cfg, 3, realizations=64)
+    run_scenario(_one_check("additive_linear_1d", "determinant_consistency"), str(tmp_path),
+                 realizations=64)
+    for key, stem in [("gap_direct_vs_exp_lambda", "exp_lambda"), ("gap_direct_vs_sde", "sde")]:
+        rows = (tmp_path / f"determinant_consistency.{stem}.csv").read_text().splitlines()[1:]
+        written = [float(row.split(",")[1]) for row in rows]
+        assert np.array_equal(study[key], written), key
 
 
 @pytest.mark.parametrize(
@@ -357,8 +391,12 @@ def test_tracker_level_memory_is_bounded_by_one_chunk():
         checks.simulate_paths(ctx.cs, labels, 50, [50], ctx.driver(0.002), range(40),
                               box=cfg.box, fields=("D_direct", "D_sde", "log_lambda"))
         _, one_chunk = tracemalloc.get_traced_memory()
+        # The plan's first tracker consumer, moved onto all 97 labels.
+        plan = checks._plan_determinant_consistency(
+            ctx, {"dt_levels": [0.002, 0.001], "horizon": 0.1, "realizations": 800})
+        consumer = dataclasses.replace(plan.consumers[0], labels=labels)
         tracemalloc.reset_peak()
-        level = _tracker_levels(ctx, labels, 0.1, [0.002], 800)[0]
+        (level,) = _run_tracker_consumers(ctx, [consumer])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -438,6 +476,7 @@ def test_the_feynman_kac_slack_constant_is_frozen(tmp_path, monkeypatch):
         ("martingale_M", "realizations", 0),  # would abort on an empty concatenation
         ("conservation", "realizations", "100"),
         ("entropy_mc", "query_nodes", 2.7),  # would be cut to 2 nodes
+        ("entropy_mc", "query_nodes", 1),  # a grid needs 2 nodes per axis
         ("determinant_consistency", "realizations", -1),
     ],
 )
@@ -447,6 +486,22 @@ def test_a_count_that_is_not_an_integer_in_range_is_a_config_error(tmp_path, che
     assert not result.passed
     assert result.metrics["error"].startswith(
         f"ConfigError: {check}.{key}: must be an integer >= "), result.metrics
+
+
+def test_a_realization_override_below_one_is_a_config_error(tmp_path):
+    # The override is checked like a configured budget: each Monte Carlo check
+    # aborts at planning, by name, and the checks with budgets of their own still run.
+    cfg = load_config(str(bundled_scenario_path("heat_identity")))
+    report = run_scenario(cfg, str(tmp_path), realizations=0)
+    aborted = {"determinant_consistency", "martingale_M", "conservation", "entropy_mc",
+               "feynman_kac_vs_oracle"}
+    for result in report.results:
+        if result.name in aborted:
+            assert result.metrics["error"] == (f"ConfigError: {result.name}.realizations: "
+                                               "must be an integer >= 1, got 0")
+        else:
+            assert result.passed, result.metrics
+    assert aborted <= {result.name for result in report.results}
 
 
 def test_the_smallest_jensen_counts_run(tmp_path):

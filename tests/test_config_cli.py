@@ -413,6 +413,12 @@ def test_cli_converge_runs_and_writes_study(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_converge_refuses_a_budget_below_one(capsys):
+    assert main(["converge", "additive_linear_1d", "--levels", "2", "--realizations", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: determinant_consistency.realizations: must be an integer >= 1, got 0\n")
+
+
 def test_cli_converge_study_is_strict_json(tmp_path, capsys):
     # heat_identity's tracker gaps coincide to roundoff, so no order is fitted; the
     # NaN must not reach study.json as a bare NaN token, which strict JSON rejects.

@@ -153,14 +153,18 @@ def test_forward_time_grid_validation():
     cs = make_coeffs("1", nu=0.1, n=1)
     ax = (np.linspace(-1.0, 1.0, 21),)
     f0 = grid_field_from_expr(parse_field("1", 1), ax)
-    with pytest.raises(ValueError, match="integer multiple"):
+    with pytest.raises(ValueError, match="time 0.105 does not lie on the dt=0.01 step grid"):
         solve_forward(cs, [f0], T=0.105, dt=0.01)
     with pytest.raises(ValueError, match="step grid"):
         solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.055])
     with pytest.raises(ValueError, match="positive"):
         solve_forward(cs, [f0], T=0.1, dt=0.0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="time -0.1 does not lie on the dt=0.01 step grid"):
         solve_forward(cs, [f0], T=-0.1, dt=0.01)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        solve_forward(cs, [f0], T=1e-12, dt=0.01)
+    with pytest.raises(ValueError, match="past the horizon"):
+        solve_forward(cs, [f0], T=0.1, dt=0.01, output_times=[0.2])
     cs2 = make_coeffs([["1", "0"], ["0", "1"]], nu=0.1, n=2)
     with pytest.raises(DimensionMismatch):
         solve_forward(cs2, [f0], T=0.1, dt=0.01)
