@@ -50,7 +50,6 @@ from .oracle import (
     solve_forward,
 )
 from .estimators import (
-    McField,
     PsiSamples,
     collect_psi_samples,
     entropy_decay_check,

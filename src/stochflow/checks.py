@@ -765,13 +765,14 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     phi, phi_label = ctx.weight("auto", times)
     axes = _query_axes(cfg, "entropy_mc", params)
     pts = mesh_points(axes)
+    w = trapezoid_weights(axes)
     mc = _psi_consumer(ctx, times, realizations, pts)
 
     def finish() -> CheckResult:
         samples = join_psi_samples(mc.results())
 
         report, control = entropy_decay_check(
-            samples, phi=phi, hs=(h_fun, non_convex_control()), seed=ctx.seed
+            samples, w, phi=phi, hs=(h_fun, non_convex_control()), seed=ctx.seed
         )
 
         # Per-point convexity on the raw samples at a few interior quadrature points:
@@ -979,17 +980,17 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
         table = []
         passed = True
         for t in times:
-            f_hat = fields_from_samples(samples, t)
+            mean, se, masked = fields_from_samples(samples, t)
             ref_vals = reference.at(t).sample(pts)
-            usable = ~f_hat.masked
+            usable = ~masked
             frac_usable = float(usable.mean())
             if frac_usable < 0.5:
                 passed = False
                 table.append({"t": float(t), "usable_fraction": frac_usable, "passed": False})
                 continue
             wsum = float(np.sum(w[usable]))
-            l2 = float(np.sqrt(np.sum(w[usable] * (f_hat.mean[usable] - ref_vals[usable]) ** 2) / wsum))
-            se_l2 = float(np.sqrt(np.sum(w[usable] * f_hat.se[usable] ** 2) / wsum))
+            l2 = float(np.sqrt(np.sum(w[usable] * (mean[usable] - ref_vals[usable]) ** 2) / wsum))
+            se_l2 = float(np.sqrt(np.sum(w[usable] * se[usable] ** 2) / wsum))
             tol = max(4.0 * se_l2, disc_tol)
             ok = l2 <= tol
             passed = passed and ok

@@ -176,14 +176,16 @@ def chunk_size_for(
 def step_indices(times, dt: float) -> list[int]:
     """Step index i of every time t = i*dt, in the given order.
 
-    Raises ValueError for a step dt that is not positive and for a time that is
-    negative or off the dt step grid.
+    Raises ValueError for a step dt that is not positive, for a time that is not a
+    finite multiple of dt, and for a time that is negative or off the dt step grid.
     """
     if not dt > 0:
         raise ValueError(f"the step dt={dt!r} must be positive")
     idx = []
     for t in times:
         t = float(t)
+        if not np.isfinite(t / dt):
+            raise ValueError(f"time {t!r} is not a finite number of dt={dt} steps")
         i = int(round(t / dt))
         if i < 0 or abs(i * dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"time {t!r} does not lie on the dt={dt} step grid")

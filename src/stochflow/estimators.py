@@ -14,7 +14,9 @@ Provided here:
     rows at one output time (``inverse.chart_from_batch``,
     ``inverse.feynman_kac_psi_stack``), written in place into the chunk's (R, S, Q)
     outputs; ``join_psi_samples`` joins the samples of consecutive chunks.
-  * ``fields_from_samples``: per-point sample mean and error of the f field.
+  * ``fields_from_samples``: the f field at one output time as (Q,) arrays of mean,
+    standard error and mask; every estimate drops the points that
+    ``PsiSamples.resolved`` masks, those some realization left unresolved.
   * ``martingale_values``: the martingale weight phi(X,t) * D * exp(log-weight) per
     alive realization and label.
   * ``conserved_quantity_batch``: per alive realization, the label-space quadrature
@@ -24,8 +26,9 @@ Provided here:
   * ``jensen_check``: the finite-sample convexity inequality for a stack of sample
     sets, exact up to roundoff.
   * ``entropy_decay_check``: bootstrap-banded monotonicity verdicts for the entropy
-    time series of the estimated fields, one per H from one set of draws (the
-    grid-solver counterpart is ``oracle.entropy_series``).
+    time series of the estimated fields, one per H from one set of draws, with the
+    query points' quadrature ``weights`` given by the caller (the grid-solver
+    counterpart is ``oracle.entropy_series``).
 
 A weighting factor phi is called as ``phi(points, t)`` on (Q, n) points and returns
 (Q,) values: ``exponential_phi`` (the closed form for a constant V; exactly 1 when
@@ -67,7 +70,6 @@ from .oracle import EntropyReport
 from .oracle import entropy_series  # noqa: F401
 
 __all__ = [
-    "McField",
     "PsiSamples",
     "JensenResult",
     "MIN_REALIZATIONS",
@@ -131,21 +133,6 @@ def _boundary_ring_mask(shape: tuple, cells: int) -> np.ndarray:
     return mask
 
 
-def _axes_from_points(pts: np.ndarray) -> tuple:
-    """Recover tensor-grid axes from flattened mesh points (C order)."""
-    n = pts.shape[1]
-    axes = []
-    for k in range(n):
-        ax = np.unique(pts[:, k])
-        axes.append(ax)
-    if int(np.prod([a.size for a in axes])) != pts.shape[0]:
-        raise ValueError("query points do not form a tensor grid")
-    rebuilt = mesh_points(tuple(axes))
-    if not np.array_equal(rebuilt, pts):
-        raise ValueError("query points are not in C (row-major) mesh order")
-    return tuple(axes)
-
-
 def validate_compact_support(
     expr: FieldExpr, label_axes, name: str, cells: int = SUPPORT_MARGIN_CELLS
 ) -> None:
@@ -174,28 +161,6 @@ def validate_compact_support(
 
 
 @dataclass(eq=False)
-class McField:
-    """Per-point sample mean and spread of a Monte Carlo field estimate."""
-
-    points: np.ndarray  # (Q, n)
-    mean: np.ndarray  # (Q,)
-    variance: np.ndarray  # (Q,) sample variance, ddof = 1
-    count: int  # realizations averaged
-    masked: np.ndarray  # (Q,) bool — points excluded (some realization unresolved)
-
-    def __post_init__(self):
-        usable = ~self.masked
-        if np.any(self.variance[usable] < 0):
-            raise ValueError("sample variance must be nonnegative")
-
-    @property
-    def se(self) -> np.ndarray:
-        out = np.sqrt(self.variance / self.count)
-        out[self.masked] = np.nan
-        return out
-
-
-@dataclass(eq=False)
 class PsiSamples:
     """Per-realization weighted transported data at query points and output times.
 
@@ -206,7 +171,6 @@ class PsiSamples:
     dropped before this container is built.
     """
 
-    label_axes: tuple
     points: np.ndarray  # (Q, n)
     times: np.ndarray  # (S,)
     realization_indices: np.ndarray  # (R,)
@@ -220,6 +184,20 @@ class PsiSamples:
 
     def time_slot(self, t: float) -> int:
         return stored_time_slot(self.times, t)
+
+    def resolved(self, *names: str) -> tuple:
+        """The (S, Q) mask of the points that some realization left unresolved, then
+        each named (R, S, Q) array with those points zeroed for every realization.
+
+        Raises InsufficientRealizations below ``MIN_REALIZATIONS`` realizations.
+        """
+        r = self.num_realizations
+        if r < MIN_REALIZATIONS:
+            raise InsufficientRealizations(
+                f"{r} realizations available; at least {MIN_REALIZATIONS} required"
+            )
+        masked = np.any(self.status != STATUS_OK, axis=0)
+        return (masked, *(np.where(masked, 0.0, getattr(self, name)) for name in names))
 
 
 @dataclass(frozen=True)
@@ -274,7 +252,6 @@ def collect_psi_samples(
             (vf, vr), status = inverse.feynman_kac_psi_stack(stack, (f0, rho0), pts)
             pf[block, s], pr[block, s], st[block, s] = vf, vr, status
     return PsiSamples(
-        label_axes=simulated.label_axes,
         points=pts,
         times=ts,
         realization_indices=simulated.realization_indices[r_alive],
@@ -304,24 +281,15 @@ def join_psi_samples(parts: Sequence[PsiSamples]) -> PsiSamples:
 # ---------------------------------------------------------------------------
 
 
-def _mc_field_from_arrays(pts: np.ndarray, values: np.ndarray, status: np.ndarray) -> McField:
-    r = values.shape[0]
-    masked = np.any(status != STATUS_OK, axis=0)
-    safe = np.where(masked[None, :], 0.0, values)
-    mean = np.where(masked, np.nan, safe.mean(axis=0))
-    variance = np.where(masked, 0.0, safe.var(axis=0, ddof=1))
-    return McField(points=pts, mean=mean, variance=variance, count=r, masked=masked)
-
-
-def fields_from_samples(samples: PsiSamples, t: float) -> McField:
-    """Per-point mean and SE of the recorded psi_f at one sampled time: the f field."""
-    r = samples.num_realizations
-    if r < MIN_REALIZATIONS:
-        raise InsufficientRealizations(
-            f"{r} realizations available; at least {MIN_REALIZATIONS} required"
-        )
+def fields_from_samples(samples: PsiSamples, t: float) -> tuple:
+    """The f field at one sampled time as (Q,) arrays ``(mean, se, masked)``: the
+    sample mean and its standard error, NaN at the points ``PsiSamples.resolved`` masks."""
+    masked, psi_f = samples.resolved("psi_f")
     s = samples.time_slot(t)
-    return _mc_field_from_arrays(samples.points, samples.psi_f[:, s, :], samples.status[:, s, :])
+    masked, values = masked[s], psi_f[:, s]
+    mean = np.where(masked, np.nan, values.mean(axis=0))
+    se = np.where(masked, np.nan, np.sqrt(values.var(axis=0, ddof=1) / values.shape[0]))
+    return mean, se, masked
 
 
 # ---------------------------------------------------------------------------
@@ -437,46 +405,39 @@ def _quadrature_entropy(mean_f, mean_rho, phi_vals, weights, usable, H: ConvexH)
 
 def entropy_decay_check(
     samples: PsiSamples,
+    weights: np.ndarray,
     phi,
     hs: Sequence[ConvexH],
     seed: int = 0,
 ) -> list[EntropyReport]:
     """Monotonicity verdicts for the entropy series of the estimated fields, one per H.
 
-    The series is built from per-point sample means at every time of ``samples``,
-    and each increment gets a bootstrap confidence band (200 draws over
-    realizations); the verdict fails only where an increment's 95% band lies above
-    zero.  Every H reads the same draws, and each draw's means are computed once for
-    all of them.  The reports, and the
-    error raised, are those of one call per H in the given order.
+    The series is the quadrature, with the (Q,) ``weights`` of the query points,
+    of the per-point sample means at every time of ``samples``, over the points
+    that ``PsiSamples.resolved`` keeps.  Each increment gets a bootstrap confidence
+    band (200 draws over realizations); the verdict fails where an increment's 95%
+    band lies above zero, and where the series is not finite.  Every H reads the
+    same draws, and each draw's means are computed once for all of them.  The
+    reports, and the error raised, are those of one call per H in the given order.
 
     Raises SignalTooNoisy when the estimated density does not dominate its own
     standard error (mean <= 4*SE) at quadrature points that matter.
     """
     hs = list(hs)
     try:
-        return _decay_reports(samples, phi, hs, seed)
+        return _decay_reports(samples, weights, phi, hs, seed)
     except (StochflowError, ValueError):
         if len(hs) > 1:
             for H in hs:
-                _decay_reports(samples, phi, [H], seed)
+                _decay_reports(samples, weights, phi, [H], seed)
         raise
 
 
-def _decay_reports(samples: PsiSamples, phi, hs: list, seed: int) -> list[EntropyReport]:
+def _decay_reports(samples: PsiSamples, weights, phi, hs: list, seed: int) -> list[EntropyReport]:
+    masked, safe_f, safe_rho = samples.resolved("psi_f", "psi_rho")  # (S, Q), (R, S, Q)
     r_count = samples.num_realizations
-    if r_count < MIN_REALIZATIONS:
-        raise InsufficientRealizations(
-            f"{r_count} realizations available; at least {MIN_REALIZATIONS} required"
-        )
     ts = samples.times
-    axes = _axes_from_points(samples.points)
-    weights = trapezoid_weights(axes)
     s_count = ts.size
-
-    masked = np.any(samples.status != STATUS_OK, axis=0)  # (S, Q)
-    safe_f = np.where(masked[None, :, :], 0.0, np.nan_to_num(samples.psi_f, nan=0.0))
-    safe_rho = np.where(masked[None, :, :], 0.0, np.nan_to_num(samples.psi_rho, nan=0.0))
     mean_f = safe_f.mean(axis=0)
     mean_rho = safe_rho.mean(axis=0)
     se_rho = safe_rho.std(axis=0, ddof=1) / np.sqrt(r_count)
@@ -494,7 +455,7 @@ def _decay_reports(samples: PsiSamples, phi, hs: list, seed: int) -> list[Entrop
             h_at_zero = 0.0
         proxy = np.abs(mean_f) + h_at_zero * np.abs(mean_rho)
         peak = float(proxy.max()) if proxy.size else 0.0
-        matters = (~masked) & (proxy > 1e-6 * peak)
+        matters = usable & (proxy > 1e-6 * peak)
         weak = matters & (mean_rho <= 4.0 * se_rho)
         if np.any(weak):
             raise SignalTooNoisy(
@@ -527,7 +488,7 @@ def _decay_reports(samples: PsiSamples, phi, hs: list, seed: int) -> list[Entrop
             times=ts,
             values=vals,
             increments=increments,
-            verdict_nonincreasing=violations == 0,
+            verdict_nonincreasing=violations == 0 and bool(np.all(np.isfinite(vals))),
             num_violations=violations,
             max_increment=float(increments.max()) if increments.size else 0.0,
             lower=np.percentile(boot, 100 * (alpha / 2), axis=0),

@@ -38,7 +38,7 @@ import numpy as np
 from .engine import BatchResult
 from .errors import DimensionMismatch
 from .fields import FieldExpr, eval_points
-from .grids import multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
+from .grids import mesh_points, multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
 
 __all__ = [
     "ChartStack",
@@ -313,8 +313,9 @@ def _nearest_node(flat_X: np.ndarray, x: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
-    """Damped Newton for the queries ``x`` on row ``r`` of a 2D stack."""
+def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray, flat_labels: np.ndarray):
+    """Damped Newton for the queries ``x`` on row ``r`` of a 2D stack, whose label
+    nodes are ``flat_labels`` (``grids.mesh_points`` of its axes)."""
     n = stack.n
     axes = stack.label_axes
     X = stack.X[r]
@@ -329,7 +330,6 @@ def _invert_row_nd(stack: ChartStack, r: int, x: np.ndarray):
     status[~in_bbox] = STATUS_OUT_OF_CHART
 
     # Seed from the label whose stored image is nearest to the query.
-    flat_labels = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     a = np.empty((q, n))
     active = in_bbox.copy()
     if active.any():
@@ -440,10 +440,12 @@ def invert_batch(stack: ChartStack, points) -> tuple[np.ndarray, np.ndarray]:
     if stack.n == 1:
         labels, status = _invert_rows_1d(stack, pts[..., 0])
         return labels[..., None], status
+    flat_labels = mesh_points(stack.label_axes)
     labels = np.empty((stack.num_rows, pts.shape[-2], stack.n))
     status = np.empty((stack.num_rows, pts.shape[-2]), dtype=np.int8)
     for r in range(stack.num_rows):
-        labels[r], status[r] = _invert_row_nd(stack, r, pts[r] if pts.ndim == 3 else pts)
+        x = pts[r] if pts.ndim == 3 else pts
+        labels[r], status[r] = _invert_row_nd(stack, r, x, flat_labels)
     return labels, status
 
 
@@ -459,7 +461,7 @@ def roundtrip_error(stack: ChartStack) -> dict:
     """
     shape = stack.label_shape
     n = stack.n
-    labels = np.stack(np.meshgrid(*stack.label_axes, indexing="ij"), axis=-1).reshape(-1, n)
+    labels = mesh_points(stack.label_axes)
     mask = np.ones(labels.shape[0], dtype=bool)
     if all(s > 2 for s in shape):
         grid_mask = np.zeros(shape, dtype=bool)

@@ -296,12 +296,12 @@ def test_feynman_kac_fails_when_fewer_than_half_the_points_are_usable(tmp_path, 
     real_fields = checks.fields_from_samples
 
     def masking(samples, t):
-        est = real_fields(samples, t)
+        mean, se, masked = real_fields(samples, t)
         if t != 0.25:
-            return est
-        masked = est.masked.copy()
+            return mean, se, masked
+        masked = masked.copy()
         masked[: int(0.6 * masked.size)] = True
-        return dataclasses.replace(est, masked=masked)
+        return mean, se, masked
 
     monkeypatch.setattr(checks, "fields_from_samples", masking)
     cfg = _one_check("heat_identity", "feynman_kac_vs_oracle")
@@ -531,7 +531,11 @@ def test_a_step_that_is_not_positive_is_a_config_error(tmp_path, check, params):
 
 @pytest.mark.parametrize(
     "oracle_dt, message",
-    [(0, "must be positive"), (0.0007, "does not lie on the dt=0.0007 step grid")],
+    [
+        (0, "must be positive"),
+        (0.0007, "does not lie on the dt=0.0007 step grid"),
+        (1e-320, "is not a finite number of dt=1e-320 steps"),
+    ],
 )
 def test_feynman_kac_oracle_step_is_checked_before_simulating(tmp_path, monkeypatch,
                                                               oracle_dt, message):
@@ -543,6 +547,26 @@ def test_feynman_kac_oracle_step_is_checked_before_simulating(tmp_path, monkeypa
     (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=300).results
     assert not result.passed
     assert result.metrics["error"].startswith("ConfigError: feynman_kac_vs_oracle: ")
+    assert message in result.metrics["error"], result.metrics
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "check, params, message",
+    [
+        ("determinant_consistency", {"horizon": float("inf")}, "horizon inf is not a multiple"),
+        ("entropy_oracle", {"oracle_dt": 1e-320}, "is not a finite number of dt=1e-320 steps"),
+    ],
+)
+def test_a_step_count_that_is_not_finite_is_a_config_error(tmp_path, monkeypatch, check,
+                                                           params, message):
+    # t/dt overflows to inf: the check is refused by name, before any pass.
+    calls = []
+    monkeypatch.setattr(checks, "run_chunks", lambda *a, **k: calls.append(a))
+    cfg = _one_check("additive_linear_1d", check, **params)
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=300).results
+    assert not result.passed
+    assert result.metrics["error"].startswith(f"ConfigError: {check}: "), result.metrics
     assert message in result.metrics["error"], result.metrics
     assert calls == []
 

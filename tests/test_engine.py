@@ -669,3 +669,11 @@ def test_full_2d_run_keeps_its_recorded_bits(cs_full_2d, fields, digest):
 def test_step_indices_refuses_a_step_that_is_not_positive(dt):
     with pytest.raises(ValueError, match="must be positive"):
         engine.step_indices([0.0, 0.1], dt)
+
+
+@pytest.mark.parametrize(
+    "times, dt", [([float("inf")], 1e-3), ([0.1], 1e-320), ([float("nan")], 0.1)]
+)
+def test_step_indices_refuses_a_time_that_is_no_finite_number_of_steps(times, dt):
+    with pytest.raises(ValueError, match="is not a finite number of"):
+        engine.step_indices(times, dt)

@@ -17,7 +17,6 @@ from stochflow.errors import (
 )
 from stochflow.estimators import (
     MIN_REALIZATIONS,
-    McField,
     PsiSamples,
     collect_psi_samples,
     conserved_quantity_batch,
@@ -299,13 +298,13 @@ def test_collect_psi_validation():
 
 def test_fields_from_samples_statistics():
     samples = _collect()
-    f_hat = fields_from_samples(samples, 0.1)
-    assert isinstance(f_hat, McField)
-    assert f_hat.count == 120 and not f_hat.masked.any()
+    mean, se, masked = fields_from_samples(samples, 0.1)
+    assert mean.shape == se.shape == masked.shape == (len(QUERY),)
+    assert samples.num_realizations == 120 and not masked.any()
     s = samples.time_slot(0.1)
-    assert np.array_equal(f_hat.mean, samples.psi_f[:, s, :].mean(axis=0))
-    assert np.array_equal(f_hat.variance, samples.psi_f[:, s, :].var(axis=0, ddof=1))
-    assert np.allclose(f_hat.se, np.sqrt(f_hat.variance / 120.0))
+    assert np.array_equal(mean, samples.psi_f[:, s, :].mean(axis=0))
+    variance = samples.psi_f[:, s, :].var(axis=0, ddof=1)
+    assert np.array_equal(se, np.sqrt(variance / 120))
     with pytest.raises(ValueError, match="not stored"):
         fields_from_samples(samples, 0.25)
 
@@ -334,31 +333,67 @@ def test_psi_batch_means_match_fields_from_samples():
         (one_f, one_rho), status = feynman_kac_psi_stack(chart, (f0, rho0), QUERY)
         psi_f[r], psi_rho[r] = one_f[0], one_rho[0]
         assert np.all(status == STATUS_OK)
-    f_ref = fields_from_samples(samples, 0.1)
-    assert np.array_equal(psi_f.mean(axis=0), f_ref.mean)
+    mean, se, _ = fields_from_samples(samples, 0.1)
+    assert np.array_equal(psi_f.mean(axis=0), mean)
     rho_mean = samples.psi_rho[:, samples.time_slot(0.1)].mean(axis=0)
     assert np.array_equal(psi_rho.mean(axis=0), rho_mean)
-    assert np.array_equal(psi_f.var(axis=0, ddof=1), f_ref.variance)
+    assert np.array_equal(np.sqrt(psi_f.var(axis=0, ddof=1) / 120), se)
 
 
 # ---------------------------------------------------------------------------
-# McField container
+# The points an estimate drops
 # ---------------------------------------------------------------------------
 
 
-def test_mc_field_masking_and_se():
-    pts = np.linspace(0.0, 1.0, 4)[:, None]
-    mean = np.array([1.0, 2.0, np.nan, 4.0])
-    var = np.array([0.01, 0.04, 0.0, 0.09])
-    masked = np.array([False, False, True, False])
-    fld = McField(points=pts, mean=mean, variance=var, count=25, masked=masked)
-    assert fld.masked.sum() == 1
-    se = fld.se
-    assert np.isnan(se[2])
-    assert se[0] == pytest.approx(0.1 / 5.0)
-    with pytest.raises(ValueError):
-        McField(points=pts, mean=mean, variance=np.array([-1.0, 0, 0, 0]),
-                count=25, masked=np.zeros(4, dtype=bool))
+def _one_unresolved(ratios=(2.0, 1.5, 1.2), r=7, s=1, q=5):
+    """Spread synthetic samples in which realization r leaves point q at slot s
+    unresolved (its psi pair NaN there, as the collector writes it)."""
+    samples = _synthetic_samples(list(ratios))
+    samples.psi_f *= np.random.default_rng(3).uniform(0.5, 1.5, samples.psi_f.shape)
+    samples.status[r, s, q] = 1
+    samples.psi_f[r, s, q] = samples.psi_rho[r, s, q] = np.nan
+    return samples
+
+
+def test_resolved_drops_a_point_that_any_realization_left_unresolved():
+    samples = _one_unresolved()
+    masked, psi_f, psi_rho = samples.resolved("psi_f", "psi_rho")
+    assert masked.shape == samples.status.shape[1:]
+    assert np.argwhere(masked).tolist() == [[1, 5]]
+    keep = ~masked
+    for dropped, raw in ((psi_f, samples.psi_f), (psi_rho, samples.psi_rho)):
+        assert np.all(dropped[:, 1, 5] == 0.0)
+        assert np.array_equal(dropped[:, keep], raw[:, keep])
+    (only,) = samples.resolved()
+    assert np.array_equal(only, masked)
+    small = replace(samples, realization_indices=np.arange(MIN_REALIZATIONS - 1))
+    with pytest.raises(InsufficientRealizations):
+        small.resolved("psi_f")
+    # The field estimate reports a dropped point as NaN, with its standard error.
+    mean, se, fmask = fields_from_samples(samples, float(samples.times[1]))
+    assert fmask.tolist() == masked[1].tolist()
+    assert np.isnan(mean[5]) and np.isnan(se[5])
+    assert np.all(np.isfinite(mean[~fmask])) and np.all(se[~fmask] > 0)
+
+
+def test_the_f_estimate_and_the_entropy_quadrature_drop_the_same_point():
+    samples = _one_unresolved()
+    r2 = get_convex("r2")
+    masked = np.any(samples.status != STATUS_OK, axis=0)
+    hand_f = np.where(masked, 0.0, samples.psi_f).mean(axis=0)
+    hand_rho = np.where(masked, 0.0, samples.psi_rho).mean(axis=0)
+    w = _weights(samples)
+    for s, t in enumerate(samples.times):
+        mean, _, fmask = fields_from_samples(samples, float(t))
+        assert np.array_equal(fmask, masked[s])
+        assert np.array_equal(mean, np.where(masked[s], np.nan, hand_f[s]), equal_nan=True)
+    (rep,) = entropy_decay_check(samples, w, phi=PHI_ONE, hs=[r2])
+    hand = []
+    for f, rho, keep in zip(hand_f, hand_rho, ~masked):
+        vals = np.zeros_like(f)
+        vals[keep] = rho[keep] * r2(f[keep] / rho[keep]) * 1.0  # phi = 1
+        hand.append(np.sum((w * vals)[keep]))
+    assert masked[1, 5] and np.array_equal(rep.values, hand)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +489,6 @@ def _synthetic_samples(ratios, r_count=120, q_count=21):
     psi_f = np.tile(np.asarray(ratios, dtype=float)[None, :, None],
                     (r_count, 1, q_count))
     return PsiSamples(
-        label_axes=(pts[:, 0],),
         points=pts,
         times=np.linspace(0.0, 0.1 * (s_count - 1), s_count),
         realization_indices=np.arange(r_count),
@@ -464,16 +498,23 @@ def _synthetic_samples(ratios, r_count=120, q_count=21):
     )
 
 
+def _weights(samples):
+    """Trapezoid weights of the query points of ``_synthetic_samples``."""
+    return trapezoid_weights((samples.points[:, 0],))
+
+
 def test_entropy_decay_check_monte_carlo_verdicts():
     decreasing = _synthetic_samples([2.0, 1.5, 1.2, 1.1])
-    (rep,) = entropy_decay_check(decreasing, phi=PHI_ONE, hs=[get_convex("r2")])
+    (rep,) = entropy_decay_check(decreasing, _weights(decreasing), phi=PHI_ONE,
+                                 hs=[get_convex("r2")])
     assert rep.verdict_nonincreasing and rep.num_violations == 0
     assert np.allclose(rep.values, [4.0, 2.25, 1.44, 1.21], rtol=1e-12)
     assert rep.lower is not None and rep.upper is not None
     assert np.all(rep.lower <= rep.values + 1e-12)
     assert np.all(rep.values <= rep.upper + 1e-12)
     growing = _synthetic_samples([1.0, 1.0, 1.5])
-    (rep2,) = entropy_decay_check(growing, phi=PHI_ONE, hs=[get_convex("r2")])
+    (rep2,) = entropy_decay_check(growing, _weights(growing), phi=PHI_ONE,
+                                  hs=[get_convex("r2")])
     assert not rep2.verdict_nonincreasing
     assert rep2.num_violations >= 1
     assert rep2.max_increment == pytest.approx(1.25, rel=1e-12)
@@ -485,7 +526,7 @@ def test_entropy_decay_check_noisy_density_rejected():
     samples.psi_rho[:, :, :] = 0.01
     samples.psi_rho[0, :, :] = 100.0
     with pytest.raises(SignalTooNoisy):
-        entropy_decay_check(samples, phi=PHI_ONE, hs=[get_convex("r2")])
+        entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=[get_convex("r2")])
 
 
 def _report_bytes(rep):
@@ -497,10 +538,10 @@ def test_entropy_decay_check_gives_each_h_the_report_of_its_own_call():
     # spread the data so that the bootstrap bands are not points
     samples.psi_f *= np.random.default_rng(3).uniform(0.5, 1.5, samples.psi_f.shape)
     hs = [get_convex("r2"), non_convex_control(), get_convex("abs_smooth")]
-    joint = entropy_decay_check(samples, phi=PHI_ONE, hs=hs, seed=5)
+    joint = entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=hs, seed=5)
     assert len(joint) == 3
     for rep, H in zip(joint, hs):
-        (alone,) = entropy_decay_check(samples, phi=PHI_ONE, hs=[H], seed=5)
+        (alone,) = entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=[H], seed=5)
         assert _report_bytes(rep) == _report_bytes(alone)
     assert np.all(joint[0].upper > joint[0].lower)
     assert joint[0].verdict_nonincreasing and not joint[1].verdict_nonincreasing
@@ -518,10 +559,10 @@ def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
 
     def raised(hs):
         with pytest.raises((SignalTooNoisy, ValueError)) as info:
-            entropy_decay_check(samples, phi=PHI_ONE, hs=hs)
+            entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=hs)
         return type(info.value), str(info.value)
 
-    entropy_decay_check(samples, phi=PHI_ONE, hs=[r2])
+    entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=[r2])
     assert raised([abs_smooth])[0] is SignalTooNoisy
     assert raised([r2, abs_smooth]) == raised([abs_smooth, r2]) == raised([abs_smooth])
     # One realization's large negative datum keeps the mean data at point 15
@@ -535,7 +576,18 @@ def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
     assert raised([abs_smooth, rlogr]) == raised([abs_smooth])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_entropy_decay_check_fails_a_series_that_is_not_finite(bad):
+    # A non-finite psi at a resolved point reaches the series; the verdict fails
+    # whatever the bootstrap bands say.
+    samples = _synthetic_samples([2.0, 1.5, 1.2])
+    samples.psi_f[0, 2, 10] = bad
+    (rep,) = entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=[get_convex("r2")])
+    assert np.all(np.isfinite(rep.values[:2])) and not np.isfinite(rep.values[2])
+    assert not rep.verdict_nonincreasing
+
+
 def test_entropy_decay_check_requires_min_realizations():
     small = _synthetic_samples([1.5, 1.2], r_count=40)
     with pytest.raises(InsufficientRealizations):
-        entropy_decay_check(small, phi=PHI_ONE, hs=[get_convex("r2")])
+        entropy_decay_check(small, _weights(small), phi=PHI_ONE, hs=[get_convex("r2")])

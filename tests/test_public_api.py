@@ -55,7 +55,7 @@ def test_every_name_the_package_imports_resolves():
 
 # Records whose every field the package must read somewhere outside the class.
 _READ_RECORDS = (
-    "ScenarioConfig", "CoefficientSet", "EntropyReport", "OracleSeries", "GridField", "McField",
+    "ScenarioConfig", "CoefficientSet", "EntropyReport", "OracleSeries", "GridField", "PsiSamples",
     "JensenResult",
 )
 
