@@ -31,6 +31,7 @@ levels.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -270,11 +271,28 @@ def _count(check: str, params: dict, key: str, default: int, minimum: int = 1) -
     return int(value)
 
 
-def _times_from(params: dict, key: str, default) -> list:
+def _number(check: str, key: str, value) -> float:
+    """A value of ``check``'s parameter ``key`` as a float; a bool or a non-number is
+    a ConfigError naming both."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{check}.{key}: must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(check: str, params: dict, key: str, default) -> list:
+    """``params[key]`` (``default`` when absent) as a nonempty list of floats."""
     raw = params.get(key, default)
     if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"check parameter {key!r} must be a nonempty list of times")
-    return [float(t) for t in raw]
+        raise ConfigError(f"{check}.{key}: must be a nonempty list of numbers, got {raw!r}")
+    return [_number(check, key, v) for v in raw]
+
+
+def _times_from(cfg: ScenarioConfig, check: str, params: dict, default) -> list:
+    """The check's ``times`` (``default`` when absent): strictly increasing, in [0, T]."""
+    times = _numbers(check, params, "times", default)
+    if any(b <= a for a, b in zip(times, times[1:])) or not all(0.0 <= t <= cfg.T for t in times):
+        raise ConfigError(f"{check}.times: must strictly increase within [0, T={cfg.T}], got {times}")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +522,7 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
     applies to the exponential-divergence pair.
     """
     cfg = ctx.cfg
-    dt_levels = [float(v) for v in params.get("dt_levels", [0.002, 0.001, 0.0005])]
+    dt_levels = _numbers("determinant_consistency", params, "dt_levels", [0.002, 0.001, 0.0005])
     if len(dt_levels) < 2:
         raise ConfigError("determinant_consistency: need at least two dt levels")
     if not all(dt > 0 for dt in dt_levels):
@@ -512,7 +530,7 @@ def _plan_determinant_consistency(ctx: RunContext, params: dict) -> _Plan:
     for a, b in zip(dt_levels, dt_levels[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigError("determinant_consistency: dt levels must halve")
-    horizon = float(params.get("horizon", min(cfg.T, 0.5)))
+    horizon = _number("determinant_consistency", "horizon", params.get("horizon", min(cfg.T, 0.5)))
     realizations = ctx.realizations_for("determinant_consistency", params)
     for dt in dt_levels:
         try:
@@ -634,7 +652,7 @@ def _plan_martingale_M(ctx: RunContext, params: dict) -> _Plan:
     when one of its probes escapes or goes non-finite.
     """
     cfg = ctx.cfg
-    times = _times_from(params, "times", [t for t in cfg.output_times if t > 0][:3])
+    times = _times_from(cfg, "martingale_M", params, [t for t in cfg.output_times if t > 0][:3])
     realizations = ctx.realizations_for("martingale_M", params)
     axes = _probe_axes(cfg, params)
     phi, phi_label = ctx.weight(str(params.get("phi", "auto")), times)
@@ -677,7 +695,7 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
     realization quadratures behind.
     """
     cfg = ctx.cfg
-    times = _times_from(params, "times", [t for t in cfg.output_times if t > 0])
+    times = _times_from(cfg, "conservation", params, [t for t in cfg.output_times if t > 0])
     realizations = ctx.realizations_for("conservation", params)
     phi, phi_label = ctx.weight("auto", times)
 
@@ -733,11 +751,13 @@ def _plan_conservation(ctx: RunContext, params: dict) -> _Plan:
 def _query_axes(cfg: ScenarioConfig, check: str, params: dict, default_nodes: int = 41) -> tuple:
     nodes = _count(check, params, "query_nodes", default_nodes, minimum=2)
     spans = [hi - lo for lo, hi in zip(cfg.box.lo, cfg.box.hi)]
-    margin = float(params.get("query_margin", 0.15 * min(spans)))
+    margin = _number(check, "query_margin", params.get("query_margin", 0.15 * min(spans)))
+    if not 0.0 <= margin < np.inf:
+        raise ConfigError(f"{check}.query_margin: must be finite and >= 0, got {margin!r}")
     lo = [l + margin for l in cfg.box.lo]
     hi = [h - margin for h in cfg.box.hi]
     if any(b - a <= 0 for a, b in zip(lo, hi)):
-        raise ConfigError("query_margin leaves an empty query window")
+        raise ConfigError(f"{check}.query_margin: leaves an empty query window")
     return grid_axes(Box(tuple(lo), tuple(hi)), (nodes,) * cfg.n)
 
 
@@ -759,7 +779,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     on the entropy series, and requires the non-convex control -r^2 to fail it.
     """
     cfg = ctx.cfg
-    times = _times_from(params, "times", list(cfg.output_times))
+    times = _times_from(cfg, "entropy_mc", params, list(cfg.output_times))
     realizations = ctx.realizations_for("entropy_mc", params)
     h_fun = get_convex(cfg.H_name)
     phi, phi_label = ctx.weight("auto", times)
@@ -821,7 +841,7 @@ def _plan_entropy_mc(ctx: RunContext, params: dict) -> _Plan:
     return _Plan([mc], finish)
 
 
-def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_entropy_oracle(ctx: RunContext, params: dict) -> _Plan:
     """Grid-solver entropy decay: the series must be nonincreasing to within 1e-8.
 
     Solves the forward equation for the data and the density at 11 evenly spaced
@@ -831,7 +851,7 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
     -r^2 must violate monotonicity, guarding against a vacuous verdict.
     """
     cfg = ctx.cfg
-    oracle_dt = float(params.get("oracle_dt", min(cfg.dt, 2e-4)))
+    oracle_dt = _number("entropy_oracle", "oracle_dt", params.get("oracle_dt", min(cfg.dt, 2e-4)))
     times = [cfg.T * i / 10.0 for i in range(11)]
     try:
         step_indices(times, oracle_dt)
@@ -839,50 +859,53 @@ def check_entropy_oracle(ctx: RunContext, params: dict) -> CheckResult:
         raise ConfigError(f"entropy_oracle: {exc}") from None
     h_fun = get_convex(cfg.H_name)
 
-    axes = ctx.oracle_axes()
-    f0 = grid_field_from_expr(cfg.f0, axes, t=0.0)
-    rho0 = grid_field_from_expr(cfg.rho0, axes, t=0.0)
-    f_series, rho_series = solve_forward(
-        ctx.cs, [f0, rho0], cfg.T, oracle_dt, output_times=times, require_positive=[False, True]
-    )
-    if ctx.cs.V.is_constant:  # the closed-form weight
-        phi, phi_label = ctx.weight("trivial", times)
-    else:
-        phi_T = grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T)
-        phi = solve_adjoint(ctx.cs, phi_T, cfg.T, oracle_dt, output_times=times)
-        phi_label = "adjoint solve"
+    def finish() -> CheckResult:
+        axes = ctx.oracle_axes()
+        f0 = grid_field_from_expr(cfg.f0, axes, t=0.0)
+        rho0 = grid_field_from_expr(cfg.rho0, axes, t=0.0)
+        f_series, rho_series = solve_forward(
+            ctx.cs, [f0, rho0], cfg.T, oracle_dt, output_times=times, require_positive=[False, True]
+        )
+        if ctx.cs.V.is_constant:  # the closed-form weight
+            phi, phi_label = ctx.weight("trivial", times)
+        else:
+            phi_T = grid_field_from_expr(cfg.phi_terminal, axes, t=cfg.T)
+            phi = solve_adjoint(ctx.cs, phi_T, cfg.T, oracle_dt, output_times=times)
+            phi_label = "adjoint solve"
 
-    report = entropy_series(f_series, rho_series, phi, h_fun)
-    control = entropy_series(f_series, rho_series, phi, non_convex_control())
+        report = entropy_series(f_series, rho_series, phi, h_fun)
+        control = entropy_series(f_series, rho_series, phi, non_convex_control())
 
-    hard_limit = 1e-8
-    max_inc = float(report.max_increment)
-    passed = (
-        report.verdict_nonincreasing
-        and max_inc <= hard_limit
-        and control.num_violations > 0
-    )
-    metrics = {
-        "weighting": phi_label,
-        "H": cfg.H_name,
-        "oracle_dt": oracle_dt,
-        "grid_nodes": [int(ax.size) for ax in axes],
-        "values": [float(v) for v in report.values],
-        "max_increment": max_inc,
-        "increment_limit": hard_limit,
-        "num_violations": report.num_violations,
-        "slack": report.slack,
-        "C_needed": float(report.C_needed),
-        "control_num_violations": control.num_violations,
-    }
-    rows = [(float(t), float(v), 0.0) for t, v in zip(report.times, report.values)]
-    return CheckResult("entropy_oracle", passed, 0.0, metrics, {"entropy_oracle": rows})
+        hard_limit = 1e-8
+        max_inc = float(report.max_increment)
+        passed = (
+            report.verdict_nonincreasing
+            and max_inc <= hard_limit
+            and control.num_violations > 0
+        )
+        metrics = {
+            "weighting": phi_label,
+            "H": cfg.H_name,
+            "oracle_dt": oracle_dt,
+            "grid_nodes": [int(ax.size) for ax in axes],
+            "values": [float(v) for v in report.values],
+            "max_increment": max_inc,
+            "increment_limit": hard_limit,
+            "num_violations": report.num_violations,
+            "slack": report.slack,
+            "C_needed": float(report.C_needed),
+            "control_num_violations": control.num_violations,
+        }
+        rows = [(float(t), float(v), 0.0) for t, v in zip(report.times, report.values)]
+        return CheckResult("entropy_oracle", passed, 0.0, metrics, {"entropy_oracle": rows})
+
+    return _Plan([], finish)
 
 
-_JENSEN_BLOCK_VALUES = 4096  # samples per array in one block of check_jensen (32 KiB)
+_JENSEN_BLOCK_VALUES = 4096  # samples per array in one block of jensen (32 KiB)
 
 
-def check_jensen(ctx: RunContext, params: dict) -> CheckResult:
+def _plan_jensen(ctx: RunContext, params: dict) -> _Plan:
     """Randomized verification of the weighted convexity inequality.
 
     Draws positive weight samples and signed (or positive, for domain-restricted
@@ -894,48 +917,49 @@ def check_jensen(ctx: RunContext, params: dict) -> CheckResult:
     num_sets = _count("jensen", params, "num_sets", 1000)
     # One sample makes the inequality an identity.
     num_samples = _count("jensen", params, "num_samples", 64, minimum=2)
-    rng = auxiliary_rng(ctx.seed, "jensen")
     names = ["r2", "abs_smooth", "rlogr"]
     if cfg.H_name not in names:
         names.append(cfg.H_name)
 
-    worst = -np.inf
-    violations = 0
-    total = 0
-    # Sets are drawn one by one, in the order of the stream, and checked a block at a
-    # time.  Small blocks keep every temporary far below malloc's mmap threshold (128
-    # KiB); one pass over 1000 sets of 64 samples (512 KiB arrays) raised the peak
-    # memory of a 1D run by about 0.7 MB.
-    block = max(1, _JENSEN_BLOCK_VALUES // num_samples)
-    for name in names:
-        h_fun = get_convex(name)
-        positive_only = name == "rlogr"
-        for start in range(0, num_sets, block):
-            rows = min(block, num_sets - start)
-            rho_s = np.empty((rows, num_samples))
-            f_s = np.empty((rows, num_samples))
-            for i in range(rows):
-                scale = float(rng.lognormal(0.0, 0.5))
-                rho_s[i] = rng.uniform(0.05, 3.0, num_samples) * scale
-                if positive_only:
-                    f_s[i] = rng.uniform(0.0, 2.5, num_samples) * scale
-                else:
-                    f_s[i] = rng.normal(0.0, 1.5, num_samples) * scale
-            res = jensen_check(rho_s, f_s, h_fun)
-            violations += int(np.count_nonzero(~res.holds))
-            worst = max(worst, float(np.max(res.lhs - res.rhs)))
-        total += num_sets
+    def finish() -> CheckResult:
+        rng = auxiliary_rng(ctx.seed, "jensen")
+        worst = -np.inf
+        violations = 0
+        # Sets are drawn one by one, in the order of the stream, and checked a block
+        # at a time.  Small blocks keep every temporary far below malloc's mmap
+        # threshold (128 KiB); one pass over 1000 sets of 64 samples (512 KiB arrays)
+        # raised the peak memory of a 1D run by about 0.7 MB.
+        block = max(1, _JENSEN_BLOCK_VALUES // num_samples)
+        for name in names:
+            h_fun = get_convex(name)
+            positive_only = name == "rlogr"
+            for start in range(0, num_sets, block):
+                rows = min(block, num_sets - start)
+                rho_s = np.empty((rows, num_samples))
+                f_s = np.empty((rows, num_samples))
+                for i in range(rows):
+                    scale = float(rng.lognormal(0.0, 0.5))
+                    rho_s[i] = rng.uniform(0.05, 3.0, num_samples) * scale
+                    if positive_only:
+                        f_s[i] = rng.uniform(0.0, 2.5, num_samples) * scale
+                    else:
+                        f_s[i] = rng.normal(0.0, 1.5, num_samples) * scale
+                res = jensen_check(rho_s, f_s, h_fun)
+                violations += int(np.count_nonzero(~res.holds))
+                worst = max(worst, float(np.max(res.lhs - res.rhs)))
 
-    passed = violations == 0
-    metrics = {
-        "functions": names,
-        "num_sets": num_sets,
-        "num_samples": num_samples,
-        "total_checks": total,
-        "violations": violations,
-        "worst_margin": float(worst),
-    }
-    return CheckResult("jensen", passed, 0.0, metrics, {})
+        passed = violations == 0
+        metrics = {
+            "functions": names,
+            "num_sets": num_sets,
+            "num_samples": num_samples,
+            "total_checks": num_sets * len(names),
+            "violations": violations,
+            "worst_margin": float(worst),
+        }
+        return CheckResult("jensen", passed, 0.0, metrics, {})
+
+    return _Plan([], finish)
 
 
 def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
@@ -953,7 +977,7 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     if params.get("slack_constant", slack_constant) != slack_constant:
         raise ConfigError("feynman_kac_vs_oracle.slack_constant: C is frozen at 2.0, "
                           f"got {params['slack_constant']!r}")
-    oracle_dt = float(params.get("oracle_dt", cfg.dt))
+    oracle_dt = _number("feynman_kac_vs_oracle", "oracle_dt", params.get("oracle_dt", cfg.dt))
     realizations = ctx.realizations_for("feynman_kac_vs_oracle", params)
     times = [t for t in cfg.output_times if t > 0]
     if not times:
@@ -1018,24 +1042,14 @@ def _plan_feynman_kac_vs_oracle(ctx: RunContext, params: dict) -> _Plan:
     return _Plan([mc], finish)
 
 
-def _without_simulation(check: Callable) -> Callable:
-    """The planner of a check that runs no Monte Carlo pass."""
-
-    def plan(ctx: RunContext, params: dict) -> _Plan:
-        return _Plan([], lambda: check(ctx, params))
-
-    plan.__doc__ = check.__doc__
-    return plan
-
-
 _PLANNERS = {
     "roundtrip": _plan_roundtrip,
     "determinant_consistency": _plan_determinant_consistency,
     "martingale_M": _plan_martingale_M,
     "conservation": _plan_conservation,
     "entropy_mc": _plan_entropy_mc,
-    "entropy_oracle": _without_simulation(check_entropy_oracle),
-    "jensen": _without_simulation(check_jensen),
+    "entropy_oracle": _plan_entropy_oracle,
+    "jensen": _plan_jensen,
     "feynman_kac_vs_oracle": _plan_feynman_kac_vs_oracle,
 }
 

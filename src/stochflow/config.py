@@ -93,27 +93,7 @@ _TOP_KEYS = frozenset(
     }
 )
 
-_REQUIRED = frozenset(
-    {
-        "dimension",
-        "nu",
-        "sigma",
-        "U",
-        "V",
-        "f0",
-        "rho0",
-        "h0",
-        "box",
-        "labels",
-        "T",
-        "dt",
-        "output_times",
-        "realizations",
-        "seed",
-        "oracle_dx",
-        "checks",
-    }
-)
+_REQUIRED = _TOP_KEYS - {"name", "phi_terminal", "H", "check_params"}
 
 
 # PyYAML's safe loader on libyaml's scanner when PyYAML was built with it: the same

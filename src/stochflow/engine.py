@@ -322,9 +322,10 @@ def _rows_inside(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _det_stack(J: np.ndarray) -> np.ndarray:
-    """Determinant over the last two axes of a 1x1 or 2x2 stack, in closed form."""
+    """Determinant over the last two axes of a 1x1 or 2x2 stack, in closed form; a
+    1x1 stack gives a view of its entries."""
     if J.shape[-1] == 1:
-        return J[..., 0, 0].copy()
+        return J[..., 0, 0]
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 

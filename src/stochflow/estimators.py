@@ -55,7 +55,6 @@ from .errors import (
     InsufficientRealizations,
     NonPositiveDensity,
     SignalTooNoisy,
-    StochflowError,
     SupportEscape,
 )
 from .fields import FieldExpr, eval_points
@@ -417,23 +416,14 @@ def entropy_decay_check(
     that ``PsiSamples.resolved`` keeps.  Each increment gets a bootstrap confidence
     band (200 draws over realizations); the verdict fails where an increment's 95%
     band lies above zero, and where the series is not finite.  Every H reads the
-    same draws, and each draw's means are computed once for all of them.  The
-    reports, and the error raised, are those of one call per H in the given order.
+    same draws, and each draw's means are computed once for all of them.
 
-    Raises SignalTooNoisy when the estimated density does not dominate its own
-    standard error (mean <= 4*SE) at quadrature points that matter.
+    For each H in the given order, the signal check and then the mean series run
+    before any bootstrap draw; the first of these that fails raises.  The signal
+    check raises SignalTooNoisy when the estimated density does not dominate its
+    own standard error (mean <= 4*SE) at quadrature points that matter, and
+    NonPositiveDensity when it is not positive there.
     """
-    hs = list(hs)
-    try:
-        return _decay_reports(samples, weights, phi, hs, seed)
-    except (StochflowError, ValueError):
-        if len(hs) > 1:
-            for H in hs:
-                _decay_reports(samples, weights, phi, [H], seed)
-        raise
-
-
-def _decay_reports(samples: PsiSamples, weights, phi, hs: list, seed: int) -> list[EntropyReport]:
     masked, safe_f, safe_rho = samples.resolved("psi_f", "psi_rho")  # (S, Q), (R, S, Q)
     r_count = samples.num_realizations
     ts = samples.times
@@ -454,7 +444,8 @@ def _decay_reports(samples: PsiSamples, weights, phi, hs: list, seed: int) -> li
         except ValueError:
             h_at_zero = 0.0
         proxy = np.abs(mean_f) + h_at_zero * np.abs(mean_rho)
-        peak = float(proxy.max()) if proxy.size else 0.0
+        # A non-finite proxy value must not hide every other point from the check.
+        peak = float(np.max(proxy, where=np.isfinite(proxy), initial=0.0))
         matters = usable & (proxy > 1e-6 * peak)
         weak = matters & (mean_rho <= 4.0 * se_rho)
         if np.any(weak):
@@ -482,7 +473,11 @@ def _decay_reports(samples: PsiSamples, weights, phi, hs: list, seed: int) -> li
     for H, vals, boot in zip(hs, values, boot_vals):
         increments = np.diff(vals)
         boot_inc = np.diff(boot, axis=1)  # (B, S-1)
-        lo_inc = np.percentile(boot_inc, 100 * (alpha / 2), axis=0)
+        # inf - inf in a non-finite series is NaN; such a series fails its verdict.
+        with np.errstate(invalid="ignore"):
+            lo_inc = np.percentile(boot_inc, 100 * (alpha / 2), axis=0)
+            lower = np.percentile(boot, 100 * (alpha / 2), axis=0)
+            upper = np.percentile(boot, 100 * (1 - alpha / 2), axis=0)
         violations = int(np.sum(lo_inc > 0))
         reports.append(EntropyReport(
             times=ts,
@@ -491,7 +486,7 @@ def _decay_reports(samples: PsiSamples, weights, phi, hs: list, seed: int) -> li
             verdict_nonincreasing=violations == 0 and bool(np.all(np.isfinite(vals))),
             num_violations=violations,
             max_increment=float(increments.max()) if increments.size else 0.0,
-            lower=np.percentile(boot, 100 * (alpha / 2), axis=0),
-            upper=np.percentile(boot, 100 * (1 - alpha / 2), axis=0),
+            lower=lower,
+            upper=upper,
         ))
     return reports

@@ -35,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import BatchResult
+from .engine import BatchResult, _det_stack
 from .errors import DimensionMismatch
 from .fields import FieldExpr, eval_points
 from .grids import mesh_points, multilinear_interp, multilinear_interp_rows, multilinear_interp_with_grad
@@ -154,10 +154,9 @@ def _det_and_deformation(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     closed-form singular values, with s_max^2 = (S + sqrt(S^2 - 4 det^2)) / 2 for the
     squared Frobenius norm S and s_min = |det| / s_max.
     """
+    dets = _det_stack(jacs)
     if jacs.shape[-1] == 1:
-        dets = jacs[..., 0, 0]
         return dets, np.where(dets != 0.0, 1.0, np.inf)
-    dets = jacs[..., 0, 0] * jacs[..., 1, 1] - jacs[..., 0, 1] * jacs[..., 1, 0]
     frob = np.sum(jacs * jacs, axis=(-2, -1))
     smax_sq = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0 * dets * dets, 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,7 +281,7 @@ def _invert_rows_1d(stack: ChartStack, x: np.ndarray):
 def _solve_newton_steps(jac: np.ndarray, rhs: np.ndarray):
     """Per-row solve of the 2x2 systems jac @ step = rhs; rows with near-singular jac
     marked False."""
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    det = _det_stack(jac)
     good = np.abs(det) > 1e-14
     step = np.zeros_like(rhs)
     d = np.where(good, det, 1.0)

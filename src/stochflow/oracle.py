@@ -297,8 +297,9 @@ def solve_forward(
     factorization, and each step advances them as the columns of one (N, m) stack;
     the sparse product and SuperLU's multi-column solve give every column the bits
     of a march of that field alone.  ``require_positive[i]`` aborts (rather than
-    clips) if field i loses positivity — used for density solves.  A failing march
-    raises what marching the fields one at a time, in order, raises.
+    clips) if field i loses positivity — used for density solves.  The first step at
+    which any field fails raises: BlowUp when some value is not finite, otherwise
+    PositivityViolation.
     """
     initial = list(initial)
     positive = [False] * len(initial) if require_positive is None else list(require_positive)
@@ -330,22 +331,16 @@ def solve_forward(
                 f"forward solve lost strict positivity at t={t_now:.6g} (min value {low:.3e})"
             )
 
-    try:
-        for k in range(K + 1):
-            if k > 0:
-                # SuperLU returns F in Fortran order, so each column is contiguous;
-                # a product with the whole stack would copy it to C order first.
-                for j in range(F.shape[1]):
-                    LF[:, j] = L @ F[:, j]
-                F = lu.solve(F + half_dt * LF)
-            check(k * dt)
-            if k in slot_of:
-                stored[:, slot_of[k]] = F.T
-    except (BlowUp, PositivityViolation):
-        if len(initial) > 1:
-            for g, p in zip(initial, positive):
-                solve_forward(cs, [g], T, dt, output_times, [p])
-        raise
+    for k in range(K + 1):
+        if k > 0:
+            # SuperLU returns F in Fortran order, so each column is contiguous;
+            # a product with the whole stack would copy it to C order first.
+            for j in range(F.shape[1]):
+                LF[:, j] = L @ F[:, j]
+            F = lu.solve(F + half_dt * LF)
+        check(k * dt)
+        if k in slot_of:
+            stored[:, slot_of[k]] = F.T
     times = np.array([i * dt for i in slots])
     shape = (len(slots),) + f0.shape
     return [OracleSeries(f0.axes, times.copy(), values.reshape(shape), dt) for values in stored]

@@ -571,6 +571,35 @@ def test_a_step_count_that_is_not_finite_is_a_config_error(tmp_path, monkeypatch
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "scenario, check, key, bad",
+    [
+        ("heat_identity", "martingale_M", "times", [0.25, 5.0]),  # past T = 0.5
+        ("heat_identity", "conservation", "times", [0.25, 0.25]),
+        ("heat_identity", "entropy_mc", "times", [0.5, 0.25]),
+        ("heat_identity", "conservation", "times", ["a"]),
+        ("heat_identity", "conservation", "times", [True, 0.5]),
+        ("heat_identity", "martingale_M", "times", [-0.25, 0.25]),
+        ("heat_identity", "entropy_mc", "query_margin", -0.5),
+        ("heat_identity", "feynman_kac_vs_oracle", "query_margin", -0.5),
+        ("diag_sigma_2d", "entropy_mc", "query_margin", float("inf")),
+        ("heat_identity", "determinant_consistency", "horizon", True),
+        ("heat_identity", "determinant_consistency", "dt_levels", [0.002, "0.001"]),
+        ("heat_identity", "entropy_oracle", "oracle_dt", "abc"),
+        ("heat_identity", "feynman_kac_vs_oracle", "oracle_dt", [0.001]),
+    ],
+)
+def test_a_bad_time_list_or_number_is_a_config_error_before_any_pass(
+        tmp_path, monkeypatch, scenario, check, key, bad):
+    calls = []
+    monkeypatch.setattr(checks, "run_chunks", lambda *a, **k: calls.append(a))
+    cfg = _one_check(scenario, check, **{key: bad})
+    (result,) = run_scenario(cfg, str(tmp_path), seed=5, realizations=300).results
+    assert not result.passed
+    assert result.metrics["error"].startswith(f"ConfigError: {check}.{key}: "), result.metrics
+    assert calls == []
+
+
 def test_checks_at_the_positive_output_times_need_one(tmp_path):
     raw = yaml.safe_load(open(str(bundled_scenario_path("heat_identity"))))
     raw.update(output_times=[0.0], checks=["roundtrip", "feynman_kac_vs_oracle"])

@@ -547,7 +547,7 @@ def test_entropy_decay_check_gives_each_h_the_report_of_its_own_call():
     assert joint[0].verdict_nonincreasing and not joint[1].verdict_nonincreasing
 
 
-def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
+def test_entropy_decay_check_raises_the_first_signal_or_series_failure_before_any_draw():
     # Ten points carry no data and a density swamped by one outlier: they matter
     # only to an H with H(0) != 0, so r2 passes its signal check and abs_smooth fails.
     samples = _synthetic_samples([1.5, 1.2])
@@ -567,13 +567,22 @@ def test_entropy_decay_check_raises_what_one_call_per_h_raises_first():
     assert raised([r2, abs_smooth]) == raised([abs_smooth, r2]) == raised([abs_smooth])
     # One realization's large negative datum keeps the mean data at point 15
     # positive, but a draw that picks it twice is negative there, outside rlogr's
-    # domain: rlogr passes its signal check and fails in the bootstrap, which one
-    # call for rlogr alone reaches before a call for abs_smooth starts.
+    # domain: rlogr passes its signal check and fails in the bootstrap, which no
+    # call reaches while the signal check of another H fails, in either order.
     samples.psi_f[:, :, 15] = 1.0
     samples.psi_f[0, :, 15] = -118.5
     assert raised([rlogr])[0] is ValueError
-    assert raised([rlogr, abs_smooth]) == raised([rlogr])
-    assert raised([abs_smooth, rlogr]) == raised([abs_smooth])
+    assert raised([rlogr, abs_smooth]) == raised([abs_smooth, rlogr]) == raised([abs_smooth])
+
+
+def test_entropy_decay_check_names_a_noisy_density_next_to_an_infinite_psi():
+    # An infinite psi at a resolved point leaves the other points' signal check on.
+    samples = _synthetic_samples([1.5, 1.2], r_count=120)
+    samples.psi_rho[:, :, :] = 0.01
+    samples.psi_rho[0, :, :] = 100.0
+    samples.psi_f[0, 1, 10] = np.inf
+    with pytest.raises(SignalTooNoisy):
+        entropy_decay_check(samples, _weights(samples), phi=PHI_ONE, hs=[get_convex("r2")])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
